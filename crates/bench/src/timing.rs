@@ -506,8 +506,11 @@ pub fn bench_incremental(scale: StudyScale) -> IncrementalBench {
     let mut engine = routing_design::incremental::DeltaEngine::new(&dir);
     engine.refresh().expect("warm-up refresh");
 
-    // One router in one network grows a loopback.
-    let touch = |net: &str| {
+    // One router in one network grows a new loopback, inserted before
+    // the config's `end` line: the parser stops there, so an edit after
+    // it would change the bytes but never the analysis.
+    let mut loopbacks = 0u32;
+    let mut touch = |net: &str| {
         let sub = dir.join(net);
         let mut files: Vec<_> = std::fs::read_dir(&sub)
             .expect("scratch network readable")
@@ -517,11 +520,16 @@ pub fn bench_incremental(scale: StudyScale) -> IncrementalBench {
         files.sort();
         let victim = files.first().expect("network has files");
         let mut text = std::fs::read_to_string(victim).expect("victim readable");
-        text.push_str("interface Loopback99\n ip address 10.99.0.1 255.255.255.255\n");
+        loopbacks += 1;
+        let stanza = format!(
+            "interface Loopback{loopbacks}\n ip address 10.99.{loopbacks}.1 255.255.255.255\n"
+        );
+        let at = text.find("\nend\n").map_or(text.len(), |i| i + 1);
+        text.insert_str(at, &stanza);
         std::fs::write(victim, text).expect("victim rewritten");
     };
     // Best-of-three shaves scheduler noise, same as the parallel-speedup
-    // bench: each round appends another line to the same router and
+    // bench: each round adds another loopback to the same router and
     // refreshes, so every round recomputes exactly one network.
     let mut one_change = Duration::MAX;
     let mut one_stats = routing_design::incremental::RefreshStats::default();

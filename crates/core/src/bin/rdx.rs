@@ -930,17 +930,6 @@ fn read_corpus_files(dir: &Path) -> Result<Vec<(String, Vec<(String, Vec<u8>)>)>
     Ok(networks)
 }
 
-/// Rolling FNV-1a over the sweep's diagnostic stream — the determinism
-/// witness printed at the end of `rdx chaos` (two runs with the same seed
-/// must print the same digest at any `RD_THREADS`).
-fn fnv_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
 fn chaos_cmd(args: &[String]) -> ExitCode {
     let mut dir: Option<String> = None;
     let mut seed: u64 = 1;
@@ -1008,7 +997,10 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
     }
     let mut config_stats: BTreeMap<&'static str, MutStats> = BTreeMap::new();
     let mut code_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    // Rolling FNV-1a over the sweep's diagnostic stream: the determinism
+    // witness printed at the end (two runs with the same seed must print
+    // the same digest at any `RD_THREADS`).
+    let mut digest = rd_snap::fnv1a64(&[]);
     let mut escaped_panics: u64 = 0;
     let mut caught_worker_panics: u64 = 0;
 
@@ -1031,7 +1023,7 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
         }
         let stats = config_stats.entry(mutator.name()).or_default();
         stats.trials += 1;
-        digest = fnv_extend(digest, &(trial as u64).to_le_bytes());
+        digest = rd_snap::fnv1a64_extend(digest, &(trial as u64).to_le_bytes());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             NetworkAnalysis::from_bytes_list(mutated)
         }));
@@ -1046,7 +1038,7 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
                         "parse-error" | "invalid-utf8" | "empty-config" | "worker-panic"
                     ) {
                         *code_counts.entry(d.code).or_default() += 1;
-                        digest = fnv_extend(digest, d.to_string().as_bytes());
+                        digest = rd_snap::fnv1a64_extend(digest, d.to_string().as_bytes());
                         if d.code == "worker-panic" {
                             caught_worker_panics += 1;
                         }
@@ -1092,7 +1084,7 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
             Ok(Ok(_)) => stats.decoded += 1,
             Ok(Err(e)) => {
                 stats.rejected += 1;
-                digest = fnv_extend(digest, e.to_string().as_bytes());
+                digest = rd_snap::fnv1a64_extend(digest, e.to_string().as_bytes());
             }
             Err(_) => {
                 stats.panics += 1;

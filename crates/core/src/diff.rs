@@ -19,9 +19,9 @@ use crate::NetworkAnalysis;
 /// FNV-1a-64 fingerprint of a router's *parsed* configuration, computed
 /// over its canonical snapshot encoding. Cosmetic byte churn — comment
 /// lines, `!` separators, whitespace the parser discards — does not move
-/// the fingerprint; any semantic change does. Shared groundwork for
-/// [`DesignDiff`], the rd-plan change-unit decomposition, and the future
-/// incremental re-analysis engine.
+/// the fingerprint; any semantic change does. Shared by [`DesignDiff`],
+/// the rd-plan change-unit decomposition, and the delta engine's change
+/// digest ([`crate::incremental::Probe`]).
 pub fn config_fingerprint(config: &RouterConfig) -> u64 {
     rd_snap::fnv1a64(&rd_snap::config_bytes(config))
 }

@@ -1,27 +1,28 @@
-//! The incremental re-analysis engine: fingerprint-scoped delta
-//! recomputation for config churn.
+//! The incremental re-analysis engine — and the config tree's one change
+//! detector.
 //!
 //! Operational networks change a few routers at a time (Section 8.1's
 //! maintenance reality), yet a cold `rdx snap` pays parse + topology +
 //! routing-model cost for all 31 networks on every run. [`DeltaEngine`]
-//! keeps the previous refresh's per-network state — file stats, raw-byte
-//! FNV hashes, cached parse products, the finished [`NetworkSnapshot`]
-//! and its encoded section payload — and on each [`refresh`] recomputes
-//! only the networks whose inputs actually moved:
+//! remembers each config file's stat stamp, raw-byte FNV hash
+//! ([`rd_snap::fnv1a64`]), parse product and [`config_fingerprint`], and
+//! each network's finished [`NetworkSnapshot`] with its encoded section
+//! payload. One sweep, shared by [`probe`] and [`refresh`], stats every
+//! file, reads and hashes only the files whose `(size, mtime)` stamp
+//! moved (a `touch` stops there), and parses only the files whose hash
+//! moved, keeping the product for the next refresh. Stamps follow git's
+//! "racily clean" rule: a file whose mtime is not older than the start
+//! of the sweep that stat'ed it by more than 2 s (the coarsest common
+//! mtime tick) gets no stamp, so the next sweep re-hashes it, and a
+//! same-size rewrite within one tick cannot hide.
 //!
-//! 1. a `(name, size, mtime)` stat sweep skips networks whose directory
-//!    is bit-for-bit untouched without reading any file;
-//! 2. for networks the stat sweep flags, raw-byte FNV hashes
-//!    ([`rd_snap::fnv1a64`]) decide file by file what really changed —
-//!    a `touch` or an rsync that rewrote identical bytes reuses the
-//!    cached analysis;
-//! 3. changed networks re-parse **only their changed files**, splicing
-//!    cached [`PreparsedFile`] products for the rest, and rebuild
-//!    through the exact cold-path assembly
-//!    ([`Network::from_parsed`] → [`NetworkAnalysis::from_network`]);
-//! 4. unchanged networks' encoded section bytes are copied straight
-//!    into the output container ([`rd_snap::assemble_container`])
-//!    instead of being re-encoded.
+//! [`probe`] stops there and digests the per-file fingerprints, so
+//! cosmetic churn never reads as a change; `rdx watch` debounces on the
+//! digest. [`refresh`] re-analyzes only the networks whose file hashes no
+//! longer match their committed analysis, through the exact cold-path
+//! assembly ([`Network::from_parsed`] → [`NetworkAnalysis::from_network`]),
+//! and copies every other network's encoded section bytes straight into
+//! the output container ([`rd_snap::assemble_container`]).
 //!
 //! The result — snapshot bytes, restored corpus, and everything derived
 //! from them — is **byte-identical to a cold [`snap_dir`] run at any
@@ -32,14 +33,15 @@
 //! manifest footer locates each network's payload and
 //! [`NetworkSnapshot::file_hashes`] carries the hashes, so a freshly
 //! booted `rdx watch` daemon reuses everything that did not change
-//! while it was down (the parse-product cache starts empty, so the
-//! first change to a seeded network re-parses that network whole).
+//! while it was down (seeded files carry no parse product, so the first
+//! change to a seeded network re-parses that network whole).
 //!
 //! Observability: each refresh runs under an `analyze.incr` profile
 //! span and records `incr.networks_reused`, `incr.networks_recomputed`
 //! and `incr.files_reparsed` counters plus an `incr.last_wall_us`
 //! gauge.
 //!
+//! [`probe`]: DeltaEngine::probe
 //! [`refresh`]: DeltaEngine::refresh
 //! [`seed_from_snapshot`]: DeltaEngine::seed_from_snapshot
 //! [`snap_dir`]: crate::snapshot::snap_dir
@@ -47,13 +49,18 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant, SystemTime};
 
 use nettopo::{Network, PreparsedFile};
-use rd_snap::{assemble_container, Corpus, Manifest, NetworkSnapshot, Snap, Writer};
+use rd_snap::{assemble_container, fnv1a64_extend, Corpus, Manifest, NetworkSnapshot, Snap, Writer};
 
-use crate::snapshot::{capture, is_study_dir, DroppedNetwork, SnapOutcome};
-use crate::{read_dir_files, LoadError, NetworkAnalysis};
+use crate::diff::config_fingerprint;
+use crate::snapshot::{capture, network_dirs, DroppedNetwork, SnapOutcome};
+use crate::{config_files, LoadError, NetworkAnalysis};
+
+/// How much older than the start of the sweep that stats it a file's
+/// mtime must be before later sweeps trust the file's stamp.
+const MTIME_GRANULARITY: Duration = Duration::from_secs(2);
 
 /// What one [`DeltaEngine::refresh`] actually did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -64,8 +71,8 @@ pub struct RefreshStats {
     pub reused: usize,
     /// Networks re-analyzed because at least one input file moved.
     pub recomputed: usize,
-    /// Config files actually fed to the parser (changed files of
-    /// recomputed networks; spliced cache hits are not counted).
+    /// Config files this refresh fed to the parser. Files a preceding
+    /// [`DeltaEngine::probe`] already parsed are not counted again.
     pub files_reparsed: usize,
     /// Networks excluded from the output (unreadable or over the error
     /// budget) — mirrors [`SnapOutcome::dropped`].
@@ -83,47 +90,93 @@ pub struct Refresh {
     pub bytes: Vec<u8>,
     /// What the delta pass reused and recomputed.
     pub stats: RefreshStats,
+    /// The [`Probe::digest`] of the config state this refresh analyzed.
+    pub digest: u64,
 }
 
-/// Cached state of one network between refreshes.
+/// What one [`DeltaEngine::probe`] found.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Probe {
+    /// Digest of the tree's semantic state: the layout, every network's
+    /// name, and every config file's name and fingerprint (the parsed
+    /// config's [`config_fingerprint`], or the raw hash of a quarantined
+    /// file). Cosmetic churn leaves it unchanged; any change to what a
+    /// refresh would parse moves it. 0 when the tree cannot be read.
+    pub digest: u64,
+    /// Config files the digest covers.
+    pub files: usize,
+    /// Files the probe fed to the parser: those whose raw hash moved
+    /// (plus the unparsed rest of a stale network restored from a
+    /// snapshot).
+    pub parsed: usize,
+}
+
+/// What the engine knows about one config file.
+struct FileRecord {
+    /// The `(size, mtime)` a later sweep trusts without reading the
+    /// file. `None` makes the next sweep re-hash it: the record was
+    /// seeded from a snapshot, or its mtime was too recent to trust.
+    stamp: Option<(u64, SystemTime)>,
+    /// Raw-byte FNV-1a-64.
+    hash: u64,
+    /// The file's contribution to [`Probe::digest`].
+    print: u64,
+    /// Parse product of the bytes behind `hash`; `None` on a seeded
+    /// record until its network is recomputed.
+    parsed: Option<PreparsedFile>,
+}
+
+/// The committed analysis of one network.
 struct NetCache {
-    /// `(file_name, size, mtime_nanos)` of every config file at the last
-    /// refresh, sorted by name — the no-syscall-beyond-stat skip check.
-    /// Empty on a cache seeded from a snapshot (forces one hash pass).
-    stats: Vec<(String, u64, u128)>,
-    /// Raw-byte FNV-1a-64 per file, in input order.
-    hashes: Vec<(String, u64)>,
-    /// Parse products aligned with `hashes`; empty when seeded from a
-    /// snapshot (raw parse products are not part of the artifact).
-    parsed: Vec<PreparsedFile>,
     /// The finished analysis, shared with every corpus handed out — a
     /// reused network costs a refcount bump per refresh, not a deep copy.
+    /// Its `file_hashes` are the inputs it was built from.
     snap: Arc<NetworkSnapshot>,
     /// `snap`'s encoded section payload — the bytes spliced into the
     /// output container when the network is reused.
     payload: Vec<u8>,
 }
 
-/// Per-network classification produced by the (cheap, sequential) scan
-/// phase of a refresh, before any parallel recomputation.
+/// What a refresh must do for one network, as the sweep decided it.
 enum Work {
-    /// Inputs unchanged; the cached entry (keyed by name) stands. Fresh
-    /// stats ride along when the hash pass proved a stat-moved network
-    /// identical (touch, same-byte rewrite).
-    Reuse(Option<Vec<(String, u64, u128)>>),
-    /// Inputs changed: re-analyze from these files, splicing cached
-    /// parse products for files whose hash is unchanged.
-    Recompute { stats: Vec<(String, u64, u128)>, files: Vec<(String, Vec<u8>)> },
-    /// The network directory could not be read.
+    /// Files hash exactly as the committed analysis recorded: reuse it.
+    Reuse,
+    /// Files moved: re-analyze from the parse products of these
+    /// `(file, hash)` inputs, in input order.
+    Recompute(Vec<(String, u64)>),
+    /// The network directory, or a file in it, could not be read.
     Unreadable(LoadError),
+}
+
+/// One network directory as the sweep found it.
+struct Listing {
+    /// Config files in input order.
+    files: Vec<String>,
+    /// Every file's record, keyed by name.
+    records: BTreeMap<String, FileRecord>,
+    /// Files this sweep parsed.
+    parsed: usize,
+    /// True when the hashes no longer match the committed analysis.
+    stale: bool,
+}
+
+/// What one sweep found: every network in analysis order with the work a
+/// refresh would do for it, and the probe figures.
+struct Sweep {
+    study: bool,
+    units: Vec<(String, Work)>,
+    probe: Probe,
 }
 
 /// The incremental re-analysis engine. One engine watches one directory
 /// (a single network or a `netN/` study layout, re-detected on every
-/// refresh); its cache key is the network name, i.e. the directory
+/// sweep); its cache key is the network name, i.e. the directory
 /// basename.
 pub struct DeltaEngine {
     dir: PathBuf,
+    /// Every config file as the last sweep found it, per network.
+    files: BTreeMap<String, BTreeMap<String, FileRecord>>,
+    /// The committed analysis per network (the last refresh's or seed's).
     nets: BTreeMap<String, NetCache>,
 }
 
@@ -131,12 +184,7 @@ impl DeltaEngine {
     /// An engine over `dir` with an empty cache: the first
     /// [`refresh`](DeltaEngine::refresh) is a cold run that populates it.
     pub fn new(dir: &Path) -> DeltaEngine {
-        DeltaEngine { dir: dir.to_path_buf(), nets: BTreeMap::new() }
-    }
-
-    /// The directory this engine analyzes.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+        DeltaEngine { dir: dir.to_path_buf(), files: BTreeMap::new(), nets: BTreeMap::new() }
     }
 
     /// Seeds the cache from a previously persisted container: each
@@ -144,8 +192,9 @@ impl DeltaEngine {
     /// its file hashes from [`NetworkSnapshot::file_hashes`], so the next
     /// refresh reuses every network whose files still hash the same —
     /// without re-parsing or re-encoding anything. Returns the number of
-    /// networks seeded. The parse-product cache starts empty, so the
-    /// first *change* to a seeded network re-parses that network whole.
+    /// networks seeded. Files no sweep has seen yet get records with no
+    /// parse product, so the first *change* to a seeded network re-parses
+    /// the rest of it.
     pub fn seed_from_snapshot(&mut self, bytes: &[u8]) -> Result<usize, rd_snap::DecodeError> {
         let corpus = Corpus::from_bytes(bytes)?;
         let manifest = Manifest::read(bytes)?;
@@ -155,140 +204,108 @@ impl DeltaEngine {
                 .payload(bytes, &snap.name)
                 .map(|p| p.to_vec())
                 .unwrap_or_else(|| encode_payload(&snap));
-            nets.insert(
-                snap.name.clone(),
-                NetCache {
-                    stats: Vec::new(),
-                    hashes: snap.file_hashes.clone(),
-                    parsed: Vec::new(),
-                    snap,
-                    payload,
-                },
-            );
+            // A parse of the same bytes would fingerprint each router
+            // exactly as the snapshot's decoded config does.
+            let prints: BTreeMap<&str, u64> = snap
+                .network
+                .routers
+                .iter()
+                .map(|r| (r.file_name.as_str(), config_fingerprint(&r.config)))
+                .collect();
+            // Files a sweep already saw keep their (fresher) records.
+            let records = self.files.entry(snap.name.clone()).or_default();
+            for (file, hash) in &snap.file_hashes {
+                records.entry(file.clone()).or_insert_with(|| FileRecord {
+                    stamp: None,
+                    hash: *hash,
+                    print: prints.get(file.as_str()).copied().unwrap_or(*hash),
+                    parsed: None,
+                });
+            }
+            nets.insert(snap.name.clone(), NetCache { snap, payload });
         }
         let count = nets.len();
         self.nets = nets;
         Ok(count)
     }
 
+    /// Brings the file records up to date with the directory — parsing
+    /// only the files whose raw hash moved (and the rest of a network
+    /// restored from a snapshot that must be re-analyzed) — and returns a
+    /// digest of the tree's semantic state. Nothing is analyzed; the
+    /// parse products wait for the next [`refresh`](DeltaEngine::refresh).
+    /// This is the cheap check `rdx watch` runs on every poll.
+    pub fn probe(&mut self) -> Probe {
+        self.sweep().map(|s| s.probe).unwrap_or_default()
+    }
+
     /// Brings the cache up to date with the directory and returns the
     /// corpus, container bytes, and delta statistics. The outputs are
     /// byte-identical to a cold [`snap_dir`](crate::snapshot::snap_dir)
-    /// + `to_bytes()` of the same directory at any `RD_THREADS`; only
+    /// and `to_bytes()` of the same directory at any `RD_THREADS`; only
     /// the work done differs. A failure (I/O error in single-network
-    /// mode, or a panic out of the pipeline) leaves the cache as it was
-    /// — commits happen only after every network's result is in hand.
+    /// mode, or a panic out of the pipeline) leaves the committed
+    /// analyses as they were — commits happen only after every network's
+    /// result is in hand. (File records may advance: they only ever
+    /// describe files as they are on disk.)
     pub fn refresh(&mut self) -> Result<Refresh, LoadError> {
         let _span = rd_obs::span!("analyze.incr");
         let started = Instant::now();
-        let study = is_study_dir(&self.dir);
         let budget = nettopo::error_budget();
-        let name_of = |p: &Path| {
-            p.file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "network".to_string())
-        };
-        let units: Vec<(String, PathBuf)> = if study {
-            let mut subdirs: Vec<PathBuf> = std::fs::read_dir(&self.dir)
-                .map_err(LoadError::Io)?
-                .flatten()
-                .map(|e| e.path())
-                .filter(|p| p.is_dir())
-                .collect();
-            subdirs.sort();
-            subdirs.into_iter().map(|p| (name_of(&p), p)).collect()
-        } else {
-            vec![(name_of(&self.dir), self.dir.clone())]
-        };
+        let Sweep { study, units, probe } = self.sweep()?;
 
-        // Scan phase (sequential, cheap): stat sweep, then raw-byte
-        // hashes only for networks the sweep flagged.
-        let mut classified: Vec<(String, Work)> = Vec::with_capacity(units.len());
-        for (name, dir) in units {
-            let work = self.classify(&name, &dir);
-            if let Work::Unreadable(e) = work {
-                if !study {
-                    // Single-network mode mirrors cold snap_dir: a read
-                    // failure is a hard error, not a dropped network.
-                    return Err(e);
-                }
-                classified.push((name, Work::Unreadable(e)));
-            } else {
-                classified.push((name, work));
-            }
-        }
-
-        // Recompute phase: the changed networks, in parallel. Results
-        // come back in input order, so output never depends on the
-        // worker count.
-        let todo: Vec<(&str, &[(String, u64, u128)], &[(String, Vec<u8>)])> = classified
+        // Recompute phase: the stale networks, in parallel, from the
+        // sweep's parse products. Results come back in input order, so
+        // output never depends on the worker count.
+        let todo: Vec<(&str, &[(String, u64)])> = units
             .iter()
             .filter_map(|(name, work)| match work {
-                Work::Recompute { stats, files } => {
-                    Some((name.as_str(), stats.as_slice(), files.as_slice()))
-                }
+                Work::Recompute(hashes) => Some((name.as_str(), hashes.as_slice())),
                 _ => None,
             })
             .collect();
-        let recomputed = rd_par::par_map(&todo, |_, (name, stats, files)| {
-            self.recompute(name, stats, files)
-        });
+        let recomputed =
+            rd_par::par_map(&todo, |_, (name, hashes)| self.recompute(name, hashes));
 
         // Commit phase: splice the new cache together, apply the error
         // budget (study mode only — cold single-network runs never
         // drop), and assemble the output.
-        let mut stats = RefreshStats { networks: classified.len(), ..Default::default() };
+        let mut stats = RefreshStats {
+            networks: units.len(),
+            files_reparsed: probe.parsed,
+            ..Default::default()
+        };
         let mut fresh = recomputed.into_iter();
         let mut nets = BTreeMap::new();
         let mut dropped = Vec::new();
         let mut dropped_names = BTreeSet::new();
-        for (name, work) in classified {
+        for (name, work) in units {
             match work {
-                Work::Reuse(new_stats) => {
+                Work::Reuse => {
                     stats.reused += 1;
-                    let mut cache = match self.nets.remove(&name) {
-                        Some(c) => c,
-                        // classify() only returns Reuse for cached names.
-                        None => continue,
-                    };
-                    if let Some(s) = new_stats {
-                        cache.stats = s;
+                    // The sweep only reports Reuse for committed names.
+                    if let Some(cache) = self.nets.remove(&name) {
+                        nets.insert(name, cache);
                     }
-                    nets.insert(name, cache);
                 }
-                Work::Recompute { .. } => {
+                Work::Recompute(_) => {
                     stats.recomputed += 1;
-                    let Some((cache, reparsed)) = fresh.next() else { continue };
-                    stats.files_reparsed += reparsed;
-                    nets.insert(name, cache);
+                    if let Some(cache) = fresh.next() {
+                        nets.insert(name, cache);
+                    }
                 }
                 Work::Unreadable(e) => {
-                    dropped.push(DroppedNetwork {
-                        name: name.clone(),
-                        total_files: 0,
-                        quarantined: 0,
-                        reason: format!("network directory unreadable: {e}"),
-                    });
-                    dropped_names.insert(name);
+                    dropped_names.insert(name.clone());
+                    dropped.push(DroppedNetwork::unreadable(name, &e));
                 }
             }
         }
         if study {
             for (name, cache) in &nets {
                 let coverage = &cache.snap.network.coverage;
-                if coverage.over_budget(budget) {
-                    dropped.push(DroppedNetwork {
-                        name: name.clone(),
-                        total_files: coverage.total_files,
-                        quarantined: coverage.quarantined.len(),
-                        reason: format!(
-                            "{}/{} files quarantined exceeds error budget {:.0}%",
-                            coverage.quarantined.len(),
-                            coverage.total_files,
-                            budget * 100.0,
-                        ),
-                    });
+                if let Some(drop) = DroppedNetwork::over_budget(name, coverage, budget) {
                     dropped_names.insert(name.clone());
+                    dropped.push(drop);
                 }
             }
             // Cold snap_dir reports drops in subdir (name) order; the
@@ -327,83 +344,159 @@ impl DeltaEngine {
                 ("files_reparsed", stats.files_reparsed.into()),
             ],
         );
-        Ok(Refresh { outcome: SnapOutcome { corpus, dropped }, bytes, stats })
+        Ok(Refresh {
+            outcome: SnapOutcome { corpus, dropped },
+            bytes,
+            stats,
+            digest: probe.digest,
+        })
     }
 
-    /// Decides what a single network needs this refresh: nothing (stat
-    /// sweep unchanged), nothing but fresh stats (hashes unchanged), or
-    /// a recompute from freshly read files.
-    fn classify(&self, name: &str, dir: &Path) -> Work {
-        let stats = match stat_files(dir) {
-            Ok(s) => s,
-            Err(e) => return Work::Unreadable(e),
-        };
-        if let Some(cache) = self.nets.get(name) {
-            if !cache.stats.is_empty() && cache.stats == stats {
-                return Work::Reuse(None);
-            }
+    /// The one change detector behind [`probe`](DeltaEngine::probe) and
+    /// [`refresh`](DeltaEngine::refresh): brings every network's file
+    /// records up to date ([`list_network`]), digests them, and decides
+    /// per network whether its committed analysis still stands. Fails
+    /// only when a single-network directory cannot be read.
+    fn sweep(&mut self) -> Result<Sweep, LoadError> {
+        let started = SystemTime::now();
+        let (study, dirs) = network_dirs(&self.dir);
+        let mut prior = std::mem::take(&mut self.files);
+        // The digest covers the layout, then per network its name, its
+        // file count (u64::MAX when unreadable) and every file's name and
+        // print.
+        let mut digest = rd_snap::fnv1a64(&[u8::from(study)]);
+        let (mut files, mut parsed) = (0, 0);
+        let mut units = Vec::with_capacity(dirs.len());
+        for (name, dir) in dirs {
+            let records = prior.remove(&name).unwrap_or_default();
+            let committed = self.nets.get(&name).map(|c| c.snap.file_hashes.as_slice());
+            digest = fnv1a64_extend(fnv1a64_extend(digest, name.as_bytes()), &[0]);
+            let work = match list_network(&dir, records, started, committed) {
+                // Single-network mode mirrors cold snap_dir: a read
+                // failure is a hard error, not a dropped network.
+                Err(e) if !study => return Err(e),
+                Err(e) => {
+                    digest = fnv1a64_extend(digest, &u64::MAX.to_le_bytes());
+                    Work::Unreadable(e)
+                }
+                Ok(listing) => {
+                    let records = &listing.records;
+                    digest = fnv1a64_extend(digest, &(listing.files.len() as u64).to_le_bytes());
+                    for file in &listing.files {
+                        digest = fnv1a64_extend(fnv1a64_extend(digest, file.as_bytes()), &[0]);
+                        digest = fnv1a64_extend(digest, &records[file].print.to_le_bytes());
+                    }
+                    files += listing.files.len();
+                    parsed += listing.parsed;
+                    let work = if listing.stale {
+                        Work::Recompute(
+                            listing.files.iter().map(|f| (f.clone(), records[f].hash)).collect(),
+                        )
+                    } else {
+                        Work::Reuse
+                    };
+                    self.files.insert(name.clone(), listing.records);
+                    work
+                }
+            };
+            units.push((name, work));
         }
-        let files = match read_dir_files(dir) {
-            Ok(f) => f,
-            Err(e) => return Work::Unreadable(e),
-        };
-        let hashes: Vec<(String, u64)> = files
-            .iter()
-            .map(|(file, bytes)| (file.clone(), rd_snap::fnv1a64(bytes)))
-            .collect();
-        if let Some(cache) = self.nets.get(name) {
-            if cache.hashes == hashes {
-                return Work::Reuse(Some(stats));
-            }
-        }
-        Work::Recompute { stats, files }
+        Ok(Sweep { study, units, probe: Probe { digest, files, parsed } })
     }
 
-    /// Re-analyzes one changed network, splicing cached parse products
-    /// for files whose raw hash is unchanged and parsing only the rest.
-    /// Returns the new cache entry and the number of files re-parsed.
-    fn recompute(
-        &self,
-        name: &str,
-        stats: &[(String, u64, u128)],
-        files: &[(String, Vec<u8>)],
-    ) -> (NetCache, usize) {
-        let hashes: Vec<(String, u64)> = files
+    /// Re-analyzes one stale network from its records' parse products
+    /// (the sweep parsed every file that lacked one) and returns the new
+    /// cache entry.
+    fn recompute(&self, name: &str, hashes: &[(String, u64)]) -> NetCache {
+        let records = &self.files[name];
+        let parsed: Vec<PreparsedFile> = hashes
             .iter()
-            .map(|(file, bytes)| (file.clone(), rd_snap::fnv1a64(bytes)))
+            .map(|(file, _)| {
+                let parsed = records[file].parsed.clone();
+                parsed.expect("the sweep parses every file of a stale network")
+            })
             .collect();
-        let mut cached: BTreeMap<(&str, u64), &PreparsedFile> = BTreeMap::new();
-        if let Some(cache) = self.nets.get(name) {
-            if cache.parsed.len() == cache.hashes.len() {
-                for ((file, hash), product) in cache.hashes.iter().zip(&cache.parsed) {
-                    cached.insert((file.as_str(), *hash), product);
-                }
-            }
-        }
-        let mut slots: Vec<Option<PreparsedFile>> = files.iter().map(|_| None).collect();
-        let mut fresh_files: Vec<(String, Vec<u8>)> = Vec::new();
-        let mut fresh_slots: Vec<usize> = Vec::new();
-        for (i, (file, hash)) in hashes.iter().enumerate() {
-            match cached.get(&(file.as_str(), *hash)) {
-                Some(product) => slots[i] = Some((*product).clone()),
-                None => {
-                    fresh_slots.push(i);
-                    fresh_files.push(files[i].clone());
-                }
-            }
-        }
-        let reparsed = fresh_files.len();
-        for (i, product) in fresh_slots.into_iter().zip(Network::parse_files(&fresh_files)) {
-            slots[i] = Some(product);
-        }
-        let parsed: Vec<PreparsedFile> = slots.into_iter().flatten().collect();
-        let network = Network::from_parsed(parsed.clone());
+        let network = Network::from_parsed(parsed);
         let mut analysis = NetworkAnalysis::from_network(network);
-        analysis.file_hashes = hashes.clone();
+        analysis.file_hashes = hashes.to_vec();
         let snap = Arc::new(capture(name, analysis));
         let payload = encode_payload(&snap);
-        (NetCache { stats: stats.to_vec(), hashes, parsed, snap, payload }, reparsed)
+        NetCache { snap, payload }
     }
+}
+
+/// Sweeps one network directory against its `records`: stats every file
+/// once ([`config_files`]), reads and hashes the files whose stamp moved,
+/// and parses those whose hash moved. The network is stale when its
+/// hashes no longer match `committed`; a stale network also parses every
+/// file that lacks a parse product (restored from a snapshot), so a
+/// refresh recomputes it without I/O. No file is read twice.
+fn list_network(
+    dir: &Path,
+    mut records: BTreeMap<String, FileRecord>,
+    started: SystemTime,
+    committed: Option<&[(String, u64)]>,
+) -> Result<Listing, LoadError> {
+    let entries = config_files(dir)?;
+    let mut files = Vec::with_capacity(entries.len());
+    // Per entry: its bytes if this sweep read them, and whether its hash moved.
+    let mut swept = Vec::with_capacity(entries.len());
+    for (name, path, meta) in &entries {
+        files.push(name.clone());
+        let stamp = meta.modified().ok().map(|mtime| (meta.len(), mtime));
+        if records.get(name).is_some_and(|r| r.stamp.is_some() && r.stamp == stamp) {
+            swept.push((None, false));
+            continue;
+        }
+        let bytes = std::fs::read(path).map_err(LoadError::Io)?;
+        let hash = rd_snap::fnv1a64(&bytes);
+        // Racily clean: an mtime within one tick of the sweep's start
+        // could hide a later same-size rewrite, so it is not trusted.
+        let stamp = stamp.filter(|&(_, mtime)| {
+            started.duration_since(mtime).is_ok_and(|age| age > MTIME_GRANULARITY)
+        });
+        let moved = records.get(name).is_none_or(|r| r.hash != hash);
+        if moved {
+            records.insert(name.clone(), FileRecord { stamp, hash, print: hash, parsed: None });
+        } else if let Some(record) = records.get_mut(name) {
+            record.stamp = stamp;
+        }
+        swept.push((Some(bytes), moved));
+    }
+    if records.len() > files.len() {
+        let listed: BTreeSet<&str> = files.iter().map(String::as_str).collect();
+        records.retain(|name, _| listed.contains(name.as_str()));
+    }
+
+    let stale = committed.is_none_or(|hashes| {
+        hashes.len() != files.len()
+            || hashes.iter().zip(&files).any(|((f, h), name)| f != name || records[name].hash != *h)
+    });
+    // Files restored from a snapshot have no parse product until their
+    // network is rebuilt.
+    let mut unparsed = Vec::new();
+    for ((name, path, _), (bytes, moved)) in entries.iter().zip(swept) {
+        let record = records.get_mut(name).expect("every listed file has a record");
+        if record.parsed.is_some() || !(moved || stale) {
+            continue;
+        }
+        let bytes = match bytes {
+            Some(bytes) => bytes,
+            None => {
+                let bytes = std::fs::read(path).map_err(LoadError::Io)?;
+                record.hash = rd_snap::fnv1a64(&bytes);
+                record.stamp = None;
+                bytes
+            }
+        };
+        unparsed.push((name.clone(), bytes));
+    }
+    for product in Network::parse_files(&unparsed) {
+        let record = records.get_mut(product.file_name()).expect("queued files have records");
+        record.print = product.config().map_or(record.hash, config_fingerprint);
+        record.parsed = Some(product);
+    }
+    Ok(Listing { files, records, parsed: unparsed.len(), stale })
 }
 
 /// Encodes one network's section payload — the same bytes
@@ -412,34 +505,6 @@ fn encode_payload(snap: &NetworkSnapshot) -> Vec<u8> {
     let mut w = Writer::new();
     snap.encode(&mut w);
     w.into_bytes()
-}
-
-/// `(file_name, size, mtime_nanos)` of every plain file in `dir`,
-/// sorted by name — the cheap change sweep.
-fn stat_files(dir: &Path) -> Result<Vec<(String, u64, u128)>, LoadError> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(LoadError::Io)?
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().is_file())
-        .map(|e| e.path())
-        .collect();
-    paths.sort();
-    let mut out = Vec::with_capacity(paths.len());
-    for path in paths {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let meta = std::fs::metadata(&path).map_err(LoadError::Io)?;
-        let mtime = meta
-            .modified()
-            .ok()
-            .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-            .map(|d| d.as_nanos())
-            .unwrap_or(0);
-        out.push((name, meta.len(), mtime));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -493,6 +558,12 @@ mod tests {
 
     fn cold_bytes(dir: &Path) -> Vec<u8> {
         snap_dir(dir).expect("cold snap").corpus.to_bytes()
+    }
+
+    fn append(path: &Path, text: &str) {
+        let mut old = std::fs::read_to_string(path).expect("read");
+        old.push_str(text);
+        std::fs::write(path, old).expect("write");
     }
 
     #[test]
@@ -635,5 +706,87 @@ mod tests {
         let healed = engine.refresh().expect("healed");
         assert_eq!(healed.stats.dropped, 0);
         assert_eq!(healed.bytes, cold_bytes(&tmp.0));
+    }
+
+    #[test]
+    fn same_size_rewrite_within_one_mtime_tick_is_rehashed() {
+        let tmp = study("racy");
+        let path = tmp.0.join("net2").join("config1");
+        let mtime = std::fs::metadata(&path).expect("stat").modified().expect("mtime");
+        let mut engine = DeltaEngine::new(&tmp.0);
+        let before = engine.refresh().expect("warm up");
+        // Same size, same mtime (a rewrite within one timestamp tick):
+        // only the bytes tell the new address apart.
+        std::fs::write(&path, config("bravo", 1).replace("10.0.1.1", "10.0.7.1")).expect("write");
+        std::fs::File::options()
+            .write(true)
+            .open(&path)
+            .and_then(|f| f.set_modified(mtime))
+            .expect("restore mtime");
+        let refresh = engine.refresh().expect("refresh");
+        assert_eq!(refresh.stats.recomputed, 1);
+        assert_ne!(refresh.bytes, before.bytes);
+        assert_eq!(refresh.bytes, cold_bytes(&tmp.0));
+    }
+
+    #[test]
+    fn probe_parses_only_what_moved_and_refresh_reuses_its_products() {
+        let tmp = study("probe");
+        let mut engine = DeltaEngine::new(&tmp.0);
+        let first = engine.probe();
+        assert_eq!((first.files, first.parsed), (6, 6));
+        let warm = engine.refresh().expect("warm up");
+        assert_eq!(warm.stats.recomputed, 3);
+        assert_eq!(warm.stats.files_reparsed, 0, "the probe already parsed every file");
+        assert_eq!(warm.digest, first.digest);
+
+        let idle = engine.probe();
+        assert_eq!(idle.parsed, 0, "a probe of an unchanged tree parses nothing");
+        assert_eq!(idle.digest, first.digest);
+
+        append(
+            &tmp.0.join("net2").join("config1"),
+            "interface Loopback0\n ip address 10.9.0.1 255.255.255.255\n",
+        );
+        let moved = engine.probe();
+        assert_eq!(moved.parsed, 1);
+        assert_ne!(moved.digest, idle.digest);
+        let refresh = engine.refresh().expect("refresh");
+        assert_eq!(refresh.stats.files_reparsed, 0, "the edit is parsed once, by the probe");
+        assert_eq!(refresh.stats.recomputed, 1);
+        assert_eq!(refresh.digest, moved.digest);
+        assert_eq!(refresh.bytes, cold_bytes(&tmp.0));
+    }
+
+    #[test]
+    fn cosmetic_churn_keeps_the_digest() {
+        let tmp = study("cosmetic");
+        let mut engine = DeltaEngine::new(&tmp.0);
+        let before = engine.probe();
+        let path = tmp.0.join("net1").join("config2");
+        append(&path, "! change ticket 7\n!\n");
+        let cosmetic = engine.probe();
+        assert_eq!(cosmetic.parsed, 1);
+        assert_eq!(cosmetic.digest, before.digest);
+        append(&path, "router ospf 2\n network 10.2.0.0 0.0.255.255 area 0\n");
+        assert_ne!(engine.probe().digest, before.digest);
+    }
+
+    #[test]
+    fn seeded_engine_digests_like_one_that_parsed() {
+        let tmp = study("seedprint");
+        // A quarantined file (1 of 5, inside the error budget) digests by
+        // its raw hash either way.
+        let net4 = tmp.0.join("net4");
+        for i in 1..=4 {
+            write_config(&net4, &format!("config{i}"), &config(&format!("delta{i}"), i));
+        }
+        write_config(&net4, "config5", "");
+        let bytes = cold_bytes(&tmp.0);
+        let mut seeded = DeltaEngine::new(&tmp.0);
+        assert_eq!(seeded.seed_from_snapshot(&bytes).expect("seed"), 4);
+        let probe = seeded.probe();
+        assert_eq!(probe.parsed, 0, "seeded files hash as recorded: nothing to parse");
+        assert_eq!(probe.digest, DeltaEngine::new(&tmp.0).probe().digest);
     }
 }

@@ -54,7 +54,7 @@ pub mod report;
 pub mod snapshot;
 pub mod watch;
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 pub use ioscfg::{parse_config, RouterConfig};
 pub use netaddr::{Addr, BlockTree, Prefix, PrefixSet};
@@ -254,7 +254,11 @@ impl NetworkAnalysis {
     /// Loads and analyzes a directory of configuration files. Parsing is
     /// recorded as the `"parse"` stage.
     pub fn from_dir(dir: &Path) -> Result<NetworkAnalysis, LoadError> {
-        Ok(NetworkAnalysis::from_bytes_list(read_dir_files(dir)?))
+        let files = config_files(dir)?
+            .into_iter()
+            .map(|(name, path, _)| Ok((name, std::fs::read(path)?)))
+            .collect::<Result<Vec<_>, LoadError>>()?;
+        Ok(NetworkAnalysis::from_bytes_list(files))
     }
 
     /// The route pathway graph for one router (Section 3.3).
@@ -327,25 +331,23 @@ impl NetworkAnalysis {
     }
 }
 
-/// Reads every plain file in `dir` as raw bytes, in file-name order —
-/// the exact input [`Network::from_dir`] feeds to the parser, factored
-/// out so the [`incremental`] engine reads through the same path.
-pub(crate) fn read_dir_files(dir: &Path) -> Result<Vec<(String, Vec<u8>)>, LoadError> {
-    let mut names: Vec<_> = std::fs::read_dir(dir)
+/// Every plain file in `dir` (symlinks followed) with its name and
+/// metadata, in file-name order: the one definition of a network's
+/// inputs, shared by cold loads ([`NetworkAnalysis::from_dir`]) and the
+/// [`incremental`] engine's sweep, which stats each file exactly once.
+pub(crate) fn config_files(
+    dir: &Path,
+) -> Result<Vec<(String, PathBuf, std::fs::Metadata)>, LoadError> {
+    let mut files: Vec<(String, PathBuf, std::fs::Metadata)> = std::fs::read_dir(dir)
         .map_err(LoadError::Io)?
         .filter_map(|e| e.ok())
-        .filter(|e| e.path().is_file())
-        .map(|e| e.path())
+        .filter_map(|e| {
+            let path = e.path();
+            let meta = std::fs::metadata(&path).ok().filter(|m| m.is_file())?;
+            Some((path.file_name()?.to_string_lossy().into_owned(), path, meta))
+        })
         .collect();
-    names.sort();
-    let mut files = Vec::with_capacity(names.len());
-    for path in names {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        files.push((name, std::fs::read(&path).map_err(LoadError::Io)?));
-    }
+    files.sort_by(|a, b| a.1.cmp(&b.1));
     Ok(files)
 }
 

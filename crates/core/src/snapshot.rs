@@ -7,8 +7,9 @@
 //! are the only field not carried over (the snapshot stores the analysis,
 //! not the run that produced it).
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
+use nettopo::Coverage;
 use rd_snap::{Corpus, NetworkSnapshot};
 
 use crate::{LoadError, NetworkAnalysis};
@@ -77,27 +78,35 @@ pub fn restore(snap: NetworkSnapshot) -> NetworkAnalysis {
     }
 }
 
-/// True when `dir` looks like a study directory (subdirectories holding
-/// config files) rather than a single network's config directory.
-pub(crate) fn is_study_dir(dir: &Path) -> bool {
-    let mut has_subdir_with_files = false;
+/// The networks under `dir`, in name order, with their names (directory
+/// basenames). `dir` is a study layout (flag true, one network per
+/// subdirectory) when it holds no plain file and some subdirectory holds
+/// one; otherwise it is a single network's config directory. Cold runs
+/// and the delta engine both read the tree through this, so they always
+/// agree on what a network is.
+pub(crate) fn network_dirs(dir: &Path) -> (bool, Vec<(String, PathBuf)>) {
+    let name_of = |p: &Path| {
+        p.file_name()
+            .map(|n| n.to_string_lossy().into_owned())
+            .unwrap_or_else(|| "network".to_string())
+    };
+    let mut subdirs = Vec::new();
     let mut has_plain_file = false;
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                if std::fs::read_dir(&path)
-                    .map(|mut sub| sub.any(|e| e.is_ok_and(|e| e.path().is_file())))
-                    .unwrap_or(false)
-                {
-                    has_subdir_with_files = true;
-                }
-            } else if path.is_file() {
-                has_plain_file = true;
-            }
+    for path in std::fs::read_dir(dir).into_iter().flatten().flatten().map(|e| e.path()) {
+        if path.is_dir() {
+            subdirs.push(path);
+        } else if path.is_file() {
+            has_plain_file = true;
         }
     }
-    has_subdir_with_files && !has_plain_file
+    let holds_files = |sub: &PathBuf| {
+        std::fs::read_dir(sub).is_ok_and(|mut s| s.any(|e| e.is_ok_and(|e| e.path().is_file())))
+    };
+    if has_plain_file || !subdirs.iter().any(holds_files) {
+        return (false, vec![(name_of(dir), dir.to_path_buf())]);
+    }
+    subdirs.sort();
+    (true, subdirs.into_iter().map(|p| (name_of(&p), p)).collect())
 }
 
 /// One network excluded from a study: either its parse coverage exceeded
@@ -112,6 +121,34 @@ pub struct DroppedNetwork {
     pub quarantined: usize,
     /// Human-readable explanation of why the network was dropped.
     pub reason: String,
+}
+
+impl DroppedNetwork {
+    /// The drop record for `name` when its parse coverage exceeds
+    /// `budget`, else `None`.
+    pub(crate) fn over_budget(name: &str, coverage: &Coverage, budget: f64) -> Option<Self> {
+        coverage.over_budget(budget).then(|| DroppedNetwork {
+            name: name.to_string(),
+            total_files: coverage.total_files,
+            quarantined: coverage.quarantined.len(),
+            reason: format!(
+                "{}/{} files quarantined exceeds error budget {:.0}%",
+                coverage.quarantined.len(),
+                coverage.total_files,
+                budget * 100.0,
+            ),
+        })
+    }
+
+    /// The drop record for `name`, whose directory could not be read.
+    pub(crate) fn unreadable(name: String, error: &LoadError) -> Self {
+        DroppedNetwork {
+            name,
+            total_files: 0,
+            quarantined: 0,
+            reason: format!("network directory unreadable: {error}"),
+        }
+    }
 }
 
 /// Result of snapshotting a directory: the corpus of surviving networks
@@ -132,58 +169,27 @@ pub struct SnapOutcome {
 /// `dir` itself is a hard error; per-network failures degrade or drop that
 /// network and the rest of the study proceeds.
 pub fn snap_dir(dir: &Path) -> Result<SnapOutcome, LoadError> {
-    let name_of = |p: &Path| {
-        p.file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "network".to_string())
-    };
     let budget = nettopo::error_budget();
-    if !is_study_dir(dir) {
-        let analysis = NetworkAnalysis::from_dir(dir)?;
+    let (study, units) = network_dirs(dir);
+    if !study {
+        let (name, path) = &units[0];
         return Ok(SnapOutcome {
-            corpus: Corpus::new(vec![capture(&name_of(dir), analysis)]),
+            corpus: Corpus::new(vec![capture(name, NetworkAnalysis::from_dir(path)?)]),
             dropped: Vec::new(),
         });
     }
-    let mut subdirs: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-        .map_err(LoadError::Io)?
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    subdirs.sort();
-    let results = rd_par::par_map(&subdirs, |_, sub| {
-        NetworkAnalysis::from_dir(sub).map(|a| capture(&name_of(sub), a))
+    let results = rd_par::par_map(&units, |_, (name, sub)| {
+        NetworkAnalysis::from_dir(sub).map(|a| capture(name, a))
     });
     let mut networks = Vec::new();
     let mut dropped = Vec::new();
-    for (sub, result) in subdirs.iter().zip(results) {
-        let name = name_of(sub);
+    for ((name, _), result) in units.into_iter().zip(results) {
         match result {
-            Ok(snap) => {
-                let coverage = &snap.network.coverage;
-                if coverage.over_budget(budget) {
-                    dropped.push(DroppedNetwork {
-                        name,
-                        total_files: coverage.total_files,
-                        quarantined: coverage.quarantined.len(),
-                        reason: format!(
-                            "{}/{} files quarantined exceeds error budget {:.0}%",
-                            coverage.quarantined.len(),
-                            coverage.total_files,
-                            budget * 100.0,
-                        ),
-                    });
-                } else {
-                    networks.push(snap);
-                }
-            }
-            Err(error) => dropped.push(DroppedNetwork {
-                name,
-                total_files: 0,
-                quarantined: 0,
-                reason: format!("network directory unreadable: {error}"),
-            }),
+            Ok(snap) => match DroppedNetwork::over_budget(&name, &snap.network.coverage, budget) {
+                Some(drop) => dropped.push(drop),
+                None => networks.push(snap),
+            },
+            Err(error) => dropped.push(DroppedNetwork::unreadable(name, &error)),
         }
     }
     Ok(SnapOutcome { corpus: Corpus::new(networks), dropped })

@@ -2,21 +2,23 @@
 //!
 //! Operators push router configs a few at a time; the analysis must keep
 //! answering queries through bad pushes, partial writes, and transient
-//! failures. [`Watcher`] polls a config directory for changes — a cheap
-//! mtime/size sweep first, then per-router FNV fingerprints
-//! ([`crate::diff::config_fingerprint`]) so cosmetic churn (comments,
-//! whitespace, `!` separators) never triggers a rebuild — debounced so a
-//! mid-push partial state coalesces into one re-analysis. Rebuilds run
-//! through the incremental delta engine
-//! ([`DeltaEngine`](crate::incremental::DeltaEngine)): only the networks
-//! the change actually touched are re-analyzed, every other network's
-//! encoded snapshot bytes splice through unchanged, and the output stays
-//! byte-identical to a cold run. Analysis runs
-//! in a failure-isolated worker: a panic, a parse failure, or an
-//! over-budget network ([`nettopo::error_budget`]) marks the attempt
-//! failed without touching the serving snapshot. Results persist through
-//! the crash-safe [`rd_snap::write_atomic`] and publish into the
-//! co-hosted `rd-serve` instance via its atomic-Arc swap
+//! failures. [`Watcher`] polls a config directory through the incremental
+//! delta engine ([`DeltaEngine`]), the tree's one change detector: each
+//! poll's [`probe`](DeltaEngine::probe) stats every file but reads,
+//! hashes and parses only what moved, and returns a digest of the
+//! tree's semantic state, so cosmetic churn (comments, whitespace, `!`
+//! separators) never triggers a rebuild. The watcher compares that
+//! digest with the last one it saw (the debounce clock, so a mid-push
+//! partial state coalesces into one re-analysis) and with the one it
+//! last published (settled or not). Rebuilds reuse the probe's parse
+//! products: only the networks the change actually touched are
+//! re-analyzed, every other network's encoded snapshot bytes splice
+//! through unchanged, and the output stays byte-identical to a cold
+//! run. Analysis runs in a failure-isolated worker: a panic, a parse
+//! failure, or an over-budget network ([`nettopo::error_budget`]) marks
+//! the attempt failed without touching the serving snapshot. Results
+//! persist through the crash-safe [`rd_snap::write_atomic`] and publish
+//! into the co-hosted `rd-serve` instance via its atomic-Arc swap
 //! ([`rd_serve::Controller::publish`]), so the last-good snapshot keeps
 //! serving whenever the new analysis fails.
 //!
@@ -33,7 +35,6 @@
 //! A successful publish — or the configs reverting to the last published
 //! state — converges back to `fresh` and resets the backoff.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -43,14 +44,13 @@ use rd_rng::StdRng;
 use rd_serve::{Controller, HealthState, ServeOptions, Server, WatchStatus};
 use rd_snap::Corpus;
 
-use crate::diff::config_fingerprint;
 use crate::incremental::DeltaEngine;
 use crate::snapshot::snap_dir;
 
 /// Supervisor tuning knobs.
 #[derive(Clone, Debug)]
 pub struct WatchOptions {
-    /// How often the config directory is scanned.
+    /// How often the config directory is probed.
     pub poll_interval: Duration,
     /// How long the directory must be quiet after a change before
     /// re-analysis — mid-push partial states coalesce into one rebuild.
@@ -101,23 +101,21 @@ pub enum Tick {
 ///
 /// [`run`]: Watcher::run
 pub struct Watcher {
-    dir: PathBuf,
     snapshot_path: PathBuf,
     ctrl: Controller,
     opts: WatchOptions,
     rng: StdRng,
-    /// The incremental re-analysis engine: rebuild ticks recompute only
-    /// the networks the debounced change actually touched and splice
-    /// every other network's snapshot bytes through unchanged
-    /// (`incr.*` metrics record the split).
+    /// The change detector and incremental re-analysis engine: probes
+    /// digest the config state, and rebuild ticks recompute only the
+    /// networks the debounced change actually touched, splicing every
+    /// other network's snapshot bytes through unchanged (`incr.*`
+    /// metrics record the split).
     engine: DeltaEngine,
-    /// Cheap signature (names + sizes + mtimes) of the last scan;
-    /// fingerprints are only recomputed when it moves.
-    scan_sig: u64,
-    /// Per-config semantic fingerprints of the latest observed state.
-    latest: BTreeMap<String, u64>,
-    /// Fingerprints at the last successful publish (what is serving).
-    published: BTreeMap<String, u64>,
+    /// Digest of the latest probed config state.
+    latest: u64,
+    /// Digest of the config state the serving snapshot was analyzed
+    /// from; `None` while that is unknown (a persisted boot snapshot).
+    published: Option<u64>,
     /// When `latest` last changed — the debounce clock. `None` once the
     /// change has been acted on (or at a quiet start).
     changed_at: Option<Instant>,
@@ -133,8 +131,8 @@ pub struct Watcher {
 
 impl Watcher {
     /// Builds a watcher over `dir`, persisting snapshots to
-    /// `snapshot_path` and publishing into `ctrl`. The initial scan's
-    /// fingerprints are taken as *published* — correct when the server
+    /// `snapshot_path` and publishing into `ctrl`. The initial probe's
+    /// digest is taken as *published* — correct when the server
     /// was just booted from a fresh analysis of the same directory. If
     /// the server booted from a previously persisted (possibly stale)
     /// snapshot instead, follow with [`mark_boot_stale`], which forces
@@ -142,28 +140,23 @@ impl Watcher {
     ///
     /// [`mark_boot_stale`]: Watcher::mark_boot_stale
     pub fn new(dir: &Path, snapshot_path: &Path, ctrl: Controller, opts: WatchOptions) -> Watcher {
-        let mut w = Watcher {
-            dir: dir.to_path_buf(),
+        let mut engine = DeltaEngine::new(dir);
+        let probe = engine.probe();
+        let w = Watcher {
             snapshot_path: snapshot_path.to_path_buf(),
             ctrl,
             rng: StdRng::seed_from_u64(opts.seed ^ 0x77a7c8_57a7e5),
-            engine: DeltaEngine::new(dir),
+            engine,
             opts,
-            scan_sig: 0,
-            latest: BTreeMap::new(),
-            published: BTreeMap::new(),
+            latest: probe.digest,
+            published: Some(probe.digest),
             changed_at: None,
             next_attempt: Instant::now(),
             consecutive_failures: 0,
-            status: WatchStatus::default(),
+            status: WatchStatus { fingerprints: probe.files, ..WatchStatus::default() },
             inject_fault: None,
             inject_panic: false,
         };
-        let (sig, prints) = w.scan();
-        w.scan_sig = sig;
-        w.latest = prints.unwrap_or_default();
-        w.published = w.latest.clone();
-        w.status.fingerprints = w.latest.len();
         w.publish_status();
         w
     }
@@ -172,7 +165,7 @@ impl Watcher {
     /// persisted file): the first tick re-analyzes regardless of whether
     /// the configs changed since.
     pub fn mark_boot_stale(&mut self) {
-        self.published.clear();
+        self.published = None;
     }
 
     /// Seeds the incremental engine from persisted snapshot container
@@ -218,31 +211,30 @@ impl Watcher {
     /// True when the serving snapshot reflects the latest observed
     /// config state (nothing pending).
     pub fn settled(&self) -> bool {
-        self.latest == self.published
+        self.published == Some(self.latest)
     }
 
-    /// One poll cycle: scan, debounce, and — when a change is due and
+    /// One poll cycle: probe, debounce, and — when a change is due and
     /// the backoff allows — re-analyze, persist, and publish.
     pub fn tick(&mut self) -> Tick {
         let _span = rd_obs::span!("watch.tick");
         rd_obs::metrics::counter_add("watch.scans", 1);
         let now = Instant::now();
 
-        let (sig, prints) = self.scan();
-        if sig != self.scan_sig {
-            self.scan_sig = sig;
-            let prints = prints.unwrap_or_default();
-            if prints != self.latest {
-                // A semantic change (cosmetic churn fingerprints
-                // identically and falls through). Restart the debounce
-                // window so a push in progress coalesces.
-                self.latest = prints;
-                self.changed_at = Some(now);
-                self.status.last_change_ms = self.ctrl.uptime_ms();
-                self.status.fingerprints = self.latest.len();
-                rd_obs::metrics::counter_add("watch.changes", 1);
-                self.publish_status();
-            }
+        let probe = {
+            let _span = rd_obs::span!("watch.scan");
+            self.engine.probe()
+        };
+        if probe.digest != self.latest {
+            // A semantic change (cosmetic churn digests identically and
+            // falls through). Restart the debounce window so a push in
+            // progress coalesces.
+            self.latest = probe.digest;
+            self.changed_at = Some(now);
+            self.status.last_change_ms = self.ctrl.uptime_ms();
+            self.status.fingerprints = probe.files;
+            rd_obs::metrics::counter_add("watch.changes", 1);
+            self.publish_status();
         }
 
         if self.settled() {
@@ -286,15 +278,14 @@ impl Watcher {
     /// Returns true on publish.
     fn attempt(&mut self) -> bool {
         let _span = rd_obs::span!("watch.analyze");
-        let attempt_prints = self.latest.clone();
         let inject_panic = std::mem::take(&mut self.inject_panic);
 
         // The worker: anything it throws — an injected panic, a parser
         // bug, an allocation failure surfaced as panic — is caught here
         // and handled as a failed attempt. The daemon itself never dies.
         // The delta engine recomputes only the networks the change
-        // touched and splices the rest through (it commits its cache
-        // only after a complete pass, so a panic here cannot leave it
+        // touched and splices the rest through (it commits its analyses
+        // only after a complete pass, so a panic here cannot leave them
         // half-updated).
         let engine = &mut self.engine;
         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -303,7 +294,7 @@ impl Watcher {
             }
             engine.refresh()
         }));
-        let (corpus, bytes) = match result {
+        let (corpus, bytes, digest) = match result {
             Err(payload) => {
                 rd_obs::metrics::counter_add("watch.analysis_panics", 1);
                 let what = payload
@@ -335,7 +326,7 @@ impl Watcher {
                     // of every router at once. Keep last-good.
                     return self.fail("analysis produced an empty corpus".to_string());
                 }
-                (outcome.corpus, refresh.bytes)
+                (outcome.corpus, refresh.bytes, refresh.digest)
             }
         };
 
@@ -356,7 +347,9 @@ impl Watcher {
         let _publish = rd_obs::span!("watch.publish");
         self.ctrl.publish(corpus, rd_snap::trailer_of(&bytes), "watch");
         self.ctrl.set_health(HealthState::Fresh);
-        self.published = attempt_prints;
+        // The state the refresh analyzed: if the configs moved again
+        // since the probe, the next tick sees them as unsettled.
+        self.published = Some(digest);
         self.clear_failures();
         self.status.generation += 1;
         self.status.last_publish_ms = self.ctrl.uptime_ms();
@@ -414,84 +407,6 @@ impl Watcher {
 
     fn publish_status(&self) {
         self.ctrl.set_watch_status(self.status.clone());
-    }
-
-    /// Scans the config directory: returns a cheap signature over
-    /// (name, size, mtime) of every file, and — only when the signature
-    /// moved since the last scan — the per-config semantic fingerprints.
-    fn scan(&self) -> (u64, Option<BTreeMap<String, u64>>) {
-        let _span = rd_obs::span!("watch.scan");
-        let mut entries: Vec<(String, u64, u128)> = Vec::new();
-        collect_files(&self.dir, "", &mut entries, 0);
-        entries.sort();
-        let mut sig_bytes = Vec::with_capacity(entries.len() * 32);
-        for (name, size, mtime) in &entries {
-            sig_bytes.extend_from_slice(name.as_bytes());
-            sig_bytes.push(0);
-            sig_bytes.extend_from_slice(&size.to_le_bytes());
-            sig_bytes.extend_from_slice(&mtime.to_le_bytes());
-        }
-        let sig = rd_snap::fnv1a64(&sig_bytes);
-        if sig == self.scan_sig {
-            return (sig, None);
-        }
-        let mut prints = BTreeMap::new();
-        for (name, _, _) in &entries {
-            let path = self.dir.join(name);
-            let Ok(bytes) = std::fs::read(&path) else {
-                // Vanished or unreadable mid-scan: fingerprint the gap.
-                prints.insert(name.clone(), 0);
-                continue;
-            };
-            let fp = match std::str::from_utf8(&bytes) {
-                // The semantic fingerprint when it parses: cosmetic
-                // churn is invisible, any config change moves it.
-                Ok(text) => match ioscfg::parse_config(text) {
-                    Ok(config) => config_fingerprint(&config),
-                    Err(_) => rd_snap::fnv1a64(&bytes),
-                },
-                Err(_) => rd_snap::fnv1a64(&bytes),
-            };
-            prints.insert(name.clone(), fp);
-        }
-        (sig, Some(prints))
-    }
-}
-
-/// Recursive (depth ≤ 2: study dirs are `study/netN/config`) file
-/// collection for the scan signature.
-fn collect_files(dir: &Path, prefix: &str, out: &mut Vec<(String, u64, u128)>, depth: usize) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = match path.file_name() {
-            Some(n) => n.to_string_lossy().into_owned(),
-            None => continue,
-        };
-        let rel = if prefix.is_empty() { name } else { format!("{prefix}/{name}") };
-        if path.is_dir() {
-            if depth < 2 {
-                collect_files(&path, &rel, out, depth + 1);
-            }
-        } else if matches!(
-            path.extension().and_then(|e| e.to_str()),
-            Some("rdsnap" | "tmp" | "quarantined")
-        ) {
-            // Snapshot artifacts (persisted last-good, staging files,
-            // quarantined remnants) are never router configs; skipping
-            // them keeps a snapshot path inside the watched tree from
-            // churning the scan on every persist.
-        } else if let Ok(meta) = std::fs::metadata(&path) {
-            let mtime = meta
-                .modified()
-                .ok()
-                .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-                .map(|d| d.as_nanos())
-                .unwrap_or(0);
-            out.push((rel, meta.len(), mtime));
-        }
     }
 }
 
@@ -587,4 +502,62 @@ pub fn run_daemon(
     server.run_until_shutdown();
     supervisor.join().map_err(|_| "watch loop panicked".to_string())?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::SystemTime;
+
+    fn config(octet: u8) -> String {
+        format!(
+            "hostname ra\ninterface Ethernet0\n ip address 10.0.{octet}.1 255.255.255.0\n\
+             router ospf 1\n network 10.0.0.0 0.0.255.255 area 0\n"
+        )
+    }
+
+    /// Writes `text` to `path` and sets the file's mtime to `mtime`.
+    fn write_at(path: &Path, text: &str, mtime: SystemTime) {
+        std::fs::write(path, text).expect("write config");
+        std::fs::File::options()
+            .write(true)
+            .open(path)
+            .and_then(|f| f.set_modified(mtime))
+            .expect("set mtime");
+    }
+
+    #[test]
+    fn same_size_rewrite_within_one_mtime_tick_publishes() {
+        let base = std::env::temp_dir().join(format!("rd-watch-racy-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let dir = base.join("configs");
+        let path = dir.join("netA").join("ra.cfg");
+        std::fs::create_dir_all(dir.join("netA")).expect("network dir");
+        // Both writes carry one mtime: the second lands within the
+        // first's timestamp tick, at the same size.
+        let tick = SystemTime::now();
+        write_at(&path, &config(1), tick);
+        let outcome = snap_dir(&dir).expect("initial analysis");
+        let snapshot_path = base.join("last-good.rdsnap");
+        rd_snap::write_atomic(&snapshot_path, &outcome.corpus.to_bytes()).expect("persist");
+        let server = Server::start(outcome.corpus, "127.0.0.1:0", 1).expect("server");
+        let opts = WatchOptions {
+            poll_interval: Duration::ZERO,
+            debounce: Duration::ZERO,
+            ..WatchOptions::default()
+        };
+        let mut watcher = Watcher::new(&dir, &snapshot_path, server.controller(), opts);
+        assert_eq!(watcher.tick(), Tick::Idle);
+
+        write_at(&path, &config(2), tick);
+        assert_eq!(watcher.tick(), Tick::Published);
+        assert!(watcher.settled());
+        // A comment changes the bytes but not the analysis.
+        write_at(&path, &format!("{}! change ticket 7\n", config(2)), tick);
+        assert_eq!(watcher.tick(), Tick::Idle);
+        assert_eq!(watcher.generation(), 1);
+
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&base);
+    }
 }

@@ -285,9 +285,16 @@ mod tests {
     use super::*;
 
     // One test function: the enabled flag and table are process-global
-    // and `cargo test` runs #[test] functions concurrently.
+    // and `cargo test` runs #[test] functions concurrently. Armed spans
+    // also raise trace events while a trace sink is installed, as the
+    // trace test does concurrently: this test and its worker capture
+    // theirs with `trace::scoped`, so none reach that sink.
     #[test]
     fn span_lifecycle_and_folded_output() {
+        let ((), _events) = crate::trace::scoped(lifecycle_and_folded_output);
+    }
+
+    fn lifecycle_and_folded_output() {
         // Disabled spans are unarmed and record nothing.
         reset();
         {
@@ -328,9 +335,11 @@ mod tests {
             let prefix = stack_path();
             assert_eq!(prefix, "outer");
             let handle = std::thread::spawn(move || {
-                let ((), child_us) = with_stack(&prefix, || {
-                    let _inner = span("inner");
-                    std::thread::sleep(std::time::Duration::from_millis(3));
+                let (((), child_us), _events) = crate::trace::scoped(|| {
+                    with_stack(&prefix, || {
+                        let _inner = span("inner");
+                        std::thread::sleep(std::time::Duration::from_millis(3));
+                    })
                 });
                 child_us
             });

@@ -363,11 +363,11 @@ impl Drop for SpanGuard {
 /// Runs `f` with a fresh event buffer on this thread's stack and returns
 /// the events it raised alongside its result. The parallel layer uses this
 /// to capture one work item's events; flush them with [`emit_events`] in
-/// input order. Free (empty buffer, no allocation) when tracing is off.
+/// input order. The buffer is pushed even while tracing is off: if another
+/// thread installs a sink while `f` runs, `f`'s events still land here,
+/// never straight in the sink. It stays empty (no allocation) unless
+/// events are raised.
 pub fn scoped<R>(f: impl FnOnce() -> R) -> (R, Vec<Event>) {
-    if !enabled() {
-        return (f(), Vec::new());
-    }
     BUFFERS.with(|b| b.borrow_mut().push(Vec::new()));
     // Pop the buffer even if `f` panics, so a caught panic (e.g. in tests)
     // cannot leave a stale buffer swallowing later events.

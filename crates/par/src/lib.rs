@@ -395,7 +395,11 @@ mod tests {
             rd_obs::profile::enable();
             rd_obs::profile::reset();
             let items: Vec<usize> = (0..48).collect();
-            {
+            // Profile spans also open trace spans whenever a trace sink
+            // is installed, and the trace test above installs one in
+            // parallel. Capturing this thread's events (workers' events
+            // are re-emitted into this buffer) keeps them out of it.
+            let ((), _events) = rd_obs::trace::scoped(|| {
                 let _study = rd_obs::profile::span("study");
                 let mut sw = Stopwatch::start();
                 sw.stage("work", || {
@@ -407,7 +411,7 @@ mod tests {
                 });
                 let timings = sw.finish();
                 assert!(timings.get("work").is_some());
-            }
+            });
             let folded = rd_obs::profile::render_folded(true);
             rd_obs::profile::disable();
             rd_obs::profile::reset();

@@ -396,7 +396,13 @@ impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
 /// Not cryptographic — it guards against truncation and bit rot, not
 /// adversaries, matching the format's "trusted local artifact" threat model.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Streams `bytes` into a running FNV-1a-64 state `h`:
+/// `fnv1a64_extend(fnv1a64(a), b) == fnv1a64` of `a` followed by `b`
+/// (so a digest starts from `fnv1a64(&[])`, the offset basis).
+pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -472,5 +478,6 @@ mod tests {
         // Known FNV-1a test vectors.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64_extend(fnv1a64(b"ab"), b"cd"), fnv1a64(b"abcd"));
     }
 }

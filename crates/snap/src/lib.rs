@@ -59,7 +59,7 @@
 pub mod codec;
 mod model;
 
-pub use codec::{fnv1a64, DecodeError, Reader, Snap, Writer};
+pub use codec::{fnv1a64, fnv1a64_extend, DecodeError, Reader, Snap, Writer};
 
 use ioscfg::RouterConfig;
 use netaddr::BlockTree;

@@ -12,7 +12,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
+echo "==> cargo test -q (twice: a racy pass must not hide)"
+cargo test -q
 cargo test -q
 
 echo "==> clippy: no unwrap() in input-facing crates (ioscfg, rd-snap, rd-serve, nettopo, rd-plan, rd-chaos, rd-bench, rd-par, rd-obs)"
@@ -296,9 +297,17 @@ COLD_MS=$(( (T1 - T0) / 1000000 ))
 grep -q "(manifest)" /tmp/rd_verify_incr_info.txt \
     || { echo "snap --info printed no manifest row" >&2; exit 1; }
 # One-router change: the delta refresh must reuse the other 30 networks,
-# and its output must be byte-identical to a cold re-run.
-printf 'interface Loopback99\n ip address 10.99.0.1 255.255.255.255\n' \
-    >> /tmp/rd_verify_incr/net15/config1
+# and its output must be byte-identical to a cold re-run. The stanza goes
+# before the config's `end` line, where the parser still reads, and the
+# edit must change the analysis of net15.
+rm -rf /tmp/rd_verify_incr_pre
+cp -R /tmp/rd_verify_incr /tmp/rd_verify_incr_pre
+sed -i 's/^end$/interface Loopback99\n ip address 10.99.0.1 255.255.255.255\nend/' \
+    /tmp/rd_verify_incr/net15/config1
+./target/release/rdx /tmp/rd_verify_incr_pre diff /tmp/rd_verify_incr --networks \
+    > /tmp/rd_verify_incr_diff.txt
+grep -qx net15 /tmp/rd_verify_incr_diff.txt \
+    || { echo "the incremental edit did not change net15's analysis" >&2; exit 1; }
 T0=$(date +%s%N)
 ./target/release/rdx snap /tmp/rd_verify_incr -o /tmp/rd_verify_incr_delta.rdsnap \
     --from /tmp/rd_verify_incr_cold.rdsnap > /dev/null 2> /tmp/rd_verify_incr_out.txt
@@ -319,9 +328,9 @@ cmp /tmp/rd_verify_incr_delta.rdsnap /tmp/rd_verify_incr_cold2.rdsnap
     echo "one-router delta refresh (${INCR_MS} ms) slower than cold run (${COLD_MS} ms)" >&2
     exit 1
 }
-rm -rf /tmp/rd_verify_incr /tmp/rd_verify_incr_cold.rdsnap \
+rm -rf /tmp/rd_verify_incr /tmp/rd_verify_incr_pre /tmp/rd_verify_incr_cold.rdsnap \
     /tmp/rd_verify_incr_cold2.rdsnap /tmp/rd_verify_incr_delta.rdsnap \
-    /tmp/rd_verify_incr_out.txt /tmp/rd_verify_incr_info.txt
+    /tmp/rd_verify_incr_out.txt /tmp/rd_verify_incr_info.txt /tmp/rd_verify_incr_diff.txt
 echo "    delta snapshot byte-identical to cold re-run; ${INCR_MS} ms vs ${COLD_MS} ms cold"
 
 rm -rf /tmp/rd_verify_study /tmp/rd_verify.rdsnap /tmp/rd_verify_serve.txt \
