@@ -99,27 +99,15 @@ fn main() {
         eprintln!("repro: unknown flag {bad} (flags: --small --bench --timings --metrics --trace <path> --profile <path> --chaos <seed> --version)");
         std::process::exit(2);
     }
-    let sink_result = match &trace {
-        Some(path) if path == "-" || path == "stderr" => {
-            rd_obs::trace::set_stderr_sink();
-            Ok(())
-        }
-        Some(path) => rd_obs::trace::set_file_sink(path),
-        None => rd_obs::trace::init_from_env(),
-    };
-    if let Err(e) = sink_result {
-        eprintln!("repro: cannot open trace sink: {e}");
+    let Some(outputs) = rd_obs::Outputs::new("repro", profile).trace(trace.as_deref()) else {
         std::process::exit(2);
-    }
-    if profile.is_some() {
-        rd_obs::profile::enable();
-    }
+    };
     let small = args.iter().any(|a| a == "--small");
     let show_metrics = args.iter().any(|a| a == "--metrics");
     let scale = if small { StudyScale::Small } else { StudyScale::Full };
     if args.iter().any(|a| a == "--bench") {
         bench(small);
-        finish(show_metrics, &profile);
+        finish(show_metrics, &outputs);
         return;
     }
     let timings = args.iter().any(|a| a == "--timings");
@@ -169,7 +157,7 @@ fn main() {
     if targets.contains(&"diag") {
         diag(&networks);
         if targets.len() == 1 {
-            finish_and_exit(show_metrics, &profile, &dropped);
+            finish_and_exit(show_metrics, &outputs, &dropped);
         }
     }
     let report = StudyReport::build(&networks);
@@ -198,23 +186,17 @@ fn main() {
     if want("net15") {
         net15(&networks);
     }
-    finish_and_exit(show_metrics, &profile, &dropped);
+    finish_and_exit(show_metrics, &outputs, &dropped);
 }
 
 /// End-of-run bookkeeping shared by every mode: optional metrics dump,
-/// the collapsed-stack profile if `--profile` asked for one, then a
-/// trace flush so the JSONL sink is complete on exit.
-fn finish(show_metrics: bool, profile: &Option<String>) {
+/// then the trace flush and the collapsed-stack profile if `--profile`
+/// asked for one.
+fn finish(show_metrics: bool, outputs: &rd_obs::Outputs) {
     if show_metrics {
         eprint!("{}", rd_obs::metrics::dump());
     }
-    if let Some(path) = profile {
-        match rd_obs::profile::write_folded(path) {
-            Ok(()) => eprintln!("profile: collapsed stacks written to {path}"),
-            Err(e) => eprintln!("repro: cannot write profile {path}: {e}"),
-        }
-    }
-    rd_obs::trace::flush();
+    outputs.finish();
 }
 
 /// Terminal bookkeeping for a study run: any network dropped by the error
@@ -222,10 +204,10 @@ fn finish(show_metrics: bool, profile: &Option<String>) {
 /// study for a complete one.
 fn finish_and_exit(
     show_metrics: bool,
-    profile: &Option<String>,
+    outputs: &rd_obs::Outputs,
     dropped: &[rd_bench::StudyDrop],
 ) -> ! {
-    finish(show_metrics, profile);
+    finish(show_metrics, outputs);
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     if dropped.is_empty() {
@@ -364,23 +346,18 @@ fn bench(small_only: bool) {
         rd_bench::timing::study_corpus(StudyScale::Small)
     };
     let load = rd_bench::loadgen::LoadOptions::default();
-    let (serve, serve_load) =
-        rd_bench::timing::bench_serve_with_load(serve_corpus, 200, &load);
-    eprintln!(
-        "  serve: {} requests, p50 {} us, p99 {} us, {:.0} req/s",
-        serve.requests, serve.p50_us, serve.p99_us, serve.throughput_rps,
-    );
+    let serve_load = rd_bench::timing::bench_serve_load(serve_corpus, &load);
     eprintln!(
         "  loadgen: {} conns x {} pipelined, {} requests ({} errors), {:.0} req/s, \
          p50 {} us, p99 {} us, p99.9 {} us",
         serve_load.conns,
         serve_load.pipeline,
-        serve_load.requests,
-        serve_load.errors,
-        serve_load.throughput_rps,
-        serve_load.p50_us,
-        serve_load.p99_us,
-        serve_load.p999_us,
+        serve_load.stats.requests,
+        serve_load.stats.errors,
+        serve_load.stats.throughput_rps,
+        serve_load.stats.p50_us,
+        serve_load.stats.p99_us,
+        serve_load.stats.p999_us,
     );
     eprintln!("benching reconfiguration planning scenarios...");
     let plans = rd_bench::timing::bench_plan();
@@ -401,7 +378,7 @@ fn bench(small_only: bool) {
     let incremental = rd_bench::timing::bench_incremental(bench_scale_for_snap);
     eprintln!(
         "  incremental: {} network(s), cold {:.1} ms; 1-router change {:.1} ms \
-         ({} reused, {} recomputed, {} file(s) reparsed, {:.1}x); \
+         ({} reused, {} recomputed, {} file(s) reparsed, {:.1}x, {:.1} ms unattributed); \
          5-network change {:.1} ms ({} reused, {} recomputed)",
         incremental.networks,
         incremental.cold.as_secs_f64() * 1e3,
@@ -410,17 +387,19 @@ fn bench(small_only: bool) {
         incremental.one_stats.recomputed,
         incremental.one_stats.files_reparsed,
         incremental.one_change_speedup(),
+        incremental.one_change_unattributed().as_secs_f64() * 1e3,
         incremental.five_change.as_secs_f64() * 1e3,
         incremental.five_stats.reused,
         incremental.five_stats.recomputed,
     );
+    eprint!("{}", incremental.one_phases);
     let path = "BENCH_repro.json";
     std::fs::write(
         path,
         render_json(
+            &rd_bench::timing::BenchEnv::detect(),
             &results,
             Some(&snap),
-            Some(&serve),
             Some(&serve_load),
             Some(&external),
             Some(&plans),

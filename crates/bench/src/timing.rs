@@ -4,12 +4,10 @@
 //! with no external crates and no network access (criterion stays an
 //! opt-in feature; see `criterion-benches` in this crate's manifest).
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use netgen::{study_roster, StudyScale};
-use rd_par::StageTimings;
+use rd_obs::StageTimings;
 use rd_snap::Corpus;
 use routing_design::report::StudyNetwork;
 use routing_design::NetworkAnalysis;
@@ -192,19 +190,26 @@ impl SnapBench {
 
 /// Snapshots an analyzed study in memory, timing the encode and decode
 /// halves. Returns the record plus the decoded corpus (handy for pushing
-/// straight into [`bench_serve`]).
+/// straight into [`bench_serve_load`]).
 ///
 /// Consumes the analyses so at most one full copy of the study is alive
 /// at a time — on memory-tight machines, extra resident copies perturb
 /// the very timings being measured.
 pub fn bench_snapshot(networks: Vec<StudyNetwork>) -> (SnapBench, Corpus) {
-    let count = networks.len();
-    let mut analyze = Duration::ZERO;
-    let mut snaps = Vec::with_capacity(count);
-    for n in networks {
-        analyze += n.analysis.timings.total();
-        snaps.push(routing_design::snapshot::capture(&n.name, n.analysis));
-    }
+    let analyze = networks.iter().map(|n| n.analysis.timings.total()).sum();
+    let snaps = networks
+        .into_iter()
+        .map(|n| routing_design::snapshot::capture(&n.name, n.analysis))
+        .collect();
+    snapshot_roundtrip(snaps, analyze)
+}
+
+/// Encodes `snaps` and decodes them back, timing each half.
+fn snapshot_roundtrip(
+    snaps: Vec<rd_snap::NetworkSnapshot>,
+    analyze: Duration,
+) -> (SnapBench, Corpus) {
+    let networks = snaps.len();
     let corpus = Corpus::new(snaps);
     let started = Instant::now();
     let bytes = corpus.to_bytes();
@@ -213,7 +218,7 @@ pub fn bench_snapshot(networks: Vec<StudyNetwork>) -> (SnapBench, Corpus) {
     let started = Instant::now();
     let loaded = Corpus::from_bytes(&bytes).expect("snapshot roundtrip");
     let load = started.elapsed();
-    (SnapBench { networks: count, bytes: bytes.len(), write, load, analyze }, loaded)
+    (SnapBench { networks, bytes: bytes.len(), write, load, analyze }, loaded)
 }
 
 /// Builds the snapshot corpus of a study scale without timing anything
@@ -238,94 +243,7 @@ pub fn bench_snapshot_ref(networks: &[StudyNetwork]) -> (SnapBench, Corpus) {
         .iter()
         .map(|n| routing_design::snapshot::capture_ref(&n.name, &n.analysis))
         .collect();
-    let corpus = Corpus::new(snaps);
-    let started = Instant::now();
-    let bytes = corpus.to_bytes();
-    let write = started.elapsed();
-    drop(corpus);
-    let started = Instant::now();
-    let loaded = Corpus::from_bytes(&bytes).expect("snapshot roundtrip");
-    let load = started.elapsed();
-    (
-        SnapBench { networks: networks.len(), bytes: bytes.len(), write, load, analyze },
-        loaded,
-    )
-}
-
-/// Latency record of a short `rd-serve` request burst.
-pub struct ServeBench {
-    /// Requests measured (after warmup).
-    pub requests: usize,
-    /// Median request latency, microseconds.
-    pub p50_us: u64,
-    /// 99th-percentile request latency, microseconds.
-    pub p99_us: u64,
-    /// Requests per second over the whole burst.
-    pub throughput_rps: f64,
-}
-
-/// One HTTP/1.1 GET over an existing keep-alive connection, framed by
-/// `content-length`. Returns the body length.
-fn keepalive_get(stream: &mut TcpStream, path: &str) -> usize {
-    stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nhost: bench\r\n\r\n").as_bytes())
-        .expect("request written");
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        stream.read_exact(&mut byte).expect("response head");
-        head.push(byte[0]);
-    }
-    let head = String::from_utf8(head).expect("ascii head");
-    assert!(head.starts_with("HTTP/1.1 200"), "unexpected status: {head}");
-    let len: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("content-length: "))
-        .expect("content-length")
-        .parse()
-        .expect("numeric length");
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body).expect("response body");
-    len
-}
-
-/// Measures `requests` sequential GETs of `path` over one keep-alive
-/// connection to an already-running server.
-fn serve_burst(server: &rd_serve::Server, path: &str, requests: usize) -> ServeBench {
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
-    for _ in 0..5 {
-        keepalive_get(&mut stream, path);
-    }
-    let mut latencies = Vec::with_capacity(requests);
-    let started = Instant::now();
-    for _ in 0..requests {
-        let t = Instant::now();
-        keepalive_get(&mut stream, path);
-        latencies.push(t.elapsed().as_micros() as u64);
-    }
-    let wall = started.elapsed();
-    latencies.sort_unstable();
-    let pick = |q: f64| latencies[((latencies.len() - 1) as f64 * q) as usize];
-    ServeBench {
-        requests,
-        p50_us: pick(0.50),
-        p99_us: pick(0.99),
-        throughput_rps: requests as f64 / wall.as_secs_f64().max(1e-9),
-    }
-}
-
-/// Serves `corpus` on an ephemeral port and measures `requests` GETs of
-/// `/networks/{first}` over one keep-alive connection.
-pub fn bench_serve(corpus: Corpus, requests: usize) -> ServeBench {
-    let path = match corpus.networks.first() {
-        Some(n) => format!("/networks/{}", n.name),
-        None => "/networks".to_string(),
-    };
-    let server = rd_serve::Server::start(corpus, "127.0.0.1:0", 0).expect("bench server");
-    let result = serve_burst(&server, &path, requests);
-    server.shutdown();
-    result
+    snapshot_roundtrip(snaps, analyze)
 }
 
 /// Result of the pipelined mixed-endpoint load run (`bench_serve` in
@@ -336,64 +254,23 @@ pub struct ServeLoadBench {
     pub conns: usize,
     /// Requests pipelined per write.
     pub pipeline: usize,
-    /// Measured window wall-clock.
-    pub duration: Duration,
-    /// Responses received.
-    pub requests: u64,
-    /// Non-200 responses plus I/O failures (must be zero).
-    pub errors: u64,
-    /// `requests / duration`.
-    pub throughput_rps: f64,
-    /// Median latency, microseconds (batch send → response completion).
-    pub p50_us: u64,
-    /// 99th-percentile latency, microseconds.
-    pub p99_us: u64,
-    /// 99.9th-percentile latency, microseconds.
-    pub p999_us: u64,
+    /// What the run measured (errors must be zero).
+    pub stats: crate::loadgen::LoadStats,
 }
 
-/// Starts one server over `corpus` and measures both serve benchmarks
-/// against it: the sequential single-connection burst (the `serve`
-/// section, comparable across benchmark history) and the pipelined
-/// mixed-endpoint load run (the `bench_serve` section).
-pub fn bench_serve_with_load(
-    corpus: Corpus,
-    requests: usize,
-    load: &crate::loadgen::LoadOptions,
-) -> (ServeBench, ServeLoadBench) {
-    let names: Vec<String> = corpus.networks.iter().map(|n| n.name.clone()).collect();
-    let burst_path = match names.first() {
-        Some(n) => format!("/networks/{n}"),
-        None => "/networks".to_string(),
-    };
+/// Serves `corpus` on an ephemeral port and runs the pipelined load
+/// against it — over the standard endpoint mix when `load` names no
+/// paths.
+pub fn bench_serve_load(corpus: Corpus, load: &crate::loadgen::LoadOptions) -> ServeLoadBench {
+    let mut opts = load.clone();
+    if opts.paths.is_empty() {
+        let names: Vec<String> = corpus.networks.iter().map(|n| n.name.clone()).collect();
+        opts.paths = crate::loadgen::mixed_paths(&names);
+    }
     let server = rd_serve::Server::start(corpus, "127.0.0.1:0", 0).expect("bench server");
-    let burst = serve_burst(&server, &burst_path, requests);
-    let opts = crate::loadgen::LoadOptions {
-        conns: load.conns,
-        pipeline: load.pipeline,
-        duration: load.duration,
-        max_batches: load.max_batches,
-        paths: if load.paths.is_empty() {
-            crate::loadgen::mixed_paths(&names)
-        } else {
-            load.paths.clone()
-        },
-        connect_retries: load.connect_retries,
-    };
     let stats = crate::loadgen::run(server.local_addr(), &opts).expect("load run");
     server.shutdown();
-    let load_bench = ServeLoadBench {
-        conns: opts.conns,
-        pipeline: opts.pipeline,
-        duration: stats.duration,
-        requests: stats.requests,
-        errors: stats.errors,
-        throughput_rps: stats.throughput_rps,
-        p50_us: stats.p50_us,
-        p99_us: stats.p99_us,
-        p999_us: stats.p999_us,
-    };
-    (burst, load_bench)
+    ServeLoadBench { conns: opts.conns, pipeline: opts.pipeline, stats }
 }
 
 /// Timing record of one reconfiguration-planning scenario (`bench_plan`
@@ -433,22 +310,16 @@ pub fn bench_plan() -> Vec<PlanBench> {
             let routers = target.len();
             let plan = routing_design::plan::plan_corpora(&current, &target)
                 .unwrap_or_else(|e| panic!("bench_plan {scenario}: {e}"));
-            let phase = |name: &str| {
-                plan.timings
-                    .iter()
-                    .find(|(n, _)| *n == name)
-                    .map(|(_, d)| *d)
-                    .unwrap_or_default()
-            };
+            let phase = |name: &str| plan.timings.get(name).unwrap_or_default();
             PlanBench {
                 scenario,
                 routers,
                 units: plan.units.len(),
                 steps: plan.order.len(),
                 states_analyzed: plan.stats.states_analyzed,
-                diff: phase("diff"),
-                dag: phase("dag"),
-                search: phase("search"),
+                diff: phase("plan.diff"),
+                dag: phase("plan.dag"),
+                search: phase("plan.search"),
             }
         })
         .collect()
@@ -463,8 +334,13 @@ pub struct IncrementalBench {
     /// Wall-clock of the cold run (`snap_dir` + encode), the baseline a
     /// refresh competes against.
     pub cold: Duration,
-    /// Wall-clock of one refresh after a single-router change.
+    /// Wall-clock of one refresh after a single-router change (the best
+    /// of three rounds).
     pub one_change: Duration,
+    /// That round's refresh phases ([`Refresh::phases`]).
+    ///
+    /// [`Refresh::phases`]: routing_design::incremental::Refresh::phases
+    pub one_phases: StageTimings,
     /// Engine accounting for the single-router refresh.
     pub one_stats: routing_design::incremental::RefreshStats,
     /// Wall-clock of one refresh after changes in five networks.
@@ -477,6 +353,11 @@ impl IncrementalBench {
     /// `cold / one_change`: how many times faster a one-router refresh is.
     pub fn one_change_speedup(&self) -> f64 {
         self.cold.as_secs_f64() / self.one_change.as_secs_f64().max(1e-9)
+    }
+
+    /// The one-change wall no phase accounts for.
+    pub fn one_change_unattributed(&self) -> Duration {
+        self.one_change.saturating_sub(self.one_phases.total())
     }
 }
 
@@ -532,12 +413,16 @@ pub fn bench_incremental(scale: StudyScale) -> IncrementalBench {
     // bench: each round adds another loopback to the same router and
     // refreshes, so every round recomputes exactly one network.
     let mut one_change = Duration::MAX;
+    let mut one_phases = StageTimings::new();
     let mut one_stats = routing_design::incremental::RefreshStats::default();
     for _ in 0..3 {
         touch(&roster[0].name);
         let started = Instant::now();
         let one = engine.refresh().expect("one-change refresh");
-        one_change = one_change.min(started.elapsed());
+        let wall = started.elapsed();
+        if wall < one_change {
+            (one_change, one_phases) = (wall, one.phases);
+        }
         one_stats = one.stats;
     }
 
@@ -553,6 +438,7 @@ pub fn bench_incremental(scale: StudyScale) -> IncrementalBench {
         networks: roster.len(),
         cold,
         one_change,
+        one_phases,
         one_stats,
         five_change,
         five_stats: five.stats,
@@ -572,27 +458,70 @@ fn json_stages(indent: &str, t: &StageTimings) -> String {
     format!("{{\n{}\n{indent}}}", body.join(",\n"))
 }
 
+/// The machine and build a bench ran on, so figures from different runs
+/// can be compared honestly.
+pub struct BenchEnv {
+    /// Cores the OS reports ([`std::thread::available_parallelism`]).
+    pub nproc: usize,
+    /// The `RD_THREADS` setting, if any.
+    pub rd_threads: Option<String>,
+    /// `git describe --always --dirty` of the working directory, or
+    /// `"unknown"` outside a git checkout.
+    pub git_rev: String,
+}
+
+impl BenchEnv {
+    /// Reads the environment of the current process.
+    pub fn detect() -> BenchEnv {
+        let git_rev = std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty", "--abbrev=12"])
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map(|rev| rev.trim().to_string())
+            .filter(|rev| !rev.is_empty())
+            .unwrap_or_else(|| "unknown".to_string());
+        BenchEnv {
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            rd_threads: std::env::var(rd_par::THREADS_ENV).ok(),
+            git_rev,
+        }
+    }
+}
+
 /// Renders bench results as the `BENCH_repro.json` document. The
-/// document additionally carries the `rd-obs` metrics registry as a
-/// top-level `"metrics"` object (counters/gauges as numbers, histograms
-/// as objects), and — when measured — `"snap"` (snapshot size and
-/// write/load timings vs re-analysis), `"serve"` (sequential request
-/// latency percentiles), `"bench_serve"` (the pipelined mixed-endpoint
-/// load run: throughput plus p50/p99/p999), `"bench_external"` (the
-/// isolated external-classification stage), `"bench_plan"` (the
+/// document additionally carries the run's `"env"` ([`BenchEnv`]), the
+/// `rd-obs` metrics registry as a top-level `"metrics"` object
+/// (counters/gauges as numbers, histograms as objects), and — when
+/// measured — `"snap"` (snapshot size and write/load timings vs
+/// re-analysis), `"bench_serve"` (the pipelined mixed-endpoint load run:
+/// throughput plus p50/p99/p999), `"bench_external"` (the isolated
+/// external-classification stage), `"bench_plan"` (the
 /// reconfiguration-planning scenarios), and `"bench_incremental"` (cold
-/// study wall vs delta refreshes with reuse accounting) objects. All
-/// additive, so existing consumers of `"scales"` are unaffected.
+/// study wall vs delta refreshes with reuse accounting and the one-change
+/// refresh's phases) objects. All additive, so existing consumers of
+/// `"scales"` are unaffected.
 pub fn render_json(
+    env: &BenchEnv,
     scales: &[ScaleBench],
     snap: Option<&SnapBench>,
-    serve: Option<&ServeBench>,
     serve_load: Option<&ServeLoadBench>,
     external: Option<&ExternalBench>,
     plan: Option<&[PlanBench]>,
     incremental: Option<&IncrementalBench>,
 ) -> String {
     let mut out = String::from("{\n  \"benchmark\": \"repro\",\n  \"unit\": \"ms\",\n");
+    let rd_threads = match &env.rd_threads {
+        Some(v) => format!("\"{}\"", rd_obs::json::escape(v)),
+        None => "null".to_string(),
+    };
+    out.push_str(&format!(
+        "  \"env\": {{\n    \"nproc\": {},\n    \"rd_threads\": {rd_threads},\n    \
+         \"git_rev\": \"{}\"\n  }},\n",
+        env.nproc,
+        rd_obs::json::escape(&env.git_rev),
+    ));
     out.push_str(&format!(
         "  \"metrics\": {},\n",
         rd_obs::metrics::render_json("  ")
@@ -610,13 +539,6 @@ pub fn render_json(
             s.speedup(),
         ));
     }
-    if let Some(s) = serve {
-        out.push_str(&format!(
-            "  \"serve\": {{\n    \"requests\": {},\n    \"p50_us\": {},\n    \
-             \"p99_us\": {},\n    \"throughput_rps\": {:.0}\n  }},\n",
-            s.requests, s.p50_us, s.p99_us, s.throughput_rps,
-        ));
-    }
     if let Some(l) = serve_load {
         out.push_str(&format!(
             "  \"bench_serve\": {{\n    \"conns\": {},\n    \"pipeline\": {},\n    \
@@ -625,13 +547,13 @@ pub fn render_json(
              \"p999_us\": {}\n  }},\n",
             l.conns,
             l.pipeline,
-            json_ms(l.duration),
-            l.requests,
-            l.errors,
-            l.throughput_rps,
-            l.p50_us,
-            l.p99_us,
-            l.p999_us,
+            json_ms(l.stats.duration),
+            l.stats.requests,
+            l.stats.errors,
+            l.stats.throughput_rps,
+            l.stats.p50_us,
+            l.stats.p99_us,
+            l.stats.p999_us,
         ));
     }
     if let Some(e) = external {
@@ -668,7 +590,8 @@ pub fn render_json(
     if let Some(i) = incremental {
         out.push_str(&format!(
             "  \"bench_incremental\": {{\n    \"networks\": {},\n    \"cold_ms\": {},\n    \
-             \"one_change_ms\": {},\n    \"one_change_reused\": {},\n    \
+             \"one_change_ms\": {},\n    \"one_change_phases_ms\": {},\n    \
+             \"one_change_unattributed_ms\": {},\n    \"one_change_reused\": {},\n    \
              \"one_change_recomputed\": {},\n    \"one_change_files_reparsed\": {},\n    \
              \"one_change_speedup\": {:.1},\n    \"five_change_ms\": {},\n    \
              \"five_change_reused\": {},\n    \"five_change_recomputed\": {},\n    \
@@ -676,6 +599,8 @@ pub fn render_json(
             i.networks,
             json_ms(i.cold),
             json_ms(i.one_change),
+            json_stages("    ", &i.one_phases),
+            json_ms(i.one_change_unattributed()),
             i.one_stats.reused,
             i.one_stats.recomputed,
             i.one_stats.files_reparsed,
@@ -773,12 +698,6 @@ mod tests {
             load: Duration::from_millis(2),
             analyze: Duration::from_millis(40),
         };
-        let serve = ServeBench {
-            requests: 100,
-            p50_us: 180,
-            p99_us: 950,
-            throughput_rps: 5000.0,
-        };
         let external = ExternalBench {
             network: "net18".into(),
             routers: 1750,
@@ -788,13 +707,17 @@ mod tests {
         let serve_load = ServeLoadBench {
             conns: 4,
             pipeline: 64,
-            duration: Duration::from_secs(3),
-            requests: 360000,
-            errors: 0,
-            throughput_rps: 120000.0,
-            p50_us: 150,
-            p99_us: 210,
-            p999_us: 400,
+            stats: crate::loadgen::LoadStats {
+                requests: 360000,
+                errors: 0,
+                duration: Duration::from_secs(3),
+                throughput_rps: 120000.0,
+                p50_us: 150,
+                p99_us: 210,
+                p999_us: 400,
+                body_bytes: 0,
+                endpoints: Vec::new(),
+            },
         };
         let plans = vec![PlanBench {
             scenario: "demo",
@@ -810,6 +733,12 @@ mod tests {
             networks: 31,
             cold: Duration::from_millis(3100),
             one_change: Duration::from_millis(100),
+            one_phases: {
+                let mut t = StageTimings::new();
+                t.push("incr.sweep", Duration::from_millis(60));
+                t.push("incr.recompute", Duration::from_millis(30));
+                t
+            },
             one_stats: routing_design::incremental::RefreshStats {
                 networks: 31,
                 reused: 30,
@@ -826,10 +755,11 @@ mod tests {
                 dropped: 0,
             },
         };
+        let env = BenchEnv { nproc: 2, rd_threads: Some("2".into()), git_rev: "abc123".into() };
         let text = render_json(
+            &env,
             &scales,
             Some(&snap),
-            Some(&serve),
             Some(&serve_load),
             Some(&external),
             Some(&plans),
@@ -839,7 +769,10 @@ mod tests {
         assert!(text.contains("\"parse\": 2.000"));
         assert!(text.contains("\"routers\": 7"));
         assert!(text.contains("\"load_speedup\": 20.0"));
-        assert!(text.contains("\"p99_us\": 950"));
+        assert!(text.contains("\"env\": {\n    \"nproc\": 2,\n    \"rd_threads\": \"2\""));
+        assert!(text.contains("\"git_rev\": \"abc123\""));
+        assert!(text.contains("\"p99_us\": 210"));
+        assert!(!text.contains("\"serve\""));
         assert!(text.contains("\"bench_serve\""));
         assert!(text.contains("\"throughput_rps\": 120000"));
         assert!(text.contains("\"p999_us\": 400"));
@@ -850,15 +783,18 @@ mod tests {
         assert!(text.contains("\"search_ms\": 30.000"));
         assert!(text.contains("\"bench_incremental\""));
         assert!(text.contains("\"one_change_reused\": 30"));
+        assert!(text.contains("\"incr.sweep\": 60.000"));
+        assert!(text.contains("\"one_change_unattributed_ms\": 10.000"));
         assert!(text.contains("\"one_change_speedup\": 31.0"));
         assert!(text.contains("\"five_change_recomputed\": 5"));
         assert_eq!(text.matches('{').count(), text.matches('}').count());
         assert_eq!(text.matches('[').count(), text.matches(']').count());
 
         // Without the optional sections the legacy shape is untouched.
-        let legacy = render_json(&scales, None, None, None, None, None, None);
+        let env = BenchEnv { nproc: 1, rd_threads: None, git_rev: "unknown".into() };
+        let legacy = render_json(&env, &scales, None, None, None, None, None);
+        assert!(legacy.contains("\"rd_threads\": null"));
         assert!(!legacy.contains("\"snap\""));
-        assert!(!legacy.contains("\"serve\""));
         assert!(!legacy.contains("\"bench_serve\""));
         assert!(!legacy.contains("\"bench_external\""));
         assert!(!legacy.contains("\"bench_plan\""));
@@ -887,16 +823,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_bench_measures_latency_percentiles() {
-        let networks = rd_bench_study_subset();
-        let (_, corpus) = bench_snapshot(networks);
-        let result = bench_serve(corpus, 20);
-        assert_eq!(result.requests, 20);
-        assert!(result.p50_us <= result.p99_us);
-        assert!(result.throughput_rps > 0.0);
-    }
-
-    #[test]
     fn serve_load_bench_runs_mixed_pipelined_traffic() {
         let networks = rd_bench_study_subset();
         let (_, corpus) = bench_snapshot(networks);
@@ -908,10 +834,10 @@ mod tests {
             paths: Vec::new(),
             connect_retries: 3,
         };
-        let (burst, stats) = bench_serve_with_load(corpus, 20, &load);
-        assert_eq!(burst.requests, 20);
+        let bench = bench_serve_load(corpus, &load);
+        let stats = &bench.stats;
         assert_eq!(stats.errors, 0, "load run saw errors");
-        assert!(stats.requests >= stats.conns as u64 * stats.pipeline as u64);
+        assert!(stats.requests >= bench.conns as u64 * bench.pipeline as u64);
         assert!(stats.p50_us <= stats.p99_us && stats.p99_us <= stats.p999_us);
         assert!(stats.throughput_rps > 0.0);
     }
@@ -923,6 +849,9 @@ mod tests {
         assert_eq!(bench.one_stats.recomputed, 1, "one changed network recomputed");
         assert_eq!(bench.one_stats.reused, bench.networks - 1);
         assert_eq!(bench.one_stats.files_reparsed, 1, "only the changed file reparses");
+        let phases: Vec<&str> = bench.one_phases.stages.iter().map(|(n, _)| n.as_ref()).collect();
+        assert_eq!(phases, ["incr.sweep", "incr.recompute", "incr.assemble", "incr.handout"]);
+        assert!(bench.one_phases.total() <= bench.one_change, "phases sit inside the wall");
         assert_eq!(bench.five_stats.recomputed, 5);
         assert_eq!(bench.five_stats.reused, bench.networks - 5);
         assert_eq!(bench.five_stats.files_reparsed, 5);

@@ -145,21 +145,10 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    let sink_result = match &flags.trace {
-        Some(path) if path == "-" || path == "stderr" => {
-            rd_obs::trace::set_stderr_sink();
-            Ok(())
-        }
-        Some(path) => rd_obs::trace::set_file_sink(path),
-        None => rd_obs::trace::init_from_env(),
-    };
-    if let Err(e) = sink_result {
-        eprintln!("rdx: cannot open trace sink: {e}");
+    let outputs = rd_obs::Outputs::new("rdx", flags.profile.clone());
+    let Some(outputs) = outputs.trace(flags.trace.as_deref()) else {
         return ExitCode::FAILURE;
-    }
-    if flags.profile.is_some() {
-        rd_obs::profile::enable();
-    }
+    };
 
     let (dir, rest) = match args.split_first() {
         Some((dir, rest)) => (dir.clone(), rest.to_vec()),
@@ -175,8 +164,7 @@ fn main() -> ExitCode {
     // intermediate state), so it bypasses the single up-front load.
     if command == "plan" {
         let code = plan_cmd(&dir, &rest[1..], &flags);
-        rd_obs::trace::flush();
-        write_profile(&flags);
+        outputs.finish();
         return code;
     }
 
@@ -192,8 +180,7 @@ fn main() -> ExitCode {
                     rd_par::thread_count()
                 );
             }
-            rd_obs::trace::flush();
-            write_profile(&flags);
+            outputs.finish();
             return ExitCode::FAILURE;
         }
     };
@@ -221,20 +208,8 @@ fn main() -> ExitCode {
     if flags.metrics {
         eprint!("{}", rd_obs::metrics::dump());
     }
-    rd_obs::trace::flush();
-    write_profile(&flags);
+    outputs.finish();
     code
-}
-
-/// Writes the collapsed-stack profile when `--profile <path>` was given.
-fn write_profile(flags: &Flags) {
-    let Some(path) = &flags.profile else {
-        return;
-    };
-    match rd_obs::profile::write_folded(path) {
-        Ok(()) => eprintln!("profile: collapsed stacks written to {path}"),
-        Err(e) => eprintln!("rdx: cannot write profile {path}: {e}"),
-    }
 }
 
 fn run_command(
@@ -713,9 +688,7 @@ fn serve_cmd(args: &[String]) -> ExitCode {
         );
         return ExitCode::from(2);
     };
-    if profile.is_some() {
-        rd_obs::profile::enable();
-    }
+    let outputs = rd_obs::Outputs::new("rdx", profile);
     rd_serve::install_signal_handlers();
     // start_file wires the snapshot in as the hot-reload source: SIGHUP
     // or `POST /admin/reload` re-reads it and swaps atomically.
@@ -732,12 +705,7 @@ fn serve_cmd(args: &[String]) -> ExitCode {
     use std::io::Write as _;
     std::io::stdout().flush().ok();
     server.run_until_shutdown();
-    if let Some(path) = &profile {
-        match rd_obs::profile::write_folded(path) {
-            Ok(()) => eprintln!("profile: collapsed stacks written to {path}"),
-            Err(e) => eprintln!("rdx: cannot write profile {path}: {e}"),
-        }
-    }
+    outputs.finish();
     eprintln!("rdx: shut down cleanly");
     ExitCode::SUCCESS
 }
@@ -1559,9 +1527,7 @@ fn plan_cmd(dir: &str, args: &[String], flags: &Flags) -> ExitCode {
             plan.stats.states_analyzed,
             rd_par::thread_count()
         );
-        for (name, duration) in &plan.timings {
-            eprintln!("  {name:<8} {:>10.3} ms", duration.as_secs_f64() * 1e3);
-        }
+        eprint!("{}", plan.timings);
     }
     if flags.check {
         match rd_plan::verify_plan(&current, &target, &plan, routing_design::plan::analyze_files)

@@ -36,10 +36,13 @@
 //! while it was down (seeded files carry no parse product, so the first
 //! change to a seeded network re-parses that network whole).
 //!
-//! Observability: each refresh runs under an `analyze.incr` profile
-//! span and records `incr.networks_reused`, `incr.networks_recomputed`
-//! and `incr.files_reparsed` counters plus an `incr.last_wall_us`
-//! gauge.
+//! Observability: each refresh runs under an `analyze.incr` span whose
+//! duration feeds the `incr.last_wall_us` gauge, with one child span per
+//! phase — `incr.sweep` (stat and hash; its `incr.parse` child re-parses),
+//! `incr.recompute` (analyze and encode), `incr.assemble` (the container)
+//! and `incr.handout` (the corpus) — whose durations are
+//! [`Refresh::phases`]. Counters: `incr.networks_reused`,
+//! `incr.networks_recomputed` and `incr.files_reparsed`.
 //!
 //! [`probe`]: DeltaEngine::probe
 //! [`refresh`]: DeltaEngine::refresh
@@ -49,7 +52,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, SystemTime};
 
 use nettopo::{Network, PreparsedFile};
 use rd_snap::{assemble_container, fnv1a64_extend, Corpus, Manifest, NetworkSnapshot, Snap, Writer};
@@ -92,6 +95,9 @@ pub struct Refresh {
     pub stats: RefreshStats,
     /// The [`Probe::digest`] of the config state this refresh analyzed.
     pub digest: u64,
+    /// The refresh's phases (`incr.sweep`, `incr.recompute`,
+    /// `incr.assemble`, `incr.handout`) with their span durations.
+    pub phases: rd_obs::StageTimings,
 }
 
 /// What one [`DeltaEngine::probe`] found.
@@ -249,8 +255,19 @@ impl DeltaEngine {
     /// result is in hand. (File records may advance: they only ever
     /// describe files as they are on disk.)
     pub fn refresh(&mut self) -> Result<Refresh, LoadError> {
-        let _span = rd_obs::span!("analyze.incr");
-        let started = Instant::now();
+        let span = rd_obs::span::timed("analyze.incr");
+        let (refresh, phases) = rd_obs::span::stages(|| self.refresh_phases());
+        let wall = span.close();
+        let refresh = refresh?;
+        rd_obs::metrics::gauge_set(
+            "incr.last_wall_us",
+            wall.as_micros().min(i64::MAX as u128) as i64,
+        );
+        Ok(Refresh { phases, ..refresh })
+    }
+
+    /// [`refresh`](DeltaEngine::refresh), one span per phase.
+    fn refresh_phases(&mut self) -> Result<Refresh, LoadError> {
         let budget = nettopo::error_budget();
         let Sweep { study, units, probe } = self.sweep()?;
 
@@ -264,12 +281,15 @@ impl DeltaEngine {
                 _ => None,
             })
             .collect();
-        let recomputed =
-            rd_par::par_map(&todo, |_, (name, hashes)| self.recompute(name, hashes));
+        let recomputed = {
+            let _span = rd_obs::span!("incr.recompute");
+            rd_par::par_map(&todo, |_, (name, hashes)| self.recompute(name, hashes))
+        };
 
         // Commit phase: splice the new cache together, apply the error
         // budget (study mode only — cold single-network runs never
         // drop), and assemble the output.
+        let assemble = rd_obs::span!("incr.assemble");
         let mut stats = RefreshStats {
             networks: units.len(),
             files_reparsed: probe.parsed,
@@ -326,15 +346,15 @@ impl DeltaEngine {
             .map(|c| (c.snap.name.as_str(), c.payload.as_slice()))
             .collect();
         let bytes = assemble_container(&sections);
-        let corpus = Corpus::from_shared(survivors.iter().map(|c| c.snap.clone()).collect());
+        drop(assemble);
+        let corpus = {
+            let _span = rd_obs::span!("incr.handout");
+            Corpus::from_shared(survivors.iter().map(|c| c.snap.clone()).collect())
+        };
 
         rd_obs::metrics::counter_add("incr.networks_reused", stats.reused as u64);
         rd_obs::metrics::counter_add("incr.networks_recomputed", stats.recomputed as u64);
         rd_obs::metrics::counter_add("incr.files_reparsed", stats.files_reparsed as u64);
-        rd_obs::metrics::gauge_set(
-            "incr.last_wall_us",
-            started.elapsed().as_micros().min(i64::MAX as u128) as i64,
-        );
         rd_obs::trace::event(
             "incr.refresh",
             &[
@@ -349,6 +369,7 @@ impl DeltaEngine {
             bytes,
             stats,
             digest: probe.digest,
+            phases: rd_obs::StageTimings::new(),
         })
     }
 
@@ -358,6 +379,7 @@ impl DeltaEngine {
     /// per network whether its committed analysis still stands. Fails
     /// only when a single-network directory cannot be read.
     fn sweep(&mut self) -> Result<Sweep, LoadError> {
+        let _span = rd_obs::span!("incr.sweep");
         let started = SystemTime::now();
         let (study, dirs) = network_dirs(&self.dir);
         let mut prior = std::mem::take(&mut self.files);
@@ -491,7 +513,11 @@ fn list_network(
         };
         unparsed.push((name.clone(), bytes));
     }
-    for product in Network::parse_files(&unparsed) {
+    let products = {
+        let _span = rd_obs::span!("incr.parse");
+        Network::parse_files(&unparsed)
+    };
+    for product in products {
         let record = records.get_mut(product.file_name()).expect("queued files have records");
         record.print = product.config().map_or(record.hash, config_fingerprint);
         record.parsed = Some(product);

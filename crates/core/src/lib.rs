@@ -71,7 +71,7 @@ pub use routing_model::{
     ProcKey, Processes, Proto, ProtoKind, ProcessGraph, SessionScope, Table1,
 };
 pub use rd_obs::{Diagnostic, Diagnostics, Severity};
-pub use rd_par::{StageTimings, Stopwatch};
+pub use rd_obs::StageTimings;
 
 /// The complete static analysis of one network: every abstraction the
 /// paper derives, computed in dependency order from the parsed configs.
@@ -105,8 +105,11 @@ pub struct NetworkAnalysis {
     /// `rdx <dir> diag`.
     pub diagnostics: Diagnostics,
     /// Wall-clock time of every pipeline stage of this analysis (and of
-    /// the parse, when loaded through [`from_texts`] or [`from_dir`]).
-    /// See `rdx --timings` and `repro --bench`.
+    /// the parse, when loaded through [`from_texts`](Self::from_texts) or
+    /// [`from_dir`](Self::from_dir)):
+    /// the stage spans' own durations, so each equals the `dur_us` of that
+    /// stage's trace `span_close`, and each stage is a root of the folded
+    /// profile. See `rdx --timings` and `repro --bench`.
     pub timings: StageTimings,
     /// Raw-byte FNV-1a-64 hash of every input config file, in input
     /// order — what the [`incremental`] delta engine compares to decide
@@ -124,90 +127,9 @@ pub struct NetworkAnalysis {
 impl NetworkAnalysis {
     /// Analyzes a network already parsed into a [`Network`].
     pub fn from_network(network: Network) -> NetworkAnalysis {
-        let _span = rd_obs::trace::span(
-            "analyze",
-            &[("routers", network.len().into())],
-        );
-        // Each stage runs under a profile span sharing the stage-timing
-        // name, so a folded profile's root stacks are exactly the
-        // StageTimings vocabulary.
-        let mut sw = Stopwatch::start();
-        let links = sw.stage("links", || LinkMap::build(&network));
-        let external = sw.stage("external", || ExternalAnalysis::build(&network, &links));
-        let processes = sw.stage("processes", || Processes::extract(&network));
-        let adjacencies =
-            sw.stage("adjacencies", || Adjacencies::build(&network, &links, &processes, &external));
-        let instances = sw.stage("instances", || Instances::compute(&processes, &adjacencies));
-        let (instance_graph, process_graph) = sw.stage("graphs", || {
-            (
-                InstanceGraph::build(&network, &processes, &adjacencies, &instances),
-                ProcessGraph::build(&network, &processes, &adjacencies),
-            )
-        });
-        let blocks = sw.stage("blocks", || network.address_blocks());
-        let (table1, design) = sw.stage("classify", || {
-            let table1 = Table1::compute(&instances, &instance_graph, &adjacencies);
-            let design =
-                classify_network(&network, &instances, &instance_graph, &adjacencies, &table1);
-            (table1, design)
-        });
-
-        // Fold the whole pipeline's diagnostics into one channel: parse
-        // level, then topology hints, then design smells.
-        let diagnostics = sw.stage("diagnose", || {
-            let mut diagnostics = network.diagnostics.clone();
-            for hint in &external.missing_router_hints {
-                let router = network.router(hint.iface.router);
-                diagnostics.push(Diagnostic {
-                    file: router.file_name.clone(),
-                    line: 0,
-                    severity: Severity::Warning,
-                    code: "possible-missing-router",
-                    message: format!(
-                        "interface {} ({}) is external-facing inside internal block {} — \
-                         a router configuration may be missing from the data set",
-                        router.config.interfaces[hint.iface.iface].name,
-                        hint.subnet,
-                        hint.block,
-                    ),
-                });
-            }
-            diagnostics
-                .extend(routing_model::design_diagnostics(&network, &processes, &instances));
-            diagnostics
-        });
-
-        rd_obs::metrics::counter_add("instances.count", instances.len() as u64);
-        rd_obs::metrics::counter_add("links.count", links.links.len() as u64);
-        let (errors, warnings, _) = diagnostics.counts();
-        rd_obs::metrics::counter_add("diag.errors", errors as u64);
-        rd_obs::metrics::counter_add("diag.warnings", warnings as u64);
-        rd_obs::metrics::record_peak_rss("analyze");
-        rd_obs::trace::event(
-            "analyze.done",
-            &[
-                ("routers", network.len().into()),
-                ("instances", instances.len().into()),
-                ("diagnostics", diagnostics.len().into()),
-            ],
-        );
-
-        NetworkAnalysis {
-            network,
-            links,
-            external,
-            processes,
-            adjacencies,
-            instances,
-            instance_graph,
-            process_graph,
-            blocks,
-            table1,
-            design,
-            diagnostics,
-            timings: sw.finish(),
-            file_hashes: Vec::new(),
-        }
+        let (mut analysis, timings) = rd_obs::span::stages(|| analyze(network));
+        analysis.timings = timings;
+        analysis
     }
 
     /// Parses and analyzes `(file_name, text)` pairs. The parse itself is
@@ -228,19 +150,16 @@ impl NetworkAnalysis {
     /// [`Coverage`](nettopo::Coverage), and the analysis proceeds with the
     /// surviving routers.
     pub fn from_bytes_list(files: Vec<(String, Vec<u8>)>) -> NetworkAnalysis {
-        let started = std::time::Instant::now();
         let file_hashes: Vec<(String, u64)> = files
             .iter()
             .map(|(name, bytes)| (name.clone(), rd_snap::fnv1a64(bytes)))
             .collect();
-        let network = {
-            let _span = rd_obs::span!("parse");
-            Network::from_bytes_list(files)
-        };
-        let parse_time = started.elapsed();
-        rd_obs::metrics::record_peak_rss("parse");
-        let mut analysis = NetworkAnalysis::from_network(network);
-        analysis.timings.prepend("parse", parse_time);
+        let (mut analysis, timings) = rd_obs::span::stages(|| {
+            let network = stage("parse", || Network::from_bytes_list(files));
+            rd_obs::metrics::record_peak_rss("parse");
+            analyze(network)
+        });
+        analysis.timings = timings;
         analysis.file_hashes = file_hashes;
         analysis
     }
@@ -328,6 +247,95 @@ impl NetworkAnalysis {
     /// Text rendering of a router's pathway graph (Figure 7/10 style).
     pub fn pathway_text(&self, router: RouterId) -> String {
         routing_model::render::pathway_text(&self.pathway(router), &self.instances)
+    }
+}
+
+/// Runs `f` under a span named `name`: one pipeline stage. The caller's
+/// stage record (the [`rd_obs::span::stages`] call around the pipeline)
+/// takes the span's duration.
+fn stage<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
+    let _span = rd_obs::span::span(name);
+    f()
+}
+
+/// The pipeline after parse, one stage span per abstraction in dependency
+/// order; [`NetworkAnalysis::timings`] is left for the caller's record.
+fn analyze(network: Network) -> NetworkAnalysis {
+    let links = stage("links", || LinkMap::build(&network));
+    let external = stage("external", || ExternalAnalysis::build(&network, &links));
+    let processes = stage("processes", || Processes::extract(&network));
+    let adjacencies =
+        stage("adjacencies", || Adjacencies::build(&network, &links, &processes, &external));
+    let instances = stage("instances", || Instances::compute(&processes, &adjacencies));
+    let (instance_graph, process_graph) = stage("graphs", || {
+        (
+            InstanceGraph::build(&network, &processes, &adjacencies, &instances),
+            ProcessGraph::build(&network, &processes, &adjacencies),
+        )
+    });
+    let blocks = stage("blocks", || network.address_blocks());
+    let (table1, design) = stage("classify", || {
+        let table1 = Table1::compute(&instances, &instance_graph, &adjacencies);
+        let design =
+            classify_network(&network, &instances, &instance_graph, &adjacencies, &table1);
+        (table1, design)
+    });
+
+    // Fold the whole pipeline's diagnostics into one channel: parse
+    // level, then topology hints, then design smells.
+    let diagnostics = stage("diagnose", || {
+        let mut diagnostics = network.diagnostics.clone();
+        for hint in &external.missing_router_hints {
+            let router = network.router(hint.iface.router);
+            diagnostics.push(Diagnostic {
+                file: router.file_name.clone(),
+                line: 0,
+                severity: Severity::Warning,
+                code: "possible-missing-router",
+                message: format!(
+                    "interface {} ({}) is external-facing inside internal block {} — \
+                     a router configuration may be missing from the data set",
+                    router.config.interfaces[hint.iface.iface].name,
+                    hint.subnet,
+                    hint.block,
+                ),
+            });
+        }
+        diagnostics
+            .extend(routing_model::design_diagnostics(&network, &processes, &instances));
+        diagnostics
+    });
+
+    rd_obs::metrics::counter_add("instances.count", instances.len() as u64);
+    rd_obs::metrics::counter_add("links.count", links.links.len() as u64);
+    let (errors, warnings, _) = diagnostics.counts();
+    rd_obs::metrics::counter_add("diag.errors", errors as u64);
+    rd_obs::metrics::counter_add("diag.warnings", warnings as u64);
+    rd_obs::metrics::record_peak_rss("analyze");
+    rd_obs::trace::event(
+        "analyze.done",
+        &[
+            ("routers", network.len().into()),
+            ("instances", instances.len().into()),
+            ("diagnostics", diagnostics.len().into()),
+        ],
+    );
+
+    NetworkAnalysis {
+        network,
+        links,
+        external,
+        processes,
+        adjacencies,
+        instances,
+        instance_graph,
+        process_graph,
+        blocks,
+        table1,
+        design,
+        diagnostics,
+        timings: StageTimings::new(),
+        file_hashes: Vec::new(),
     }
 }
 

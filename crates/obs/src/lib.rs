@@ -8,13 +8,20 @@
 //! a run explains *what it saw and what it ignored*, not just how long it
 //! took:
 //!
-//! - [`trace`]: `span!`-style scoped regions and point events with
-//!   key–value fields, emitted as deterministic JSONL to a sink chosen at
-//!   runtime (`RD_TRACE=<path|stderr>`, or `rdx`/`repro --trace <path>`).
-//!   Events raised inside `rd_par::par_map` workers are buffered per work
-//!   item and flushed in input order, so the event sequence is
-//!   byte-identical at any `RD_THREADS` setting once timestamps are zeroed
+//! - [`span`](mod@span): the one timing primitive. An RAII span (the [`span!`]
+//!   macro) reads the clock at open and close and hands that one duration
+//!   to every listening view: the folded profile, the trace, and the
+//!   [`StageTimings`] record behind `--timings` and `BENCH_repro.json`.
+//! - [`trace`]: point events and span boundaries with key–value fields,
+//!   emitted as deterministic JSONL to a sink chosen at runtime
+//!   (`RD_TRACE=<path|stderr>`, or `rdx`/`repro --trace <path>`). Events
+//!   raised inside `rd_par::par_map` workers are buffered per work item
+//!   and flushed in input order, so the event sequence is byte-identical
+//!   at any `RD_THREADS` setting once timestamps are zeroed
 //!   (`RD_TRACE_ZERO=1`).
+//! - [`profile`]: the spans' collapsed-stack aggregation for flamegraph
+//!   tooling, enabled by `rdx`/`repro --profile <path>` and
+//!   byte-identical across thread counts under `RD_PROF_ZERO=1`.
 //! - [`metrics`]: named counters, gauges, and fixed-bucket histograms
 //!   (e.g. `parse.lines`, `parse.unrecognized_lines`, `instances.count`,
 //!   and a `rss.peak_kb` gauge read from `/proc/self/status` on Linux).
@@ -23,13 +30,12 @@
 //!   policy reference, ambiguous structure) with severity, carried through
 //!   `ioscfg` → `nettopo` → `routing-model` instead of being dropped, and
 //!   surfaced by `rdx <dir> diag`.
-//! - [`profile`]: RAII hierarchical wall-clock spans (the [`span!`] macro)
-//!   aggregated into collapsed-stack output for flamegraph tooling,
-//!   enabled by `rdx`/`repro --profile <path>` and byte-identical across
-//!   thread counts under `RD_PROF_ZERO=1`.
 //! - [`json`]: the tiny JSON escaping/validation helpers behind all of the
 //!   above, plus the `trace_check` self-check binary that `scripts/verify.sh`
 //!   runs over emitted trace files.
+//!
+//! [`Outputs`] is the trace-sink and profile setup and teardown every
+//! binary shares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,25 +44,82 @@ pub mod diag;
 pub mod json;
 pub mod metrics;
 pub mod profile;
+pub mod span;
 pub mod trace;
 
 pub use diag::{Diagnostic, Diagnostics, Severity};
-pub use profile::ProfSpan;
-pub use trace::{Event, SpanGuard, Value};
+pub use span::{Span, StageTimings};
+pub use trace::{Event, Value};
 
-/// Opens a profiling span ([`profile::span`]) named by a string literal or
-/// `format!`-style arguments: `span!("parse")`, `span!("parse:{}", name)`.
-/// A lone literal is passed through verbatim (no allocation, no `{}`
-/// interpolation); use the multi-argument form for dynamic names.
-/// Returns the RAII [`ProfSpan`] guard; bind it (`let _span = ...`) so the
-/// span covers the intended scope. Costs one atomic load when profiling
-/// is disabled.
+/// Opens a [`Span`] named by a string literal or `format!`-style
+/// arguments: `span!("parse")`, `span!("render:{}", path)`. A lone literal
+/// is passed through verbatim (no allocation, no `{}` interpolation); the
+/// multi-argument form formats its name only when the span is armed.
+/// Bind the guard (`let _span = ...`) so the span covers the intended
+/// scope. Costs only atomic loads when nothing listens.
 #[macro_export]
 macro_rules! span {
     ($name:literal) => {
-        $crate::profile::span($name)
+        $crate::span::span($name)
     };
     ($($arg:tt)*) => {
-        $crate::profile::span(&format!($($arg)*))
+        $crate::span::span_with(|| format!($($arg)*))
     };
 }
+
+/// The observability outputs one command line asked for — a trace sink
+/// and a folded-profile path — set up and torn down the same way by every
+/// binary. `tool` prefixes the error messages (`rdx: ...`).
+pub struct Outputs {
+    tool: &'static str,
+    profile: Option<String>,
+}
+
+impl Outputs {
+    /// Enables profiling when `profile` names an output file.
+    pub fn new(tool: &'static str, profile: Option<String>) -> Outputs {
+        if profile.is_some() {
+            profile::enable();
+        }
+        Outputs { tool, profile }
+    }
+
+    /// Installs the trace sink `trace` names: `-` or `stderr`, else a file
+    /// path; without one, whatever `RD_TRACE` names. A sink that cannot be
+    /// opened is reported as `<tool>: cannot open trace sink: <error>` and
+    /// yields `None`; the caller picks the exit code.
+    pub fn trace(self, trace: Option<&str>) -> Option<Outputs> {
+        let installed = match trace {
+            Some("-" | "stderr") => {
+                trace::set_stderr_sink();
+                Ok(())
+            }
+            Some(path) => trace::set_file_sink(path),
+            None => trace::init_from_env(),
+        };
+        match installed {
+            Ok(()) => Some(self),
+            Err(e) => {
+                eprintln!("{}: cannot open trace sink: {e}", self.tool);
+                None
+            }
+        }
+    }
+
+    /// Flushes the trace sink and writes the folded profile, saying where.
+    pub fn finish(&self) {
+        trace::flush();
+        let Some(path) = &self.profile else {
+            return;
+        };
+        match profile::write_folded(path) {
+            Ok(()) => eprintln!("profile: collapsed stacks written to {path}"),
+            Err(e) => eprintln!("{}: cannot write profile {path}: {e}", self.tool),
+        }
+    }
+}
+
+/// Serializes this crate's tests that touch the process-global trace sink
+/// or profiling flag.
+#[cfg(test)]
+pub(crate) static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -1,5 +1,7 @@
-//! Structured tracing: point events and scoped spans with key–value
-//! fields, serialized as one JSON object per line (JSONL).
+//! Structured tracing: point events with key–value fields, plus the
+//! `span_open`/`span_close` boundaries of every
+//! [`crate::span`](mod@crate::span), serialized as one JSON object per
+//! line (JSONL).
 //!
 //! # Sinks
 //!
@@ -17,10 +19,11 @@
 //! # Determinism
 //!
 //! Events are timestamped in microseconds since process start. Worker
-//! threads never write to the sink directly: `rd_par::par_map` wraps each
-//! work item in [`scoped`], which collects the item's events into a
-//! per-item buffer, and flushes the buffers in **input order** via
-//! [`emit_events`] — nested fan-outs compose, because a flush on a worker
+//! threads never write to the sink directly: `rd_par::par_map` runs each
+//! work item under [`crate::span::Context::run`], which collects the
+//! item's events into a per-item buffer ([`scoped`]), and flushes the
+//! buffers in **input order** on replay ([`emit_events`]) — nested
+//! fan-outs compose, because a flush on a worker
 //! thread lands in that worker's own enclosing item buffer. With
 //! timestamps zeroed the emitted byte stream is therefore identical at any
 //! `RD_THREADS` setting.
@@ -29,8 +32,8 @@
 //!
 //! ```text
 //! {"ev":"event","name":"parse.file","ts_us":1201,"fields":{"file":"config1","lines":42}}
-//! {"ev":"span_open","name":"analyze","ts_us":1890,"fields":{"routers":79}}
-//! {"ev":"span_close","name":"analyze","ts_us":2544,"dur_us":654,"fields":{"routers":79}}
+//! {"ev":"span_open","name":"links","ts_us":1890,"fields":{}}
+//! {"ev":"span_close","name":"links","ts_us":2544,"dur_us":654,"fields":{}}
 //! ```
 
 use std::cell::RefCell;
@@ -179,8 +182,9 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-fn now_us() -> u64 {
-    epoch().elapsed().as_micros() as u64
+/// Microseconds from process start (the first trace call) to `at`.
+pub(crate) fn ts_us(at: Instant) -> u64 {
+    at.saturating_duration_since(epoch()).as_micros() as u64
 }
 
 /// True when a sink is installed. Cheap (one relaxed atomic load); callers
@@ -190,6 +194,9 @@ pub fn enabled() -> bool {
 }
 
 fn install(state: Option<SinkState>) {
+    // Pin the epoch before any span reads its clock, so no timestamp
+    // saturates to zero.
+    epoch();
     let mut sink = SINK.lock().expect("trace sink poisoned");
     if let Some(SinkState { kind: SinkKind::File(w), .. }) = sink.as_mut() {
         let _ = w.flush();
@@ -286,27 +293,22 @@ fn write_to_sink(events: &[Event]) {
     }
 }
 
-fn emit(event: Event) {
+/// Sends one event to this thread's innermost [`scoped`] buffer, or
+/// straight to the sink outside any.
+pub(crate) fn emit(event: Event) {
     if !enabled() {
         return;
     }
-    let buffered = BUFFERS.with(|b| {
-        let mut stack = b.borrow_mut();
-        match stack.last_mut() {
-            Some(top) => {
-                top.push(event.clone());
-                true
-            }
-            None => false,
+    let unbuffered = BUFFERS.with(|b| match b.borrow_mut().last_mut() {
+        Some(top) => {
+            top.push(event);
+            None
         }
+        None => Some(event),
     });
-    if !buffered {
+    if let Some(event) = unbuffered {
         write_to_sink(std::slice::from_ref(&event));
     }
-}
-
-fn owned_fields(fields: &[(&str, Value)]) -> Vec<(String, Value)> {
-    fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect()
 }
 
 /// Records a point event (no-op without a sink).
@@ -317,47 +319,10 @@ pub fn event(name: &str, fields: &[(&str, Value)]) {
     emit(Event {
         kind: EventKind::Event,
         name: name.to_string(),
-        ts_us: now_us(),
+        ts_us: ts_us(Instant::now()),
         dur_us: None,
-        fields: owned_fields(fields),
+        fields: fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
     });
-}
-
-/// Opens a span: emits `span_open` now and `span_close` (with `dur_us`)
-/// when the returned guard drops. Inert without a sink.
-pub fn span(name: &str, fields: &[(&str, Value)]) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { inner: None };
-    }
-    let fields = owned_fields(fields);
-    emit(Event {
-        kind: EventKind::SpanOpen,
-        name: name.to_string(),
-        ts_us: now_us(),
-        dur_us: None,
-        fields: fields.clone(),
-    });
-    SpanGuard { inner: Some((name.to_string(), fields, Instant::now())) }
-}
-
-/// Guard returned by [`span`]; closes the span on drop.
-pub struct SpanGuard {
-    inner: Option<(String, Vec<(String, Value)>, Instant)>,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let Some((name, fields, started)) = self.inner.take() else {
-            return;
-        };
-        emit(Event {
-            kind: EventKind::SpanClose,
-            name,
-            ts_us: now_us(),
-            dur_us: Some(started.elapsed().as_micros() as u64),
-            fields,
-        });
-    }
 }
 
 /// Runs `f` with a fresh event buffer on this thread's stack and returns
@@ -395,17 +360,14 @@ pub fn emit_events(events: Vec<Event>) {
     if events.is_empty() || !enabled() {
         return;
     }
-    let buffered = BUFFERS.with(|b| {
-        let mut stack = b.borrow_mut();
-        match stack.last_mut() {
-            Some(top) => {
-                top.extend(events.iter().cloned());
-                true
-            }
-            None => false,
+    let unbuffered = BUFFERS.with(|b| match b.borrow_mut().last_mut() {
+        Some(top) => {
+            top.extend(events);
+            None
         }
+        None => Some(events),
     });
-    if !buffered {
+    if let Some(events) = unbuffered {
         write_to_sink(&events);
     }
 }
@@ -414,9 +376,11 @@ pub fn emit_events(events: Vec<Event>) {
 mod tests {
     use super::*;
 
-    // One test function: the sink is process-global state.
+    // One test function, under the crate's test lock: the sink (and the
+    // profiling flag spans consult) is process-global state.
     #[test]
     fn sink_buffering_and_rendering() {
+        let _global = crate::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Rendering is exact and zeroable.
         let e = Event {
             kind: EventKind::SpanClose,
@@ -444,7 +408,7 @@ mod tests {
         install_memory_sink(true);
         assert!(enabled());
         {
-            let _span = span("outer", &[("k", Value::Int(1))]);
+            let _span = crate::span!("outer");
             event("inner", &[("s", "x".into())]);
         }
         let lines = take_memory();

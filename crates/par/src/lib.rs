@@ -1,6 +1,5 @@
 //! The parallel execution layer of the toolchain: a small, deterministic
-//! fan-out built on `std::thread::scope`, plus the stage-timing types the
-//! benchmark harness records.
+//! fan-out built on `std::thread::scope`.
 //!
 //! The paper's pipeline is embarrassingly parallel at two granularities —
 //! per configuration file (lex + parse) and per network (generate +
@@ -22,18 +21,16 @@
 //! 2. [`std::thread::available_parallelism`];
 //! 3. 1, if the platform will not say.
 //!
-//! Observability: when an `rd_obs` trace sink is active, [`par_map`]
-//! buffers each item's trace events on the worker (`rd_obs::trace::scoped`)
-//! and flushes them in input order after the join, so trace output is as
-//! deterministic as the results themselves. Nested fan-outs compose: an
-//! inner `par_map`'s flush lands in the outer item's buffer.
+//! Observability: [`par_map`] captures the caller's `rd_obs` span context
+//! and runs each item under it (`rd_obs::span::Context::run`), then
+//! replays the items in input order after the join: trace events flush in
+//! input order, so trace output is as deterministic as the results
+//! themselves; worker span time is credited back to the caller's open
+//! span; and stage spans join the caller's stage record. Nested fan-outs
+//! compose: an inner `par_map`'s replay lands in the outer item's buffer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-mod timing;
-
-pub use timing::{StageTimings, Stopwatch};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -172,11 +169,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// [`par_map`] with an explicit thread count (the env-independent core,
 /// used directly by tests and the bench harness).
 ///
-/// Trace determinism: when an `rd_obs` trace sink is installed, each
-/// item's events are captured in a per-item buffer
-/// ([`rd_obs::trace::scoped`]) and flushed in **input order** after the
-/// workers join — so the emitted event stream is identical to the
-/// sequential path's, whatever order workers finish in.
+/// Observability determinism: each item runs under the caller's captured
+/// span context ([`rd_obs::span::Context::run`]) and is replayed in
+/// **input order** after the workers join — so the emitted event stream,
+/// folded stacks, and stage records match the sequential path's,
+/// whatever order workers finish in.
 pub fn par_map_threads<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -191,14 +188,12 @@ where
     }
 
     // Self-scheduling work queue: each worker pulls the next unclaimed
-    // index, computes, and keeps `(index, result, trace events, profile
-    // child time)` locally; results are reassembled into input order
-    // afterwards. The caller's open profile stack is captured once and
-    // replayed on every worker, so spans opened inside `f` fold under the
-    // same stacks as the sequential path.
-    let prof_prefix = rd_obs::profile::stack_path();
+    // index, computes it under the caller's span context, and keeps
+    // `(index, result, replay)` locally; results are slotted back into
+    // input order afterwards and replayed in that order.
+    let context = rd_obs::span::context();
     let next = AtomicUsize::new(0);
-    let parts: Vec<Vec<(usize, U, Vec<rd_obs::Event>, u64)>> = std::thread::scope(|scope| {
+    let parts: Vec<Vec<(usize, U, rd_obs::span::Item)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
@@ -208,10 +203,8 @@ where
                         if i >= items.len() {
                             break;
                         }
-                        let ((value, child_us), events) = rd_obs::trace::scoped(|| {
-                            rd_obs::profile::with_stack(&prof_prefix, || f(i, &items[i]))
-                        });
-                        local.push((i, value, events, child_us));
+                        let (value, item) = context.run(|| f(i, &items[i]));
+                        local.push((i, value, item));
                     }
                     local
                 })
@@ -228,30 +221,20 @@ where
             .collect()
     });
 
-    let mut slots: Vec<Option<(U, Vec<rd_obs::Event>, u64)>> =
+    let mut slots: Vec<Option<(U, rd_obs::span::Item)>> =
         std::iter::repeat_with(|| None).take(items.len()).collect();
-    for part in parts {
-        for (i, value, events, child_us) in part {
-            debug_assert!(slots[i].is_none(), "index {i} computed twice");
-            slots[i] = Some((value, events, child_us));
-        }
+    for (i, value, item) in parts.into_iter().flatten() {
+        debug_assert!(slots[i].is_none(), "index {i} computed twice");
+        slots[i] = Some((value, item));
     }
-    let mut child_total = 0u64;
-    let results = slots
+    slots
         .into_iter()
         .map(|slot| {
-            let (value, events, child_us) =
-                slot.expect("work queue visits every index exactly once");
-            child_total += child_us;
-            rd_obs::trace::emit_events(events);
+            let (value, item) = slot.expect("work queue visits every index exactly once");
+            item.replay();
             value
         })
-        .collect();
-    // Fold the child time that ran on workers back into the caller's
-    // open frame: its self time stays exclusive, exactly as if the items
-    // had run inline.
-    rd_obs::profile::credit_child_us(child_total);
-    results
+        .collect()
 }
 
 #[cfg(test)]
@@ -387,30 +370,29 @@ mod tests {
     #[test]
     fn profile_stacks_are_identical_across_thread_counts() {
         // One test function owns the global profile state (like the trace
-        // test above owns the sink). Workers open spans under an enclosing
-        // span; the zeroed folded output — the set of stacks — must be
-        // byte-identical at any thread count, and the parent's self time
-        // must exclude the child time that ran on workers.
+        // test above owns the sink). Workers open spans under a stage span
+        // inside an enclosing span; the zeroed folded output — the set of
+        // stacks — and the stage record must be identical at any thread
+        // count.
         let run = |threads: usize| -> String {
             rd_obs::profile::enable();
             rd_obs::profile::reset();
             let items: Vec<usize> = (0..48).collect();
-            // Profile spans also open trace spans whenever a trace sink
-            // is installed, and the trace test above installs one in
+            // Spans also emit trace events whenever a trace sink is
+            // installed, and the trace test above installs one in
             // parallel. Capturing this thread's events (workers' events
-            // are re-emitted into this buffer) keeps them out of it.
+            // are replayed into this buffer) keeps them out of it.
             let ((), _events) = rd_obs::trace::scoped(|| {
-                let _study = rd_obs::profile::span("study");
-                let mut sw = Stopwatch::start();
-                sw.stage("work", || {
+                let _study = rd_obs::span!("study");
+                let ((), timings) = rd_obs::span::stages(|| {
+                    let _work = rd_obs::span!("work");
                     par_map_threads(threads, &items, |i, &x| {
                         let _item = rd_obs::span!("bucket:{}", i % 4);
-                        std::thread::sleep(std::time::Duration::from_micros(200));
                         x
-                    })
+                    });
                 });
-                let timings = sw.finish();
-                assert!(timings.get("work").is_some());
+                let names: Vec<&str> = timings.stages.iter().map(|(n, _)| n.as_ref()).collect();
+                assert_eq!(names, ["work"], "the stage record holds the stage span only");
             });
             let folded = rd_obs::profile::render_folded(true);
             rd_obs::profile::disable();

@@ -180,7 +180,7 @@ mod tests {
             dag_edges: 0,
             current_routers: 1,
             target_routers: 1,
-            timings: Vec::new(),
+            timings: Default::default(),
         }
     }
 

@@ -46,7 +46,6 @@ mod search;
 pub mod scenario;
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
 
 pub use dag::{build_dag, Dag};
 pub use emit::{render_json, render_table};
@@ -265,11 +264,12 @@ pub struct Plan {
     pub current_routers: usize,
     /// Routers in the analyzed target state.
     pub target_routers: usize,
-    /// Phase wall-clock times (`diff`, `dag`, `search`). Machine-dependent
-    /// — deliberately excluded from the rendered plan so plan bytes stay
+    /// Phase wall-clock times: the durations of the `plan.diff`,
+    /// `plan.dag` and `plan.search` spans. Machine-dependent —
+    /// deliberately excluded from the rendered plan so plan bytes stay
     /// comparable across runs; surfaced by `rdx --timings` and
     /// `bench_plan` instead.
-    pub timings: Vec<(&'static str, Duration)>,
+    pub timings: rd_obs::StageTimings,
 }
 
 impl Plan {
@@ -331,45 +331,39 @@ pub fn plan<F>(current: &CorpusFiles, target: &CorpusFiles, analyze: F) -> Resul
 where
     F: Fn(&CorpusFiles) -> StateFacts + Sync,
 {
-    let diff_started = Instant::now();
-    let (current_facts, target_facts, units) = {
-        let _span = rd_obs::span!("plan.diff");
-        let current_facts = analyze(current);
-        let target_facts = analyze(target);
-        let units = diff_units(&current_facts, &target_facts, target);
-        (current_facts, target_facts, units)
-    };
-    let diff_time = diff_started.elapsed();
-    if units.len() > MAX_UNITS {
-        return Err(PlanError::TooManyUnits(units.len()));
-    }
-
-    let dag_started = Instant::now();
-    let dag = {
-        let _span = rd_obs::span!("plan.dag");
-        build_dag(&units, &current_facts, &target_facts)
-    };
-    let dag_time = dag_started.elapsed();
-
-    let envelope = Envelope::between(&current_facts, &target_facts);
-    let search_started = Instant::now();
-    let (order, verdicts, naive, stats) = {
-        let _span = rd_obs::span!("plan.search");
-        search::search(current, &units, &dag, &envelope, &analyze)?
-    };
-    let search_time = search_started.elapsed();
-
-    Ok(Plan {
-        dag_edges: dag.edges.len(),
-        current_routers: current_facts.routers.len(),
-        target_routers: target_facts.routers.len(),
-        units,
-        order,
-        verdicts,
-        naive,
-        stats,
-        timings: vec![("diff", diff_time), ("dag", dag_time), ("search", search_time)],
-    })
+    let (plan, timings) = rd_obs::span::stages(|| {
+        let (current_facts, target_facts, units) = {
+            let _span = rd_obs::span!("plan.diff");
+            let current_facts = analyze(current);
+            let target_facts = analyze(target);
+            let units = diff_units(&current_facts, &target_facts, target);
+            (current_facts, target_facts, units)
+        };
+        if units.len() > MAX_UNITS {
+            return Err(PlanError::TooManyUnits(units.len()));
+        }
+        let dag = {
+            let _span = rd_obs::span!("plan.dag");
+            build_dag(&units, &current_facts, &target_facts)
+        };
+        let envelope = Envelope::between(&current_facts, &target_facts);
+        let (order, verdicts, naive, stats) = {
+            let _span = rd_obs::span!("plan.search");
+            search::search(current, &units, &dag, &envelope, &analyze)?
+        };
+        Ok(Plan {
+            dag_edges: dag.edges.len(),
+            current_routers: current_facts.routers.len(),
+            target_routers: target_facts.routers.len(),
+            units,
+            order,
+            verdicts,
+            naive,
+            stats,
+            timings: rd_obs::StageTimings::new(),
+        })
+    });
+    Ok(Plan { timings, ..plan? })
 }
 
 /// Independently re-verifies an emitted plan: replays every step against

@@ -57,6 +57,24 @@ done
 rm -f /tmp/rd_verify_p1.folded /tmp/rd_verify_p4.folded
 echo "    non-empty, stage-name roots, byte-identical at RD_THREADS=1 and 4"
 
+echo "==> one span, three views: --timings rows vs folded roots vs trace span closes"
+RD_THREADS=4 ./target/release/rdx /tmp/rd_verify_study/net15 summary --timings \
+    --trace /tmp/rd_verify_views.jsonl --profile /tmp/rd_verify_views.folded \
+    > /dev/null 2> /tmp/rd_verify_views.txt
+STAGES=$(awk '/^stage / { on = 1; next } /^total / { on = 0 } on { print $1 }' \
+    /tmp/rd_verify_views.txt)
+[ -n "$STAGES" ] || { echo "--timings printed no stage rows" >&2; exit 1; }
+for stage in $STAGES; do
+    grep -q "^$stage [0-9]*\$" /tmp/rd_verify_views.folded \
+        || { echo "stage $stage is not a root of the folded profile" >&2; exit 1; }
+    CLOSES=$(grep -c "^{\"ev\":\"span_close\",\"name\":\"$stage\"," \
+        /tmp/rd_verify_views.jsonl || true)
+    [ "$CLOSES" = "1" ] \
+        || { echo "stage $stage has $CLOSES span_close event(s) in the trace, want 1" >&2; exit 1; }
+done
+rm -f /tmp/rd_verify_views.txt /tmp/rd_verify_views.jsonl /tmp/rd_verify_views.folded
+echo "    every --timings stage is a folded root with exactly one span_close"
+
 echo "==> snapshot + query server round trip"
 ./target/release/rdx snap /tmp/rd_verify_study -o /tmp/rd_verify.rdsnap
 ./target/release/rdx serve /tmp/rd_verify.rdsnap --addr 127.0.0.1:0 \

@@ -395,3 +395,55 @@ fn incremental_refresh_matches_cold_at_any_thread_count() {
     assert_eq!(second_1, second_4, "post-edit refresh bytes differ by thread count");
     assert_ne!(first_1, second_1, "the edit must change the snapshot");
 }
+
+/// Every timing view reads the same span close: with profiling on and a
+/// trace sink installed, each stage of an analysis's `timings` (parse
+/// included) equals the `dur_us` of that stage's one `span_close`, and is
+/// a root stack of the folded profile. Runs under `ENV_LOCK`, so no other
+/// test in this binary writes into the sink or the profile meanwhile.
+#[test]
+fn stage_timings_trace_and_profile_agree() {
+    let _env = ENV_LOCK.lock().expect("env lock");
+    std::env::set_var(rd_par::THREADS_ENV, "4");
+    let spec = netgen::study_roster(StudyScale::Small)
+        .into_iter()
+        .find(|s| s.name == "net15")
+        .expect("net15 in the roster");
+    let texts = netgen::study::generate_network(&spec, StudyScale::Small).texts;
+    rd_obs::profile::enable();
+    rd_obs::profile::reset();
+    rd_obs::trace::install_memory_sink(false);
+    let analysis = NetworkAnalysis::from_texts(texts).expect("net15 analyzes");
+    let lines = rd_obs::trace::take_memory();
+    rd_obs::trace::clear_sink();
+    let folded = rd_obs::profile::render_folded(false);
+    rd_obs::profile::disable();
+    rd_obs::profile::reset();
+    std::env::remove_var(rd_par::THREADS_ENV);
+
+    let names: Vec<&str> = analysis.timings.stages.iter().map(|(n, _)| n.as_ref()).collect();
+    assert_eq!(
+        names,
+        [
+            "parse", "links", "external", "processes", "adjacencies", "instances", "graphs",
+            "blocks", "classify", "diagnose",
+        ]
+    );
+    for (name, duration) in &analysis.timings.stages {
+        let close = format!("{{\"ev\":\"span_close\",\"name\":\"{name}\",");
+        let closes: Vec<&String> = lines.iter().filter(|l| l.starts_with(&close)).collect();
+        assert_eq!(closes.len(), 1, "{name}: exactly one span_close");
+        let dur_us: u128 = closes[0]
+            .split("\"dur_us\":")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .and_then(|v| v.parse().ok())
+            .expect("span_close carries dur_us");
+        assert_eq!(dur_us, duration.as_micros(), "{name}: timings and trace disagree");
+        let root = format!("{name} ");
+        assert!(
+            folded.lines().any(|l| l.starts_with(&root)),
+            "{name} is not a root of the folded profile:\n{folded}"
+        );
+    }
+}
