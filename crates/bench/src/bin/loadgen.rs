@@ -16,22 +16,70 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, ToSocketAddrs};
+use std::num::{NonZeroU64, NonZeroUsize};
+use std::process::ExitCode;
 use std::time::Duration;
 
 use rd_bench::loadgen::{self, LoadOptions};
+use rd_obs::cli::{self, CliError, Flag, Table};
 
-fn usage() -> String {
-    "usage: loadgen <addr> [--conns N] [--pipeline N] [--duration <secs>] \
-     [--duration-ms N] [--batches N] [--paths /a,/b,...] [--connect-retries N] [--json]\n\
-     time-bounded by default (--duration/--duration-ms); --batches N switches to \
-     batch-count mode (each connection issues exactly N pipelined batches)"
-        .to_string()
+static TABLE: Table = Table {
+    name: "loadgen",
+    operands: "<addr>",
+    flags: &[&[
+        Flag::value("--conns", "N"),
+        Flag::value("--pipeline", "N"),
+        Flag::value("--duration", "<secs>"),
+        Flag::value("--duration-ms", "N"),
+        Flag::value("--batches", "N"),
+        Flag::value("--paths", "/a,/b,..."),
+        Flag::value("--connect-retries", "N"),
+        Flag::switch("--json"),
+    ]],
+};
+
+/// How the two run modes relate, printed under the `--help` usage line.
+const MODES: &str = "time-bounded by default (--duration/--duration-ms); --batches N switches to \
+                     batch-count mode (each connection issues exactly N pipelined batches)";
+
+/// One loadgen command line.
+#[derive(Debug, PartialEq)]
+struct Run {
+    addr: SocketAddr,
+    opts: LoadOptions,
+    json: bool,
 }
 
-fn fail(message: &str) -> ! {
-    eprintln!("loadgen: {message}");
-    eprintln!("{}", usage());
-    std::process::exit(2);
+fn parse_args<S: AsRef<str>>(argv: &[S]) -> Result<Run, CliError> {
+    let args = TABLE.parse(argv)?;
+    args.at_most(1)?;
+    let text = args.operand(0, "<addr>")?;
+    let addr = text.to_socket_addrs().ok().and_then(|mut a| a.next());
+    let addr = addr.ok_or_else(|| CliError::bad_value("<addr>", text, "cannot resolve"))?;
+    let positive = |name| -> Result<Option<u64>, CliError> {
+        Ok(args.get::<NonZeroU64>(name)?.map(NonZeroU64::get))
+    };
+    let defaults = LoadOptions::default();
+    let (secs, ms) = (positive("--duration")?, positive("--duration-ms")?);
+    let duration = match args.last_of(&["--duration", "--duration-ms"]) {
+        Some("--duration") => secs.map(Duration::from_secs),
+        _ => ms.map(Duration::from_millis),
+    };
+    Ok(Run {
+        addr,
+        opts: LoadOptions {
+            conns: args.get("--conns")?.map_or(defaults.conns, NonZeroUsize::get),
+            pipeline: args.get("--pipeline")?.map_or(defaults.pipeline, NonZeroUsize::get),
+            duration: duration.unwrap_or(defaults.duration),
+            max_batches: positive("--batches")?,
+            paths: match args.value("--paths") {
+                Some(list) => list.split(',').map(str::to_string).collect(),
+                None => defaults.paths,
+            },
+            connect_retries: args.get("--connect-retries")?.unwrap_or(defaults.connect_retries),
+        },
+        json: args.switch("--json"),
+    })
 }
 
 /// One `connection: close` GET used for path discovery.
@@ -41,7 +89,9 @@ fn fetch(addr: SocketAddr, path: &str, retries: u32) -> Result<String, String> {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .map_err(|e| format!("set timeout: {e}"))?;
     stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nhost: loadgen\r\nconnection: close\r\n\r\n").as_bytes())
+        .write_all(
+            format!("GET {path} HTTP/1.1\r\nhost: loadgen\r\nconnection: close\r\n\r\n").as_bytes(),
+        )
         .map_err(|e| format!("write: {e}"))?;
     let mut out = String::new();
     stream.read_to_string(&mut out).map_err(|e| format!("read: {e}"))?;
@@ -66,54 +116,15 @@ fn discover_networks(addr: SocketAddr, retries: u32) -> Result<Vec<String>, Stri
     Ok(names)
 }
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut addr_arg: Option<String> = None;
-    let mut opts = LoadOptions::default();
-    let mut json = false;
-
-    let positive = |flag: &str, value: Option<String>| -> usize {
-        match value.and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) if n > 0 => n,
-            _ => fail(&format!("{flag} needs a positive integer")),
-        }
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--conns" => opts.conns = positive("--conns", args.next()),
-            "--pipeline" => opts.pipeline = positive("--pipeline", args.next()),
-            "--duration" => {
-                opts.duration = Duration::from_secs(positive("--duration", args.next()) as u64)
-            }
-            "--duration-ms" => {
-                opts.duration =
-                    Duration::from_millis(positive("--duration-ms", args.next()) as u64)
-            }
-            "--batches" => opts.max_batches = Some(positive("--batches", args.next()) as u64),
-            "--paths" => match args.next() {
-                Some(list) => {
-                    opts.paths = list.split(',').map(str::to_string).collect();
-                }
-                None => fail("--paths needs a comma-separated list"),
-            },
-            "--connect-retries" => match args.next().and_then(|v| v.parse::<u32>().ok()) {
-                Some(n) => opts.connect_retries = n,
-                None => fail("--connect-retries needs a number (0 disables retries)"),
-            },
-            "--json" => json = true,
-            "--help" | "-h" => {
-                println!("{}", usage());
-                return;
-            }
-            flag if flag.starts_with('-') => fail(&format!("unknown flag {flag}")),
-            positional if addr_arg.is_none() => addr_arg = Some(positional.to_string()),
-            extra => fail(&format!("unexpected argument {extra}")),
-        }
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if cli::requested(&argv, &[cli::HELP]).is_some() {
+        println!("{}\n{MODES}", TABLE.usage());
+        return ExitCode::SUCCESS;
     }
-    let Some(addr_arg) = addr_arg else { fail("missing server address") };
-    let addr: SocketAddr = match addr_arg.to_socket_addrs().ok().and_then(|mut a| a.next()) {
-        Some(a) => a,
-        None => fail(&format!("cannot resolve address {addr_arg}")),
+    let Run { addr, mut opts, json } = match parse_args(&argv) {
+        Ok(run) => run,
+        Err(e) => return e.report(&TABLE),
     };
 
     if opts.paths.is_empty() {
@@ -121,7 +132,7 @@ fn main() {
             Ok(names) => opts.paths = loadgen::mixed_paths(&names),
             Err(e) => {
                 eprintln!("loadgen: path discovery failed: {e}");
-                std::process::exit(1);
+                return ExitCode::FAILURE;
             }
         }
     }
@@ -130,7 +141,7 @@ fn main() {
         Ok(stats) => stats,
         Err(e) => {
             eprintln!("loadgen: {e}");
-            std::process::exit(1);
+            return ExitCode::FAILURE;
         }
     };
 
@@ -190,6 +201,139 @@ fn main() {
         }
     }
     if stats.errors > 0 {
-        std::process::exit(1);
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Run, CliError> {
+        parse_args(&line.split_whitespace().collect::<Vec<_>>())
+    }
+
+    fn run(conns: usize, pipeline: usize, duration_ms: u64, retries: u32, json: bool) -> Run {
+        Run {
+            addr: "127.0.0.1:9".parse().expect("addr"),
+            opts: LoadOptions {
+                conns,
+                pipeline,
+                duration: Duration::from_millis(duration_ms),
+                connect_retries: retries,
+                ..LoadOptions::default()
+            },
+            json,
+        }
+    }
+
+    /// Every loadgen command shape in scripts/verify.sh and README.md, and
+    /// the rest of its flags.
+    #[test]
+    fn parse_documented_command_lines() {
+        let defaults = LoadOptions::default();
+        let d = defaults.duration.as_millis() as u64;
+        let batches = Run {
+            opts: LoadOptions {
+                max_batches: Some(10),
+                paths: vec!["/healthz".into(), "/networks".into()],
+                ..run(2, 4, d, defaults.connect_retries, false).opts
+            },
+            ..run(2, 4, d, defaults.connect_retries, false)
+        };
+        let cases: Vec<(&str, Run)> = vec![
+            (
+                "127.0.0.1:9 --conns 2 --pipeline 4 --duration-ms 500 --json",
+                run(2, 4, 500, defaults.connect_retries, true),
+            ),
+            (
+                "127.0.0.1:9 --conns 2 --pipeline 4 --duration-ms 300 --connect-retries 5",
+                run(2, 4, 300, 5, false),
+            ),
+            (
+                "--conns=2 127.0.0.1:9 --pipeline=4 --duration=3",
+                run(2, 4, 3000, defaults.connect_retries, false),
+            ),
+            ("127.0.0.1:9 --batches 10 --paths /healthz,/networks --conns 2 --pipeline 4", batches),
+            // The later of --duration and --duration-ms wins.
+            (
+                "127.0.0.1:9 --conns 2 --pipeline 4 --duration 2 --duration-ms 500",
+                run(2, 4, 500, defaults.connect_retries, false),
+            ),
+            (
+                "127.0.0.1:9 --conns 2 --pipeline 4 --duration-ms 500 --duration 2",
+                run(2, 4, 2000, defaults.connect_retries, false),
+            ),
+        ];
+        for (line, want) in cases {
+            assert_eq!(parse(line), Ok(want), "{line}");
+        }
+    }
+
+    #[test]
+    fn every_value_flag_takes_both_spellings() {
+        for flag in TABLE.all_flags().filter(|f| f.value.is_some()) {
+            let good = if flag.name == "--paths" { "/healthz" } else { "3" };
+            let spaced = parse(&format!("127.0.0.1:9 {} {good}", flag.name));
+            assert!(spaced.is_ok(), "{}: {spaced:?}", flag.name);
+            assert_eq!(
+                parse(&format!("127.0.0.1:9 {}={good}", flag.name)),
+                spaced,
+                "{}",
+                flag.name
+            );
+            assert!(
+                matches!(
+                    parse(&format!("127.0.0.1:9 {}", flag.name)),
+                    Err(CliError::MissingValue { flag: missing, .. }) if missing == flag.name
+                ),
+                "{}",
+                flag.name
+            );
+        }
+    }
+
+    #[test]
+    fn usage_errors() {
+        let zero = |name| CliError::BadValue {
+            name,
+            value: "0".into(),
+            reason: "number would be zero for non-zero type".into(),
+        };
+        let cases: &[(&str, CliError)] = &[
+            ("", CliError::MissingArgument("<addr>")),
+            ("127.0.0.1:9 extra", CliError::UnexpectedArgument("extra".into())),
+            ("127.0.0.1:9 --no-such-flag", CliError::UnknownFlag("--no-such-flag".into())),
+            ("127.0.0.1:9 --conns 0", zero("--conns")),
+            ("127.0.0.1:9 --pipeline=0", zero("--pipeline")),
+            ("127.0.0.1:9 --duration 0", zero("--duration")),
+            ("127.0.0.1:9 --duration-ms 0 --duration-ms 5", zero("--duration-ms")),
+            ("127.0.0.1:9 --batches 0", zero("--batches")),
+            (
+                "127.0.0.1:9 --paths",
+                CliError::MissingValue { flag: "--paths", metavar: "/a,/b,..." },
+            ),
+            (
+                "127.0.0.1:9 --connect-retries x",
+                CliError::BadValue {
+                    name: "--connect-retries",
+                    value: "x".into(),
+                    reason: "invalid digit found in string".into(),
+                },
+            ),
+            (
+                "not-an-address",
+                CliError::BadValue {
+                    name: "<addr>",
+                    value: "not-an-address".into(),
+                    reason: "cannot resolve".into(),
+                },
+            ),
+        ];
+        for (line, want) in cases {
+            assert_eq!(parse(line).as_ref(), Err(want), "{line}");
+        }
     }
 }

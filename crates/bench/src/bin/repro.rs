@@ -15,110 +15,99 @@
 //! `section7`, `net5`, `net15`, `diag` (per-network diagnostic totals
 //! from the `rd-obs` channel; not part of `all`).
 //!
-//! Flags: `--small` runs the ~10%-scale corpus; `--timings` prints
-//! aggregate per-stage wall-clock times to stderr, followed by one
-//! `analyze:netNN` row per network; `--metrics` dumps the `rd-obs`
-//! metrics registry to stderr; `--trace <path>` (or `--trace=<path>`,
-//! `--trace -` for stderr) writes the structured JSONL event stream
-//! there — without it the `RD_TRACE` environment variable picks the
-//! sink; `--profile <path>` (or `--profile=<path>`) enables the rd-obs
-//! span profiler and writes collapsed-stack output (`stack;sub count_us`
-//! lines, flamegraph-ready) there on exit — set `RD_PROF_ZERO=1` to zero
-//! the counts for byte-stable diffing across thread counts; `--bench`
-//! skips the tables and instead times the generate +
-//! analyze pipeline per network and per stage — at both scales, or only
-//! the small one under `--small` — writing `BENCH_repro.json` (including
-//! a `metrics` section) to the current directory; `--chaos <seed>` (or
-//! `--chaos=<seed>`) damages each network's corpus with one seeded
-//! `rd-chaos` mutation before analysis, prints the per-network coverage
-//! table, and exits 1 if any network was dropped by the error budget
-//! (`RD_ERROR_BUDGET`, default 25% of files quarantined). Worker count
-//! for all of these comes from `RD_THREADS` (default: all cores).
+//! Flags (anywhere on the line; every value flag also takes
+//! `--flag=value`; a usage error exits 2): `--small` runs the ~10%-scale
+//! corpus; `--timings` prints aggregate per-stage wall-clock times to
+//! stderr, followed by one `analyze:netNN` row per network; `--metrics`
+//! dumps the `rd-obs` metrics registry to stderr; `--trace <path>`
+//! (`--trace -` for stderr) writes the structured JSONL event stream
+//! there — without it the `RD_TRACE` environment variable picks the sink;
+//! `--profile <path>` enables the rd-obs span profiler and writes
+//! collapsed-stack output (`stack;sub count_us` lines, flamegraph-ready)
+//! there on exit — set `RD_PROF_ZERO=1` to zero the counts for
+//! byte-stable diffing across thread counts; `--bench` skips the tables
+//! and instead times the generate + analyze pipeline per network and per
+//! stage — at both scales, or only the small one under `--small` —
+//! writing `BENCH_repro.json` (including a `metrics` section) to the
+//! current directory; `--chaos <seed>` damages each network's corpus with
+//! one seeded `rd-chaos` mutation before analysis, prints the per-network
+//! coverage table, and exits 1 if any network was dropped by the error
+//! budget (`RD_ERROR_BUDGET`, default 25% of files quarantined). Worker
+//! count for all of these comes from `RD_THREADS` (default: all cores).
+
+use std::process::ExitCode;
 
 use netgen::{repository_sizes, StudyScale};
 use rd_bench::analyzed_study;
 use rd_bench::timing::{bench_scale, render_json};
+use rd_obs::cli::{self, CliError, Flag, Table};
+use rd_obs::Observe;
 use routing_design::report::{render_fig4, render_table3, StudyNetwork, StudyReport};
 use routing_design::{DesignClass, Prefix, StageTimings};
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--version" || a == "-V") {
+static TABLE: Table = Table {
+    name: "repro",
+    operands: "[target ...]",
+    flags: &[
+        &[Flag::switch("--small"), Flag::switch("--bench"), Flag::value("--chaos", "<seed>")],
+        rd_obs::OBS_FLAGS,
+    ],
+};
+
+const TARGETS: &[&str] =
+    &["all", "table1", "table3", "fig4", "fig8", "fig11", "section7", "net5", "net15", "diag"];
+
+/// One repro command line.
+#[derive(Debug, PartialEq)]
+struct Options {
+    small: bool,
+    bench: bool,
+    chaos: Option<u64>,
+    obs: Observe,
+    targets: Vec<&'static str>,
+}
+
+fn parse_args<S: AsRef<str>>(argv: &[S]) -> Result<Options, CliError> {
+    let args = TABLE.parse(argv)?;
+    let bench = args.switch("--bench");
+    // `--bench` renders no table, so it reads (and checks) no target.
+    let targets = args.operands().iter().filter(|_| !bench).map(|target| {
+        TARGETS.iter().copied().find(|known| known == target).ok_or_else(|| {
+            CliError::bad_value("<target>", target, format!("targets: {}", TARGETS.join(" ")))
+        })
+    });
+    Ok(Options {
+        small: args.switch("--small"),
+        bench,
+        chaos: args.get("--chaos")?,
+        obs: Observe::from_args(&args),
+        targets: targets.collect::<Result<_, _>>()?,
+    })
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if cli::requested(&argv, &[cli::VERSION]).is_some() {
         println!("repro {}", env!("CARGO_PKG_VERSION"));
-        return;
+        return ExitCode::SUCCESS;
     }
-    let mut trace: Option<String> = None;
-    let mut profile: Option<String> = None;
-    let mut chaos_seed: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--trace" {
-            if i + 1 >= args.len() {
-                eprintln!("repro: --trace needs a path (or '-')");
-                std::process::exit(2);
-            }
-            trace = Some(args.remove(i + 1));
-            args.remove(i);
-        } else if let Some(path) = args[i].strip_prefix("--trace=") {
-            trace = Some(path.to_string());
-            args.remove(i);
-        } else if args[i] == "--profile" {
-            if i + 1 >= args.len() {
-                eprintln!("repro: --profile needs a path");
-                std::process::exit(2);
-            }
-            profile = Some(args.remove(i + 1));
-            args.remove(i);
-        } else if let Some(path) = args[i].strip_prefix("--profile=") {
-            profile = Some(path.to_string());
-            args.remove(i);
-        } else if args[i] == "--chaos" {
-            if i + 1 >= args.len() || args[i + 1].parse::<u64>().is_err() {
-                eprintln!("repro: --chaos needs a numeric seed");
-                std::process::exit(2);
-            }
-            chaos_seed = args.remove(i + 1).parse::<u64>().ok();
-            args.remove(i);
-        } else if let Some(seed) = args[i].strip_prefix("--chaos=") {
-            match seed.parse::<u64>() {
-                Ok(s) => chaos_seed = Some(s),
-                Err(_) => {
-                    eprintln!("repro: --chaos needs a numeric seed");
-                    std::process::exit(2);
-                }
-            }
-            args.remove(i);
-        } else {
-            i += 1;
+    let Options { small, bench: bench_only, chaos: chaos_seed, obs, targets } =
+        match parse_args(&argv) {
+            Ok(options) => options,
+            Err(e) => return e.report(&TABLE),
+        };
+    let outputs = match obs.outputs("repro") {
+        Ok(outputs) => outputs,
+        Err(e) => {
+            eprintln!("repro: cannot open trace sink: {e}");
+            return ExitCode::from(2);
         }
-    }
-    if let Some(bad) = args.iter().find(|a| {
-        a.starts_with("--")
-            && !matches!(a.as_str(), "--small" | "--bench" | "--timings" | "--metrics")
-    }) {
-        eprintln!("repro: unknown flag {bad} (flags: --small --bench --timings --metrics --trace <path> --profile <path> --chaos <seed> --version)");
-        std::process::exit(2);
-    }
-    let Some(outputs) = rd_obs::Outputs::new("repro", profile).trace(trace.as_deref()) else {
-        std::process::exit(2);
     };
-    let small = args.iter().any(|a| a == "--small");
-    let show_metrics = args.iter().any(|a| a == "--metrics");
+    let (timings, show_metrics) = (obs.timings, obs.metrics);
     let scale = if small { StudyScale::Small } else { StudyScale::Full };
-    if args.iter().any(|a| a == "--bench") {
+    if bench_only {
         bench(small);
-        finish(show_metrics, &outputs);
-        return;
-    }
-    let timings = args.iter().any(|a| a == "--timings");
-    let targets: Vec<&str> = args.iter().filter(|a| !a.starts_with("--")).map(|s| s.as_str()).collect();
-    const KNOWN: &[&str] = &[
-        "all", "table1", "table3", "fig4", "fig8", "fig11", "section7", "net5", "net15",
-        "diag",
-    ];
-    if let Some(bad) = targets.iter().find(|t| !KNOWN.contains(t)) {
-        eprintln!("repro: unknown target {bad} (targets: {})", KNOWN.join(" "));
-        std::process::exit(2);
+        return finish(show_metrics, &outputs, &[]);
     }
     let want = |t: &str| targets.is_empty() || targets.contains(&"all") || targets.contains(&t);
 
@@ -157,7 +146,7 @@ fn main() {
     if targets.contains(&"diag") {
         diag(&networks);
         if targets.len() == 1 {
-            finish_and_exit(show_metrics, &outputs, &dropped);
+            return finish(show_metrics, &outputs, &dropped);
         }
     }
     let report = StudyReport::build(&networks);
@@ -186,38 +175,31 @@ fn main() {
     if want("net15") {
         net15(&networks);
     }
-    finish_and_exit(show_metrics, &outputs, &dropped);
+    finish(show_metrics, &outputs, &dropped)
 }
 
-/// End-of-run bookkeeping shared by every mode: optional metrics dump,
-/// then the trace flush and the collapsed-stack profile if `--profile`
-/// asked for one.
-fn finish(show_metrics: bool, outputs: &rd_obs::Outputs) {
+/// End-of-run bookkeeping shared by every mode: the optional metrics
+/// dump, then the trace flush and the collapsed-stack profile if
+/// `--profile` asked for one. Any network dropped by the error budget
+/// makes the run exit 1, so scripts cannot mistake a partial study for a
+/// complete one.
+fn finish(
+    show_metrics: bool,
+    outputs: &rd_obs::Outputs,
+    dropped: &[rd_bench::StudyDrop],
+) -> ExitCode {
     if show_metrics {
         eprint!("{}", rd_obs::metrics::dump());
     }
     outputs.finish();
-}
-
-/// Terminal bookkeeping for a study run: any network dropped by the error
-/// budget makes the whole run exit 1, so scripts cannot mistake a partial
-/// study for a complete one.
-fn finish_and_exit(
-    show_metrics: bool,
-    outputs: &rd_obs::Outputs,
-    dropped: &[rd_bench::StudyDrop],
-) -> ! {
-    finish(show_metrics, outputs);
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
     if dropped.is_empty() {
-        std::process::exit(0);
+        return ExitCode::SUCCESS;
     }
     eprintln!(
         "repro: {} network(s) dropped by the error budget; study aggregates are partial",
         dropped.len()
     );
-    std::process::exit(1);
+    ExitCode::FAILURE
 }
 
 /// The per-network parse coverage table printed by chaos runs: every
@@ -700,4 +682,97 @@ fn policy_set(policy: &str) -> routing_design::PrefixSet {
         }
     }
     set
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, CliError> {
+        parse_args(&line.split_whitespace().collect::<Vec<_>>())
+    }
+
+    fn options(small: bool, bench: bool, chaos: Option<u64>, targets: &[&'static str]) -> Options {
+        Options { small, bench, chaos, obs: Observe::default(), targets: targets.to_vec() }
+    }
+
+    fn observed(
+        options: Options,
+        timings: bool,
+        trace: Option<&str>,
+        profile: Option<&str>,
+    ) -> Options {
+        Options {
+            obs: Observe {
+                timings,
+                metrics: false,
+                trace: trace.map(str::to_string),
+                profile: profile.map(str::to_string),
+            },
+            ..options
+        }
+    }
+
+    /// Every repro command shape in scripts/verify.sh, README.md,
+    /// EXPERIMENTS.md and tests/.
+    #[test]
+    fn parse_documented_command_lines() {
+        let cases: Vec<(&str, Options)> = vec![
+            ("", options(false, false, None, &[])),
+            ("--small", options(true, false, None, &[])),
+            ("--small all", options(true, false, None, &["all"])),
+            ("--small diag", options(true, false, None, &["diag"])),
+            ("--small fig4 net15", options(true, false, None, &["fig4", "net15"])),
+            ("--bench", options(false, true, None, &[])),
+            ("--bench --small", options(true, true, None, &[])),
+            ("--timings", observed(options(false, false, None, &[]), true, None, None)),
+            (
+                "--bench --trace /tmp/b.jsonl",
+                observed(options(false, true, None, &[]), false, Some("/tmp/b.jsonl"), None),
+            ),
+            (
+                "--small table1 --profile /tmp/p1.folded",
+                observed(
+                    options(true, false, None, &["table1"]),
+                    false,
+                    None,
+                    Some("/tmp/p1.folded"),
+                ),
+            ),
+            (
+                "--small all --profile study.folded",
+                observed(options(true, false, None, &["all"]), false, None, Some("study.folded")),
+            ),
+            ("--small --chaos 3", options(true, false, Some(3), &[])),
+            ("--small table1 --chaos=3", options(true, false, Some(3), &["table1"])),
+            // `--bench` reads no target, so none is checked.
+            ("--bench bogus", options(false, true, None, &[])),
+        ];
+        for (line, want) in cases {
+            assert_eq!(parse(line), Ok(want), "{line}");
+        }
+    }
+
+    #[test]
+    fn usage_errors() {
+        let bad = |name, value: &str, reason: &str| CliError::BadValue {
+            name,
+            value: value.to_string(),
+            reason: reason.to_string(),
+        };
+        let cases: &[(&str, CliError)] = &[
+            ("--small --bogus", CliError::UnknownFlag("--bogus".into())),
+            ("-x", CliError::UnknownFlag("-x".into())),
+            ("--small=1", CliError::UnknownFlag("--small=1".into())),
+            ("--small bogus", bad("<target>", "bogus", &format!("targets: {}", TARGETS.join(" ")))),
+            ("--chaos x", bad("--chaos", "x", "invalid digit found in string")),
+            ("--chaos=-3", bad("--chaos", "-3", "invalid digit found in string")),
+            ("--chaos", CliError::MissingValue { flag: "--chaos", metavar: "<seed>" }),
+            ("--small --trace", CliError::MissingValue { flag: "--trace", metavar: "<path>" }),
+            ("--profile", CliError::MissingValue { flag: "--profile", metavar: "<path>" }),
+        ];
+        for (line, want) in cases {
+            assert_eq!(parse(line).as_ref(), Err(want), "{line}");
+        }
+    }
 }

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 /// Load shape: how many connections, how deep each pipeline batch is,
 /// how long to run, and which paths to cycle through.
-#[derive(Clone)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoadOptions {
     /// Concurrent keep-alive connections (each gets its own thread).
     pub conns: usize,

@@ -4,274 +4,410 @@
 //! of router configuration files and interrogate the network's routing
 //! design, exactly the workflow the paper's Section 8.1 sketches for
 //! inventory management, vulnerability assessment, and diagnosis.
+//! `rdx --help` is the reference for every command, flag and exit code
+//! (pinned by `tests/golden/rdx_help.txt`).
 //!
-//! ```text
-//! rdx <config-dir> summary                     overview + classification
-//! rdx <config-dir> instances                   the routing instance graph
-//! rdx <config-dir> pathway <router>            route pathway of one router
-//! rdx <config-dir> dot [process|instances]     Graphviz output
-//! rdx <config-dir> roles                       Table-1 style role counts
-//! rdx <config-dir> blocks                      recovered address blocks
-//! rdx <config-dir> external                    external-facing interfaces
-//! rdx <config-dir> reach <src-prefix> <dst-prefix>   block reachability
-//! rdx <config-dir> flow <src> <dst> [proto] [port]   packet-filter verdicts
-//! rdx <config-dir> separation <inst-a> <inst-b>      min router cut
-//! rdx <config-dir> whatif <router> [...]             failure simulation
-//! rdx <config-dir> audit                       §8.1 vulnerability findings
-//! rdx <config-dir> diag                        pipeline diagnostics
-//! rdx <config-dir> diff <other-dir>            design changes between snapshots
-//! rdx <config-dir> plan <target-dir>           safe reconfiguration plan
-//! rdx <config-dir> anonymize <out-dir> <key>   anonymize the corpus
-//! rdx snap <dir> -o study.rdsnap               snapshot a corpus's analysis
-//! rdx serve study.rdsnap --addr 127.0.0.1:0    serve a snapshot over HTTP
-//! ```
-//!
-//! `<router>` accepts `rN`, a file name, or a hostname.
-//!
-//! Exit codes are consistent across commands: `0` success, `1` analysis
-//! or diagnostic errors (load failures, error-severity diagnostics from
-//! `diag`, unknown routers/instances), `2` usage errors (unknown
-//! commands/flags, missing or malformed arguments).
-//!
-//! Flags (anywhere on the line; anything else starting with `--` is a
-//! usage error):
-//!
-//! - `--version` prints the tool version and exits.
-//! - `--help` prints the full command/flag/exit-code reference.
-//! - `--json` renders `summary` as JSON (the same body `rdx serve`
-//!   answers for `/networks/{id}`).
-//! - `--timings` prints per-stage wall-clock times of the analysis
-//!   pipeline to stderr after the command's own output — **even when the
-//!   command itself fails**, and on a load failure it still reports the
-//!   time spent loading, so a slow failure is as diagnosable as a slow
-//!   success. The parse stage honors the `RD_THREADS` worker-count
-//!   override.
-//! - `--metrics` dumps the `rd-obs` metrics registry (counters, gauges,
-//!   histograms accumulated during the run) to stderr.
-//! - `--trace <path>` (or `--trace=<path>`) writes the structured JSONL
-//!   event stream to `path`; `--trace -` streams it to stderr. Without
-//!   the flag, the `RD_TRACE` environment variable picks the sink.
-//! - `--profile <path>` (or `--profile=<path>`) records hierarchical
-//!   wall-clock spans across the pipeline and writes them as
-//!   collapsed-stack lines (`stack;substack self_us`) for flamegraph
-//!   tooling. Root stacks are the `--timings` stage names.
-//!   `RD_PROF_ZERO=1` zeroes the counts for byte-exact comparisons.
+//! The command line is read into a [`Command`] before anything runs. Each
+//! subcommand (`snap`, `serve`, `watch`, `chaos`, and the analysis
+//! commands) has one flag table, read by the shared `rd_obs::cli` parser:
+//! flags may appear anywhere on the line, every value flag takes both
+//! `--flag value` and `--flag=value`, and any other word starting with `-`
+//! is a usage error. Every failure is one [`Error`], whose variant picks
+//! the exit code — `1` for analysis or diagnostic errors, `2` for usage
+//! errors — and `main` prints it once.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::num::{NonZeroU32, NonZeroUsize};
 use std::path::Path;
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
+use rd_obs::cli::{self, Args, CliError, Flag, Table};
+use rd_obs::Observe;
+use rd_serve::ServeOptions;
+use reachability::{Flow, FlowProto};
+use routing_design::watch::WatchOptions;
 use routing_design::{NetworkAnalysis, Prefix, RouterId, Severity};
 
-/// Flags recognized anywhere on the command line, split off before the
-/// positional arguments. Unknown `--flags` are usage errors.
-struct Flags {
-    timings: bool,
-    metrics: bool,
-    json: bool,
-    /// `plan` only: independently re-verify every emitted step.
-    check: bool,
-    /// `diff` only: print which networks the diff touches.
-    networks: bool,
-    trace: Option<String>,
-    profile: Option<String>,
+/// The analysis commands' own switches; `--timings/--metrics/--trace/
+/// --profile` are the observability slice they share with `repro`.
+const ANALYSIS_FLAGS: &[Flag] =
+    &[Flag::switch("--json"), Flag::switch("--check"), Flag::switch("--networks")];
+
+/// The HTTP server flags `serve` and `watch` share.
+const SERVER_FLAGS: &[Flag] = &[
+    Flag::value("--addr", "HOST:PORT"),
+    Flag::value("--workers", "N"),
+    Flag::value("--max-conns", "N"),
+    Flag::switch("--no-cache"),
+];
+
+static ANALYZE: Table = Table {
+    name: "rdx",
+    operands: "<config-dir> [summary|instances|roles|blocks|external|pathway <router>|\
+               dot [process|instances]|reach <src> <dst>|flow <src> <dst> [proto] [port]|\
+               separation <a> <b>|whatif <router> [...]|audit|diag|diff <other-dir>|\
+               plan <target-dir>|anonymize <out-dir> <key>]",
+    flags: &[ANALYSIS_FLAGS, rd_obs::OBS_FLAGS],
+};
+
+static SNAP: Table = Table {
+    name: "rdx snap",
+    operands: "<dir>",
+    flags: &[&[
+        Flag::value("--out", "<file.rdsnap>").short("-o"),
+        Flag::value("--from", "<prev.rdsnap>"),
+        Flag::value("--info", "<file.rdsnap>"),
+    ]],
+};
+
+static SERVE: Table = Table {
+    name: "rdx serve",
+    operands: "<file.rdsnap>",
+    flags: &[
+        SERVER_FLAGS,
+        &[Flag::value("--plan", "<plan.json>"), Flag::value("--profile", "<path>")],
+    ],
+};
+
+static WATCH: Table = Table {
+    name: "rdx watch",
+    operands: "<config-dir>",
+    flags: &[
+        &[
+            Flag::value("--snapshot", "<file.rdsnap>"),
+            Flag::value("--poll-ms", "N"),
+            Flag::value("--debounce-ms", "N"),
+            Flag::value("--backoff-ms", "N"),
+            Flag::value("--backoff-max-ms", "N"),
+            Flag::value("--degraded-after", "N"),
+            Flag::value("--seed", "N"),
+        ],
+        SERVER_FLAGS,
+    ],
+};
+
+static CHAOS: Table = Table {
+    name: "rdx chaos",
+    operands: "<dir>",
+    flags: &[&[
+        Flag::value("--seed", "N"),
+        Flag::value("--configs", "M"),
+        Flag::value("--snapshots", "K"),
+        Flag::value("--max-rss-mb", "MB"),
+    ]],
+};
+
+/// One rdx command line, read in full before anything runs. `Analyze`
+/// covers every command that loads `<config-dir>` as one network; `plan`
+/// analyzes every intermediate state itself and `anonymize` only copies
+/// files, so they load nothing up front.
+#[derive(Debug, PartialEq)]
+enum Command {
+    Version,
+    Help,
+    Snap { dir: String, out: String, from: Option<String> },
+    SnapInfo { file: String },
+    Serve { file: String, server: Server, plan: Option<String>, profile: Option<String> },
+    Watch { dir: String, snapshot: String, server: Server, watch: WatchOptions },
+    Chaos { dir: String, seed: u64, configs: usize, snapshots: usize, max_rss_mb: u64 },
+    Analyze { dir: String, action: Action, obs: Observe },
+    Plan { dir: String, target: String, json: bool, check: bool, obs: Observe },
+    Anonymize { dir: String, out: String, key: String, obs: Observe },
 }
 
-fn parse_flags(args: &mut Vec<String>) -> Result<Flags, String> {
-    let mut flags = Flags {
-        timings: false,
-        metrics: false,
-        json: false,
-        check: false,
-        networks: false,
-        trace: None,
-        profile: None,
-    };
-    let mut rest = Vec::with_capacity(args.len());
-    let mut it = std::mem::take(args).into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--timings" => flags.timings = true,
-            "--metrics" => flags.metrics = true,
-            "--json" => flags.json = true,
-            "--check" => flags.check = true,
-            "--networks" => flags.networks = true,
-            "--trace" => match it.next() {
-                Some(path) => flags.trace = Some(path),
-                None => return Err("--trace needs a path (or '-')".to_string()),
-            },
-            "--profile" => match it.next() {
-                Some(path) => flags.profile = Some(path),
-                None => return Err("--profile needs an output path".to_string()),
-            },
-            other if other.starts_with("--trace=") => {
-                flags.trace = Some(other["--trace=".len()..].to_string());
+/// The `--addr/--workers/--max-conns/--no-cache` values.
+#[derive(Debug, PartialEq)]
+struct Server {
+    addr: String,
+    options: ServeOptions,
+}
+
+/// A command over one loaded network.
+#[derive(Debug, PartialEq)]
+enum Action {
+    Summary { json: bool },
+    Instances,
+    Roles,
+    Blocks,
+    External,
+    Pathway(String),
+    Dot { process: bool },
+    Reach(Prefix, Prefix),
+    Flow(Flow),
+    Separation(usize, usize),
+    Whatif(Vec<String>),
+    Audit,
+    Diag,
+    Diff { other: String, networks: bool },
+}
+
+/// Why an rdx run failed; the variant picks the exit code.
+#[derive(Debug, PartialEq)]
+enum Error {
+    /// The command line does not parse against the table (exit 2).
+    Cli(&'static Table, CliError),
+    /// Arguments that parse but point at nothing usable, found while
+    /// running, such as a comparison directory that is not one (exit 2).
+    Usage(String),
+    /// The analysis or its I/O failed (exit 1).
+    Failed(String),
+}
+
+impl Error {
+    /// Prints the error on stderr and returns its exit code.
+    fn report(&self) -> ExitCode {
+        match self {
+            // An analysis command line gets the whole usage, command list
+            // included.
+            Error::Cli(table, e) if std::ptr::eq(*table, &ANALYZE) => {
+                eprintln!("rdx: {e}\n{}", usage());
+                ExitCode::from(CliError::EXIT)
             }
-            other if other.starts_with("--profile=") => {
-                flags.profile = Some(other["--profile=".len()..].to_string());
+            Error::Cli(table, e) => e.report(table),
+            Error::Usage(message) => {
+                eprintln!("rdx: {message}");
+                ExitCode::from(CliError::EXIT)
             }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag {other:?}"));
+            Error::Failed(message) => {
+                eprintln!("rdx: {message}");
+                ExitCode::FAILURE
             }
-            _ => rest.push(arg),
         }
     }
-    *args = rest;
-    Ok(flags)
+}
+
+/// What an analysis command prints after its result or error message:
+/// stage timings (a failed load reports the time it took), the metrics
+/// dump, then the trace flush and profile.
+#[derive(Default)]
+struct After {
+    stderr: String,
+    metrics: bool,
+    outputs: Option<rd_obs::Outputs>,
+}
+
+impl After {
+    fn finish(self) {
+        eprint!("{}", self.stderr);
+        if self.metrics {
+            eprint!("{}", rd_obs::metrics::dump());
+        }
+        if let Some(outputs) = self.outputs {
+            outputs.finish();
+        }
+    }
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--version" || a == "-V") {
-        println!("rdx {}", env!("CARGO_PKG_VERSION"));
-        return ExitCode::SUCCESS;
-    }
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{}", help_text());
-        return ExitCode::SUCCESS;
-    }
-    // `snap`, `serve`, `watch`, and `chaos` own their argument parsing
-    // (their flags, like `-o` and `--addr`, are not global flags).
-    match args.first().map(String::as_str) {
-        Some("snap") => return snap_cmd(&args[1..]),
-        Some("serve") => return serve_cmd(&args[1..]),
-        Some("watch") => return watch_cmd(&args[1..]),
-        Some("chaos") => return chaos_cmd(&args[1..]),
-        _ => {}
-    }
-    let flags = match parse_flags(&mut args) {
-        Ok(f) => f,
-        Err(msg) => {
-            eprintln!("rdx: {msg}");
-            return usage();
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut after = After::default();
+    let code = match parse_command(&argv).and_then(|command| run(command, &mut after)) {
+        Ok(code) => code,
+        Err(e) => e.report(),
     };
-    let outputs = rd_obs::Outputs::new("rdx", flags.profile.clone());
-    let Some(outputs) = outputs.trace(flags.trace.as_deref()) else {
-        return ExitCode::FAILURE;
-    };
-
-    let (dir, rest) = match args.split_first() {
-        Some((dir, rest)) => (dir.clone(), rest.to_vec()),
-        None => return usage(),
-    };
-    let command = rest.first().map(String::as_str).unwrap_or("summary");
-
-    if command == "anonymize" {
-        return anonymize(&dir, &rest[1..]);
-    }
-
-    // `plan` runs its own pair of analyses (current + target + every
-    // intermediate state), so it bypasses the single up-front load.
-    if command == "plan" {
-        let code = plan_cmd(&dir, &rest[1..], &flags);
-        outputs.finish();
-        return code;
-    }
-
-    let load_started = std::time::Instant::now();
-    let analysis = match NetworkAnalysis::from_dir(Path::new(&dir)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("rdx: failed to load {dir}: {e}");
-            if flags.timings {
-                eprintln!(
-                    "load failed after {:.3} ms ({} worker thread(s))",
-                    load_started.elapsed().as_secs_f64() * 1e3,
-                    rd_par::thread_count()
-                );
-            }
-            outputs.finish();
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let coverage = &analysis.network.coverage;
-    if coverage.degraded() {
-        eprintln!(
-            "rdx: DEGRADED coverage: {}/{} config file(s) quarantined ({}); \
-             analysis covers the surviving routers only",
-            coverage.quarantined.len(),
-            coverage.total_files,
-            coverage.quarantined.join(", "),
-        );
-    }
-
-    let code = run_command(&analysis, &dir, command, &rest, &flags);
-    if flags.timings {
-        eprintln!(
-            "pipeline stage timings ({} routers, {} worker thread(s)):",
-            analysis.network.len(),
-            rd_par::thread_count()
-        );
-        eprint!("{}", analysis.timings);
-    }
-    if flags.metrics {
-        eprint!("{}", rd_obs::metrics::dump());
-    }
-    outputs.finish();
+    after.finish();
     code
 }
 
-fn run_command(
-    analysis: &NetworkAnalysis,
-    dir: &str,
-    command: &str,
-    rest: &[String],
-    flags: &Flags,
-) -> ExitCode {
-    match command {
-        "summary" if flags.json => {
-            let name = network_name(dir);
-            let snap = routing_design::snapshot::capture_ref(&name, analysis);
-            print!("{}", rd_serve::render::network_summary(&snap));
-        }
-        "summary" => summary(analysis),
-        "instances" => print!("{}", analysis.instance_graph_text()),
-        "roles" => print!("{}", analysis.table1),
-        "blocks" => blocks(analysis),
-        "external" => external(analysis),
-        "pathway" => return pathway(analysis, &rest[1..]),
-        "dot" => return dot(analysis, &rest[1..]),
-        "reach" => return reach(analysis, &rest[1..]),
-        "flow" => return flow(analysis, &rest[1..]),
-        "separation" => return separation(analysis, &rest[1..]),
-        "whatif" => return whatif(analysis, &rest[1..]),
-        "audit" => {
-            let findings = routing_design::audit(analysis);
-            if findings.is_empty() {
-                println!("no findings");
-            }
-            for f in findings {
-                println!("[{}] {}", f.kind, f.detail);
-            }
-        }
-        "diag" => return diag(analysis),
-        "diff" => return diff_cmd(analysis, dir, &rest[1..], flags),
-        other => {
-            eprintln!("rdx: unknown command {other:?}");
-            return usage();
-        }
+/// Reads `argv` (program name excluded) into a [`Command`]. The first word
+/// picks the flag table: `snap`, `serve`, `watch` and `chaos` have their
+/// own; anything else is an analysis command line.
+fn parse_command<S: AsRef<str>>(argv: &[S]) -> Result<Command, Error> {
+    match cli::requested(argv, &[cli::VERSION, cli::HELP]) {
+        Some(&cli::VERSION) => return Ok(Command::Version),
+        Some(_) => return Ok(Command::Help),
+        None => {}
     }
-    ExitCode::SUCCESS
+    type Read = fn(&Args) -> Result<Command, CliError>;
+    let (table, read, words): (&'static Table, Read, _) = match argv.first().map(AsRef::as_ref) {
+        Some("snap") => (&SNAP, snap_command, &argv[1..]),
+        Some("serve") => (&SERVE, serve_command, &argv[1..]),
+        Some("watch") => (&WATCH, watch_command, &argv[1..]),
+        Some("chaos") => (&CHAOS, chaos_command, &argv[1..]),
+        _ => (&ANALYZE, analysis_command, argv),
+    };
+    table.parse(words).and_then(|args| read(&args)).map_err(|e| Error::Cli(table, e))
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: rdx <config-dir> [summary|instances|roles|blocks|external|\
-         pathway <router>|dot [process|instances]|reach <src> <dst>|\
-         flow <src> <dst> [proto] [port]|separation <a> <b>|\
-         whatif <router> [...]|audit|diag|diff <other-dir> [--networks]|\
-         plan <target-dir> [--check]|\
-         anonymize <out-dir> <key>] [--json] [--timings] [--metrics] [--trace <path>] \
-         [--profile <path>]\n\
-         \x20      rdx snap <dir> -o <file.rdsnap> [--from <prev.rdsnap>]\n\
-         \x20      rdx snap --info <file.rdsnap>\n\
-         \x20      rdx serve <file.rdsnap> [--addr HOST:PORT] [--workers N] [--max-conns N] [--no-cache] [--plan <plan.json>]\n\
-         \x20      rdx watch <config-dir> [--addr HOST:PORT] [--snapshot <file.rdsnap>] [--poll-ms N] [--debounce-ms N]\n\
-         \x20      rdx chaos <dir> [--seed N] [--configs M] [--snapshots K] [--max-rss-mb MB]\n\
-         rdx --help shows the full reference (commands, flags, exit codes)"
-    );
-    ExitCode::from(2)
+fn snap_command(args: &Args) -> Result<Command, CliError> {
+    args.at_most(1)?;
+    if let Some(file) = args.value("--info") {
+        return Ok(Command::SnapInfo { file: file.to_string() });
+    }
+    Ok(Command::Snap {
+        dir: args.operand(0, "<dir>")?.to_string(),
+        out: args.value("--out").unwrap_or("study.rdsnap").to_string(),
+        from: args.value("--from").map(str::to_string),
+    })
+}
+
+fn server(args: &Args) -> Result<Server, CliError> {
+    let defaults = ServeOptions::default();
+    Ok(Server {
+        addr: args.value("--addr").unwrap_or("127.0.0.1:8080").to_string(),
+        options: ServeOptions {
+            workers: args.get("--workers")?.unwrap_or(defaults.workers),
+            max_conns: args.get("--max-conns")?.map_or(defaults.max_conns, NonZeroUsize::get),
+            cache: !args.switch("--no-cache"),
+            ..defaults
+        },
+    })
+}
+
+fn serve_command(args: &Args) -> Result<Command, CliError> {
+    args.at_most(1)?;
+    Ok(Command::Serve {
+        file: args.operand(0, "<file.rdsnap>")?.to_string(),
+        server: server(args)?,
+        plan: args.value("--plan").map(str::to_string),
+        profile: args.value("--profile").map(str::to_string),
+    })
+}
+
+fn watch_command(args: &Args) -> Result<Command, CliError> {
+    args.at_most(1)?;
+    let dir = args.operand(0, "<config-dir>")?.to_string();
+    let defaults = WatchOptions::default();
+    let ms =
+        |name, default| Ok::<_, CliError>(args.get(name)?.map_or(default, Duration::from_millis));
+    let watch = WatchOptions {
+        poll_interval: ms("--poll-ms", defaults.poll_interval)?,
+        debounce: ms("--debounce-ms", defaults.debounce)?,
+        backoff_base: ms("--backoff-ms", defaults.backoff_base)?,
+        backoff_max: ms("--backoff-max-ms", defaults.backoff_max)?,
+        degraded_after: args
+            .get("--degraded-after")?
+            .map_or(defaults.degraded_after, NonZeroU32::get),
+        seed: args.get("--seed")?.unwrap_or(defaults.seed),
+    };
+    // Default the persisted snapshot next to the config dir so recovery
+    // after a crash finds it without flags: `<dir>.rdsnap`.
+    let snapshot = match args.value("--snapshot") {
+        Some(path) => path.to_string(),
+        None => format!("{}.rdsnap", dir.trim_end_matches('/')),
+    };
+    Ok(Command::Watch { dir, snapshot, server: server(args)?, watch })
+}
+
+fn chaos_command(args: &Args) -> Result<Command, CliError> {
+    args.at_most(1)?;
+    Ok(Command::Chaos {
+        dir: args.operand(0, "<dir>")?.to_string(),
+        seed: args.get("--seed")?.unwrap_or(1),
+        configs: args.get("--configs")?.unwrap_or(500),
+        snapshots: args.get("--snapshots")?.unwrap_or(100),
+        max_rss_mb: args.get("--max-rss-mb")?.unwrap_or(4096),
+    })
+}
+
+/// `rdx <config-dir> [command] [operands]`. Operands past those the
+/// command reads are ignored.
+fn analysis_command(args: &Args) -> Result<Command, CliError> {
+    let dir = args.operand(0, "<config-dir>")?.to_string();
+    let obs = Observe::from_args(args);
+    let word = |index: usize| args.operands().get(index).map(String::as_str);
+    let bad = CliError::bad_value;
+    let action = match word(1).unwrap_or("summary") {
+        "summary" => Action::Summary { json: args.switch("--json") },
+        "instances" => Action::Instances,
+        "roles" => Action::Roles,
+        "blocks" => Action::Blocks,
+        "external" => Action::External,
+        "audit" => Action::Audit,
+        "diag" => Action::Diag,
+        "pathway" => Action::Pathway(args.operand(2, "<router>")?.to_string()),
+        "dot" => match word(2).unwrap_or("instances") {
+            "process" => Action::Dot { process: true },
+            "instances" => Action::Dot { process: false },
+            other => return Err(bad("dot", other, "expected process or instances")),
+        },
+        "reach" => Action::Reach(args.operand_as(2, "<src>")?, args.operand_as(3, "<dst>")?),
+        "flow" => Action::Flow(Flow {
+            src: args.operand_as(2, "<src>")?,
+            dst: args.operand_as(3, "<dst>")?,
+            proto: match word(4) {
+                Some(text) => FlowProto::parse(text)
+                    .ok_or_else(|| bad("[proto]", text, "expected ip, tcp, udp, icmp or pim"))?,
+                None => FlowProto::Ip,
+            },
+            src_port: None,
+            // A port that does not parse leaves the flow portless.
+            dst_port: word(5).and_then(|text| text.parse().ok()),
+        }),
+        "separation" => {
+            let id = |index, metavar| {
+                let text = args.operand(index, metavar)?;
+                cli::parse_value(metavar, text.trim_start_matches("instance").trim())
+            };
+            Action::Separation(id(2, "<a>")?, id(3, "<b>")?)
+        }
+        "whatif" => {
+            args.operand(2, "<router>")?;
+            Action::Whatif(args.operands()[2..].to_vec())
+        }
+        "diff" => Action::Diff {
+            other: args.operand(2, "<other-dir>")?.to_string(),
+            networks: args.switch("--networks"),
+        },
+        "plan" => {
+            let target = args.operand(2, "<target-dir>")?.to_string();
+            let (json, check) = (args.switch("--json"), args.switch("--check"));
+            return Ok(Command::Plan { dir, target, json, check, obs });
+        }
+        "anonymize" => {
+            let (out, key) = (args.operand(2, "<out-dir>")?, args.operand(3, "<key>")?);
+            return Ok(Command::Anonymize { dir, out: out.into(), key: key.into(), obs });
+        }
+        other => return Err(bad("<command>", other, "unknown command")),
+    };
+    Ok(Command::Analyze { dir, action, obs })
+}
+
+fn run(command: Command, after: &mut After) -> Result<ExitCode, Error> {
+    match command {
+        Command::Version => println!("rdx {}", env!("CARGO_PKG_VERSION")),
+        Command::Help => print!("{}", help_text()),
+        Command::Snap { dir, out, from } => return snap(&dir, &out, from.as_deref()),
+        Command::SnapInfo { file } => snap_info(&file)?,
+        Command::Serve { file, server, plan, profile } => serve(&file, server, plan, profile)?,
+        Command::Watch { dir, snapshot, server, watch } => {
+            rd_serve::install_signal_handlers();
+            let (dir, snapshot) = (Path::new(&dir), Path::new(&snapshot));
+            routing_design::watch::run_daemon(dir, snapshot, &server.addr, watch, server.options)
+                .map_err(|e| Error::Failed(format!("watch: {e}")))?;
+            eprintln!("rdx: shut down cleanly");
+        }
+        Command::Chaos { dir, seed, configs, snapshots, max_rss_mb } => {
+            return chaos(&dir, seed, configs, snapshots, max_rss_mb)
+        }
+        Command::Analyze { dir, action, obs } => return analyze(&dir, action, &obs, after),
+        Command::Plan { dir, target, json, check, obs } => {
+            after.outputs = Some(open_outputs(&obs)?);
+            plan(&dir, &target, json, check, obs.timings)?;
+        }
+        Command::Anonymize { dir, out, key, obs } => {
+            // Opened for the trace sink alone; anonymize records nothing.
+            let _outputs = open_outputs(&obs)?;
+            anonymize(&dir, &out, &key)?;
+        }
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn open_outputs(obs: &Observe) -> Result<rd_obs::Outputs, Error> {
+    obs.outputs("rdx").map_err(|e| Error::Failed(format!("cannot open trace sink: {e}")))
+}
+
+/// The short usage: the analysis command line, then each subcommand's
+/// line, every one rendered from its flag table.
+fn usage() -> String {
+    let lines: Vec<String> =
+        [&ANALYZE, &SNAP, &SERVE, &WATCH, &CHAOS].iter().map(|table| table.synopsis()).collect();
+    format!(
+        "usage: {}\nrdx --help shows the full reference (commands, flags, exit codes)",
+        lines.join("\n       ")
+    )
 }
 
 fn help_text() -> String {
@@ -293,7 +429,8 @@ usage:
                                          names, offsets, byte sizes)
                                          without decoding any payload
   rdx serve <file.rdsnap> [--addr HOST:PORT] [--workers N]
-            [--max-conns N] [--no-cache] [--profile <path>]
+            [--max-conns N] [--no-cache] [--plan <plan.json>]
+            [--profile <path>]
                                          serve a snapshot over HTTP from an
                                          epoll event loop: --workers N sets
                                          the loop-thread count (0 = auto),
@@ -440,102 +577,31 @@ fn network_name(dir: &str) -> String {
         .unwrap_or_else(|| "network".to_string())
 }
 
-fn snap_cmd(args: &[String]) -> ExitCode {
-    let mut dir: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut info: Option<String> = None;
-    let mut from: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "-o" | "--out" => match it.next() {
-                Some(path) => out = Some(path.clone()),
-                None => {
-                    eprintln!("rdx: snap: -o needs an output path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--info" => match it.next() {
-                Some(path) => info = Some(path.clone()),
-                None => {
-                    eprintln!("rdx: snap: --info needs a snapshot file");
-                    return ExitCode::from(2);
-                }
-            },
-            "--from" => match it.next() {
-                Some(path) => from = Some(path.clone()),
-                None => {
-                    eprintln!("rdx: snap: --from needs a previous snapshot file");
-                    return ExitCode::from(2);
-                }
-            },
-            other if other.starts_with('-') => {
-                eprintln!("rdx: snap: unknown flag {other:?}");
-                return ExitCode::from(2);
-            }
-            other if dir.is_none() => dir = Some(other.to_string()),
-            other => {
-                eprintln!("rdx: snap: unexpected argument {other:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(file) = info {
-        return snap_info(&file);
-    }
-    let Some(dir) = dir else {
-        eprintln!(
-            "usage: rdx snap <dir> -o <file.rdsnap> [--from <prev.rdsnap>]\n\
-             \x20      rdx snap --info <file.rdsnap>"
-        );
-        return ExitCode::from(2);
-    };
-    let out = out.unwrap_or_else(|| "study.rdsnap".to_string());
-
-    let started = std::time::Instant::now();
+fn snap(dir: &str, out: &str, from: Option<&str>) -> Result<ExitCode, Error> {
+    let started = Instant::now();
+    let analyze_failed = |e| Error::Failed(format!("failed to analyze {dir}: {e}"));
     let (outcome, bytes, incr) = if let Some(prev) = from {
         // Incremental path: seed the delta engine from the previous
         // snapshot, refresh against the directory, and splice unchanged
         // networks' encoded bytes straight through. Output is
         // byte-identical to a cold run over the same directory.
-        let mut engine = routing_design::incremental::DeltaEngine::new(Path::new(&dir));
-        match std::fs::read(&prev) {
-            Ok(prev_bytes) => {
-                if let Err(e) = engine.seed_from_snapshot(&prev_bytes) {
-                    eprintln!("rdx: snap: cannot seed from {prev}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            Err(e) => {
-                eprintln!("rdx: snap: cannot read {prev}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        match engine.refresh() {
-            Ok(refresh) => (refresh.outcome, refresh.bytes, Some(refresh.stats)),
-            Err(e) => {
-                eprintln!("rdx: failed to analyze {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let mut engine = routing_design::incremental::DeltaEngine::new(Path::new(dir));
+        let prev_bytes = std::fs::read(prev)
+            .map_err(|e| Error::Failed(format!("snap: cannot read {prev}: {e}")))?;
+        engine
+            .seed_from_snapshot(&prev_bytes)
+            .map_err(|e| Error::Failed(format!("snap: cannot seed from {prev}: {e}")))?;
+        let refresh = engine.refresh().map_err(analyze_failed)?;
+        (refresh.outcome, refresh.bytes, Some(refresh.stats))
     } else {
-        match routing_design::snapshot::snap_dir(Path::new(&dir)) {
-            Ok(o) => {
-                let bytes = o.corpus.to_bytes();
-                (o, bytes, None)
-            }
-            Err(e) => {
-                eprintln!("rdx: failed to analyze {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let outcome = routing_design::snapshot::snap_dir(Path::new(dir)).map_err(analyze_failed)?;
+        let bytes = outcome.corpus.to_bytes();
+        (outcome, bytes, None)
     };
     let analyze_ms = started.elapsed().as_secs_f64() * 1e3;
-    let write_started = std::time::Instant::now();
-    if let Err(e) = rd_snap::write_atomic(Path::new(&out), &bytes) {
-        eprintln!("rdx: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    let write_started = Instant::now();
+    rd_snap::write_atomic(Path::new(out), &bytes)
+        .map_err(|e| Error::Failed(format!("cannot write {out}: {e}")))?;
     eprintln!(
         "snapshotted {} network(s) into {out}: {} bytes \
          (analyze {analyze_ms:.1} ms, encode+write {:.1} ms)",
@@ -562,7 +628,7 @@ fn snap_cmd(args: &[String]) -> ExitCode {
         }
     }
     if outcome.dropped.is_empty() {
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     // The snapshot is still written (the survivors are valid), but the
     // run is reported as a failure so scripts notice the missing data.
@@ -574,27 +640,17 @@ fn snap_cmd(args: &[String]) -> ExitCode {
         outcome.dropped.len(),
         routing_design::error_budget() * 100.0,
     );
-    ExitCode::FAILURE
+    Ok(ExitCode::FAILURE)
 }
 
 /// `rdx snap --info <file>`: print the container's section/manifest
 /// table straight off the manifest footer — no network payload is
 /// decoded, so this is cheap even for a large study snapshot.
-fn snap_info(file: &str) -> ExitCode {
-    let bytes = match std::fs::read(file) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("rdx: snap: cannot read {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let manifest = match rd_snap::Manifest::read(&bytes) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("rdx: snap: {file} is not a valid snapshot: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn snap_info(file: &str) -> Result<(), Error> {
+    let bytes =
+        std::fs::read(file).map_err(|e| Error::Failed(format!("snap: cannot read {file}: {e}")))?;
+    let manifest = rd_snap::Manifest::read(&bytes)
+        .map_err(|e| Error::Failed(format!("snap: {file} is not a valid snapshot: {e}")))?;
     // Footer geometry: [..sections..][manifest payload][len u64][fnv u64]
     let manifest_len =
         u64::from_le_bytes(bytes[bytes.len() - 16..bytes.len() - 8].try_into().unwrap_or_default());
@@ -611,339 +667,64 @@ fn snap_info(file: &str) -> ExitCode {
         bytes.len() - 16,
         16
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn serve_cmd(args: &[String]) -> ExitCode {
-    let mut file: Option<String> = None;
-    let mut addr = "127.0.0.1:8080".to_string();
-    let mut profile: Option<String> = None;
-    let mut opts = rd_serve::ServeOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => match it.next() {
-                Some(a) => addr = a.clone(),
-                None => {
-                    eprintln!("rdx: serve: --addr needs HOST:PORT");
-                    return ExitCode::from(2);
-                }
-            },
-            "--profile" => match it.next() {
-                Some(p) => profile = Some(p.clone()),
-                None => {
-                    eprintln!("rdx: serve: --profile needs an output path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--workers" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) => opts.workers = n,
-                None => {
-                    eprintln!("rdx: serve: --workers needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--max-conns" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => opts.max_conns = n,
-                _ => {
-                    eprintln!("rdx: serve: --max-conns needs a positive number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--no-cache" => opts.cache = false,
-            "--plan" => match it.next() {
-                Some(p) => match std::fs::read_to_string(p) {
-                    Ok(text) => opts.plan = Some(text),
-                    Err(e) => {
-                        eprintln!("rdx: serve: cannot read plan {p}: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                None => {
-                    eprintln!("rdx: serve: --plan needs a plan JSON file (from `rdx plan --json`)");
-                    return ExitCode::from(2);
-                }
-            },
-            other if other.starts_with("--addr=") => {
-                addr = other["--addr=".len()..].to_string();
-            }
-            other if other.starts_with("--profile=") => {
-                profile = Some(other["--profile=".len()..].to_string());
-            }
-            other if other.starts_with('-') => {
-                eprintln!("rdx: serve: unknown flag {other:?}");
-                return ExitCode::from(2);
-            }
-            other if file.is_none() => file = Some(other.to_string()),
-            other => {
-                eprintln!("rdx: serve: unexpected argument {other:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let Some(file) = file else {
-        eprintln!(
-            "usage: rdx serve <file.rdsnap> [--addr HOST:PORT] [--workers N] \
-             [--max-conns N] [--no-cache] [--plan <plan.json>] [--profile <path>]"
+fn serve(
+    file: &str,
+    server: Server,
+    plan: Option<String>,
+    profile: Option<String>,
+) -> Result<(), Error> {
+    let mut options = server.options;
+    if let Some(path) = plan {
+        options.plan = Some(
+            std::fs::read_to_string(&path)
+                .map_err(|e| Error::Usage(format!("serve: cannot read plan {path}: {e}")))?,
         );
-        return ExitCode::from(2);
-    };
+    }
     let outputs = rd_obs::Outputs::new("rdx", profile);
     rd_serve::install_signal_handlers();
     // start_file wires the snapshot in as the hot-reload source: SIGHUP
     // or `POST /admin/reload` re-reads it and swaps atomically.
-    let server = match rd_serve::Server::start_file(Path::new(&file), &addr, opts) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("rdx: serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let networks = server.network_count();
+    let running = rd_serve::Server::start_file(Path::new(file), &server.addr, options)
+        .map_err(|e| Error::Failed(format!("serve: {e}")))?;
+    let networks = running.network_count();
     // Scripts parse this line for the bound (possibly ephemeral) port.
-    println!("listening on http://{} ({networks} network(s) from {file})", server.local_addr());
+    println!("listening on http://{} ({networks} network(s) from {file})", running.local_addr());
     use std::io::Write as _;
     std::io::stdout().flush().ok();
-    server.run_until_shutdown();
+    running.run_until_shutdown();
     outputs.finish();
     eprintln!("rdx: shut down cleanly");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// `rdx watch` — the supervised continuous-analysis daemon.
-
-/// Parses the millisecond operand shared by the `--*-ms` watch flags.
-fn ms_flag(it: &mut std::slice::Iter<String>, name: &str) -> Option<std::time::Duration> {
-    match it.next().and_then(|n| n.parse::<u64>().ok()) {
-        Some(ms) => Some(std::time::Duration::from_millis(ms)),
-        None => {
-            eprintln!("rdx: watch: {name} needs a millisecond count");
-            None
-        }
+/// Every network under `dir` as [`routing_design::snapshot::read_tree`]
+/// reads it — the same networks `rdx snap` would write — when at least
+/// one of them holds a config file.
+fn read_corpus(dir: &str) -> Result<Vec<(String, rd_plan::CorpusFiles)>, String> {
+    let networks =
+        routing_design::snapshot::read_tree(Path::new(dir)).map_err(|e| e.to_string())?;
+    if networks.iter().all(|(_, files)| files.is_empty()) {
+        return Err(format!("{dir} holds no config files"));
     }
-}
-
-fn watch_cmd(args: &[String]) -> ExitCode {
-    let mut dir: Option<String> = None;
-    let mut addr = "127.0.0.1:8080".to_string();
-    let mut snapshot: Option<String> = None;
-    let mut watch_opts = routing_design::watch::WatchOptions::default();
-    let mut serve_opts = rd_serve::ServeOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--poll-ms" => match ms_flag(&mut it, "--poll-ms") {
-                Some(d) => watch_opts.poll_interval = d,
-                None => return ExitCode::from(2),
-            },
-            "--debounce-ms" => match ms_flag(&mut it, "--debounce-ms") {
-                Some(d) => watch_opts.debounce = d,
-                None => return ExitCode::from(2),
-            },
-            "--backoff-ms" => match ms_flag(&mut it, "--backoff-ms") {
-                Some(d) => watch_opts.backoff_base = d,
-                None => return ExitCode::from(2),
-            },
-            "--backoff-max-ms" => match ms_flag(&mut it, "--backoff-max-ms") {
-                Some(d) => watch_opts.backoff_max = d,
-                None => return ExitCode::from(2),
-            },
-            "--addr" => match it.next() {
-                Some(a) => addr = a.clone(),
-                None => {
-                    eprintln!("rdx: watch: --addr needs HOST:PORT");
-                    return ExitCode::from(2);
-                }
-            },
-            "--snapshot" => match it.next() {
-                Some(p) => snapshot = Some(p.clone()),
-                None => {
-                    eprintln!("rdx: watch: --snapshot needs a file path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--degraded-after" => match it.next().and_then(|n| n.parse::<u32>().ok()) {
-                Some(n) if n > 0 => watch_opts.degraded_after = n,
-                _ => {
-                    eprintln!("rdx: watch: --degraded-after needs a positive number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--seed" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) => watch_opts.seed = n,
-                None => {
-                    eprintln!("rdx: watch: --seed needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--workers" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) => serve_opts.workers = n,
-                None => {
-                    eprintln!("rdx: watch: --workers needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--max-conns" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => serve_opts.max_conns = n,
-                _ => {
-                    eprintln!("rdx: watch: --max-conns needs a positive number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--no-cache" => serve_opts.cache = false,
-            other if other.starts_with("--addr=") => {
-                addr = other["--addr=".len()..].to_string();
-            }
-            other if other.starts_with("--snapshot=") => {
-                snapshot = Some(other["--snapshot=".len()..].to_string());
-            }
-            other if other.starts_with('-') => {
-                eprintln!("rdx: watch: unknown flag {other:?}");
-                return ExitCode::from(2);
-            }
-            other if dir.is_none() => dir = Some(other.to_string()),
-            other => {
-                eprintln!("rdx: watch: unexpected argument {other:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let Some(dir) = dir else {
-        eprintln!(
-            "usage: rdx watch <config-dir> [--addr HOST:PORT] [--snapshot <file.rdsnap>] \
-             [--poll-ms N] [--debounce-ms N] [--backoff-ms N] [--backoff-max-ms N] \
-             [--degraded-after N] [--seed N] [--workers N] [--max-conns N] [--no-cache]"
-        );
-        return ExitCode::from(2);
-    };
-    // Default the persisted snapshot next to the config dir so recovery
-    // after a crash finds it without flags: `<dir>.rdsnap`.
-    let snapshot = snapshot.unwrap_or_else(|| {
-        let trimmed = dir.trim_end_matches('/');
-        format!("{trimmed}.rdsnap")
-    });
-    rd_serve::install_signal_handlers();
-    match routing_design::watch::run_daemon(
-        Path::new(&dir),
-        Path::new(&snapshot),
-        &addr,
-        watch_opts,
-        serve_opts,
-    ) {
-        Ok(()) => {
-            eprintln!("rdx: shut down cleanly");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("rdx: watch: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(networks)
 }
 
 // ---------------------------------------------------------------------------
 // `rdx chaos` — deterministic fault-injection sweep (the rd-chaos driver).
 
-/// Reads one network directory as sorted `(file_name, bytes)` pairs.
-fn read_config_files(dir: &Path) -> Result<Vec<(String, Vec<u8>)>, String> {
-    let mut paths: Vec<_> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_file())
-        .collect();
-    paths.sort();
-    let mut files = Vec::with_capacity(paths.len());
-    for path in paths {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let bytes = std::fs::read(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        files.push((name, bytes));
-    }
-    Ok(files)
-}
-
-/// Collects the corpus under `dir`: each subdirectory holding files is a
-/// network (study layout); otherwise the directory itself is one network.
-fn read_corpus_files(dir: &Path) -> Result<Vec<(String, Vec<(String, Vec<u8>)>)>, String> {
-    let mut subdirs: Vec<_> = std::fs::read_dir(dir)
-        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    subdirs.sort();
-    let mut networks = Vec::new();
-    for sub in subdirs {
-        let files = read_config_files(&sub)?;
-        if !files.is_empty() {
-            let name = sub
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            networks.push((name, files));
-        }
-    }
-    if networks.is_empty() {
-        let files = read_config_files(dir)?;
-        if files.is_empty() {
-            return Err(format!("{} holds no config files", dir.display()));
-        }
-        networks.push((network_name(&dir.to_string_lossy()), files));
-    }
-    Ok(networks)
-}
-
-fn chaos_cmd(args: &[String]) -> ExitCode {
-    let mut dir: Option<String> = None;
-    let mut seed: u64 = 1;
-    let mut configs: usize = 500;
-    let mut snapshots: usize = 100;
-    let mut max_rss_mb: u64 = 4096;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" | "--configs" | "--snapshots" | "--max-rss-mb" => {
-                let Some(value) = it.next().and_then(|v| v.parse::<u64>().ok()) else {
-                    eprintln!("rdx: chaos: {arg} needs a number");
-                    return ExitCode::from(2);
-                };
-                match arg.as_str() {
-                    "--seed" => seed = value,
-                    "--configs" => configs = value as usize,
-                    "--snapshots" => snapshots = value as usize,
-                    _ => max_rss_mb = value,
-                }
-            }
-            other if other.starts_with('-') => {
-                eprintln!("rdx: chaos: unknown flag {other:?}");
-                return ExitCode::from(2);
-            }
-            other if dir.is_none() => dir = Some(other.to_string()),
-            other => {
-                eprintln!("rdx: chaos: unexpected argument {other:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let Some(dir) = dir else {
-        eprintln!(
-            "usage: rdx chaos <dir> [--seed N] [--configs M] [--snapshots K] \
-             [--max-rss-mb MB]"
-        );
-        return ExitCode::from(2);
-    };
-    let networks = match read_corpus_files(Path::new(&dir)) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("rdx: chaos: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn chaos(
+    dir: &str,
+    seed: u64,
+    configs: usize,
+    snapshots: usize,
+    max_rss_mb: u64,
+) -> Result<ExitCode, Error> {
+    let mut networks = read_corpus(dir).map_err(|e| Error::Failed(format!("chaos: {e}")))?;
+    // A trial damages one file of its network, so a network needs one.
+    networks.retain(|(_, files)| !files.is_empty());
 
     println!(
         "chaos sweep: seed {seed}, {configs} config trial(s), \
@@ -956,7 +737,6 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
 
-    use std::collections::BTreeMap;
     #[derive(Default)]
     struct MutStats {
         trials: u64,
@@ -1107,11 +887,86 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
             failed = true;
         }
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    Ok(if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS })
+}
+
+fn analyze(dir: &str, action: Action, obs: &Observe, after: &mut After) -> Result<ExitCode, Error> {
+    after.outputs = Some(open_outputs(obs)?);
+    let load_started = Instant::now();
+    let analysis = NetworkAnalysis::from_dir(Path::new(dir)).map_err(|e| {
+        if obs.timings {
+            after.stderr = format!(
+                "load failed after {:.3} ms ({} worker thread(s))\n",
+                load_started.elapsed().as_secs_f64() * 1e3,
+                rd_par::thread_count()
+            );
+        }
+        Error::Failed(format!("failed to load {dir}: {e}"))
+    })?;
+
+    let coverage = &analysis.network.coverage;
+    if coverage.degraded() {
+        eprintln!(
+            "rdx: DEGRADED coverage: {}/{} config file(s) quarantined ({}); \
+             analysis covers the surviving routers only",
+            coverage.quarantined.len(),
+            coverage.total_files,
+            coverage.quarantined.join(", "),
+        );
     }
+    if obs.timings {
+        after.stderr = format!(
+            "pipeline stage timings ({} routers, {} worker thread(s)):\n{}",
+            analysis.network.len(),
+            rd_par::thread_count(),
+            analysis.timings
+        );
+    }
+    after.metrics = obs.metrics;
+    run_action(&analysis, dir, action)
+}
+
+fn run_action(a: &NetworkAnalysis, dir: &str, action: Action) -> Result<ExitCode, Error> {
+    match action {
+        Action::Summary { json: true } => {
+            let snap = routing_design::snapshot::capture_ref(&network_name(dir), a);
+            print!("{}", rd_serve::render::network_summary(&snap));
+        }
+        Action::Summary { json: false } => summary(a),
+        Action::Instances => print!("{}", a.instance_graph_text()),
+        Action::Roles => print!("{}", a.table1),
+        Action::Blocks => blocks(a),
+        Action::External => external(a),
+        Action::Pathway(router) => {
+            let rid = resolve_router(a, &router)?;
+            println!("route pathway of {} ({}):", rid, a.network.router(rid).name());
+            print!("{}", a.pathway_text(rid));
+        }
+        Action::Dot { process: true } => print!("{}", a.process_graph_dot()),
+        Action::Dot { process: false } => print!("{}", a.instance_graph_dot()),
+        Action::Reach(src, dst) => {
+            let reachability = a.reachability();
+            let forward = reachability.block_reachable(src, dst);
+            let reverse = reachability.block_reachable(dst, src);
+            println!("{src} -> {dst}: {}", if forward { "reachable" } else { "UNREACHABLE" });
+            println!("{dst} -> {src}: {}", if reverse { "reachable" } else { "UNREACHABLE" });
+        }
+        Action::Flow(probe) => flow(a, &probe),
+        Action::Separation(x, y) => separation(a, x, y)?,
+        Action::Whatif(routers) => whatif(a, &routers)?,
+        Action::Audit => {
+            let findings = routing_design::audit(a);
+            if findings.is_empty() {
+                println!("no findings");
+            }
+            for f in findings {
+                println!("[{}] {}", f.kind, f.detail);
+            }
+        }
+        Action::Diag => return Ok(diag(a)),
+        Action::Diff { other, networks } => diff(a, dir, &other, networks)?,
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn summary(a: &NetworkAnalysis) {
@@ -1221,11 +1076,11 @@ fn external(a: &NetworkAnalysis) {
     }
 }
 
-fn resolve_router(a: &NetworkAnalysis, text: &str) -> Option<RouterId> {
+fn resolve_router(a: &NetworkAnalysis, text: &str) -> Result<RouterId, Error> {
     if let Some(stripped) = text.strip_prefix('r') {
         if let Ok(n) = stripped.parse::<usize>() {
             if n < a.network.len() {
-                return Some(RouterId(n));
+                return Ok(RouterId(n));
             }
         }
     }
@@ -1233,66 +1088,17 @@ fn resolve_router(a: &NetworkAnalysis, text: &str) -> Option<RouterId> {
         .iter()
         .find(|(_, r)| r.file_name == text || r.name() == text)
         .map(|(id, _)| id)
+        .ok_or_else(|| Error::Failed(format!("no router named {text:?}")))
 }
 
-fn pathway(a: &NetworkAnalysis, args: &[String]) -> ExitCode {
-    let Some(text) = args.first() else {
-        eprintln!("rdx: pathway needs a router (rN, file name, or hostname)");
-        return ExitCode::from(2);
-    };
-    let Some(rid) = resolve_router(a, text) else {
-        eprintln!("rdx: no router named {text:?}");
-        return ExitCode::FAILURE;
-    };
-    println!("route pathway of {} ({}):", rid, a.network.router(rid).name());
-    print!("{}", a.pathway_text(rid));
-    ExitCode::SUCCESS
-}
-
-fn dot(a: &NetworkAnalysis, args: &[String]) -> ExitCode {
-    match args.first().map(String::as_str).unwrap_or("instances") {
-        "process" => print!("{}", a.process_graph_dot()),
-        "instances" => print!("{}", a.instance_graph_dot()),
-        other => {
-            eprintln!("rdx: unknown dot target {other:?} (process|instances)");
-            return ExitCode::from(2);
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn reach(a: &NetworkAnalysis, args: &[String]) -> ExitCode {
-    let (Some(src), Some(dst)) = (args.first(), args.get(1)) else {
-        eprintln!("rdx: reach needs <src-prefix> <dst-prefix>");
-        return ExitCode::from(2);
-    };
-    let (Ok(src), Ok(dst)) = (src.parse::<Prefix>(), dst.parse::<Prefix>()) else {
-        eprintln!("rdx: prefixes must look like 10.2.0.0/16");
-        return ExitCode::from(2);
-    };
-    let reachability = a.reachability();
-    let forward = reachability.block_reachable(src, dst);
-    let reverse = reachability.block_reachable(dst, src);
-    println!("{src} -> {dst}: {}", if forward { "reachable" } else { "UNREACHABLE" });
-    println!("{dst} -> {src}: {}", if reverse { "reachable" } else { "UNREACHABLE" });
-    ExitCode::SUCCESS
-}
-
-fn separation(a: &NetworkAnalysis, args: &[String]) -> ExitCode {
-    let parse = |t: &String| t.trim_start_matches("instance").trim().parse::<usize>().ok();
-    let (Some(x), Some(y)) = (args.first().and_then(parse), args.get(1).and_then(parse))
-    else {
-        eprintln!("rdx: separation needs two instance ids (e.g. 0 3)");
-        return ExitCode::from(2);
-    };
+fn separation(a: &NetworkAnalysis, x: usize, y: usize) -> Result<(), Error> {
     if x >= a.instances.len() || y >= a.instances.len() {
-        eprintln!("rdx: instance ids out of range (have {})", a.instances.len());
-        return ExitCode::FAILURE;
+        return Err(Error::Failed(format!(
+            "instance ids out of range (have {})",
+            a.instances.len()
+        )));
     }
-    let (ia, ib) = (
-        routing_design::InstanceId(x),
-        routing_design::InstanceId(y),
-    );
+    let (ia, ib) = (routing_design::InstanceId(x), routing_design::InstanceId(y));
     match a.instance_separation(ia, ib) {
         Some(n) => println!(
             "{} and {} are separated by the failure of {n} router(s)",
@@ -1301,36 +1107,14 @@ fn separation(a: &NetworkAnalysis, args: &[String]) -> ExitCode {
         ),
         None => println!("instances share a router or cannot be separated"),
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn flow(a: &NetworkAnalysis, args: &[String]) -> ExitCode {
-    let (Some(src), Some(dst)) = (args.first(), args.get(1)) else {
-        eprintln!("rdx: flow needs <src-addr> <dst-addr> [ip|tcp|udp|icmp|pim] [dst-port]");
-        return ExitCode::from(2);
-    };
-    let (Ok(src), Ok(dst)) =
-        (src.parse::<routing_design::Addr>(), dst.parse::<routing_design::Addr>())
-    else {
-        eprintln!("rdx: addresses must look like 10.0.0.1");
-        return ExitCode::from(2);
-    };
-    let proto = match args.get(2) {
-        Some(text) => match reachability::FlowProto::parse(text) {
-            Some(p) => p,
-            None => {
-                eprintln!("rdx: unknown protocol {text:?}");
-                return ExitCode::from(2);
-            }
-        },
-        None => reachability::FlowProto::Ip,
-    };
-    let dst_port = args.get(3).and_then(|t| t.parse::<u16>().ok());
-    let probe = reachability::Flow { src, dst, proto, src_port: None, dst_port };
-    let verdicts = reachability::flow_verdicts(&a.network, &probe);
+fn flow(a: &NetworkAnalysis, probe: &Flow) {
+    let verdicts = reachability::flow_verdicts(&a.network, probe);
     if verdicts.is_empty() {
         println!("no packet filters applied anywhere");
-        return ExitCode::SUCCESS;
+        return;
     }
     let mut dropped = 0;
     for v in &verdicts {
@@ -1357,22 +1141,11 @@ fn flow(a: &NetworkAnalysis, args: &[String]) -> ExitCode {
     } else {
         println!("({dropped} of {} filter applications drop this flow)", verdicts.len());
     }
-    ExitCode::SUCCESS
 }
 
-fn whatif(a: &NetworkAnalysis, args: &[String]) -> ExitCode {
-    if args.is_empty() {
-        eprintln!("rdx: whatif needs one or more routers (rN, file name, or hostname)");
-        return ExitCode::from(2);
-    }
-    let mut failed = std::collections::BTreeSet::new();
-    for text in args {
-        let Some(rid) = resolve_router(a, text) else {
-            eprintln!("rdx: no router named {text:?}");
-            return ExitCode::FAILURE;
-        };
-        failed.insert(rid);
-    }
+fn whatif(a: &NetworkAnalysis, routers: &[String]) -> Result<(), Error> {
+    let failed =
+        routers.iter().map(|text| resolve_router(a, text)).collect::<Result<BTreeSet<_>, _>>()?;
     let graph = routing_design::RouterGraph::build(&a.network, &a.links);
     let before = graph.components().len();
     let after = graph.components_without(&failed);
@@ -1392,83 +1165,59 @@ fn whatif(a: &NetworkAnalysis, args: &[String]) -> ExitCode {
     }
     let arts = graph.articulation_routers();
     if !arts.is_empty() {
-        let names: Vec<&str> =
-            arts.iter().take(8).map(|r| a.network.router(*r).name()).collect();
+        let names: Vec<&str> = arts.iter().take(8).map(|r| a.network.router(*r).name()).collect();
         println!("single points of failure in this network: {names:?}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn diff_cmd(old: &NetworkAnalysis, dir: &str, args: &[String], flags: &Flags) -> ExitCode {
-    let Some(other) = args.first() else {
-        eprintln!("rdx: diff needs the other snapshot's directory");
-        return ExitCode::from(2);
-    };
+fn diff(old: &NetworkAnalysis, dir: &str, other: &str, networks: bool) -> Result<(), Error> {
     // A missing or unreadable comparison directory is a usage error (the
     // caller pointed at the wrong place), not an analysis failure.
     if !Path::new(other).is_dir() {
-        eprintln!("rdx: diff: {other:?} is not a readable config directory");
-        return ExitCode::from(2);
+        return Err(Error::Usage(format!("diff: {other:?} is not a readable config directory")));
     }
-    if flags.networks {
+    if networks {
         return diff_networks(dir, other);
     }
-    let new = match NetworkAnalysis::from_dir(Path::new(other)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("rdx: diff: cannot load {other}: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let new = NetworkAnalysis::from_dir(Path::new(other))
+        .map_err(|e| Error::Usage(format!("diff: cannot load {other}: {e}")))?;
     print!("{}", routing_design::DesignDiff::between(old, &new));
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `rdx <dir> diff <other> --networks`: instead of the router-level diff,
 /// print which networks the change invalidates — the question the
-/// incremental engine answers before re-analyzing. Both sides may be a
-/// study directory (each subdirectory a network) or a single network;
-/// same-named networks are diffed pairwise and routed through the
-/// router → owning-network invalidation map; networks present on only
-/// one side are touched by definition.
-fn diff_networks(dir: &str, other: &str) -> ExitCode {
-    let load = |d: &str| -> Result<Vec<(String, NetworkAnalysis)>, String> {
-        Ok(read_corpus_files(Path::new(d))?
+/// incremental engine answers before re-analyzing. Both sides are read
+/// as `rdx snap` reads them (a study directory, each subdirectory a
+/// network, or a single network); same-named networks are diffed pairwise
+/// and routed through the router → owning-network invalidation map;
+/// networks present on only one side are touched by definition.
+fn diff_networks(dir: &str, other: &str) -> Result<(), Error> {
+    let load = |d: &str| -> Result<BTreeMap<String, NetworkAnalysis>, Error> {
+        let networks = read_corpus(d).map_err(|e| Error::Usage(format!("diff: {e}")))?;
+        Ok(networks
             .into_iter()
             .map(|(name, files)| (name, NetworkAnalysis::from_bytes_list(files)))
             .collect())
     };
-    let (old_nets, new_nets) = match (load(dir), load(other)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("rdx: diff: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let (old_nets, new_nets) = (load(dir)?, load(other)?);
     let map = routing_design::diff::invalidation_map(
         old_nets.iter().map(|(name, a)| (name.as_str(), a)),
     );
-    let new_by_name: std::collections::BTreeMap<&str, &NetworkAnalysis> =
-        new_nets.iter().map(|(name, a)| (name.as_str(), a)).collect();
-    let mut touched: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-    for (name, old_analysis) in &old_nets {
-        match new_by_name.get(name.as_str()) {
-            Some(new_analysis) => {
-                let diff = routing_design::DesignDiff::between(old_analysis, new_analysis);
-                if !diff.is_empty() {
-                    touched.insert(name.clone());
-                    touched.extend(routing_design::diff::networks_touched(&map, &diff));
-                }
-            }
-            // Network removed outright: everything it held is invalidated.
-            None => {
-                touched.insert(name.clone());
-            }
-        }
-    }
-    for (name, _) in &new_nets {
-        if !old_nets.iter().any(|(old_name, _)| old_name == name) {
+    let names: BTreeSet<&String> = old_nets.keys().chain(new_nets.keys()).collect();
+    let mut touched: BTreeSet<String> = BTreeSet::new();
+    for name in names {
+        // A network on one side only is touched by definition.
+        let (Some(old_analysis), Some(new_analysis)) = (old_nets.get(name), new_nets.get(name))
+        else {
             touched.insert(name.clone());
+            continue;
+        };
+        let diff = routing_design::DesignDiff::between(old_analysis, new_analysis);
+        if !diff.is_empty() {
+            touched.insert(name.clone());
+            touched.extend(routing_design::diff::networks_touched(&map, &diff));
         }
     }
     if touched.is_empty() {
@@ -1478,48 +1227,31 @@ fn diff_networks(dir: &str, other: &str) -> ExitCode {
             println!("{name}");
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn plan_cmd(dir: &str, args: &[String], flags: &Flags) -> ExitCode {
-    let Some(target_dir) = args.first() else {
-        eprintln!("rdx: plan needs the target corpus directory");
-        return ExitCode::from(2);
-    };
-    for (label, d) in [("current", dir), ("target", target_dir.as_str())] {
+fn plan(dir: &str, target_dir: &str, json: bool, check: bool, timings: bool) -> Result<(), Error> {
+    for (label, d) in [("current", dir), ("target", target_dir)] {
         if !Path::new(d).is_dir() {
-            eprintln!("rdx: plan: {label} directory {d:?} is not a readable config directory");
-            return ExitCode::from(2);
+            return Err(Error::Usage(format!(
+                "plan: {label} directory {d:?} is not a readable config directory"
+            )));
         }
     }
-    let read = |label: &str, d: &str| match read_config_files(Path::new(d)) {
-        Ok(files) => Ok(files),
-        Err(e) => {
-            eprintln!("rdx: plan: {label} corpus: {e}");
-            Err(ExitCode::from(2))
-        }
+    let read = |label: &str, d: &str| {
+        routing_design::read_network(Path::new(d))
+            .map_err(|e| Error::Usage(format!("plan: {label} corpus: {e}")))
     };
-    let current = match read("current", dir) {
-        Ok(f) => f,
-        Err(code) => return code,
-    };
-    let target = match read("target", target_dir) {
-        Ok(f) => f,
-        Err(code) => return code,
-    };
-    let plan = match routing_design::plan::plan_corpora(&current, &target) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("rdx: plan: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if flags.json {
+    let current = read("current", dir)?;
+    let target = read("target", target_dir)?;
+    let plan = routing_design::plan::plan_corpora(&current, &target)
+        .map_err(|e| Error::Failed(format!("plan: {e}")))?;
+    if json {
         print!("{}", rd_plan::render_json(&plan));
     } else {
         print!("{}", rd_plan::render_table(&plan));
     }
-    if flags.timings {
+    if timings {
         eprintln!(
             "plan phase timings ({} unit(s), {} intermediate state(s), \
              {} worker thread(s)):",
@@ -1529,55 +1261,503 @@ fn plan_cmd(dir: &str, args: &[String], flags: &Flags) -> ExitCode {
         );
         eprint!("{}", plan.timings);
     }
-    if flags.check {
-        match rd_plan::verify_plan(&current, &target, &plan, routing_design::plan::analyze_files)
-        {
-            Ok(steps) => eprintln!("plan check: {steps} step(s) independently re-verified"),
-            Err(e) => {
-                eprintln!("rdx: plan check FAILED: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if check {
+        let steps =
+            rd_plan::verify_plan(&current, &target, &plan, routing_design::plan::analyze_files)
+                .map_err(|e| Error::Failed(format!("plan check FAILED: {e}")))?;
+        eprintln!("plan check: {steps} step(s) independently re-verified");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn anonymize(dir: &str, args: &[String]) -> ExitCode {
-    let (Some(out), Some(key)) = (args.first(), args.get(1)) else {
-        eprintln!("rdx: anonymize needs <out-dir> <key>");
-        return ExitCode::from(2);
-    };
+fn anonymize(dir: &str, out: &str, key: &str) -> Result<(), Error> {
     let anon = anonymizer::Anonymizer::new(key.as_bytes());
-    if let Err(e) = std::fs::create_dir_all(out) {
-        eprintln!("rdx: cannot create {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    let mut entries: Vec<_> = match std::fs::read_dir(dir) {
-        Ok(rd) => rd
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().is_file())
-            .map(|e| e.path())
-            .collect(),
-        Err(e) => {
-            eprintln!("rdx: cannot read {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    entries.sort();
-    for (i, path) in entries.iter().enumerate() {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("rdx: cannot read {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
+    std::fs::create_dir_all(out).map_err(|e| Error::Failed(format!("cannot create {out}: {e}")))?;
+    let files =
+        routing_design::read_network(Path::new(dir)).map_err(|e| Error::Failed(e.to_string()))?;
+    for (i, (name, bytes)) in files.iter().enumerate() {
+        let text = std::str::from_utf8(bytes).map_err(|_| {
+            Error::Failed(format!(
+                "cannot read {}: stream did not contain valid UTF-8",
+                Path::new(dir).join(name).display()
+            ))
+        })?;
         let out_path = Path::new(out).join(format!("config{}", i + 1));
-        if let Err(e) = std::fs::write(&out_path, anon.anonymize_config(&text)) {
-            eprintln!("rdx: cannot write {}: {e}", out_path.display());
-            return ExitCode::FAILURE;
+        std::fs::write(&out_path, anon.anonymize_config(text))
+            .map_err(|e| Error::Failed(format!("cannot write {}: {e}", out_path.display())))?;
+    }
+    println!("anonymized {} files into {out}", files.len());
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Command, Error> {
+        parse_command(&line.split_whitespace().collect::<Vec<_>>())
+    }
+
+    fn analyze(dir: &str, action: Action, obs: Observe) -> Command {
+        Command::Analyze { dir: dir.to_string(), action, obs }
+    }
+
+    fn traced(trace: Option<&str>, profile: Option<&str>, timings: bool, metrics: bool) -> Observe {
+        Observe {
+            timings,
+            metrics,
+            trace: trace.map(str::to_string),
+            profile: profile.map(str::to_string),
         }
     }
-    println!("anonymized {} files into {out}", entries.len());
-    ExitCode::SUCCESS
+
+    fn plain() -> Observe {
+        Observe::default()
+    }
+
+    fn server(addr: &str) -> Server {
+        Server { addr: addr.to_string(), options: ServeOptions::default() }
+    }
+
+    fn strings(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    fn prefix(text: &str) -> Prefix {
+        text.parse().expect("test prefix")
+    }
+
+    /// Every distinct command shape in scripts/verify.sh, README.md,
+    /// EXPERIMENTS.md and tests/, with the command it must read as.
+    #[test]
+    fn parse_documented_command_lines() {
+        let d = "/tmp/study/net15";
+        let watch_opts = WatchOptions {
+            poll_interval: Duration::from_millis(50),
+            debounce: Duration::from_millis(100),
+            backoff_base: Duration::from_millis(100),
+            backoff_max: Duration::from_millis(400),
+            degraded_after: 2,
+            seed: 1,
+        };
+        let chaos = |dir: &str, seed, configs, snapshots, max_rss_mb| Command::Chaos {
+            dir: dir.to_string(),
+            seed,
+            configs,
+            snapshots,
+            max_rss_mb,
+        };
+        let snap = |out: &str, from: Option<&str>| Command::Snap {
+            dir: "/tmp/study".to_string(),
+            out: out.to_string(),
+            from: from.map(str::to_string),
+        };
+        let plan = |json, check, obs| Command::Plan {
+            dir: "/tmp/mig/current".to_string(),
+            target: "/tmp/mig/target".to_string(),
+            json,
+            check,
+            obs,
+        };
+        let cases: Vec<(&str, Command)> = vec![
+            ("--help", Command::Help),
+            ("-h", Command::Help),
+            ("--version", Command::Version),
+            ("-V", Command::Version),
+            (d, analyze(d, Action::Summary { json: false }, plain())),
+            ("/tmp/study/net15 summary", analyze(d, Action::Summary { json: false }, plain())),
+            (
+                "/tmp/study/net15 summary --json",
+                analyze(d, Action::Summary { json: true }, plain()),
+            ),
+            (
+                "/tmp/study/net15 summary --trace /tmp/t1.jsonl",
+                analyze(
+                    d,
+                    Action::Summary { json: false },
+                    traced(Some("/tmp/t1.jsonl"), None, false, false),
+                ),
+            ),
+            (
+                "/tmp/study/net15 summary --timings --trace /tmp/v.jsonl --profile /tmp/v.folded",
+                analyze(
+                    d,
+                    Action::Summary { json: false },
+                    traced(Some("/tmp/v.jsonl"), Some("/tmp/v.folded"), true, false),
+                ),
+            ),
+            (
+                "/tmp/study/net15 summary --metrics",
+                analyze(d, Action::Summary { json: false }, traced(None, None, false, true)),
+            ),
+            (
+                "/tmp/study/net15 summary --timings",
+                analyze(d, Action::Summary { json: false }, traced(None, None, true, false)),
+            ),
+            ("/tmp/study/net15 instances", analyze(d, Action::Instances, plain())),
+            ("/tmp/study/net15 roles", analyze(d, Action::Roles, plain())),
+            ("/tmp/study/net15 blocks", analyze(d, Action::Blocks, plain())),
+            ("/tmp/study/net15 external", analyze(d, Action::External, plain())),
+            ("/tmp/study/net15 pathway r3", analyze(d, Action::Pathway("r3".into()), plain())),
+            ("/tmp/study/net15 dot", analyze(d, Action::Dot { process: false }, plain())),
+            ("/tmp/study/net15 dot process", analyze(d, Action::Dot { process: true }, plain())),
+            (
+                "/tmp/study/net15 reach 10.2.0.0/16 10.4.0.0/16",
+                analyze(d, Action::Reach(prefix("10.2.0.0/16"), prefix("10.4.0.0/16")), plain()),
+            ),
+            (
+                "/tmp/study/net15 flow 10.0.0.5 10.1.0.5 tcp 445",
+                analyze(
+                    d,
+                    Action::Flow(Flow {
+                        src: "10.0.0.5".parse().expect("addr"),
+                        dst: "10.1.0.5".parse().expect("addr"),
+                        proto: FlowProto::Tcp,
+                        src_port: None,
+                        dst_port: Some(445),
+                    }),
+                    plain(),
+                ),
+            ),
+            ("/tmp/study/net15 audit", analyze(d, Action::Audit, plain())),
+            ("/tmp/study/net15 diag", analyze(d, Action::Diag, plain())),
+            (
+                "/tmp/study/net15 whatif r1 r2",
+                analyze(d, Action::Whatif(strings(&["r1", "r2"])), plain()),
+            ),
+            ("/tmp/study/net15 separation 0 3", analyze(d, Action::Separation(0, 3), plain())),
+            (
+                "/tmp/study/net15 diff /tmp/other",
+                analyze(d, Action::Diff { other: "/tmp/other".into(), networks: false }, plain()),
+            ),
+            (
+                "/tmp/study/net15 diff /tmp/other --networks",
+                analyze(d, Action::Diff { other: "/tmp/other".into(), networks: true }, plain()),
+            ),
+            ("/tmp/mig/current plan /tmp/mig/target", plan(false, false, plain())),
+            ("/tmp/mig/current plan /tmp/mig/target --json", plan(true, false, plain())),
+            ("/tmp/mig/current plan /tmp/mig/target --check", plan(false, true, plain())),
+            (
+                "/tmp/mig/current plan /tmp/mig/target --timings",
+                plan(false, false, traced(None, None, true, false)),
+            ),
+            (
+                "/tmp/study/net15 anonymize /tmp/anon key1",
+                Command::Anonymize {
+                    dir: d.into(),
+                    out: "/tmp/anon".into(),
+                    key: "key1".into(),
+                    obs: plain(),
+                },
+            ),
+            ("snap /tmp/study -o study.rdsnap", snap("study.rdsnap", None)),
+            ("snap /tmp/study", snap("study.rdsnap", None)),
+            (
+                "snap /tmp/study -o study.rdsnap --from study.rdsnap",
+                snap("study.rdsnap", Some("study.rdsnap")),
+            ),
+            ("snap --info study.rdsnap", Command::SnapInfo { file: "study.rdsnap".into() }),
+            (
+                "serve study.rdsnap --addr 127.0.0.1:0",
+                Command::Serve {
+                    file: "study.rdsnap".into(),
+                    server: server("127.0.0.1:0"),
+                    plan: None,
+                    profile: None,
+                },
+            ),
+            (
+                "serve study.rdsnap --plan plan.json",
+                Command::Serve {
+                    file: "study.rdsnap".into(),
+                    server: server("127.0.0.1:8080"),
+                    plan: Some("plan.json".into()),
+                    profile: None,
+                },
+            ),
+            (
+                "serve study.rdsnap --workers 4 --max-conns 64 --no-cache --profile serve.folded",
+                Command::Serve {
+                    file: "study.rdsnap".into(),
+                    server: Server {
+                        addr: "127.0.0.1:8080".into(),
+                        options: ServeOptions {
+                            workers: 4,
+                            max_conns: 64,
+                            cache: false,
+                            ..ServeOptions::default()
+                        },
+                    },
+                    plan: None,
+                    profile: Some("serve.folded".into()),
+                },
+            ),
+            (
+                "watch /tmp/w/configs --addr 127.0.0.1:0 --snapshot /tmp/w/last-good.rdsnap \
+                 --poll-ms 50 --debounce-ms 100 --backoff-ms 100 --backoff-max-ms 400 \
+                 --degraded-after 2 --seed 1",
+                Command::Watch {
+                    dir: "/tmp/w/configs".into(),
+                    snapshot: "/tmp/w/last-good.rdsnap".into(),
+                    server: server("127.0.0.1:0"),
+                    watch: watch_opts,
+                },
+            ),
+            (
+                "watch /configs --addr 127.0.0.1:8080 --snapshot /var/lib/rdx/last-good.rdsnap",
+                Command::Watch {
+                    dir: "/configs".into(),
+                    snapshot: "/var/lib/rdx/last-good.rdsnap".into(),
+                    server: server("127.0.0.1:8080"),
+                    watch: WatchOptions::default(),
+                },
+            ),
+            (
+                "watch /configs/",
+                Command::Watch {
+                    dir: "/configs/".into(),
+                    snapshot: "/configs.rdsnap".into(),
+                    server: server("127.0.0.1:8080"),
+                    watch: WatchOptions::default(),
+                },
+            ),
+            ("chaos /tmp/study --seed 1", chaos("/tmp/study", 1, 500, 100, 4096)),
+            (
+                "chaos /tmp/study --seed 1 --configs 1000 --snapshots 200 --max-rss-mb 2048",
+                chaos("/tmp/study", 1, 1000, 200, 2048),
+            ),
+            ("chaos /tmp/c --seed 7 --configs 40 --snapshots 12", chaos("/tmp/c", 7, 40, 12, 4096)),
+        ];
+        for (line, want) in cases {
+            assert_eq!(parse(line), Ok(want), "{line}");
+        }
+    }
+
+    /// Lines that are not in the docs but read as they always have.
+    #[test]
+    fn parse_keeps_the_old_readings() {
+        let d = "d";
+        let cases: Vec<(&str, Command)> = vec![
+            // Flags anywhere, help and version over everything else.
+            ("--json d", analyze(d, Action::Summary { json: true }, plain())),
+            ("--bogus --help", Command::Help),
+            ("snap --help", Command::Help),
+            ("--help --version", Command::Version),
+            // Separation takes `instanceN` as well as `N`.
+            ("d separation instance0 instance3", analyze(d, Action::Separation(0, 3), plain())),
+            // A port that does not parse leaves the flow portless.
+            (
+                "d flow 10.0.0.5 10.1.0.5 udp xyz",
+                analyze(
+                    d,
+                    Action::Flow(Flow {
+                        src: "10.0.0.5".parse().expect("addr"),
+                        dst: "10.1.0.5".parse().expect("addr"),
+                        proto: FlowProto::Udp,
+                        src_port: None,
+                        dst_port: None,
+                    }),
+                    plain(),
+                ),
+            ),
+            // Trailing operands of an analysis command are ignored.
+            ("d summary extra", analyze(d, Action::Summary { json: false }, plain())),
+            ("d pathway r1 r2", analyze(d, Action::Pathway("r1".into()), plain())),
+            // `--info` wins over a directory operand.
+            ("snap st --info s.rdsnap", Command::SnapInfo { file: "s.rdsnap".into() }),
+            // `--trace -` names stderr; `--out` is `-o`'s long form.
+            (
+                "d --trace - summary",
+                analyze(d, Action::Summary { json: false }, traced(Some("-"), None, false, false)),
+            ),
+            (
+                "snap --out o.rdsnap st",
+                Command::Snap { dir: "st".into(), out: "o.rdsnap".into(), from: None },
+            ),
+        ];
+        for (line, want) in cases {
+            assert_eq!(parse(line), Ok(want), "{line}");
+        }
+    }
+
+    /// Every value flag, by table: a base line and flag, a good value and,
+    /// for a typed flag, a bad one.
+    static VALUE_FLAGS: &[(&Table, &str, &str, &str, Option<&str>)] = &[
+        (&ANALYZE, "d summary", "--trace", "t.jsonl", None),
+        (&ANALYZE, "d summary", "--profile", "p.folded", None),
+        (&SNAP, "snap st", "--out", "o.rdsnap", None),
+        (&SNAP, "snap st", "--from", "p.rdsnap", None),
+        (&SNAP, "snap", "--info", "s.rdsnap", None),
+        (&SERVE, "serve s.rdsnap", "--addr", "127.0.0.1:0", None),
+        (&SERVE, "serve s.rdsnap", "--workers", "2", Some("x")),
+        (&SERVE, "serve s.rdsnap", "--max-conns", "8", Some("0")),
+        (&SERVE, "serve s.rdsnap", "--plan", "plan.json", None),
+        (&SERVE, "serve s.rdsnap", "--profile", "p.folded", None),
+        (&WATCH, "watch d", "--snapshot", "d.rdsnap", None),
+        (&WATCH, "watch d", "--poll-ms", "50", Some("x")),
+        (&WATCH, "watch d", "--debounce-ms", "100", Some("-1")),
+        (&WATCH, "watch d", "--backoff-ms", "100", Some("1.5")),
+        (&WATCH, "watch d", "--backoff-max-ms", "400", Some("x")),
+        (&WATCH, "watch d", "--degraded-after", "2", Some("0")),
+        (&WATCH, "watch d", "--seed", "1", Some("x")),
+        (&WATCH, "watch d", "--addr", "127.0.0.1:0", None),
+        (&WATCH, "watch d", "--workers", "2", Some("x")),
+        (&WATCH, "watch d", "--max-conns", "8", Some("0")),
+        (&CHAOS, "chaos d", "--seed", "1", Some("x")),
+        (&CHAOS, "chaos d", "--configs", "40", Some("x")),
+        (&CHAOS, "chaos d", "--snapshots", "12", Some("-3")),
+        (&CHAOS, "chaos d", "--max-rss-mb", "2048", Some("x")),
+    ];
+
+    #[test]
+    fn every_value_flag_takes_both_spellings_and_rejects_what_it_cannot_use() {
+        for table in [&ANALYZE, &SNAP, &SERVE, &WATCH, &CHAOS] {
+            for flag in table.all_flags().filter(|f| f.value.is_some()) {
+                assert!(
+                    VALUE_FLAGS
+                        .iter()
+                        .any(|(t, _, name, _, _)| std::ptr::eq(*t, table) && *name == flag.name),
+                    "{} of `{}` has no row in VALUE_FLAGS",
+                    flag.name,
+                    table.name
+                );
+            }
+        }
+        for (table, base, flag, good, bad) in VALUE_FLAGS {
+            let spaced = parse(&format!("{base} {flag} {good}"));
+            assert!(spaced.is_ok(), "{base} {flag} {good}: {spaced:?}");
+            assert_eq!(parse(&format!("{base} {flag}={good}")), spaced, "{base} {flag}={good}");
+            let missing = CliError::MissingValue { flag, metavar: flag_metavar(table, flag) };
+            assert_eq!(parse(&format!("{base} {flag}")), Err(Error::Cli(table, missing)));
+            if let Some(bad) = bad {
+                assert!(
+                    matches!(
+                        parse(&format!("{base} {flag} {bad}")),
+                        Err(Error::Cli(t, CliError::BadValue { name, .. }))
+                            if std::ptr::eq(t, *table) && name == *flag
+                    ),
+                    "{base} {flag} {bad}"
+                );
+            }
+        }
+    }
+
+    fn flag_metavar(table: &Table, name: &str) -> &'static str {
+        table.all_flags().find(|f| f.name == name).and_then(|f| f.value).expect("a value flag")
+    }
+
+    #[test]
+    fn usage_errors_are_typed() {
+        let cli = |table, e| Err(Error::Cli(table, e));
+        let bad = |name, value: &str, reason: &str| CliError::BadValue {
+            name,
+            value: value.to_string(),
+            reason: reason.to_string(),
+        };
+        let unknown = |flag: &str| CliError::UnknownFlag(flag.to_string());
+        let extra = |word: &str| CliError::UnexpectedArgument(word.to_string());
+        let cases: Vec<(&str, Result<Command, Error>)> = vec![
+            ("", cli(&ANALYZE, CliError::MissingArgument("<config-dir>"))),
+            ("--json", cli(&ANALYZE, CliError::MissingArgument("<config-dir>"))),
+            ("d summary --bogus", cli(&ANALYZE, unknown("--bogus"))),
+            ("d summary -x", cli(&ANALYZE, unknown("-x"))),
+            ("d summary --no-cache", cli(&ANALYZE, unknown("--no-cache"))),
+            ("d summary --json=1", cli(&ANALYZE, unknown("--json=1"))),
+            ("d frob", cli(&ANALYZE, bad("<command>", "frob", "unknown command"))),
+            ("d pathway", cli(&ANALYZE, CliError::MissingArgument("<router>"))),
+            ("d dot bogus", cli(&ANALYZE, bad("dot", "bogus", "expected process or instances"))),
+            ("d reach 10.0.0.0/8", cli(&ANALYZE, CliError::MissingArgument("<dst>"))),
+            ("d reach x 10.0.0.0/8", cli(&ANALYZE, bad("<src>", "x", "invalid prefix: \"x\""))),
+            ("d flow 10.0.0.1", cli(&ANALYZE, CliError::MissingArgument("<dst>"))),
+            (
+                "d flow 10.0.0.1 10.0.0.2 bogus",
+                cli(&ANALYZE, bad("[proto]", "bogus", "expected ip, tcp, udp, icmp or pim")),
+            ),
+            ("d separation 0", cli(&ANALYZE, CliError::MissingArgument("<b>"))),
+            ("d whatif", cli(&ANALYZE, CliError::MissingArgument("<router>"))),
+            ("d diff", cli(&ANALYZE, CliError::MissingArgument("<other-dir>"))),
+            ("d plan", cli(&ANALYZE, CliError::MissingArgument("<target-dir>"))),
+            ("d anonymize out", cli(&ANALYZE, CliError::MissingArgument("<key>"))),
+            ("snap", cli(&SNAP, CliError::MissingArgument("<dir>"))),
+            ("snap st extra", cli(&SNAP, extra("extra"))),
+            ("snap --info s.rdsnap a b", cli(&SNAP, extra("b"))),
+            ("snap st --timings", cli(&SNAP, unknown("--timings"))),
+            ("snap st -x", cli(&SNAP, unknown("-x"))),
+            ("serve", cli(&SERVE, CliError::MissingArgument("<file.rdsnap>"))),
+            ("serve s.rdsnap extra", cli(&SERVE, extra("extra"))),
+            ("serve s.rdsnap --no-such-flag", cli(&SERVE, unknown("--no-such-flag"))),
+            (
+                "serve s.rdsnap --max-conns 0",
+                cli(&SERVE, bad("--max-conns", "0", "number would be zero for non-zero type")),
+            ),
+            ("watch", cli(&WATCH, CliError::MissingArgument("<config-dir>"))),
+            ("watch d extra", cli(&WATCH, extra("extra"))),
+            ("watch d --profile p", cli(&WATCH, unknown("--profile"))),
+            ("chaos", cli(&CHAOS, CliError::MissingArgument("<dir>"))),
+            ("chaos d extra", cli(&CHAOS, extra("extra"))),
+            ("chaos d --seed x", cli(&CHAOS, bad("--seed", "x", "invalid digit found in string"))),
+            // A flag given twice must parse both times.
+            (
+                "chaos d --seed x --seed 1",
+                cli(&CHAOS, bad("--seed", "x", "invalid digit found in string")),
+            ),
+        ];
+        for (line, want) in cases {
+            assert_eq!(parse(line), want, "{line}");
+        }
+    }
+
+    /// The words of `text`, stripped of synopsis brackets and list commas.
+    fn words(text: &str) -> Vec<&str> {
+        text.split_whitespace()
+            .map(|w| w.trim_matches(|c| c == '[' || c == ']' || c == ','))
+            .collect()
+    }
+
+    #[test]
+    fn every_table_flag_is_in_its_help_synopsis() {
+        let help = help_text();
+        for (table, prefix) in [
+            (&SNAP, "  rdx snap "),
+            (&SERVE, "  rdx serve "),
+            (&WATCH, "  rdx watch "),
+            (&CHAOS, "  rdx chaos "),
+        ] {
+            // A synopsis is its `rdx <sub>` lines plus their `[...]`
+            // continuation lines.
+            let mut synopsis = String::new();
+            let mut inside = false;
+            for line in help.lines() {
+                inside = line.starts_with(prefix) || (inside && line.starts_with("            ["));
+                if inside {
+                    synopsis.push_str(line);
+                    synopsis.push('\n');
+                }
+            }
+            let synopsis = words(&synopsis);
+            for flag in table.all_flags() {
+                assert!(
+                    synopsis.contains(&flag.name)
+                        || flag.short.is_some_and(|s| synopsis.contains(&s)),
+                    "{} is missing from the `{}` synopsis of rdx --help",
+                    flag.name,
+                    table.name
+                );
+            }
+        }
+        let flags_section = help.split("\nflags:\n").nth(1).and_then(|s| s.split("\n\n").next());
+        let flags_section = words(flags_section.expect("rdx --help has a flags section"));
+        for flag in ANALYZE.all_flags() {
+            assert!(
+                flags_section.contains(&flag.name),
+                "{} is missing from the flags section",
+                flag.name
+            );
+        }
+    }
+
+    #[test]
+    fn help_matches_the_golden_reference() {
+        assert_eq!(help_text(), include_str!("../../../../tests/golden/rdx_help.txt"));
+    }
 }

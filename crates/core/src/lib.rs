@@ -173,11 +173,7 @@ impl NetworkAnalysis {
     /// Loads and analyzes a directory of configuration files. Parsing is
     /// recorded as the `"parse"` stage.
     pub fn from_dir(dir: &Path) -> Result<NetworkAnalysis, LoadError> {
-        let files = config_files(dir)?
-            .into_iter()
-            .map(|(name, path, _)| Ok((name, std::fs::read(path)?)))
-            .collect::<Result<Vec<_>, LoadError>>()?;
-        Ok(NetworkAnalysis::from_bytes_list(files))
+        Ok(NetworkAnalysis::from_bytes_list(read_network(dir)?))
     }
 
     /// The route pathway graph for one router (Section 3.3).
@@ -339,15 +335,38 @@ fn analyze(network: Network) -> NetworkAnalysis {
     }
 }
 
+/// A config directory or file that could not be read.
+#[derive(Debug)]
+pub struct ReadError {
+    /// The directory or file.
+    pub path: PathBuf,
+    /// Why it could not be read.
+    pub error: std::io::Error,
+}
+
+impl std::fmt::Display for ReadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "cannot read {}: {}", self.path.display(), self.error)
+    }
+}
+
+impl std::error::Error for ReadError {}
+
+impl From<ReadError> for LoadError {
+    fn from(e: ReadError) -> LoadError {
+        LoadError::Io(e.error)
+    }
+}
+
 /// Every plain file in `dir` (symlinks followed) with its name and
 /// metadata, in file-name order: the one definition of a network's
-/// inputs, shared by cold loads ([`NetworkAnalysis::from_dir`]) and the
+/// inputs, shared by cold loads ([`read_network`]) and the
 /// [`incremental`] engine's sweep, which stats each file exactly once.
 pub(crate) fn config_files(
     dir: &Path,
-) -> Result<Vec<(String, PathBuf, std::fs::Metadata)>, LoadError> {
+) -> Result<Vec<(String, PathBuf, std::fs::Metadata)>, ReadError> {
     let mut files: Vec<(String, PathBuf, std::fs::Metadata)> = std::fs::read_dir(dir)
-        .map_err(LoadError::Io)?
+        .map_err(|error| ReadError { path: dir.to_path_buf(), error })?
         .filter_map(|e| e.ok())
         .filter_map(|e| {
             let path = e.path();
@@ -357,6 +376,19 @@ pub(crate) fn config_files(
         .collect();
     files.sort_by(|a, b| a.1.cmp(&b.1));
     Ok(files)
+}
+
+/// One network directory's config files as `(file name, bytes)`, in
+/// file-name order: what [`NetworkAnalysis::from_dir`] analyzes.
+/// [`snapshot::read_tree`] reads a whole tree through this.
+pub fn read_network(dir: &Path) -> Result<rd_plan::CorpusFiles, ReadError> {
+    config_files(dir)?
+        .into_iter()
+        .map(|(name, path, _)| match std::fs::read(&path) {
+            Ok(bytes) => Ok((name, bytes)),
+            Err(error) => Err(ReadError { path, error }),
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use nettopo::Coverage;
 use rd_snap::{Corpus, NetworkSnapshot};
 
-use crate::{LoadError, NetworkAnalysis};
+use crate::{read_network, LoadError, NetworkAnalysis, ReadError};
 
 /// Converts a finished analysis into its snapshot form, named `name`.
 pub fn capture(name: &str, analysis: NetworkAnalysis) -> NetworkSnapshot {
@@ -107,6 +107,16 @@ pub(crate) fn network_dirs(dir: &Path) -> (bool, Vec<(String, PathBuf)>) {
     }
     subdirs.sort();
     (true, subdirs.into_iter().map(|p| (name_of(&p), p)).collect())
+}
+
+/// Every network under `dir` with its config files, named and ordered as
+/// [`snap_dir`] and the delta engine see the tree: `dir` is a study (one
+/// network per subdirectory) when it holds no plain file and some
+/// subdirectory holds one, else a single network, and [`read_network`]
+/// reads each network's files. A network directory without files is
+/// returned empty.
+pub fn read_tree(dir: &Path) -> Result<Vec<(String, rd_plan::CorpusFiles)>, ReadError> {
+    network_dirs(dir).1.into_iter().map(|(name, path)| Ok((name, read_network(&path)?))).collect()
 }
 
 /// One network excluded from a study: either its parse coverage exceeded

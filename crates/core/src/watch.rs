@@ -48,7 +48,7 @@ use crate::incremental::DeltaEngine;
 use crate::snapshot::snap_dir;
 
 /// Supervisor tuning knobs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WatchOptions {
     /// How often the config directory is probed.
     pub poll_interval: Duration,

@@ -8,17 +8,29 @@
 //! trace_check <trace.jsonl>
 //! ```
 //!
-//! Exits 0 printing a line/kind summary, or 1 naming the first bad line.
+//! Exits 0 printing a line/kind summary, 1 naming the first bad line, or
+//! 2 on a usage error.
 
 use std::process::ExitCode;
 
+use rd_obs::cli::{CliError, Table};
+
+static TABLE: Table = Table { name: "trace_check", operands: "<trace.jsonl>", flags: &[] };
+
+/// The one trace file a command line names.
+fn parse_args<S: AsRef<str>>(argv: &[S]) -> Result<String, CliError> {
+    let args = TABLE.parse(argv)?;
+    args.at_most(1)?;
+    Ok(args.operand(0, "<trace.jsonl>")?.to_string())
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let [path] = args.as_slice() else {
-        eprintln!("usage: trace_check <trace.jsonl>");
-        return ExitCode::FAILURE;
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let path = match parse_args(&argv) {
+        Ok(path) => path,
+        Err(e) => return e.report(&TABLE),
     };
-    let text = match std::fs::read_to_string(path) {
+    let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("trace_check: cannot read {path}: {e}");
@@ -54,4 +66,23 @@ fn main() -> ExitCode {
         total - opens - closes
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_trace_check_command_lines() {
+        assert_eq!(parse_args(&["/tmp/net15.jsonl"]), Ok("/tmp/net15.jsonl".to_string()));
+        assert_eq!(parse_args(&["-"]), Ok("-".to_string()));
+        let cases: &[(&[&str], CliError)] = &[
+            (&[], CliError::MissingArgument("<trace.jsonl>")),
+            (&["a.jsonl", "b.jsonl"], CliError::UnexpectedArgument("b.jsonl".into())),
+            (&["a.jsonl", "--no-such-flag"], CliError::UnknownFlag("--no-such-flag".into())),
+        ];
+        for (argv, want) in cases {
+            assert_eq!(parse_args(argv), Err(want.clone()), "{argv:?}");
+        }
+    }
 }

@@ -33,13 +33,17 @@
 //! - [`json`]: the tiny JSON escaping/validation helpers behind all of the
 //!   above, plus the `trace_check` self-check binary that `scripts/verify.sh`
 //!   runs over emitted trace files.
+//! - [`cli`]: the one command-line parser every binary shares, with
+//!   flag tables, `--flag value`/`--flag=value` values typed through
+//!   `FromStr`, and one [`CliError`](cli::CliError) that exits 2.
 //!
 //! [`Outputs`] is the trace-sink and profile setup and teardown every
-//! binary shares.
+//! binary shares; [`OBS_FLAGS`] is the flag slice that asks for it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod diag;
 pub mod json;
 pub mod metrics;
@@ -67,6 +71,46 @@ macro_rules! span {
     };
 }
 
+/// `--timings`, `--metrics`, `--trace <path>` and `--profile <path>`: the
+/// observability flags of every analysis command line (`rdx <dir> ...`
+/// and `repro`).
+pub const OBS_FLAGS: &[cli::Flag] = &[
+    cli::Flag::switch("--timings"),
+    cli::Flag::switch("--metrics"),
+    cli::Flag::value("--trace", "<path>"),
+    cli::Flag::value("--profile", "<path>"),
+];
+
+/// What the [`OBS_FLAGS`] of one command line asked for.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Observe {
+    /// `--timings`: per-stage wall-clock times on stderr.
+    pub timings: bool,
+    /// `--metrics`: the metrics registry dumped on stderr.
+    pub metrics: bool,
+    /// `--trace`: the trace sink, `-` for stderr.
+    pub trace: Option<String>,
+    /// `--profile`: where the folded profile is written.
+    pub profile: Option<String>,
+}
+
+impl Observe {
+    /// Reads the [`OBS_FLAGS`] of a command line parsed with them.
+    pub fn from_args(args: &cli::Args) -> Observe {
+        Observe {
+            timings: args.switch("--timings"),
+            metrics: args.switch("--metrics"),
+            trace: args.value("--trace").map(str::to_string),
+            profile: args.value("--profile").map(str::to_string),
+        }
+    }
+
+    /// Sets up the trace sink and profile these flags name, for `tool`.
+    pub fn outputs(&self, tool: &'static str) -> std::io::Result<Outputs> {
+        Outputs::new(tool, self.profile.clone()).trace(self.trace.as_deref())
+    }
+}
+
 /// The observability outputs one command line asked for — a trace sink
 /// and a folded-profile path — set up and torn down the same way by every
 /// binary. `tool` prefixes the error messages (`rdx: ...`).
@@ -85,25 +129,16 @@ impl Outputs {
     }
 
     /// Installs the trace sink `trace` names: `-` or `stderr`, else a file
-    /// path; without one, whatever `RD_TRACE` names. A sink that cannot be
-    /// opened is reported as `<tool>: cannot open trace sink: <error>` and
-    /// yields `None`; the caller picks the exit code.
-    pub fn trace(self, trace: Option<&str>) -> Option<Outputs> {
-        let installed = match trace {
-            Some("-" | "stderr") => {
-                trace::set_stderr_sink();
-                Ok(())
-            }
-            Some(path) => trace::set_file_sink(path),
-            None => trace::init_from_env(),
-        };
-        match installed {
-            Ok(()) => Some(self),
-            Err(e) => {
-                eprintln!("{}: cannot open trace sink: {e}", self.tool);
-                None
-            }
+    /// path; without one, whatever `RD_TRACE` names. The error is a sink
+    /// that cannot be opened; the caller reports it and picks the exit
+    /// code.
+    pub fn trace(self, trace: Option<&str>) -> std::io::Result<Outputs> {
+        match trace {
+            Some("-" | "stderr") => trace::set_stderr_sink(),
+            Some(path) => trace::set_file_sink(path)?,
+            None => trace::init_from_env()?,
         }
+        Ok(self)
     }
 
     /// Flushes the trace sink and writes the folded profile, saying where.

@@ -198,7 +198,7 @@ pub struct WatchStatus {
 }
 
 /// Server tuning knobs beyond the classic `(corpus, addr, workers)`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Event-loop threads; 0 sizes by [`rd_par::thread_count`].
     pub workers: usize,

@@ -20,6 +20,24 @@ echo "==> clippy: no unwrap() in input-facing crates (ioscfg, rd-snap, rd-serve,
 cargo clippy -q -p ioscfg -p rd-snap -p rd-serve -p nettopo -p rd-plan -p rd-chaos -p rd-bench -p rd-par -p rd-obs -- -D clippy::unwrap_used
 echo "    ok"
 
+echo "==> CLI contract: one flag parser, usage errors exit 2, --flag=value == --flag value"
+./target/release/rdx --help | cmp - tests/golden/rdx_help.txt
+for bin in rdx repro loadgen emit_study trace_check plan_scenario; do
+    CODE=0
+    "./target/release/$bin" --no-such-flag > /dev/null 2>&1 || CODE=$?
+    [ "$CODE" = "2" ] || { echo "$bin --no-such-flag exited $CODE, want 2" >&2; exit 1; }
+done
+rm -rf /tmp/rd_verify_cli /tmp/rd_verify_cli_p1 /tmp/rd_verify_cli_p2
+./target/release/emit_study /tmp/rd_verify_cli/tree --small net15 > /dev/null 2>&1
+./target/release/rdx snap /tmp/rd_verify_cli/tree --out=/tmp/rd_verify_cli/a.rdsnap 2> /dev/null
+./target/release/rdx snap /tmp/rd_verify_cli/tree -o /tmp/rd_verify_cli/b.rdsnap 2> /dev/null
+cmp /tmp/rd_verify_cli/a.rdsnap /tmp/rd_verify_cli/b.rdsnap
+./target/release/plan_scenario /tmp/rd_verify_cli_p1 --seed=42 > /dev/null
+./target/release/plan_scenario /tmp/rd_verify_cli_p2 --seed 42 > /dev/null
+diff -r /tmp/rd_verify_cli_p1 /tmp/rd_verify_cli_p2
+rm -rf /tmp/rd_verify_cli /tmp/rd_verify_cli_p1 /tmp/rd_verify_cli_p2
+echo "    rdx --help matches its golden file; all six binaries exit 2 on --no-such-flag"
+
 echo "==> repro --small all (offline reproduction smoke test)"
 ./target/release/repro --small all > /dev/null
 echo "    ok"

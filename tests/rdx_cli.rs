@@ -1,0 +1,100 @@
+//! The `rdx` command line end to end: usage errors exit 2, and every
+//! command reads a config tree the way `rdx snap` does.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn rdx(args: &[&Path]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_rdx")).args(args).output().expect("spawn rdx")
+}
+
+/// A fresh scratch directory for one test.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("rdx-cli-test-{}-{tag}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+const HUB: &str = "hostname c0-hub0\n\
+                   interface Ethernet0\n ip address 10.0.0.1 255.255.255.0\n\
+                   router ospf 1\n network 10.0.0.0 0.0.0.255 area 0\n";
+const SPOKE: &str = "hostname c0-spoke{n}\n\
+                     interface Ethernet0\n ip address 10.0.0.{n} 255.255.255.0\n\
+                     router ospf 1\n network 10.0.0.0 0.0.0.255 area 0\n";
+
+/// `<root>/mix`: `config1` at the top level and two more configs one
+/// directory down, in `sub/`.
+fn mixed_tree(root: &Path, hub: &str) -> PathBuf {
+    let mix = root.join("mix");
+    fs::create_dir_all(mix.join("sub")).expect("create tree");
+    fs::write(mix.join("config1"), hub).expect("write config1");
+    for n in [2, 3] {
+        let text = SPOKE.replace("{n}", &n.to_string());
+        fs::write(mix.join("sub").join(format!("config{n}")), text).expect("write spoke");
+    }
+    mix
+}
+
+#[test]
+fn diff_networks_reads_a_mixed_tree_as_snap_does() {
+    let root = scratch("mixed");
+    let old = mixed_tree(&root.join("a"), HUB);
+    let edited = HUB.replace(
+        "router ospf",
+        "interface Loopback9\n ip address 10.9.0.1 255.255.255.255\nrouter ospf",
+    );
+    let new = mixed_tree(&root.join("b"), &edited);
+
+    // snap sees one network: the top-level config directory itself.
+    let snap_path = root.join("mix.rdsnap");
+    let out = rdx(&[Path::new("snap"), &old, Path::new("-o"), &snap_path]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let corpus = rd_snap::Corpus::from_bytes(&fs::read(&snap_path).expect("snapshot written"))
+        .expect("snapshot decodes");
+    let names: Vec<&str> = corpus.networks.iter().map(|n| n.name.as_str()).collect();
+    assert_eq!(names, ["mix"]);
+
+    // The router diff sees the edit...
+    let out = rdx(&[&old, Path::new("diff"), &new]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let diff = String::from_utf8_lossy(&out.stdout);
+    assert!(diff.contains("c0-hub0"), "router diff missed the edit:\n{diff}");
+
+    // ...and so must the network view of the same two trees.
+    let out = rdx(&[&old, Path::new("diff"), &new, Path::new("--networks")]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "mix\n");
+
+    fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn usage_errors_exit_2() {
+    let root = scratch("usage");
+    for line in [
+        &["--no-such-flag"][..],
+        &["snap", "d", "--no-such-flag"],
+        &["serve", "s.rdsnap", "--max-conns", "0"],
+        &["watch", "d", "--degraded-after=0"],
+        &["chaos", "d", "--seed", "x"],
+        &["d", "summary", "--trace"],
+        &["d", "frob"],
+    ] {
+        let args: Vec<&Path> = line.iter().map(Path::new).collect();
+        let out = Command::new(env!("CARGO_BIN_EXE_rdx"))
+            .args(&args)
+            .current_dir(&root)
+            .output()
+            .expect("spawn rdx");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{line:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(out.stdout.is_empty(), "{line:?} printed to stdout");
+    }
+    fs::remove_dir_all(&root).ok();
+}
