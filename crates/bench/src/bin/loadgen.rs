@@ -22,6 +22,7 @@ use std::time::Duration;
 
 use rd_bench::loadgen::{self, LoadOptions};
 use rd_obs::cli::{self, CliError, Flag, Table};
+use rd_obs::json::{Layout, Writer};
 
 static TABLE: Table = Table {
     name: "loadgen",
@@ -146,38 +147,29 @@ fn main() -> ExitCode {
     };
 
     if json {
-        let endpoints: Vec<String> = stats
-            .endpoints
-            .iter()
-            .map(|e| {
-                format!(
-                    "    {{\"path\": \"{}\", \"requests\": {}, \"p50_us\": {}, \
-                     \"p99_us\": {}, \"p999_us\": {}}}",
-                    rd_obs::json::escape(&e.path),
-                    e.requests,
-                    e.p50_us,
-                    e.p99_us,
-                    e.p999_us,
-                )
-            })
-            .collect();
-        println!(
-            "{{\n  \"conns\": {},\n  \"pipeline\": {},\n  \"duration_ms\": {:.3},\n  \
-             \"requests\": {},\n  \"errors\": {},\n  \"throughput_rps\": {:.0},\n  \
-             \"p50_us\": {},\n  \"p99_us\": {},\n  \"p999_us\": {},\n  \"body_bytes\": {},\n  \
-             \"endpoints\": [\n{}\n  ]\n}}",
-            opts.conns,
-            opts.pipeline,
-            stats.duration.as_secs_f64() * 1e3,
-            stats.requests,
-            stats.errors,
-            stats.throughput_rps,
-            stats.p50_us,
-            stats.p99_us,
-            stats.p999_us,
-            stats.body_bytes,
-            endpoints.join(",\n"),
-        );
+        let mut w = Writer::object(Layout::Block);
+        w.key("conns").num(opts.conns);
+        w.key("pipeline").num(opts.pipeline);
+        w.key("duration_ms").num(format_args!("{:.3}", stats.duration.as_secs_f64() * 1e3));
+        w.key("requests").num(stats.requests);
+        w.key("errors").num(stats.errors);
+        w.key("throughput_rps").num(format_args!("{:.0}", stats.throughput_rps));
+        w.key("p50_us").num(stats.p50_us);
+        w.key("p99_us").num(stats.p99_us);
+        w.key("p999_us").num(stats.p999_us);
+        w.key("body_bytes").num(stats.body_bytes);
+        w.key("endpoints").arr(Layout::Block, |w| {
+            for e in &stats.endpoints {
+                w.obj(Layout::Inline, |w| {
+                    w.key("path").str(&e.path);
+                    w.key("requests").num(e.requests);
+                    w.key("p50_us").num(e.p50_us);
+                    w.key("p99_us").num(e.p99_us);
+                    w.key("p999_us").num(e.p999_us);
+                });
+            }
+        });
+        print!("{}", w.finish());
     } else {
         println!(
             "loadgen: {} conns x {} pipelined against {addr}, {:.0} ms",

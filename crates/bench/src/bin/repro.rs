@@ -380,6 +380,7 @@ fn bench(small_only: bool) {
         path,
         render_json(
             &rd_bench::timing::BenchEnv::detect(),
+            &rd_obs::metrics::snapshot(),
             &results,
             Some(&snap),
             Some(&serve_load),

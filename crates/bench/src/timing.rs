@@ -1,12 +1,15 @@
 //! The self-contained bench mode behind `repro --bench`: times the
 //! generate + analyze pipeline per network and per stage, and renders the
-//! result as `BENCH_repro.json` — hand-rolled JSON, so the harness works
-//! with no external crates and no network access (criterion stays an
-//! opt-in feature; see `criterion-benches` in this crate's manifest).
+//! result as `BENCH_repro.json` through `rd_obs::json::Writer`. All of it
+//! is in-tree, so the harness works with no external crates and no network
+//! access (criterion stays an opt-in feature; see `criterion-benches` in
+//! this crate's manifest).
 
 use std::time::{Duration, Instant};
 
 use netgen::{study_roster, StudyScale};
+use rd_obs::json::{Layout, Writer};
+use rd_obs::metrics::Metric;
 use rd_obs::StageTimings;
 use rd_snap::Corpus;
 use routing_design::report::StudyNetwork;
@@ -445,19 +448,6 @@ pub fn bench_incremental(scale: StudyScale) -> IncrementalBench {
     }
 }
 
-fn json_ms(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64() * 1e3)
-}
-
-fn json_stages(indent: &str, t: &StageTimings) -> String {
-    let body: Vec<String> = t
-        .stages
-        .iter()
-        .map(|(name, d)| format!("{indent}  \"{name}\": {}", json_ms(*d)))
-        .collect();
-    format!("{{\n{}\n{indent}}}", body.join(",\n"))
-}
-
 /// The machine and build a bench ran on, so figures from different runs
 /// can be compared honestly.
 pub struct BenchEnv {
@@ -490,20 +480,22 @@ impl BenchEnv {
     }
 }
 
-/// Renders bench results as the `BENCH_repro.json` document. The
-/// document additionally carries the run's `"env"` ([`BenchEnv`]), the
-/// `rd-obs` metrics registry as a top-level `"metrics"` object
-/// (counters/gauges as numbers, histograms as objects), and — when
-/// measured — `"snap"` (snapshot size and write/load timings vs
-/// re-analysis), `"bench_serve"` (the pipelined mixed-endpoint load run:
-/// throughput plus p50/p99/p999), `"bench_external"` (the isolated
-/// external-classification stage), `"bench_plan"` (the
-/// reconfiguration-planning scenarios), and `"bench_incremental"` (cold
-/// study wall vs delta refreshes with reuse accounting and the one-change
-/// refresh's phases) objects. All additive, so existing consumers of
-/// `"scales"` are unaffected.
+/// Renders bench results as the `BENCH_repro.json` document, a pure
+/// function of its arguments. The document additionally carries the run's
+/// `"env"` ([`BenchEnv`]), `metrics` (`rd_obs::metrics::snapshot()` in a
+/// real run) as a top-level `"metrics"` object (counters/gauges as
+/// numbers, histograms as objects), and — when measured — `"snap"`
+/// (snapshot size and write/load timings vs re-analysis), `"bench_serve"`
+/// (the pipelined mixed-endpoint load run: throughput plus p50/p99/p999),
+/// `"bench_external"` (the isolated external-classification stage),
+/// `"bench_plan"` (the reconfiguration-planning scenarios), and
+/// `"bench_incremental"` (cold study wall vs delta refreshes with reuse
+/// accounting and the one-change refresh's phases) objects. All additive,
+/// so existing consumers of `"scales"` are unaffected.
+#[allow(clippy::too_many_arguments)]
 pub fn render_json(
     env: &BenchEnv,
+    metrics: &[(String, Metric)],
     scales: &[ScaleBench],
     snap: Option<&SnapBench>,
     serve_load: Option<&ServeLoadBench>,
@@ -511,147 +503,119 @@ pub fn render_json(
     plan: Option<&[PlanBench]>,
     incremental: Option<&IncrementalBench>,
 ) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"repro\",\n  \"unit\": \"ms\",\n");
-    let rd_threads = match &env.rd_threads {
-        Some(v) => format!("\"{}\"", rd_obs::json::escape(v)),
-        None => "null".to_string(),
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    let stages = |w: &mut Writer, t: &StageTimings| {
+        w.obj(Layout::Block, |w| {
+            for (name, d) in &t.stages {
+                w.key(name).num(format_args!("{:.3}", ms(*d)));
+            }
+        });
     };
-    out.push_str(&format!(
-        "  \"env\": {{\n    \"nproc\": {},\n    \"rd_threads\": {rd_threads},\n    \
-         \"git_rev\": \"{}\"\n  }},\n",
-        env.nproc,
-        rd_obs::json::escape(&env.git_rev),
-    ));
-    out.push_str(&format!(
-        "  \"metrics\": {},\n",
-        rd_obs::metrics::render_json("  ")
-    ));
+    let mut w = Writer::object(Layout::Block);
+    w.key("benchmark").str("repro");
+    w.key("unit").str("ms");
+    w.key("env").obj(Layout::Block, |w| {
+        w.key("nproc").num(env.nproc);
+        w.key("rd_threads");
+        match &env.rd_threads {
+            Some(v) => w.str(v),
+            None => w.num("null"),
+        };
+        w.key("git_rev").str(&env.git_rev);
+    });
+    rd_obs::metrics::write_json(w.key("metrics"), metrics);
     if let Some(s) = snap {
-        out.push_str(&format!(
-            "  \"snap\": {{\n    \"networks\": {},\n    \"bytes\": {},\n    \
-             \"write_ms\": {},\n    \"load_ms\": {},\n    \"analyze_ms\": {},\n    \
-             \"load_speedup\": {:.1}\n  }},\n",
-            s.networks,
-            s.bytes,
-            json_ms(s.write),
-            json_ms(s.load),
-            json_ms(s.analyze),
-            s.speedup(),
-        ));
+        w.key("snap").obj(Layout::Block, |w| {
+            w.key("networks").num(s.networks);
+            w.key("bytes").num(s.bytes);
+            w.key("write_ms").num(format_args!("{:.3}", ms(s.write)));
+            w.key("load_ms").num(format_args!("{:.3}", ms(s.load)));
+            w.key("analyze_ms").num(format_args!("{:.3}", ms(s.analyze)));
+            w.key("load_speedup").num(format_args!("{:.1}", s.speedup()));
+        });
     }
     if let Some(l) = serve_load {
-        out.push_str(&format!(
-            "  \"bench_serve\": {{\n    \"conns\": {},\n    \"pipeline\": {},\n    \
-             \"duration_ms\": {},\n    \"requests\": {},\n    \"errors\": {},\n    \
-             \"throughput_rps\": {:.0},\n    \"p50_us\": {},\n    \"p99_us\": {},\n    \
-             \"p999_us\": {}\n  }},\n",
-            l.conns,
-            l.pipeline,
-            json_ms(l.stats.duration),
-            l.stats.requests,
-            l.stats.errors,
-            l.stats.throughput_rps,
-            l.stats.p50_us,
-            l.stats.p99_us,
-            l.stats.p999_us,
-        ));
+        w.key("bench_serve").obj(Layout::Block, |w| {
+            w.key("conns").num(l.conns);
+            w.key("pipeline").num(l.pipeline);
+            w.key("duration_ms").num(format_args!("{:.3}", ms(l.stats.duration)));
+            w.key("requests").num(l.stats.requests);
+            w.key("errors").num(l.stats.errors);
+            w.key("throughput_rps").num(format_args!("{:.0}", l.stats.throughput_rps));
+            w.key("p50_us").num(l.stats.p50_us);
+            w.key("p99_us").num(l.stats.p99_us);
+            w.key("p999_us").num(l.stats.p999_us);
+        });
     }
     if let Some(e) = external {
-        out.push_str(&format!(
-            "  \"bench_external\": {{\n    \"network\": \"{}\",\n    \
-             \"routers\": {},\n    \"interfaces\": {},\n    \"build_ms\": {}\n  }},\n",
-            e.network,
-            e.routers,
-            e.interfaces,
-            json_ms(e.build),
-        ));
+        w.key("bench_external").obj(Layout::Block, |w| {
+            w.key("network").str(&e.network);
+            w.key("routers").num(e.routers);
+            w.key("interfaces").num(e.interfaces);
+            w.key("build_ms").num(format_args!("{:.3}", ms(e.build)));
+        });
     }
     if let Some(plans) = plan {
-        let blocks: Vec<String> = plans
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{\n      \"scenario\": \"{}\",\n      \"routers\": {},\n      \
-                     \"units\": {},\n      \"steps\": {},\n      \"states_analyzed\": {},\n      \
-                     \"diff_ms\": {},\n      \"dag_ms\": {},\n      \"search_ms\": {}\n    }}",
-                    p.scenario,
-                    p.routers,
-                    p.units,
-                    p.steps,
-                    p.states_analyzed,
-                    json_ms(p.diff),
-                    json_ms(p.dag),
-                    json_ms(p.search),
-                )
-            })
-            .collect();
-        out.push_str(&format!("  \"bench_plan\": [\n{}\n  ],\n", blocks.join(",\n")));
+        w.key("bench_plan").arr(Layout::Block, |w| {
+            for p in plans {
+                w.obj(Layout::Block, |w| {
+                    w.key("scenario").str(p.scenario);
+                    w.key("routers").num(p.routers);
+                    w.key("units").num(p.units);
+                    w.key("steps").num(p.steps);
+                    w.key("states_analyzed").num(p.states_analyzed);
+                    w.key("diff_ms").num(format_args!("{:.3}", ms(p.diff)));
+                    w.key("dag_ms").num(format_args!("{:.3}", ms(p.dag)));
+                    w.key("search_ms").num(format_args!("{:.3}", ms(p.search)));
+                });
+            }
+        });
     }
     if let Some(i) = incremental {
-        out.push_str(&format!(
-            "  \"bench_incremental\": {{\n    \"networks\": {},\n    \"cold_ms\": {},\n    \
-             \"one_change_ms\": {},\n    \"one_change_phases_ms\": {},\n    \
-             \"one_change_unattributed_ms\": {},\n    \"one_change_reused\": {},\n    \
-             \"one_change_recomputed\": {},\n    \"one_change_files_reparsed\": {},\n    \
-             \"one_change_speedup\": {:.1},\n    \"five_change_ms\": {},\n    \
-             \"five_change_reused\": {},\n    \"five_change_recomputed\": {},\n    \
-             \"five_change_files_reparsed\": {}\n  }},\n",
-            i.networks,
-            json_ms(i.cold),
-            json_ms(i.one_change),
-            json_stages("    ", &i.one_phases),
-            json_ms(i.one_change_unattributed()),
-            i.one_stats.reused,
-            i.one_stats.recomputed,
-            i.one_stats.files_reparsed,
-            i.one_change_speedup(),
-            json_ms(i.five_change),
-            i.five_stats.reused,
-            i.five_stats.recomputed,
-            i.five_stats.files_reparsed,
-        ));
+        w.key("bench_incremental").obj(Layout::Block, |w| {
+            w.key("networks").num(i.networks);
+            w.key("cold_ms").num(format_args!("{:.3}", ms(i.cold)));
+            w.key("one_change_ms").num(format_args!("{:.3}", ms(i.one_change)));
+            stages(w.key("one_change_phases_ms"), &i.one_phases);
+            w.key("one_change_unattributed_ms")
+                .num(format_args!("{:.3}", ms(i.one_change_unattributed())));
+            w.key("one_change_reused").num(i.one_stats.reused);
+            w.key("one_change_recomputed").num(i.one_stats.recomputed);
+            w.key("one_change_files_reparsed").num(i.one_stats.files_reparsed);
+            w.key("one_change_speedup").num(format_args!("{:.1}", i.one_change_speedup()));
+            w.key("five_change_ms").num(format_args!("{:.3}", ms(i.five_change)));
+            w.key("five_change_reused").num(i.five_stats.reused);
+            w.key("five_change_recomputed").num(i.five_stats.recomputed);
+            w.key("five_change_files_reparsed").num(i.five_stats.files_reparsed);
+        });
     }
-    out.push_str("  \"scales\": [\n");
-    let rendered: Vec<String> = scales
-        .iter()
-        .map(|s| {
-            let mut block = String::from("    {\n");
-            block.push_str(&format!("      \"scale\": \"{}\",\n", s.scale));
-            block.push_str(&format!("      \"threads\": {},\n", s.threads));
-            block.push_str(&format!("      \"wall_ms\": {},\n", json_ms(s.wall)));
-            if let Some(seq) = s.sequential_wall {
-                block.push_str(&format!("      \"sequential_wall_ms\": {},\n", json_ms(seq)));
-                block.push_str(&format!(
-                    "      \"speedup\": {:.2},\n",
-                    s.speedup().expect("speedup measured")
-                ));
-            }
-            block.push_str(&format!(
-                "      \"stage_totals_ms\": {},\n",
-                json_stages("      ", &s.stage_totals())
-            ));
-            let nets: Vec<String> = s
-                .networks
-                .iter()
-                .map(|n| {
-                    format!(
-                        "        {{\n          \"name\": \"{}\",\n          \"routers\": {},\n          \"total_ms\": {},\n          \"generate_ms\": {},\n          \"stages_ms\": {}\n        }}",
-                        n.name,
-                        n.routers,
-                        json_ms(n.total()),
-                        json_ms(n.generate),
-                        json_stages("          ", &n.stages)
-                    )
-                })
-                .collect();
-            block.push_str(&format!("      \"networks\": [\n{}\n      ]\n", nets.join(",\n")));
-            block.push_str("    }");
-            block
-        })
-        .collect();
-    out.push_str(&rendered.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
+    w.key("scales").arr(Layout::Block, |w| {
+        for s in scales {
+            w.obj(Layout::Block, |w| {
+                w.key("scale").str(s.scale);
+                w.key("threads").num(s.threads);
+                w.key("wall_ms").num(format_args!("{:.3}", ms(s.wall)));
+                if let Some(seq) = s.sequential_wall {
+                    w.key("sequential_wall_ms").num(format_args!("{:.3}", ms(seq)));
+                    w.key("speedup")
+                        .num(format_args!("{:.2}", s.speedup().expect("speedup measured")));
+                }
+                stages(w.key("stage_totals_ms"), &s.stage_totals());
+                w.key("networks").arr(Layout::Block, |w| {
+                    for n in &s.networks {
+                        w.obj(Layout::Block, |w| {
+                            w.key("name").str(&n.name);
+                            w.key("routers").num(n.routers);
+                            w.key("total_ms").num(format_args!("{:.3}", ms(n.total())));
+                            w.key("generate_ms").num(format_args!("{:.3}", ms(n.generate)));
+                            stages(w.key("stages_ms"), &n.stages);
+                        });
+                    }
+                });
+            });
+        }
+    });
+    w.finish()
 }
 
 #[cfg(test)]
@@ -755,9 +719,19 @@ mod tests {
                 dropped: 0,
             },
         };
+        let mut request_us = rd_obs::metrics::Histogram::new(&[100, 1000]);
+        for v in [90, 150, 4000] {
+            request_us.record(v);
+        }
+        let metrics = vec![
+            ("parse.lines".to_string(), Metric::Counter(1200)),
+            ("rss.peak_kb".to_string(), Metric::Gauge(65536)),
+            ("serve.request_us".to_string(), Metric::Histogram(request_us)),
+        ];
         let env = BenchEnv { nproc: 2, rd_threads: Some("2".into()), git_rev: "abc123".into() };
         let text = render_json(
             &env,
+            &metrics,
             &scales,
             Some(&snap),
             Some(&serve_load),
@@ -787,12 +761,11 @@ mod tests {
         assert!(text.contains("\"one_change_unattributed_ms\": 10.000"));
         assert!(text.contains("\"one_change_speedup\": 31.0"));
         assert!(text.contains("\"five_change_recomputed\": 5"));
-        assert_eq!(text.matches('{').count(), text.matches('}').count());
-        assert_eq!(text.matches('[').count(), text.matches(']').count());
+        assert_eq!(text, include_str!("../../../tests/golden/json/bench.json"));
 
         // Without the optional sections the legacy shape is untouched.
         let env = BenchEnv { nproc: 1, rd_threads: None, git_rev: "unknown".into() };
-        let legacy = render_json(&env, &scales, None, None, None, None, None);
+        let legacy = render_json(&env, &[], &scales, None, None, None, None, None);
         assert!(legacy.contains("\"rd_threads\": null"));
         assert!(!legacy.contains("\"snap\""));
         assert!(!legacy.contains("\"bench_serve\""));

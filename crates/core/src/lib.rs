@@ -192,25 +192,6 @@ impl NetworkAnalysis {
         routing_model::area_structures(&self.network, &self.processes, &self.instances)
     }
 
-    /// Destination prefixes that several routers point static routes at —
-    /// the Section 8.1 maintenance-planning concern ("avoid disabling
-    /// multiple routers with static routes to the same destination
-    /// prefix").
-    pub fn shared_static_destinations(&self) -> Vec<(Prefix, Vec<RouterId>)> {
-        let mut by_dest: std::collections::BTreeMap<Prefix, Vec<RouterId>> =
-            Default::default();
-        for (rid, router) in self.network.iter() {
-            let mut seen: std::collections::BTreeSet<Prefix> = Default::default();
-            for sr in &router.config.static_routes {
-                if seen.insert(sr.prefix()) {
-                    by_dest.entry(sr.prefix()).or_default().push(rid);
-                }
-            }
-        }
-        by_dest.retain(|_, routers| routers.len() > 1);
-        by_dest.into_iter().collect()
-    }
-
     /// A reachability analysis over this network (Section 6.2).
     pub fn reachability(&self) -> ReachAnalysis<'_> {
         ReachAnalysis::new(&self.network, &self.processes, &self.adjacencies, &self.instances)

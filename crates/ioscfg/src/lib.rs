@@ -51,7 +51,7 @@ pub use model::{
     classful_prefix, AccessList, AclAction, AclAddr, AclEntry, BgpNeighbor, BgpProcess,
     DistributeList, EigrpNetwork, EigrpProcess, IfAddr, Interface, OspfArea, OspfNetwork,
     OspfProcess, PortMatch, Redistribution, RedistSource, RipProcess, RouteMap,
-    RouteMapClause, RouterConfig, RouterStanzaKind, RmMatch, RmSet, StaticRoute,
+    RouteMapClause, RouterConfig, RmMatch, RmSet, StaticRoute,
     StaticTarget,
 };
 pub use parse::{parse_config, parse_raw};

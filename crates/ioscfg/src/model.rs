@@ -54,34 +54,6 @@ impl RouterConfig {
     pub fn interface_subnets(&self) -> impl Iterator<Item = Prefix> + '_ {
         self.interfaces.iter().flat_map(|i| i.subnets())
     }
-
-    /// All routing-process stanzas in a uniform view (used by analyses that
-    /// iterate "every routing process on this router").
-    pub fn routing_stanzas(&self) -> Vec<RouterStanzaKind<'_>> {
-        let mut out: Vec<RouterStanzaKind<'_>> =
-            self.ospf.iter().map(RouterStanzaKind::Ospf).collect();
-        out.extend(self.eigrp.iter().map(RouterStanzaKind::Eigrp));
-        if let Some(rip) = &self.rip {
-            out.push(RouterStanzaKind::Rip(rip));
-        }
-        if let Some(bgp) = &self.bgp {
-            out.push(RouterStanzaKind::Bgp(bgp));
-        }
-        out
-    }
-}
-
-/// A borrowed view of any routing-process stanza.
-#[derive(Clone, Copy, Debug)]
-pub enum RouterStanzaKind<'a> {
-    /// An OSPF process.
-    Ospf(&'a OspfProcess),
-    /// An EIGRP/IGRP process.
-    Eigrp(&'a EigrpProcess),
-    /// The RIP process.
-    Rip(&'a RipProcess),
-    /// The BGP process.
-    Bgp(&'a BgpProcess),
 }
 
 /// An interface address: host address plus netmask.
@@ -741,11 +713,6 @@ impl AccessList {
         AccessList { id, entries: Vec::new() }
     }
 
-    /// True if the list is a standard (source-only) list by number.
-    pub fn is_standard(&self) -> bool {
-        self.id < 100
-    }
-
     /// Evaluates the list against a source address (standard-list
     /// semantics; the implicit trailing rule denies).
     pub fn permits_source(&self, addr: Addr) -> bool {
@@ -837,11 +804,6 @@ impl RouteMap {
     /// An empty route map.
     pub fn new(name: impl Into<String>) -> RouteMap {
         RouteMap { name: name.into(), clauses: Vec::new() }
-    }
-
-    /// Total number of clauses ("filter rules" for Fig. 11 accounting).
-    pub fn rule_count(&self) -> usize {
-        self.clauses.len()
     }
 }
 

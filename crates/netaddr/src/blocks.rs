@@ -7,8 +7,6 @@
 //! half of the enlarged block is used — until no more joins are possible.
 //! The result is a hierarchical tree of address blocks.
 
-use std::collections::BTreeMap;
-
 use crate::addr::Addr;
 use crate::prefix::Prefix;
 
@@ -210,11 +208,6 @@ fn try_join(
         return Err((a, b));
     }
     Ok(AddressBlock { prefix: sup, used, children: vec![a, b] })
-}
-
-/// Summarizes a block tree as `prefix -> utilization`, useful for reports.
-pub fn utilization_map(tree: &BlockTree) -> BTreeMap<Prefix, f64> {
-    tree.roots.iter().map(|b| (b.prefix, b.utilization())).collect()
 }
 
 #[cfg(test)]

@@ -30,9 +30,9 @@
 //!   policy reference, ambiguous structure) with severity, carried through
 //!   `ioscfg` → `nettopo` → `routing-model` instead of being dropped, and
 //!   surfaced by `rdx <dir> diag`.
-//! - [`json`]: the tiny JSON escaping/validation helpers behind all of the
-//!   above, plus the `trace_check` self-check binary that `scripts/verify.sh`
-//!   runs over emitted trace files.
+//! - [`json`]: [`json::Writer`], the one JSON writer behind every JSON
+//!   output, plus the recognizer behind the `trace_check` self-check
+//!   binary that `scripts/verify.sh` runs over emitted trace files.
 //! - [`cli`]: the one command-line parser every binary shares, with
 //!   flag tables, `--flag value`/`--flag=value` values typed through
 //!   `FromStr`, and one [`CliError`](cli::CliError) that exits 2.

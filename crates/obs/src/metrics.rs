@@ -18,6 +18,8 @@ use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::json::{Layout, Writer};
+
 /// A histogram with caller-fixed bucket bounds: `buckets[i]` counts values
 /// `<= bounds[i]`, with one final overflow bucket.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -254,28 +256,29 @@ pub fn dump() -> String {
     out
 }
 
-/// Renders the registry as a JSON object (every line indented by
-/// `indent`), for the `metrics` section of `BENCH_repro.json`.
-pub fn render_json(indent: &str) -> String {
-    let snap = snapshot();
-    if snap.is_empty() {
-        return "{}".to_string();
-    }
-    let body: Vec<String> = snap
-        .iter()
-        .map(|(name, metric)| {
-            let name = crate::json::escape(name);
+/// Writes `metrics` (a [`snapshot`]) into `w` as one block object, the
+/// `metrics` section of `BENCH_repro.json`: counters and gauges as
+/// numbers, histograms as inline objects.
+pub fn write_json(w: &mut Writer, metrics: &[(String, Metric)]) {
+    w.obj(Layout::Block, |w| {
+        for (name, metric) in metrics {
+            w.key(name);
             match metric {
-                Metric::Counter(v) => format!("{indent}  \"{name}\": {v}"),
-                Metric::Gauge(v) => format!("{indent}  \"{name}\": {v}"),
-                Metric::Histogram(h) => format!(
-                    "{indent}  \"{name}\": {{\"count\": {}, \"sum\": {}, \"bounds\": {:?}, \"buckets\": {:?}}}",
-                    h.count, h.sum, h.bounds, h.buckets
-                ),
-            }
-        })
-        .collect();
-    format!("{{\n{}\n{indent}}}", body.join(",\n"))
+                Metric::Counter(v) => w.num(v),
+                Metric::Gauge(v) => w.num(v),
+                Metric::Histogram(h) => w.obj(Layout::Inline, |w| {
+                    w.key("count").num(h.count).key("sum").num(h.sum);
+                    for (key, values) in [("bounds", &h.bounds), ("buckets", &h.buckets)] {
+                        w.key(key).arr(Layout::Inline, |w| {
+                            for v in values {
+                                w.num(v);
+                            }
+                        });
+                    }
+                }),
+            };
+        }
+    });
 }
 
 /// Maps a dotted metric name onto the Prometheus name charset
@@ -461,6 +464,13 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    fn json_doc(metrics: &[(String, Metric)]) -> String {
+        let mut w = Writer::object(Layout::Block);
+        w.key("metrics");
+        write_json(&mut w, metrics);
+        w.finish()
+    }
+
     // One test function: the registry is process-global state and `cargo
     // test` runs #[test] functions concurrently.
     #[test]
@@ -488,10 +498,10 @@ mod tests {
 
         let text = dump();
         assert!(text.contains("t.files") && text.contains("5"));
-        let json = render_json("  ");
+        let json = json_doc(&snapshot());
         assert!(json.contains("\"t.files\": 5"));
         assert!(json.contains("\"count\": 4"));
-        crate::json::validate_object(&json.replace('\n', " ")).unwrap();
+        crate::json::validate_object(&json).unwrap();
 
         let prom = render_prometheus();
         assert!(prom.contains("# TYPE t_files_total counter"));
@@ -546,7 +556,7 @@ mod tests {
         assert!(prom.contains("rd_build_info{version=\"1.2.3-test\"} 1"), "{prom}");
         assert!(prom.contains("# TYPE process_uptime_seconds gauge"), "{prom}");
         lint_prometheus(&prom).expect("exposition with build info must lint clean");
-        assert!(!render_json("").contains("build_info"));
+        assert!(!json_doc(&snapshot()).contains("build_info"));
         assert!(!dump().contains("uptime"));
 
         // Batched merge: a local histogram folds in under one lock.
@@ -588,6 +598,6 @@ mod tests {
 
         reset();
         assert!(snapshot().is_empty());
-        assert_eq!(render_json(""), "{}");
+        assert_eq!(json_doc(&snapshot()), "{\n  \"metrics\": {}\n}\n");
     }
 }

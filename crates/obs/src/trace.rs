@@ -37,13 +37,12 @@
 //! ```
 
 use std::cell::RefCell;
-use std::fmt::Write as _;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::json::escape;
+use crate::json::{Layout, Writer};
 
 /// Environment variable selecting the trace sink (`<path>`, `stderr`, `-`).
 pub const TRACE_ENV: &str = "RD_TRACE";
@@ -129,33 +128,25 @@ impl Event {
     /// Serializes to one JSONL line (no trailing newline). `zero_ts`
     /// rewrites `ts_us`/`dur_us` to 0 for byte-stable comparisons.
     pub fn render(&self, zero_ts: bool) -> String {
-        let mut out = String::with_capacity(64);
-        let ts = if zero_ts { 0 } else { self.ts_us };
-        write!(
-            out,
-            "{{\"ev\":\"{}\",\"name\":\"{}\",\"ts_us\":{ts}",
-            self.kind.label(),
-            escape(&self.name)
-        )
-        .expect("string write");
+        let zeroed = |us: u64| if zero_ts { 0 } else { us };
+        let mut w = Writer::object(Layout::Compact);
+        w.key("ev").str(self.kind.label());
+        w.key("name").str(&self.name);
+        w.key("ts_us").num(zeroed(self.ts_us));
         if let Some(dur) = self.dur_us {
-            let dur = if zero_ts { 0 } else { dur };
-            write!(out, ",\"dur_us\":{dur}").expect("string write");
+            w.key("dur_us").num(zeroed(dur));
         }
-        out.push_str(",\"fields\":{");
-        for (i, (key, value)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        w.key("fields").obj(Layout::Compact, |w| {
+            for (key, value) in &self.fields {
+                w.key(key);
+                match value {
+                    Value::Str(s) => w.str(s),
+                    Value::Int(n) => w.num(n),
+                    Value::Bool(b) => w.num(b),
+                };
             }
-            write!(out, "\"{}\":", escape(key)).expect("string write");
-            match value {
-                Value::Str(s) => write!(out, "\"{}\"", escape(s)).expect("string write"),
-                Value::Int(n) => write!(out, "{n}").expect("string write"),
-                Value::Bool(b) => write!(out, "{b}").expect("string write"),
-            }
-        }
-        out.push_str("}}");
-        out
+        });
+        w.finish()
     }
 }
 

@@ -5,98 +5,72 @@
 //! across runs and thread counts — the property verify.sh's plan stage
 //! pins with `cmp`.
 
-use rd_obs::json::escape;
+use rd_obs::json::{Layout, Writer};
 
-use crate::{Plan, StepVerdict};
-
-fn push_checks(out: &mut String, verdict: &StepVerdict, indent: &str) {
-    out.push_str("[\n");
-    for (i, check) in verdict.checks.iter().enumerate() {
-        out.push_str(&format!(
-            "{indent}  {{\"invariant\": \"{}\", \"ok\": {}, \"detail\": \"{}\"}}{}\n",
-            check.invariant,
-            check.ok,
-            escape(&check.detail),
-            if i + 1 < verdict.checks.len() { "," } else { "" },
-        ));
-    }
-    out.push_str(indent);
-    out.push(']');
-}
+use crate::{InvariantCheck, Plan};
 
 /// Renders the plan as the canonical JSON document — the exact bytes
 /// `rdx plan --json` prints and rd-serve's `/plan` endpoint serves.
 pub fn render_json(plan: &Plan) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n  \"plan\": {\n");
-    out.push_str(&format!(
-        "    \"current_routers\": {},\n    \"target_routers\": {},\n",
-        plan.current_routers, plan.target_routers
-    ));
-    out.push_str(&format!(
-        "    \"units\": {},\n    \"dag_edges\": {},\n",
-        plan.units.len(),
-        plan.dag_edges
-    ));
-    out.push_str("    \"steps\": [");
-    let steps: Vec<_> = plan.steps().collect();
-    for (i, (unit, verdict)) in steps.iter().enumerate() {
-        out.push_str("\n      {\n");
-        out.push_str(&format!(
-            "        \"step\": {},\n        \"action\": \"{}\",\n        \"router\": \"{}\",\n",
-            i + 1,
-            unit.kind.verb(),
-            escape(&unit.router)
-        ));
-        if let Some(old) = &unit.old_file {
-            out.push_str(&format!("        \"old_file\": \"{}\",\n", escape(old)));
+    let mut w = Writer::object(Layout::Block);
+    w.key("plan").obj(Layout::Block, |w| {
+        w.key("current_routers").num(plan.current_routers);
+        w.key("target_routers").num(plan.target_routers);
+        w.key("units").num(plan.units.len());
+        w.key("dag_edges").num(plan.dag_edges);
+        w.key("steps").arr(Layout::Block, |w| {
+            for (i, (unit, verdict)) in plan.steps().enumerate() {
+                w.obj(Layout::Block, |w| {
+                    w.key("step").num(i + 1);
+                    w.key("action").str(unit.kind.verb());
+                    w.key("router").str(&unit.router);
+                    if let Some(old) = &unit.old_file {
+                        w.key("old_file").str(old);
+                    }
+                    if let Some(new) = &unit.new_file {
+                        w.key("new_file").str(new);
+                    }
+                    write_checks(w.key("checks"), &verdict.checks);
+                });
+            }
+        });
+        w.key("naive").obj(Layout::Block, |w| {
+            w.key("order").arr(Layout::Inline, |w| {
+                for key in &plan.naive.order {
+                    w.str(key);
+                }
+            });
+            w.key("violation");
+            match &plan.naive.violation {
+                Some(violation) => w.obj(Layout::Block, |w| {
+                    w.key("step").num(violation.step);
+                    w.key("unit").str(&violation.unit);
+                    write_checks(w.key("failed"), &violation.failed);
+                }),
+                None => w.num("null"),
+            };
+        });
+        let stats = &plan.stats;
+        w.key("search").obj(Layout::Inline, |w| {
+            w.key("states_analyzed").num(stats.states_analyzed);
+            w.key("backtracks").num(stats.backtracks);
+            w.key("memo_hits").num(stats.memo_hits);
+        });
+    });
+    w.finish()
+}
+
+/// Writes invariant checks as a block array of one-line rows.
+fn write_checks(w: &mut Writer, checks: &[InvariantCheck]) {
+    w.arr(Layout::Block, |w| {
+        for check in checks {
+            w.obj(Layout::Inline, |w| {
+                w.key("invariant").str(check.invariant);
+                w.key("ok").num(check.ok);
+                w.key("detail").str(&check.detail);
+            });
         }
-        if let Some(new) = &unit.new_file {
-            out.push_str(&format!("        \"new_file\": \"{}\",\n", escape(new)));
-        }
-        out.push_str("        \"checks\": ");
-        push_checks(&mut out, verdict, "        ");
-        out.push_str("\n      }");
-        if i + 1 < steps.len() {
-            out.push(',');
-        }
-    }
-    if steps.is_empty() {
-        out.push_str("],\n");
-    } else {
-        out.push_str("\n    ],\n");
-    }
-    out.push_str("    \"naive\": {\n      \"order\": [");
-    for (i, key) in plan.naive.order.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\"", escape(key)));
-    }
-    out.push_str("],\n");
-    match &plan.naive.violation {
-        Some(violation) => {
-            out.push_str(&format!(
-                "      \"violation\": {{\n        \"step\": {},\n        \"unit\": \"{}\",\n        \"failed\": ",
-                violation.step,
-                escape(&violation.unit)
-            ));
-            push_checks(
-                &mut out,
-                &StepVerdict { checks: violation.failed.clone() },
-                "        ",
-            );
-            out.push_str("\n      }\n");
-        }
-        None => out.push_str("      \"violation\": null\n"),
-    }
-    out.push_str("    },\n");
-    out.push_str(&format!(
-        "    \"search\": {{\"states_analyzed\": {}, \"backtracks\": {}, \"memo_hits\": {}}}\n",
-        plan.stats.states_analyzed, plan.stats.backtracks, plan.stats.memo_hits
-    ));
-    out.push_str("  }\n}\n");
-    out
+    });
 }
 
 /// Renders the plan as a human-readable step table.
@@ -154,7 +128,7 @@ pub fn render_table(plan: &Plan) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ChangeKind, ChangeUnit, InvariantCheck, NaiveReport, SearchStats};
+    use crate::{ChangeKind, ChangeUnit, InvariantCheck, NaiveReport, SearchStats, StepVerdict};
 
     fn tiny_plan() -> Plan {
         let unit = ChangeUnit {

@@ -80,26 +80,6 @@ impl Adjacencies {
         build_bgp(net, &mut out);
         out
     }
-
-    /// IGP adjacencies touching a process.
-    pub fn igp_neighbors_of(&self, key: ProcKey) -> impl Iterator<Item = ProcKey> + '_ {
-        self.igp.iter().filter_map(move |adj| {
-            if adj.a == key {
-                Some(adj.b)
-            } else if adj.b == key {
-                Some(adj.a)
-            } else {
-                None
-            }
-        })
-    }
-
-    /// BGP sessions touching a process (as local or peer).
-    pub fn bgp_sessions_of(&self, key: ProcKey) -> impl Iterator<Item = &BgpSession> {
-        self.bgp
-            .iter()
-            .filter(move |s| s.local == key || s.peer == Some(key))
-    }
 }
 
 /// Whether two same-router-pair processes can be IGP-adjacent.

@@ -173,11 +173,6 @@ impl Instances {
         self.list.is_empty()
     }
 
-    /// Instances of a given protocol family.
-    pub fn of_kind(&self, kind: ProtoKind) -> impl Iterator<Item = &RoutingInstance> {
-        self.list.iter().filter(move |i| i.kind == kind)
-    }
-
     /// IGP instances that contain exactly one router — the "staging"
     /// instances characteristic of tier-2 providers (Section 7.1).
     pub fn staging_instances(&self) -> impl Iterator<Item = &RoutingInstance> {

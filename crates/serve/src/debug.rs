@@ -5,12 +5,12 @@
 //! request. Instead each loop publishes a [`LoopDebug`] snapshot of
 //! itself into [`crate::Shared`] at most once per [`PUBLISH_INTERVAL`] —
 //! a bounded copy off the hot path — and the endpoints render whatever
-//! was last published. The JSON here is hand-rolled (single object per
-//! response, `rd_obs::json::escape` for strings), matching the rest of
-//! the workspace's zero-dependency rendering.
+//! was last published. Each body is one inline object written by
+//! [`rd_obs::json::Writer`], like every other body the server sends.
 
-use std::fmt::Write as _;
 use std::time::Duration;
+
+use rd_obs::json::{Layout, Writer};
 
 use crate::cache::SnapshotState;
 
@@ -78,68 +78,50 @@ pub(crate) struct ReloadEvent {
     pub detail: String,
 }
 
-fn quoted(text: &str) -> String {
-    format!("\"{}\"", rd_obs::json::escape(text))
-}
-
-fn push_loop_fields(out: &mut String, l: &LoopDebug) {
-    let _ = write!(
-        out,
-        "{{\"loop\": {}, \"live\": {}, \"slots\": {}, \"wakeups\": {}, \
-         \"requests\": {}, \"wheel_depth\": {}, \"wheel_max_bucket\": {}",
-        l.loop_id, l.live, l.slots, l.wakeups, l.requests, l.wheel_depth, l.wheel_max_bucket
-    );
-}
-
 /// `/admin/debug/loop`: per-loop health, no per-connection detail.
 pub(crate) fn render_loops(loops: &[Option<LoopDebug>]) -> String {
-    let mut out = String::from("{\"loops\": [");
-    let mut first = true;
-    for l in loops.iter().flatten() {
-        if !first {
-            out.push_str(", ");
+    let mut w = Writer::object(Layout::Inline);
+    w.key("loops").arr(Layout::Inline, |w| {
+        for l in loops.iter().flatten() {
+            w.obj(Layout::Inline, |w| {
+                w.key("loop").num(l.loop_id);
+                w.key("live").num(l.live);
+                w.key("slots").num(l.slots);
+                w.key("wakeups").num(l.wakeups);
+                w.key("requests").num(l.requests);
+                w.key("wheel_depth").num(l.wheel_depth);
+                w.key("wheel_max_bucket").num(l.wheel_max_bucket);
+            });
         }
-        first = false;
-        push_loop_fields(&mut out, l);
-        out.push('}');
-    }
-    let published = loops.iter().flatten().count();
-    let _ = write!(out, "], \"published\": {published}, \"configured\": {}}}\n", loops.len());
-    out
+    });
+    w.key("published").num(loops.iter().flatten().count());
+    w.key("configured").num(loops.len());
+    w.finish()
 }
 
 /// `/admin/debug/conns`: every published connection, flattened across
 /// loops, each tagged with its owning loop.
 pub(crate) fn render_conns(loops: &[Option<LoopDebug>]) -> String {
-    let mut out = String::from("{\"conns\": [");
-    let mut first = true;
-    let (mut live, mut truncated) = (0usize, 0usize);
-    for l in loops.iter().flatten() {
-        live += l.live;
-        truncated += l.conns_truncated;
-        for c in &l.conns {
-            if !first {
-                out.push_str(", ");
+    let mut w = Writer::object(Layout::Inline);
+    w.key("conns").arr(Layout::Inline, |w| {
+        for l in loops.iter().flatten() {
+            for c in &l.conns {
+                w.obj(Layout::Inline, |w| {
+                    w.key("loop").num(l.loop_id);
+                    w.key("slot").num(c.slot);
+                    w.key("state").str(c.state);
+                    w.key("age_ms").num(c.age_ms);
+                    w.key("read_buf").num(c.read_buf);
+                    w.key("write_pending").num(c.write_pending);
+                    w.key("backpressured").num(c.backpressured);
+                    w.key("deadline_ms").num(c.deadline_ms);
+                });
             }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"loop\": {}, \"slot\": {}, \"state\": \"{}\", \"age_ms\": {}, \
-                 \"read_buf\": {}, \"write_pending\": {}, \"backpressured\": {}, \
-                 \"deadline_ms\": {}}}",
-                l.loop_id,
-                c.slot,
-                c.state,
-                c.age_ms,
-                c.read_buf,
-                c.write_pending,
-                c.backpressured,
-                c.deadline_ms
-            );
         }
-    }
-    let _ = write!(out, "], \"live\": {live}, \"truncated\": {truncated}}}\n");
-    out
+    });
+    w.key("live").num(loops.iter().flatten().map(|l| l.live).sum::<usize>());
+    w.key("truncated").num(loops.iter().flatten().map(|l| l.conns_truncated).sum::<usize>());
+    w.finish()
 }
 
 /// `/admin/debug/cache`: the serving snapshot (as this loop sees it —
@@ -150,35 +132,26 @@ pub(crate) fn render_cache(
     history: &[ReloadEvent],
     uptime_ms: u64,
 ) -> String {
-    let mut out = String::with_capacity(512);
-    let _ = write!(
-        out,
-        "{{\"etag\": {}, \"networks\": {}, \"entries\": {}, \"cache_enabled\": {}, \
-         \"body_bytes\": {}, \"response_bytes\": {}, \"uptime_ms\": {uptime_ms}, \
-         \"reload_history\": [",
-        quoted(&st.etag),
-        st.corpus.networks.len(),
-        st.cache.len(),
-        !st.cache.is_empty(),
-        st.cache_body_bytes,
-        st.cache_resp_bytes,
-    );
-    for (i, ev) in history.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+    let mut w = Writer::object(Layout::Inline);
+    w.key("etag").str(&st.etag);
+    w.key("networks").num(st.corpus.networks.len());
+    w.key("entries").num(st.cache.len());
+    w.key("cache_enabled").num(!st.cache.is_empty());
+    w.key("body_bytes").num(st.cache_body_bytes);
+    w.key("response_bytes").num(st.cache_resp_bytes);
+    w.key("uptime_ms").num(uptime_ms);
+    w.key("reload_history").arr(Layout::Inline, |w| {
+        for ev in history {
+            w.obj(Layout::Inline, |w| {
+                w.key("at_ms").num(ev.at_ms);
+                w.key("ok").num(ev.ok);
+                w.key("etag").str(&ev.etag);
+                w.key("networks").num(ev.networks);
+                w.key("detail").str(&ev.detail);
+            });
         }
-        let _ = write!(
-            out,
-            "{{\"at_ms\": {}, \"ok\": {}, \"etag\": {}, \"networks\": {}, \"detail\": {}}}",
-            ev.at_ms,
-            ev.ok,
-            quoted(&ev.etag),
-            ev.networks,
-            quoted(&ev.detail),
-        );
-    }
-    out.push_str("]}\n");
-    out
+    });
+    w.finish()
 }
 
 /// `/admin/debug/watch`: the health state machine plus whatever status
@@ -189,31 +162,27 @@ pub(crate) fn render_watch(
     status: Option<&crate::WatchStatus>,
     uptime_ms: u64,
 ) -> String {
-    let mut out = String::with_capacity(256);
-    let _ = write!(
-        out,
-        "{{\"health\": {}, \"uptime_ms\": {uptime_ms}, \"watch\": ",
-        quoted(health.as_str()),
-    );
-    match status {
-        None => out.push_str("null"),
-        Some(s) => {
-            let _ = write!(
-                out,
-                "{{\"generation\": {}, \"failures\": {}, \"consecutive_failures\": {}, \
-                 \"backoff_ms\": {}, \"last_error\": {}, \"last_change_ms\": {}, \
-                 \"last_publish_ms\": {}, \"fingerprints\": {}}}",
-                s.generation,
-                s.failures,
-                s.consecutive_failures,
-                s.backoff_ms,
-                s.last_error.as_deref().map(quoted).unwrap_or_else(|| "null".to_string()),
-                s.last_change_ms,
-                s.last_publish_ms,
-                s.fingerprints,
-            );
-        }
-    }
-    out.push_str("}\n");
-    out
+    let mut w = Writer::object(Layout::Inline);
+    w.key("health").str(health.as_str());
+    w.key("uptime_ms").num(uptime_ms);
+    w.key("watch");
+    let Some(s) = status else {
+        w.num("null");
+        return w.finish();
+    };
+    w.obj(Layout::Inline, |w| {
+        w.key("generation").num(s.generation);
+        w.key("failures").num(s.failures);
+        w.key("consecutive_failures").num(s.consecutive_failures);
+        w.key("backoff_ms").num(s.backoff_ms);
+        w.key("last_error");
+        match &s.last_error {
+            Some(e) => w.str(e),
+            None => w.num("null"),
+        };
+        w.key("last_change_ms").num(s.last_change_ms);
+        w.key("last_publish_ms").num(s.last_publish_ms);
+        w.key("fingerprints").num(s.fingerprints);
+    });
+    w.finish()
 }

@@ -719,7 +719,9 @@ fn respond(
                     if shared.reload_configured() {
                         shared.request_reload();
                         status = 200;
-                        let body = "{\"status\": \"reload scheduled\"}\n";
+                        let mut w = rd_obs::json::Writer::object(rd_obs::json::Layout::Inline);
+                        w.key("status").str("reload scheduled");
+                        let body = w.finish();
                         http::push_response(
                             out,
                             200,
@@ -977,17 +979,16 @@ impl EventLoop {
                 }
             }
 
-            // Lock-free snapshot pickup: one relaxed load per wake-up;
-            // the mutex is only touched when the epoch actually moved.
+            let wait_start = Instant::now();
+            let n = self.epoll.wait(&mut events, EPOLL_WAIT_MS);
+            let woke = Instant::now();
+            // Snapshot pickup after the wait: a request sent after a publish
+            // returned is answered from it. Locks only when the epoch moved.
             let epoch = self.shared.epoch();
             if epoch != self.local_epoch {
                 self.local_epoch = epoch;
                 self.state = self.shared.current_state();
             }
-
-            let wait_start = Instant::now();
-            let n = self.epoll.wait(&mut events, EPOLL_WAIT_MS);
-            let woke = Instant::now();
             self.stats.wakeups += 1;
             self.stats.total_wakeups += 1;
             self.stats

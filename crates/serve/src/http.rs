@@ -258,10 +258,9 @@ pub fn busy_response() -> Vec<u8> {
 
 /// A JSON error body for non-200 responses.
 pub fn error_body(status: u16, message: &str) -> String {
-    format!(
-        "{{\"error\": \"{}\", \"status\": {status}}}\n",
-        rd_obs::json::escape(message)
-    )
+    let mut w = rd_obs::json::Writer::object(rd_obs::json::Layout::Inline);
+    w.key("error").str(message).key("status").num(status);
+    w.finish()
 }
 
 #[cfg(test)]

@@ -1,17 +1,17 @@
 //! JSON renderers over snapshot types.
 //!
-//! Every endpoint body is produced here, from `rd-snap` types only, with
-//! strings escaped through `rd_obs::json`. The renderers are also used
-//! directly by `rdx summary --json`, which is how verify.sh can diff a
-//! served `/networks/{id}` body against a direct analysis run: both sides
-//! call [`network_summary`] on structurally equal data.
+//! Every endpoint body is produced here, from `rd-snap` types only,
+//! through the one JSON writer, [`rd_obs::json::Writer`]. The renderers
+//! are also used directly by `rdx summary --json`, which is how verify.sh
+//! can diff a served `/networks/{id}` body against a direct analysis run:
+//! both sides call [`network_summary`] on structurally equal data.
 //!
 //! All output is deterministic: inputs are sorted (snapshot order is
 //! canonical) and maps are `BTreeMap`s.
 
-use rd_obs::json::escape;
+use rd_obs::json::{Layout, Writer};
 use rd_snap::{Corpus, NetworkSnapshot};
-use routing_model::PathwayIndex;
+use routing_model::{PathwayIndex, RoutingInstance};
 
 /// `/healthz`: readiness plus corpus size. `status` stays `"ok"` as long
 /// as the server can answer from *some* snapshot (fresh or
@@ -23,217 +23,206 @@ pub fn healthz(corpus: &Corpus, health: crate::HealthState) -> String {
         crate::HealthState::Degraded => "degraded",
         _ => "ok",
     };
-    format!(
-        "{{\"status\": \"{status}\", \"health\": \"{}\", \"networks\": {}}}\n",
-        health.as_str(),
-        corpus.networks.len()
-    )
+    let mut w = Writer::object(Layout::Inline);
+    w.key("status").str(status);
+    w.key("health").str(health.as_str());
+    w.key("networks").num(corpus.networks.len());
+    w.finish()
 }
 
 /// `/healthz?live=1`: pure liveness — a 200 whenever the event loop can
 /// answer at all, independent of the health state machine. Startup waits
 /// (verify.sh) and process supervisors key on this form.
 pub fn healthz_live(corpus: &Corpus) -> String {
-    format!("{{\"status\": \"live\", \"networks\": {}}}\n", corpus.networks.len())
+    let mut w = Writer::object(Layout::Inline);
+    w.key("status").str("live").key("networks").num(corpus.networks.len());
+    w.finish()
 }
 
 /// `/networks`: one summary row per network.
 pub fn networks_index(corpus: &Corpus) -> String {
-    let rows: Vec<String> = corpus
-        .networks
-        .iter()
-        .map(|n| {
-            format!(
-                "    {{\"name\": \"{}\", \"routers\": {}, \"links\": {}, \"instances\": {}, \"design\": \"{}\", \"degraded\": {}}}",
-                escape(&n.name),
-                n.network.routers.len(),
-                n.links.links.len(),
-                n.instances.list.len(),
-                n.design.class,
-                n.network.coverage.degraded(),
-            )
-        })
-        .collect();
-    format!("{{\n  \"networks\": [\n{}\n  ]\n}}\n", rows.join(",\n"))
+    let mut w = Writer::object(Layout::Block);
+    w.key("networks").arr(Layout::Block, |w| {
+        for n in &corpus.networks {
+            w.obj(Layout::Inline, |w| {
+                w.key("name").str(&n.name);
+                w.key("routers").num(n.network.routers.len());
+                w.key("links").num(n.links.links.len());
+                w.key("instances").num(n.instances.list.len());
+                w.key("design").str(n.design.class);
+                w.key("degraded").num(n.network.coverage.degraded());
+            });
+        }
+    });
+    w.finish()
 }
 
 /// `/networks/{id}` — and the body of `rdx summary --json`.
 pub fn network_summary(n: &NetworkSnapshot) -> String {
     let d = &n.design;
+    let coverage = &n.network.coverage;
+    let mut w = Writer::object(Layout::Block);
+    w.key("name").str(&n.name);
+    w.key("routers").num(n.network.routers.len());
+    w.key("links").num(n.links.links.len());
+    w.key("external_subnets").num(n.external.external_subnets.len());
+    w.key("processes").num(n.processes.list.len());
+    w.key("address_blocks").num(n.blocks.len());
+    w.key("design").obj(Layout::Block, |w| {
+        w.key("class").str(d.class);
+        w.key("bgp_speakers").num(d.bgp_speakers);
+        w.key("internal_ases").num(d.internal_ases);
+        w.key("ibgp_sessions").num(d.ibgp_sessions);
+        w.key("external_ebgp_sessions").num(d.external_ebgp_sessions);
+        w.key("internal_ebgp_sessions").num(d.internal_ebgp_sessions);
+        w.key("igp_instances").num(d.igp_instances);
+        w.key("staging_instances").num(d.staging_instances);
+        w.key("bgp_into_igp").num(d.bgp_into_igp);
+        w.key("total_instances").num(d.total_instances);
+    });
+    w.key("table1").obj(Layout::Block, |w| {
+        w.key("igp_instances").obj(Layout::Block, |w| {
+            for (label, c) in &n.table1.igp_instances {
+                w.key(label).obj(Layout::Inline, |w| {
+                    w.key("intra").num(c.intra).key("inter").num(c.inter);
+                });
+            }
+        });
+        let ebgp = &n.table1.ebgp_sessions;
+        w.key("ebgp_sessions").obj(Layout::Inline, |w| {
+            w.key("intra").num(ebgp.intra).key("inter").num(ebgp.inter);
+        });
+        w.key("ibgp_sessions").num(n.table1.ibgp_sessions);
+    });
+    w.key("instances").arr(Layout::Block, |w| {
+        for i in &n.instances.list {
+            w.obj(Layout::Inline, |w| instance_fields(w, i));
+        }
+    });
     let (errors, warnings, infos) = n.diagnostics.counts();
-    let igp_rows: Vec<String> = n
-        .table1
-        .igp_instances
-        .iter()
-        .map(|(label, c)| {
-            format!(
-                "      \"{}\": {{\"intra\": {}, \"inter\": {}}}",
-                escape(label),
-                c.intra,
-                c.inter
-            )
-        })
-        .collect();
-    let instance_rows: Vec<String> = n
-        .instances
-        .list
-        .iter()
-        .map(|i| {
-            let asn = match i.asn {
-                Some(a) => a.to_string(),
-                None => "null".to_string(),
-            };
-            format!(
-                "      {{\"id\": {}, \"kind\": \"{}\", \"asn\": {asn}, \"routers\": {}, \"processes\": {}}}",
-                i.id.0,
-                i.kind,
-                i.routers.len(),
-                i.processes.len()
-            )
-        })
-        .collect();
-    let quarantined: Vec<String> = n
-        .network
-        .coverage
-        .quarantined
-        .iter()
-        .map(|f| format!("\"{}\"", escape(f)))
-        .collect();
-    format!(
-        "{{\n  \"name\": \"{name}\",\n  \"routers\": {routers},\n  \"links\": {links},\n  \"external_subnets\": {ext},\n  \"processes\": {procs},\n  \"address_blocks\": {blocks},\n  \"design\": {{\n    \"class\": \"{class}\",\n    \"bgp_speakers\": {bgp_speakers},\n    \"internal_ases\": {internal_ases},\n    \"ibgp_sessions\": {ibgp},\n    \"external_ebgp_sessions\": {eext},\n    \"internal_ebgp_sessions\": {eint},\n    \"igp_instances\": {igp},\n    \"staging_instances\": {staging},\n    \"bgp_into_igp\": {bgp_into_igp},\n    \"total_instances\": {total}\n  }},\n  \"table1\": {{\n    \"igp_instances\": {{\n{igp_rows}\n    }},\n    \"ebgp_sessions\": {{\"intra\": {ebgp_intra}, \"inter\": {ebgp_inter}}},\n    \"ibgp_sessions\": {t1_ibgp}\n  }},\n  \"instances\": [\n{instance_rows}\n  ],\n  \"diagnostics\": {{\"errors\": {errors}, \"warnings\": {warnings}, \"infos\": {infos}}},\n  \"coverage\": {{\"files\": {cov_files}, \"parsed\": {cov_parsed}, \"quarantined\": [{cov_quarantined}]}},\n  \"degraded\": {degraded}\n}}\n",
-        name = escape(&n.name),
-        routers = n.network.routers.len(),
-        links = n.links.links.len(),
-        ext = n.external.external_subnets.len(),
-        procs = n.processes.list.len(),
-        blocks = n.blocks.len(),
-        class = d.class,
-        bgp_speakers = d.bgp_speakers,
-        internal_ases = d.internal_ases,
-        ibgp = d.ibgp_sessions,
-        eext = d.external_ebgp_sessions,
-        eint = d.internal_ebgp_sessions,
-        igp = d.igp_instances,
-        staging = d.staging_instances,
-        bgp_into_igp = d.bgp_into_igp,
-        total = d.total_instances,
-        igp_rows = igp_rows.join(",\n"),
-        ebgp_intra = n.table1.ebgp_sessions.intra,
-        ebgp_inter = n.table1.ebgp_sessions.inter,
-        t1_ibgp = n.table1.ibgp_sessions,
-        instance_rows = instance_rows.join(",\n"),
-        cov_files = n.network.coverage.total_files,
-        cov_parsed = n.network.coverage.parsed(),
-        cov_quarantined = quarantined.join(", "),
-        degraded = n.network.coverage.degraded(),
-    )
+    w.key("diagnostics").obj(Layout::Inline, |w| {
+        w.key("errors").num(errors).key("warnings").num(warnings).key("infos").num(infos);
+    });
+    w.key("coverage").obj(Layout::Inline, |w| {
+        w.key("files").num(coverage.total_files);
+        w.key("parsed").num(coverage.parsed());
+        w.key("quarantined").arr(Layout::Inline, |w| {
+            for file in &coverage.quarantined {
+                w.str(file);
+            }
+        });
+    });
+    w.key("degraded").num(coverage.degraded());
+    w.finish()
 }
 
 /// `/networks/{id}/processes`: every routing process of one network.
 pub fn network_processes(n: &NetworkSnapshot) -> String {
-    let rows: Vec<String> = n
-        .processes
-        .list
-        .iter()
-        .map(|p| {
-            let router = n
-                .network
-                .routers
-                .get(p.key.router.0)
-                .map(|r| r.name().to_string())
-                .unwrap_or_else(|| p.key.router.to_string());
-            format!(
-                "    {{\"key\": \"{}\", \"router\": \"{}\", \"proto\": \"{}\", \"covered_ifaces\": {}, \"passive_ifaces\": {}, \"redistributes\": {}}}",
-                escape(&p.key.to_string()),
-                escape(&router),
-                p.key.proto,
-                p.covered_ifaces.len(),
-                p.passive_ifaces.len(),
-                p.redistributes.len()
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"network\": \"{}\",\n  \"processes\": [\n{}\n  ]\n}}\n",
-        escape(&n.name),
-        rows.join(",\n")
-    )
+    let mut w = Writer::object(Layout::Block);
+    w.key("network").str(&n.name);
+    w.key("processes").arr(Layout::Block, |w| {
+        for p in &n.processes.list {
+            w.obj(Layout::Inline, |w| {
+                w.key("key").str(p.key);
+                w.key("router");
+                match n.network.routers.get(p.key.router.0) {
+                    Some(r) => w.str(r.name()),
+                    None => w.str(p.key.router),
+                };
+                w.key("proto").str(p.key.proto);
+                w.key("covered_ifaces").num(p.covered_ifaces.len());
+                w.key("passive_ifaces").num(p.passive_ifaces.len());
+                w.key("redistributes").num(p.redistributes.len());
+            });
+        }
+    });
+    w.finish()
+}
+
+/// One routing instance's members, shared by `/networks/{id}` and
+/// `/instances` rows.
+fn instance_fields(w: &mut Writer, i: &RoutingInstance) {
+    w.key("id").num(i.id.0);
+    w.key("kind").str(i.kind);
+    w.key("asn");
+    match i.asn {
+        Some(asn) => w.num(asn),
+        None => w.num("null"),
+    };
+    w.key("routers").num(i.routers.len());
+    w.key("processes").num(i.processes.len());
 }
 
 /// `/instances`: routing instances across the whole corpus.
 pub fn instances(corpus: &Corpus) -> String {
-    let mut rows = Vec::new();
-    for n in &corpus.networks {
-        for i in &n.instances.list {
-            let asn = match i.asn {
-                Some(a) => a.to_string(),
-                None => "null".to_string(),
-            };
-            rows.push(format!(
-                "    {{\"network\": \"{}\", \"id\": {}, \"kind\": \"{}\", \"asn\": {asn}, \"routers\": {}, \"processes\": {}}}",
-                escape(&n.name),
-                i.id.0,
-                i.kind,
-                i.routers.len(),
-                i.processes.len()
-            ));
+    let mut w = Writer::object(Layout::Block);
+    w.key("instances").arr(Layout::Block, |w| {
+        for n in &corpus.networks {
+            for i in &n.instances.list {
+                w.obj(Layout::Inline, |w| {
+                    w.key("network").str(&n.name);
+                    instance_fields(w, i);
+                });
+            }
         }
-    }
-    format!("{{\n  \"instances\": [\n{}\n  ]\n}}\n", rows.join(",\n"))
+    });
+    w.finish()
 }
 
 /// `/pathways`: per-router route pathway depth summaries (Section 3.3).
 pub fn pathways(corpus: &Corpus) -> String {
-    let mut rows = Vec::new();
-    for n in &corpus.networks {
-        // One shared reverse-flow index per network, and one trace per
-        // distinct instance-membership seed: routers with equal seeds
-        // have identical pathway structure, so a large network costs a
-        // handful of traces instead of one per router.
-        let index = PathwayIndex::new(&n.instances, &n.instance_graph);
-        let mut memo: std::collections::BTreeMap<Vec<routing_model::InstanceId>, (usize, bool, usize, usize)> =
-            std::collections::BTreeMap::new();
-        for (idx, router) in n.network.routers.iter().enumerate() {
-            let rid = nettopo::RouterId(idx);
-            let seed = index.seed(rid).to_vec();
-            let (max_depth, reaches, nodes, edges) = *memo.entry(seed).or_insert_with(|| {
-                let pathway = index.trace(rid);
-                (
-                    pathway.max_depth(),
-                    pathway.reaches_external_world(),
-                    pathway.nodes.len(),
-                    pathway.edges.len(),
-                )
-            });
-            rows.push(format!(
-                "    {{\"network\": \"{}\", \"router\": \"{}\", \"max_depth\": {}, \"reaches_external_world\": {}, \"nodes\": {}, \"edges\": {}}}",
-                escape(&n.name),
-                escape(router.name()),
-                max_depth,
-                reaches,
-                nodes,
-                edges
-            ));
+    let mut w = Writer::object(Layout::Block);
+    w.key("pathways").arr(Layout::Block, |w| {
+        for n in &corpus.networks {
+            // One shared reverse-flow index per network, and one trace per
+            // distinct instance-membership seed: routers with equal seeds
+            // have identical pathway structure, so a large network costs a
+            // handful of traces instead of one per router.
+            let index = PathwayIndex::new(&n.instances, &n.instance_graph);
+            let mut memo: std::collections::BTreeMap<Vec<routing_model::InstanceId>, (usize, bool, usize, usize)> =
+                std::collections::BTreeMap::new();
+            for (idx, router) in n.network.routers.iter().enumerate() {
+                let rid = nettopo::RouterId(idx);
+                let seed = index.seed(rid).to_vec();
+                let (max_depth, reaches, nodes, edges) = *memo.entry(seed).or_insert_with(|| {
+                    let pathway = index.trace(rid);
+                    (
+                        pathway.max_depth(),
+                        pathway.reaches_external_world(),
+                        pathway.nodes.len(),
+                        pathway.edges.len(),
+                    )
+                });
+                w.obj(Layout::Inline, |w| {
+                    w.key("network").str(&n.name);
+                    w.key("router").str(router.name());
+                    w.key("max_depth").num(max_depth);
+                    w.key("reaches_external_world").num(reaches);
+                    w.key("nodes").num(nodes);
+                    w.key("edges").num(edges);
+                });
+            }
         }
-    }
-    format!("{{\n  \"pathways\": [\n{}\n  ]\n}}\n", rows.join(",\n"))
+    });
+    w.finish()
 }
 
 /// `/diag`: every pipeline diagnostic across the corpus.
 pub fn diag(corpus: &Corpus) -> String {
-    let mut rows = Vec::new();
-    for n in &corpus.networks {
-        for d in n.diagnostics.iter() {
-            rows.push(format!(
-                "    {{\"network\": \"{}\", \"file\": \"{}\", \"line\": {}, \"severity\": \"{}\", \"code\": \"{}\", \"message\": \"{}\"}}",
-                escape(&n.name),
-                escape(&d.file),
-                d.line,
-                d.severity,
-                escape(d.code),
-                escape(&d.message)
-            ));
+    let mut w = Writer::object(Layout::Block);
+    w.key("diagnostics").arr(Layout::Block, |w| {
+        for n in &corpus.networks {
+            for d in n.diagnostics.iter() {
+                w.obj(Layout::Inline, |w| {
+                    w.key("network").str(&n.name);
+                    w.key("file").str(&d.file);
+                    w.key("line").num(d.line);
+                    w.key("severity").str(d.severity);
+                    w.key("code").str(d.code);
+                    w.key("message").str(&d.message);
+                });
+            }
         }
-    }
-    format!("{{\n  \"diagnostics\": [\n{}\n  ]\n}}\n", rows.join(",\n"))
+    });
+    w.finish()
 }

@@ -220,6 +220,30 @@ fn etag_and_conditional_requests() {
 }
 
 #[test]
+fn request_right_after_publish_gets_the_new_snapshot() {
+    let server = Server::start(corpus_of(&["net1"]), "127.0.0.1:0", 1).expect("starts");
+    let mut stream = connect(&server);
+    let get = b"GET /networks HTTP/1.1\r\nhost: t\r\n\r\n";
+    stream.write_all(get).unwrap();
+    let (head, old_body) = read_response(&mut stream);
+    assert!(head.contains(&format!("etag: {}\r\n", server.etag())), "{head}");
+
+    // The loop is idle in its wait when `publish` returns; the next
+    // request on the same connection must already see the new corpus.
+    let corpus = corpus_of(&["net1", "net2"]);
+    let new_body = rd_serve::render::networks_index(&corpus);
+    server.controller().publish(corpus, None, "test");
+    let etag = server.etag();
+    stream.write_all(get).unwrap();
+    let (head, body) = read_response(&mut stream);
+    assert!(head.contains(&format!("etag: {etag}\r\n")), "stale etag after publish: {head}");
+    assert_eq!(String::from_utf8(body).unwrap(), new_body);
+    assert_ne!(new_body.as_bytes(), old_body);
+    drop(stream);
+    server.shutdown();
+}
+
+#[test]
 fn head_requests_and_zero_length_framing() {
     let server = start_server();
     let mut stream = connect(&server);

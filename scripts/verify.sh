@@ -114,6 +114,11 @@ curl -sf "http://127.0.0.1:$PORT/networks/net15" > /tmp/rd_verify_served.json
 ./target/release/rdx /tmp/rd_verify_study/net15 summary --json > /tmp/rd_verify_direct.json
 cmp /tmp/rd_verify_served.json /tmp/rd_verify_direct.json
 echo "    /networks/net15 byte-identical to direct analysis"
+for pair in networks:networks networks/net15:net15 networks/net15/processes:net15_processes \
+    instances:instances pathways:pathways diag:diag; do
+    curl -sf "http://127.0.0.1:$PORT/${pair%%:*}" | cmp - "tests/golden/json/${pair#*:}.json"
+done
+echo "    served bodies byte-identical to tests/golden/json"
 
 # Conditional GET: the snapshot's FNV trailer doubles as a strong ETag,
 # so a revalidation with the served tag must come back 304.
@@ -315,6 +320,7 @@ RD_THREADS=1 ./target/release/rdx /tmp/rd_verify_plan/current plan \
 RD_THREADS=4 ./target/release/rdx /tmp/rd_verify_plan/current plan \
     /tmp/rd_verify_plan/target --json > /tmp/rd_verify_plan_t4.json
 cmp /tmp/rd_verify_plan_t1.json /tmp/rd_verify_plan_t4.json
+cmp /tmp/rd_verify_plan_t1.json tests/golden/json/plan.json
 grep -q '"violation": {' /tmp/rd_verify_plan_t1.json \
     || { echo "seeded scenario no longer defeats the naive order" >&2; exit 1; }
 ./target/release/rdx /tmp/rd_verify_plan/current plan /tmp/rd_verify_plan/target \
