@@ -1,7 +1,6 @@
-//! Shared harness code for the `repro` binary and the criterion benches:
-//! study generation/analysis helpers and the alternative implementations
-//! used by the DESIGN.md ablations (quadratic link join, BFS instance
-//! closure).
+//! Shared harness code for the `repro` and `loadgen` binaries: study
+//! generation/analysis helpers, the `repro --bench` timing harness
+//! ([`timing`]) and the HTTP load generator ([`loadgen`]).
 
 #![forbid(unsafe_code)]
 
@@ -91,116 +90,4 @@ pub fn chaos_study(scale: StudyScale, seed: u64) -> (Vec<StudyNetwork>, Vec<Stud
         }
     }
     (kept, dropped)
-}
-
-/// Generates the raw config texts of one roster entry by name.
-pub fn generate_named(name: &str, scale: StudyScale) -> Vec<(String, String)> {
-    let roster = study_roster(scale);
-    let spec = roster
-        .iter()
-        .find(|s| s.name == name)
-        .unwrap_or_else(|| panic!("no roster entry named {name}"));
-    netgen::study::generate_network(spec, scale).texts
-}
-
-/// Ablation: quadratic link inference — match every interface pair
-/// instead of hash-joining by subnet. Same output as
-/// `nettopo::LinkMap::build`, asymptotically worse.
-pub fn quadratic_link_join(net: &nettopo::Network) -> usize {
-    let mut ifaces: Vec<(usize, netaddr::Prefix)> = Vec::new();
-    for (rid, router) in net.iter() {
-        for iface in &router.config.interfaces {
-            if iface.shutdown {
-                continue;
-            }
-            for subnet in iface.subnets() {
-                if subnet.len() < 32 {
-                    ifaces.push((rid.0, subnet));
-                }
-            }
-        }
-    }
-    let mut links = 0usize;
-    for i in 0..ifaces.len() {
-        let a = ifaces[i].1;
-        // Count each shared subnet once, at its first occurrence.
-        if ifaces[..i].iter().any(|(_, b)| *b == a) {
-            continue;
-        }
-        if ifaces[i + 1..].iter().any(|(_, b)| *b == a) {
-            links += 1;
-        }
-    }
-    links
-}
-
-/// Ablation: BFS-closure instance computation instead of union-find.
-/// Returns the number of instances (same as `Instances::compute`).
-pub fn bfs_instance_closure(
-    procs: &routing_design::Processes,
-    adj: &routing_design::Adjacencies,
-) -> usize {
-    use std::collections::{BTreeMap, BTreeSet, VecDeque};
-    // Build adjacency lists over process indices.
-    let mut edges: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    let mut add = |a: routing_design::ProcKey, b: routing_design::ProcKey| {
-        let (Some(i), Some(j)) = (procs.position(a), procs.position(b)) else { return };
-        edges.entry(i).or_default().push(j);
-        edges.entry(j).or_default().push(i);
-    };
-    for a in &adj.igp {
-        add(a.a, a.b);
-    }
-    for s in &adj.bgp {
-        if s.scope == routing_design::SessionScope::Ibgp {
-            if let Some(peer) = s.peer {
-                add(s.local, peer);
-            }
-        }
-    }
-    // Flood fill.
-    let mut seen: BTreeSet<usize> = BTreeSet::new();
-    let mut instances = 0usize;
-    for start in 0..procs.len() {
-        if seen.contains(&start) {
-            continue;
-        }
-        instances += 1;
-        let mut queue = VecDeque::from([start]);
-        seen.insert(start);
-        while let Some(v) = queue.pop_front() {
-            for &w in edges.get(&v).into_iter().flatten() {
-                if seen.insert(w) {
-                    queue.push_back(w);
-                }
-            }
-        }
-    }
-    instances
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ablations_agree_with_primary_implementations() {
-        let texts = generate_named("net6", StudyScale::Small);
-        let net = nettopo::Network::from_texts(texts).unwrap();
-        let links = nettopo::LinkMap::build(&net);
-        let shared = links.links.values().filter(|l| l.endpoints.len() >= 2).count();
-        assert_eq!(quadratic_link_join(&net), shared);
-
-        let external = nettopo::ExternalAnalysis::build(&net, &links);
-        let procs = routing_design::Processes::extract(&net);
-        let adj = routing_design::Adjacencies::build(&net, &links, &procs, &external);
-        let instances = routing_design::Instances::compute(&procs, &adj);
-        assert_eq!(bfs_instance_closure(&procs, &adj), instances.len());
-    }
-
-    #[test]
-    fn generate_named_finds_case_studies() {
-        assert!(!generate_named("net5", StudyScale::Small).is_empty());
-        assert!(!generate_named("net15", StudyScale::Small).is_empty());
-    }
 }

@@ -2,8 +2,7 @@
 //! generate + analyze pipeline per network and per stage, and renders the
 //! result as `BENCH_repro.json` through `rd_obs::json::Writer`. All of it
 //! is in-tree, so the harness works with no external crates and no network
-//! access (criterion stays an opt-in feature; see `criterion-benches` in
-//! this crate's manifest).
+//! access.
 
 use std::time::{Duration, Instant};
 

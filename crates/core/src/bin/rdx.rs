@@ -39,7 +39,6 @@ const SERVER_FLAGS: &[Flag] = &[
     Flag::value("--addr", "HOST:PORT"),
     Flag::value("--workers", "N"),
     Flag::value("--max-conns", "N"),
-    Flag::switch("--no-cache"),
 ];
 
 static ANALYZE: Table = Table {
@@ -116,7 +115,7 @@ enum Command {
     Anonymize { dir: String, out: String, key: String, obs: Observe },
 }
 
-/// The `--addr/--workers/--max-conns/--no-cache` values.
+/// The `--addr/--workers/--max-conns` values.
 #[derive(Debug, PartialEq)]
 struct Server {
     addr: String,
@@ -249,7 +248,6 @@ fn server(args: &Args) -> Result<Server, CliError> {
         options: ServeOptions {
             workers: args.get("--workers")?.unwrap_or(defaults.workers),
             max_conns: args.get("--max-conns")?.map_or(defaults.max_conns, NonZeroUsize::get),
-            cache: !args.switch("--no-cache"),
             ..defaults
         },
     })
@@ -429,23 +427,18 @@ usage:
                                          names, offsets, byte sizes)
                                          without decoding any payload
   rdx serve <file.rdsnap> [--addr HOST:PORT] [--workers N]
-            [--max-conns N] [--no-cache] [--plan <plan.json>]
-            [--profile <path>]
+            [--max-conns N] [--plan <plan.json>] [--profile <path>]
                                          serve a snapshot over HTTP from an
                                          epoll event loop: --workers N sets
                                          the loop-thread count (0 = auto),
                                          --max-conns caps live connections
                                          (default 1024; past it, 503 +
-                                         Retry-After), --no-cache disables
-                                         the pre-rendered response cache
-                                         (debug escape hatch; bodies are
-                                         byte-identical either way),
-                                         --profile writes the cache-build
-                                         span profile on shutdown
+                                         Retry-After), --profile writes the
+                                         cache-build span profile on shutdown
   rdx watch <config-dir> [--addr HOST:PORT] [--snapshot <file.rdsnap>]
             [--poll-ms N] [--debounce-ms N] [--backoff-ms N]
             [--backoff-max-ms N] [--degraded-after N] [--seed N]
-            [--workers N] [--max-conns N] [--no-cache]
+            [--workers N] [--max-conns N]
                                          supervised continuous analysis:
                                          poll <config-dir> for semantic
                                          changes (debounced per-router
@@ -1476,7 +1469,7 @@ mod tests {
                 },
             ),
             (
-                "serve study.rdsnap --workers 4 --max-conns 64 --no-cache --profile serve.folded",
+                "serve study.rdsnap --workers 4 --max-conns 64 --profile serve.folded",
                 Command::Serve {
                     file: "study.rdsnap".into(),
                     server: Server {
@@ -1484,7 +1477,6 @@ mod tests {
                         options: ServeOptions {
                             workers: 4,
                             max_conns: 64,
-                            cache: false,
                             ..ServeOptions::default()
                         },
                     },
@@ -1686,6 +1678,7 @@ mod tests {
             ("serve", cli(&SERVE, CliError::MissingArgument("<file.rdsnap>"))),
             ("serve s.rdsnap extra", cli(&SERVE, extra("extra"))),
             ("serve s.rdsnap --no-such-flag", cli(&SERVE, unknown("--no-such-flag"))),
+            ("serve s.rdsnap --no-cache", cli(&SERVE, unknown("--no-cache"))),
             (
                 "serve s.rdsnap --max-conns 0",
                 cli(&SERVE, bad("--max-conns", "0", "number would be zero for non-zero type")),
@@ -1693,6 +1686,7 @@ mod tests {
             ("watch", cli(&WATCH, CliError::MissingArgument("<config-dir>"))),
             ("watch d extra", cli(&WATCH, extra("extra"))),
             ("watch d --profile p", cli(&WATCH, unknown("--profile"))),
+            ("watch d --no-cache", cli(&WATCH, unknown("--no-cache"))),
             ("chaos", cli(&CHAOS, CliError::MissingArgument("<dir>"))),
             ("chaos d extra", cli(&CHAOS, extra("extra"))),
             ("chaos d --seed x", cli(&CHAOS, bad("--seed", "x", "invalid digit found in string"))),

@@ -1,8 +1,7 @@
-//! Fixed-seed sampled versions of the proptest suites in
-//! `tests/roundtrip.rs` and `tests/fuzz_tolerance.rs`: emit → parse
-//! round-trips on randomly generated well-formed models, plus
-//! never-panics fuzzing of the lexer/parser/anonymizer — all driven by a
-//! deterministic `rd_rng` stream so they run in every offline build.
+//! Fixed-seed property tests of the IOS model: emit → parse round-trips
+//! on randomly generated well-formed models, plus never-panics fuzzing of
+//! the lexer/parser/anonymizer — all driven by a deterministic `rd_rng`
+//! stream so they run in every offline build.
 
 use ioscfg::{
     emit_config, parse_config, AccessList, AclAction, AclAddr, AclEntry, BgpProcess,
@@ -239,8 +238,7 @@ fn static_route(rng: &mut StdRng) -> StaticRoute {
     }
 }
 
-/// A well-formed random `RouterConfig`, mirroring the proptest
-/// `arb_config` strategy in `tests/roundtrip.rs`.
+/// A well-formed random `RouterConfig`.
 fn random_config(rng: &mut StdRng) -> RouterConfig {
     let mut cfg = RouterConfig {
         hostname: opt(rng, name),
@@ -295,8 +293,7 @@ fn emitted_text_is_stable() {
     }
 }
 
-/// Random config-looking text, mirroring `arb_configish` in
-/// `tests/fuzz_tolerance.rs`: biased toward real keywords so the fuzz
+/// Random config-looking text, biased toward real keywords so the fuzz
 /// reaches deep parser paths, not just the "unknown command" bailout.
 fn random_configish(rng: &mut StdRng) -> String {
     const WORDS: &[&str] = &[

@@ -13,9 +13,6 @@
 //!   conversion back to a minimal prefix list. This is the semantic domain in
 //!   which route filters (access lists, distribute lists, route maps) are
 //!   interpreted by the `reachability` crate.
-//! - [`PrefixTrie`]: a binary trie keyed by prefixes for longest-prefix match,
-//!   used for address-space structure lookups (and benchmarked against the
-//!   range representation as one of the ablations called out in DESIGN.md).
 //! - [`AddrSet`] / [`PrefixMap`]: sorted-slice indexes ([`index`]) giving the
 //!   hot analysis loops O(log n) membership, range, longest-prefix-match and
 //!   covering-prefix queries over plain `Vec`s.
@@ -36,7 +33,6 @@ pub mod index;
 mod mask;
 mod prefix;
 mod set;
-mod trie;
 
 pub use addr::{Addr, ParseAddrError};
 pub use blocks::{recover_blocks, AddressBlock, BlockTree};
@@ -44,4 +40,3 @@ pub use index::{AddrSet, PrefixMap};
 pub use mask::{Netmask, ParseMaskError, Wildcard};
 pub use prefix::{ParsePrefixError, Prefix};
 pub use set::{PrefixSet, Range};
-pub use trie::PrefixTrie;

@@ -1,11 +1,11 @@
-//! Fixed-seed sampled versions of the `tests/properties.rs` proptest
-//! suite: the same invariants (set algebra vs a naive model, trie vs
-//! linear scan, block recovery coverage), exercised over a deterministic
-//! `rd_rng` stream so they run in every build with no external crates.
+//! Fixed-seed sampled property tests: set algebra vs a naive model, the
+//! sorted indexes vs a linear scan, and block recovery coverage, exercised
+//! over a deterministic `rd_rng` stream so they run in every build with no
+//! external crates.
 
 use std::collections::BTreeSet;
 
-use netaddr::{Addr, AddrSet, Prefix, PrefixMap, PrefixSet, PrefixTrie};
+use netaddr::{Addr, AddrSet, Prefix, PrefixMap, PrefixSet};
 use rd_rng::StdRng;
 
 fn random_prefix(rng: &mut StdRng) -> Prefix {
@@ -132,29 +132,6 @@ fn to_prefixes_is_exact_and_canonical() {
         assert_eq!(rebuilt, s);
         let total: u64 = decomposed.iter().map(|p| p.size()).sum();
         assert_eq!(total, s.size());
-    }
-}
-
-#[test]
-fn trie_lookup_matches_linear_scan() {
-    let mut rng = StdRng::seed_from_u64(0xB5);
-    for _ in 0..200 {
-        let a = random_prefixes(&mut rng);
-        let mut trie = PrefixTrie::new();
-        for (i, p) in a.iter().enumerate() {
-            trie.insert(*p, i);
-        }
-        for _ in 0..16 {
-            let addr = Addr::from_u32(rng.next_u32());
-            let expect = a
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.contains(addr))
-                .max_by_key(|(i, p)| (p.len(), *i)) // last insert wins ties
-                .map(|(_, p)| p.len());
-            let got = trie.lookup(addr).map(|(p, _)| p.len());
-            assert_eq!(got, expect, "probe {addr}");
-        }
     }
 }
 

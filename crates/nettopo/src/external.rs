@@ -280,7 +280,7 @@ impl ExternalAnalysis {
     }
 }
 
-/// Rough per-interface classification cost in [`rd_par::cost_floor`] units
+/// Rough per-interface classification cost in [`rd_par::COST_FLOOR`] units
 /// (a couple of binary searches plus a link lookup); chosen so whale
 /// networks fan out and small fixtures stay inline.
 const CLASSIFY_COST_PER_IFACE: u64 = 64;

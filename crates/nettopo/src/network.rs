@@ -223,7 +223,7 @@ impl Network {
     /// - a panicking parse worker → `worker-panic` (caught per item by
     ///   `rd_par::try_par_map_cost`, never unwinding the caller)
     ///
-    /// Corpora smaller than the `rd_par::cost_floor` (in total bytes)
+    /// Corpora smaller than the `rd_par::COST_FLOOR` (in total bytes)
     /// parse inline on the caller's thread; the output is identical.
     pub fn from_bytes_list(files: Vec<(String, Vec<u8>)>) -> Network {
         Network::from_parsed(Network::parse_files(&files))
@@ -236,7 +236,7 @@ impl Network {
     /// this stage followed by [`from_parsed`](Network::from_parsed)).
     pub fn parse_files(files: &[(String, Vec<u8>)]) -> Vec<PreparsedFile> {
         // Cost = corpus bytes: tiny fixtures parse inline (thread setup
-        // would dominate), real corpora fan out (see `rd_par::cost_floor`).
+        // would dominate), real corpora fan out (see `rd_par::COST_FLOOR`).
         let parse_cost: u64 = files.iter().map(|(_, b)| b.len() as u64).sum();
         let outcomes = rd_par::try_par_map_cost(parse_cost, files, |_, (file_name, bytes)| {
             if bytes.is_empty() {

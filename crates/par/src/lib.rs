@@ -37,29 +37,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "RD_THREADS";
 
-/// Environment variable overriding the fan-out cost floor used by
-/// [`par_map_cost`] / [`try_par_map_cost`]. Set to `0` to disable the
-/// inline fallback (every fan-out uses the full thread count).
-pub const COST_FLOOR_ENV: &str = "RD_PAR_COST_FLOOR";
-
-/// Default cost floor for [`par_map_cost`]: fan-outs whose estimated cost
-/// (by convention, roughly bytes of input to process) falls below this run
-/// inline on the caller's thread. Spawning and joining a scoped pool costs
-/// tens of microseconds; a fan-out below this floor loses more to setup
-/// than it gains from parallelism.
-pub const DEFAULT_COST_FLOOR: u64 = 64 * 1024;
-
-/// Resolves the fan-out cost floor: `RD_PAR_COST_FLOOR` if set to an
-/// integer, else [`DEFAULT_COST_FLOOR`]. Read fresh on every call so tests
-/// and harnesses can switch modes at runtime.
-pub fn cost_floor() -> u64 {
-    if let Ok(text) = std::env::var(COST_FLOOR_ENV) {
-        if let Ok(n) = text.trim().parse::<u64>() {
-            return n;
-        }
-    }
-    DEFAULT_COST_FLOOR
-}
+/// The cost floor of [`par_map_cost`] / [`try_par_map_cost`]: fan-outs
+/// whose estimated cost (by convention, roughly bytes of input to process)
+/// falls below this run inline on the caller's thread. Spawning and
+/// joining a scoped pool costs tens of microseconds; a fan-out below this
+/// floor loses more to setup than it gains from parallelism.
+pub const COST_FLOOR: u64 = 64 * 1024;
 
 /// Resolves the worker-thread count: `RD_THREADS` if set to a positive
 /// integer, else available parallelism, else 1. Read fresh on every call
@@ -91,7 +74,7 @@ where
 
 /// [`par_map`] with a caller-estimated work size: when `cost` (arbitrary
 /// units; "about how many bytes of input will this chew through" is the
-/// convention) is under [`cost_floor`], the fan-out runs inline on the
+/// convention) is under [`COST_FLOOR`], the fan-out runs inline on the
 /// caller's thread instead of spawning workers. Results are identical
 /// either way — the threshold only decides who computes them.
 pub fn par_map_cost<T, U, F>(cost: u64, items: &[T], f: F) -> Vec<U>
@@ -100,11 +83,11 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let threads = if cost < cost_floor() { 1 } else { thread_count() };
+    let threads = if cost < COST_FLOOR { 1 } else { thread_count() };
     par_map_threads(threads, items, f)
 }
 
-/// [`try_par_map`] with the [`par_map_cost`] inline-fallback threshold.
+/// [`try_par_map_threads`] with the [`par_map_cost`] inline-fallback threshold.
 pub fn try_par_map_cost<T, U, F>(
     cost: u64,
     items: &[T],
@@ -115,29 +98,19 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let threads = if cost < cost_floor() { 1 } else { thread_count() };
+    let threads = if cost < COST_FLOOR { 1 } else { thread_count() };
     try_par_map_threads(threads, items, f)
 }
 
-/// Like [`par_map`], but catches a panic in `f` **per item**: the caller
-/// gets `Err(panic message)` for the offending item instead of the whole
-/// fan-out unwinding. This is the graceful-degradation entry point — the
-/// parse pipeline turns each `Err` into a `worker-panic` diagnostic tied
-/// to the work item, so one poisoned input cannot abort a study.
+/// Like [`par_map_threads`], but catches a panic in `f` **per item**: the
+/// caller gets `Err(panic message)` for the offending item instead of the
+/// whole fan-out unwinding. This is the graceful-degradation entry point —
+/// the parse pipeline turns each `Err` into a `worker-panic` diagnostic
+/// tied to the work item, so one poisoned input cannot abort a study.
 ///
 /// Determinism: results stay in input order and the panic payload text is
 /// whatever the panic carried (`&str`/`String` payloads verbatim), so the
 /// output is identical at any thread count.
-pub fn try_par_map<T, U, F>(items: &[T], f: F) -> Vec<Result<U, String>>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    try_par_map_threads(thread_count(), items, f)
-}
-
-/// [`try_par_map`] with an explicit thread count.
 pub fn try_par_map_threads<T, U, F>(
     threads: usize,
     items: &[T],
@@ -323,21 +296,6 @@ mod tests {
         let t: Vec<Result<u64, String>> =
             try_par_map_cost(0, &items, |_, &x| x + 1);
         assert!(t.iter().all(|r| r.is_ok()));
-    }
-
-    #[test]
-    fn cost_floor_env_override() {
-        // The only test touching RD_PAR_COST_FLOOR (the others' behaviour
-        // does not depend on the floor's value, so no env race).
-        std::env::remove_var(COST_FLOOR_ENV);
-        assert_eq!(cost_floor(), DEFAULT_COST_FLOOR);
-        std::env::set_var(COST_FLOOR_ENV, "1234");
-        assert_eq!(cost_floor(), 1234);
-        std::env::set_var(COST_FLOOR_ENV, "0");
-        assert_eq!(cost_floor(), 0);
-        std::env::set_var(COST_FLOOR_ENV, "nonsense");
-        assert_eq!(cost_floor(), DEFAULT_COST_FLOOR);
-        std::env::remove_var(COST_FLOOR_ENV);
     }
 
     #[test]

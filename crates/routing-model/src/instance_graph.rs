@@ -70,13 +70,6 @@ pub struct InstanceEdge {
     pub kind: ExchangeKind,
 }
 
-impl InstanceEdge {
-    /// True for kinds where routes flow in both directions.
-    pub fn is_undirected(&self) -> bool {
-        !matches!(self.kind, ExchangeKind::Redistribution { .. })
-    }
-}
-
 /// The instance graph of one network.
 #[derive(Clone, Debug, Default)]
 pub struct InstanceGraph {

@@ -73,13 +73,6 @@ pub struct ProcessEdge {
     pub policy: Option<String>,
 }
 
-impl ProcessEdge {
-    /// True for kinds where routes flow in both directions.
-    pub fn is_undirected(&self) -> bool {
-        matches!(self.kind, EdgeKind::Adjacency | EdgeKind::Session(_))
-    }
-}
-
 /// The routing process graph of one network.
 #[derive(Clone, Debug, Default)]
 pub struct ProcessGraph {

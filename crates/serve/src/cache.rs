@@ -8,7 +8,11 @@
 //! entry stores the complete keep-alive response — status line, headers
 //! (including the `etag` derived from the snapshot trailer), and body —
 //! so the common case is a single `extend_from_slice` into the
-//! connection's write buffer, no formatting, no allocation.
+//! connection's write buffer, no formatting, no allocation. The cache is
+//! the only source of snapshot-derived bodies: a request is served from
+//! its exact path or, failing that, from its [`canonical`] spelling
+//! (`//pathways` and `/networks/` reach the same entries), and anything
+//! else is a 404 — no request renders one.
 //!
 //! [`SnapshotState`] bundles the corpus, its entity tag, and the cache
 //! into one immutable unit behind an `Arc`: hot reload builds a fresh
@@ -26,7 +30,7 @@ use crate::{http, render};
 /// One cached endpoint: the body plus both pre-rendered framings.
 pub(crate) struct Cached {
     /// The response body bytes (shared by HEAD and `connection: close`
-    /// responses, and by tests comparing cached vs dynamic rendering).
+    /// responses).
     pub body: Vec<u8>,
     /// The complete keep-alive response: head + body, ready to copy.
     pub resp_ka: Vec<u8>,
@@ -34,13 +38,12 @@ pub(crate) struct Cached {
 
 /// An immutable snapshot-serving unit: corpus, entity tag, cache.
 pub(crate) struct SnapshotState {
-    /// The loaded corpus (kept for dynamic renders: `--no-cache`,
-    /// non-canonical paths, 404 routing).
+    /// The loaded corpus (`/healthz` and the debug views read it).
     pub corpus: Arc<Corpus>,
     /// The quoted entity tag served on snapshot-derived responses:
     /// `"<fnv1a64 trailer as 16 hex digits>"`.
     pub etag: String,
-    /// Pre-rendered responses by canonical path; empty under `--no-cache`.
+    /// Pre-rendered responses by canonical path.
     pub cache: BTreeMap<String, Cached>,
     /// Pre-rendered `304 Not Modified` (keep-alive framing).
     pub not_modified_ka: Vec<u8>,
@@ -48,78 +51,62 @@ pub(crate) struct SnapshotState {
     pub cache_body_bytes: usize,
     /// Total cached pre-framed response bytes.
     pub cache_resp_bytes: usize,
-    /// The reconfiguration plan document served at `/plan`
-    /// (`rdx serve --plan`); `None` 404s the endpoint. Shared by Arc so
-    /// hot reload re-attaches the same plan to the fresh snapshot.
-    pub plan: Option<Arc<String>>,
 }
 
 impl SnapshotState {
-    /// Renders every static endpoint of `corpus` once (unless
-    /// `cache_enabled` is off) and fixes the entity tag from the
-    /// snapshot's FNV-1a-64 `trailer` — recomputed by re-encoding when
+    /// Renders every static endpoint of `corpus` once — `/plan` from the
+    /// attached `plan` document, if any — and fixes the entity tag from
+    /// the snapshot's FNV-1a-64 `trailer`, recomputed by re-encoding when
     /// the corpus did not come from a snapshot file.
-    pub fn build(
-        corpus: Corpus,
-        trailer: Option<u64>,
-        cache_enabled: bool,
-        plan: Option<Arc<String>>,
-    ) -> SnapshotState {
+    pub fn build(corpus: Corpus, trailer: Option<u64>, plan: Option<&str>) -> SnapshotState {
         let trailer = trailer.unwrap_or_else(|| corpus.trailer());
         let etag = format!("\"{trailer:016x}\"");
         let corpus = Arc::new(corpus);
         let mut cache = BTreeMap::new();
         let (mut cache_body_bytes, mut cache_resp_bytes) = (0usize, 0usize);
-        if cache_enabled {
-            // Profiled as one span with a child per endpoint render, so
-            // `--profile` shows where reload-rebuild time goes.
-            let _span = rd_obs::span!("serve.cache_build");
-            for path in static_paths(&corpus, plan.is_some()) {
-                let body = {
-                    let _render = rd_obs::span!("render:{}", path);
-                    let Some(body) = render_path(&corpus, plan_text(&plan), &path) else {
-                        continue;
-                    };
-                    body.into_bytes()
+        // Profiled as one span with a child per endpoint render, so
+        // `--profile` shows where reload-rebuild time goes.
+        let _span = rd_obs::span!("serve.cache_build");
+        for path in static_paths(&corpus, plan.is_some()) {
+            let body = {
+                let _render = rd_obs::span!("render:{}", path);
+                let Some(body) = render_path(&corpus, plan, &path) else {
+                    continue;
                 };
-                let mut resp_ka = Vec::with_capacity(body.len() + 160);
-                http::push_response(
-                    &mut resp_ka,
-                    200,
-                    "application/json",
-                    &body,
-                    true,
-                    Some(&etag),
-                    "",
-                    false,
-                );
-                cache_body_bytes += body.len();
-                cache_resp_bytes += resp_ka.len();
-                cache.insert(path, Cached { body, resp_ka });
-            }
+                body.into_bytes()
+            };
+            let mut resp_ka = Vec::with_capacity(body.len() + 160);
+            http::push_response(
+                &mut resp_ka,
+                200,
+                "application/json",
+                &body,
+                true,
+                Some(&etag),
+                "",
+                false,
+            );
+            cache_body_bytes += body.len();
+            cache_resp_bytes += resp_ka.len();
+            cache.insert(path, Cached { body, resp_ka });
         }
         let mut not_modified_ka = Vec::with_capacity(96);
         http::push_response(&mut not_modified_ka, 304, "", b"", true, Some(&etag), "", false);
-        SnapshotState {
-            corpus,
-            etag,
-            cache,
-            not_modified_ka,
-            cache_body_bytes,
-            cache_resp_bytes,
-            plan,
-        }
-    }
-
-    /// The plan document text, if one was attached.
-    pub fn plan_text(&self) -> Option<&str> {
-        plan_text(&self.plan)
+        SnapshotState { corpus, etag, cache, not_modified_ka, cache_body_bytes, cache_resp_bytes }
     }
 }
 
-/// Projects the shared plan Arc to the `&str` the renderer consumes.
-pub(crate) fn plan_text(plan: &Option<Arc<String>>) -> Option<&str> {
-    plan.as_deref().map(String::as_str)
+/// The canonical spelling of a request path: its non-empty segments
+/// joined by `/` (`//pathways` and `/networks/net15/` become `/pathways`
+/// and `/networks/net15`). Cache keys are canonical, so a request that
+/// misses on its exact path retries under this one.
+pub(crate) fn canonical(path: &str) -> String {
+    let mut out = String::with_capacity(path.len());
+    for segment in path.split('/').filter(|s| !s.is_empty()) {
+        out.push('/');
+        out.push_str(segment);
+    }
+    out
 }
 
 /// The canonical cacheable paths of a corpus, in render order.
@@ -142,13 +129,9 @@ pub(crate) fn static_paths(corpus: &Corpus, has_plan: bool) -> Vec<String> {
     paths
 }
 
-/// Routes a path to its rendered JSON body, `None` when the path has no
-/// snapshot-derived endpoint (the caller then 404s). This is the single
-/// routing truth shared by the cache builder and the `--no-cache` /
-/// non-canonical-path dynamic fallback, using the same segment
-/// normalization as the original threaded server (`//instances` and
-/// `/networks/` still resolve), so cached and dynamic responses are
-/// byte-identical.
+/// Routes a canonical path to its rendered JSON body, `None` when the
+/// path has no snapshot-derived endpoint (the cache builder then skips
+/// it, so requests for it 404).
 pub(crate) fn render_path(corpus: &Corpus, plan: Option<&str>, path: &str) -> Option<String> {
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     match segments.as_slice() {
@@ -165,7 +148,7 @@ pub(crate) fn render_path(corpus: &Corpus, plan: Option<&str>, path: &str) -> Op
     }
 }
 
-/// The 404 message for a path [`render_path`] declined — same wording as
+/// The 404 message for a path the cache does not hold — same wording as
 /// the original threaded server.
 pub(crate) fn not_found_message(path: &str) -> String {
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();

@@ -78,6 +78,19 @@ pub(crate) struct ReloadEvent {
     pub detail: String,
 }
 
+impl ReloadEvent {
+    /// An event naming `st` as the snapshot serving after it.
+    pub fn new(st: &SnapshotState, at_ms: u64, ok: bool, detail: &str) -> ReloadEvent {
+        ReloadEvent {
+            at_ms,
+            ok,
+            etag: st.etag.clone(),
+            networks: st.corpus.networks.len(),
+            detail: detail.to_string(),
+        }
+    }
+}
+
 /// `/admin/debug/loop`: per-loop health, no per-connection detail.
 pub(crate) fn render_loops(loops: &[Option<LoopDebug>]) -> String {
     let mut w = Writer::object(Layout::Inline);
@@ -136,7 +149,6 @@ pub(crate) fn render_cache(
     w.key("etag").str(&st.etag);
     w.key("networks").num(st.corpus.networks.len());
     w.key("entries").num(st.cache.len());
-    w.key("cache_enabled").num(!st.cache.is_empty());
     w.key("body_bytes").num(st.cache_body_bytes);
     w.key("response_bytes").num(st.cache_resp_bytes);
     w.key("uptime_ms").num(uptime_ms);

@@ -561,7 +561,10 @@ fn respond(
             "GET" | "HEAD" => {
                 let head_only = head.method == "HEAD";
                 let path = head.path();
-                if let Some(cached) = st.cache.get(path) {
+                // The exact spelling first; the canonical one is built
+                // only on a miss, so `//pathways` still hits.
+                let cached = st.cache.get(path).or_else(|| st.cache.get(&cache::canonical(path)));
+                if let Some(cached) = cached {
                     stats.cache_hits += 1;
                     if head.none_match(&st.etag) {
                         status = 304;
@@ -592,6 +595,17 @@ fn respond(
                 } else {
                     let segments: Vec<&str> =
                         path.split('/').filter(|s| !s.is_empty()).collect();
+                    // The debug views render from state the loops publish
+                    // off the hot path (and, for the cache view, from this
+                    // loop's current snapshot state) — never from another
+                    // loop's live slab.
+                    let debug = match segments.as_slice() {
+                        ["admin", "debug", "loop"] => Some(shared.render_debug_loops()),
+                        ["admin", "debug", "conns"] => Some(shared.render_debug_conns()),
+                        ["admin", "debug", "cache"] => Some(shared.render_debug_cache(st)),
+                        ["admin", "debug", "watch"] => Some(shared.render_debug_watch()),
+                        _ => None,
+                    };
                     if segments.as_slice() == ["healthz"] {
                         // Dynamic on purpose: the body reflects the live
                         // health state machine, so it is never cached.
@@ -637,66 +651,22 @@ fn respond(
                             "",
                             head_only,
                         );
-                    } else if let ["admin", "debug", which] = segments.as_slice() {
-                        // Rendered from state the loops publish off the
-                        // hot path (and, for the cache view, from this
-                        // loop's current snapshot state) — never from
-                        // another loop's live slab.
-                        let body = match *which {
-                            "loop" => Some(shared.render_debug_loops()),
-                            "conns" => Some(shared.render_debug_conns()),
-                            "cache" => Some(shared.render_debug_cache(st)),
-                            "watch" => Some(shared.render_debug_watch()),
-                            _ => None,
-                        };
-                        if let Some(body) = body {
-                            status = 200;
-                            http::push_response(
-                                out,
-                                200,
-                                "application/json",
-                                body.as_bytes(),
-                                keep,
-                                None,
-                                "cache-control: no-store\r\n",
-                                head_only,
-                            );
-                        } else {
-                            status = 404;
-                            let body = http::error_body(404, &cache::not_found_message(path));
-                            http::push_response(
-                                out,
-                                404,
-                                "application/json",
-                                body.as_bytes(),
-                                keep,
-                                None,
-                                "",
-                                head_only,
-                            );
-                        }
-                    } else if let Some(body) = cache::render_path(&st.corpus, st.plan_text(), path)
-                    {
-                        // `--no-cache`, or a non-canonical spelling of a
-                        // cacheable path: render per request.
-                        stats.cache_misses += 1;
-                        if head.none_match(&st.etag) {
-                            status = 304;
-                            http::push_response(out, 304, "", b"", keep, Some(&st.etag), "", false);
-                        } else {
-                            status = 200;
-                            http::push_response(
-                                out,
-                                200,
-                                "application/json",
-                                body.as_bytes(),
-                                keep,
-                                Some(&st.etag),
-                                "",
-                                head_only,
-                            );
-                        }
+                    } else if let Some(body) = debug {
+                        status = 200;
+                        http::push_response(
+                            out,
+                            200,
+                            "application/json",
+                            body.as_bytes(),
+                            keep,
+                            None,
+                            "cache-control: no-store\r\n",
+                            head_only,
+                        );
                     } else {
+                        // No cached entry under any spelling and no
+                        // dynamic route: a 404, counted as a cache miss.
+                        stats.cache_misses += 1;
                         status = 404;
                         let body = http::error_body(404, &cache::not_found_message(path));
                         http::push_response(

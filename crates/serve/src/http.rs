@@ -188,8 +188,8 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Appends a response head to `out`. Headers are lowercase, in a fixed
 /// order (`content-type`, `content-length`, `etag`, `connection`, then
-/// `extra` verbatim), so cached and dynamically-rendered responses are
-/// byte-identical. `extra` carries status-specific lines such as
+/// `extra` verbatim), so a pre-framed cached response and the same body
+/// framed per request are byte-identical. `extra` carries status-specific lines such as
 /// `allow: ...\r\n` or `retry-after: 1\r\n`. A 304 omits `content-type`
 /// (it has no body by definition).
 pub fn push_head(

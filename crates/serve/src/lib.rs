@@ -9,9 +9,11 @@
 //! buffers, a lazy deadline wheel). Because every GET body is a pure
 //! function of the loaded snapshot, static endpoints are rendered once
 //! per snapshot into a pre-rendered response cache keyed by the
-//! snapshot's FNV-1a-64 trailer — the common case is a single memcpy of
-//! cached bytes, which is what takes mixed-endpoint throughput from
-//! thousands to hundreds of thousands of requests per second:
+//! snapshot's FNV-1a-64 trailer — every snapshot-derived response is a
+//! single memcpy of cached bytes (a non-canonical spelling such as
+//! `//pathways` is looked up under its canonical path), which is what
+//! takes mixed-endpoint throughput from thousands to hundreds of
+//! thousands of requests per second:
 //!
 //! | Endpoint | Body |
 //! |---|---|
@@ -204,12 +206,8 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Live-connection cap; past it, accepts get `503` + `Retry-After`.
     pub max_conns: usize,
-    /// Pre-render every static endpoint at load (the debug escape hatch
-    /// `--no-cache` turns this off; bodies stay byte-identical).
-    pub cache: bool,
     /// Snapshot file re-read on SIGHUP / `POST /admin/reload`. `None`
-    /// disables file-based reload (programmatic
-    /// [`Server::swap_corpus`] still works).
+    /// disables file-based reload ([`Controller::publish`] still works).
     pub reload_path: Option<PathBuf>,
     /// Reconfiguration-plan document (the `rdx plan --json` bytes)
     /// served verbatim at `/plan`; `None` 404s the endpoint. The plan
@@ -220,7 +218,7 @@ pub struct ServeOptions {
 
 impl Default for ServeOptions {
     fn default() -> ServeOptions {
-        ServeOptions { workers: 0, max_conns: 1024, cache: true, reload_path: None, plan: None }
+        ServeOptions { workers: 0, max_conns: 1024, reload_path: None, plan: None }
     }
 }
 
@@ -232,10 +230,9 @@ pub(crate) struct Shared {
     reload_requested: AtomicBool,
     pub(crate) conn_count: AtomicUsize,
     pub(crate) max_conns: usize,
-    pub(crate) cache_enabled: bool,
     pub(crate) reload_path: Option<PathBuf>,
-    /// The `/plan` document, re-attached to every rebuilt snapshot state.
-    pub(crate) plan: Option<Arc<String>>,
+    /// The `/plan` document, rendered into every rebuilt snapshot state.
+    plan: Option<String>,
     /// When the server started (uptime base for debug timestamps).
     started: Instant,
     /// Per-loop self-published debug snapshots, indexed by loop id.
@@ -259,10 +256,23 @@ impl Shared {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Atomically publishes a new snapshot state.
-    pub(crate) fn swap_state(&self, next: Arc<SnapshotState>) {
-        *self.state.lock().unwrap_or_else(|p| p.into_inner()) = next;
+    /// The one publish path after boot, shared by hot reload and
+    /// [`Controller::publish`]: builds the state for `corpus` (cache and
+    /// all) on the calling thread, swaps it in with one `Arc` store, and
+    /// records the publish in the reload-history ring.
+    pub(crate) fn publish(&self, corpus: Corpus, trailer: Option<u64>, detail: &str) {
+        let state = SnapshotState::build(corpus, trailer, self.plan.as_deref());
+        let event = ReloadEvent::new(&state, self.uptime_ms(), true, detail);
+        *self.state.lock().unwrap_or_else(|p| p.into_inner()) = Arc::new(state);
         self.epoch.fetch_add(1, Ordering::Release);
+        self.push_reload_event(event);
+    }
+
+    /// Records a failed (re)load in the reload-history ring; the entry
+    /// names the snapshot that is still serving.
+    pub(crate) fn record_failure(&self, detail: &str) {
+        let event = ReloadEvent::new(&self.current_state(), self.uptime_ms(), false, detail);
+        self.push_reload_event(event);
     }
 
     pub(crate) fn is_shutdown(&self) -> bool {
@@ -428,15 +438,8 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let listener = Arc::new(listener);
 
-        let plan = opts.plan.map(Arc::new);
-        let state = SnapshotState::build(corpus, trailer, opts.cache, plan.clone());
-        let boot = ReloadEvent {
-            at_ms: 0,
-            ok: true,
-            etag: state.etag.clone(),
-            networks: state.corpus.networks.len(),
-            detail: "boot".to_string(),
-        };
+        let state = SnapshotState::build(corpus, trailer, opts.plan.as_deref());
+        let boot = ReloadEvent::new(&state, 0, true, "boot");
         let loops = if opts.workers == 0 { rd_par::thread_count().max(1) } else { opts.workers };
         let shared = Arc::new(Shared {
             state: Mutex::new(Arc::new(state)),
@@ -445,9 +448,8 @@ impl Server {
             reload_requested: AtomicBool::new(false),
             conn_count: AtomicUsize::new(0),
             max_conns: opts.max_conns.max(1),
-            cache_enabled: opts.cache,
             reload_path: opts.reload_path,
-            plan,
+            plan: opts.plan,
             started: Instant::now(),
             debug: Mutex::new((0..loops).map(|_| None).collect()),
             reload_history: Mutex::new(Vec::new()),
@@ -495,15 +497,6 @@ impl Server {
     /// Networks in the currently served corpus.
     pub fn network_count(&self) -> usize {
         self.shared.current_state().corpus.networks.len()
-    }
-
-    /// Swaps the served corpus programmatically: builds the new state
-    /// (cache and all) on the calling thread, then publishes it
-    /// atomically. In-flight requests finish on the old snapshot.
-    pub fn swap_corpus(&self, corpus: Corpus) {
-        let cache_enabled = self.shared.cache_enabled;
-        let state = SnapshotState::build(corpus, None, cache_enabled, self.shared.plan.clone());
-        self.shared.swap_state(Arc::new(state));
     }
 
     /// The current `/healthz` state.
@@ -566,30 +559,13 @@ impl Controller {
     /// keeps the `ETag` equal to the on-disk trailer); `detail` lands in
     /// the `/admin/debug/cache` reload-history ring.
     pub fn publish(&self, corpus: Corpus, trailer: Option<u64>, detail: &str) {
-        let state =
-            SnapshotState::build(corpus, trailer, self.shared.cache_enabled, self.shared.plan.clone());
-        let event = ReloadEvent {
-            at_ms: self.shared.uptime_ms(),
-            ok: true,
-            etag: state.etag.clone(),
-            networks: state.corpus.networks.len(),
-            detail: detail.to_string(),
-        };
-        self.shared.swap_state(Arc::new(state));
-        self.shared.push_reload_event(event);
+        self.shared.publish(corpus, trailer, detail);
     }
 
     /// Records a failed analysis attempt in the reload-history ring
     /// (the served snapshot is untouched).
     pub fn record_failure(&self, detail: &str) {
-        let st = self.shared.current_state();
-        self.shared.push_reload_event(ReloadEvent {
-            at_ms: self.shared.uptime_ms(),
-            ok: false,
-            etag: st.etag.clone(),
-            networks: st.corpus.networks.len(),
-            detail: detail.to_string(),
-        });
+        self.shared.record_failure(detail);
     }
 
     /// The `/healthz` state.

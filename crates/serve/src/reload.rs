@@ -19,8 +19,6 @@ use std::sync::Arc;
 
 use rd_snap::Corpus;
 
-use crate::cache::SnapshotState;
-use crate::debug::ReloadEvent;
 use crate::{Shared, POLL_IDLE};
 
 pub(crate) fn run(shared: Arc<Shared>) {
@@ -42,23 +40,9 @@ pub(crate) fn run(shared: Arc<Shared>) {
                 // The expensive part — rendering every static endpoint —
                 // happens here, on this thread, against a corpus the
                 // loops cannot see yet. The swap itself is one Arc store.
-                let state = SnapshotState::build(
-                    corpus,
-                    Some(trailer),
-                    shared.cache_enabled,
-                    shared.plan.clone(),
-                );
-                let (etag, networks) = (state.etag.clone(), state.corpus.networks.len());
-                shared.swap_state(Arc::new(state));
+                shared.publish(corpus, Some(trailer), "reload");
                 shared.set_health(crate::HealthState::Fresh);
                 rd_obs::metrics::counter_add("http.reload_ok", 1);
-                shared.push_reload_event(ReloadEvent {
-                    at_ms: shared.uptime_ms(),
-                    ok: true,
-                    etag,
-                    networks,
-                    detail: "reload".to_string(),
-                });
             }
             Err(e) => {
                 // Keep serving the old snapshot; a bad file on disk must
@@ -68,14 +52,7 @@ pub(crate) fn run(shared: Arc<Shared>) {
                 rd_obs::metrics::counter_add("http.reload_failed", 1);
                 eprintln!("rd-serve: reload failed: {e}");
                 // The history entry records what is *still serving*.
-                let still = shared.current_state();
-                shared.push_reload_event(ReloadEvent {
-                    at_ms: shared.uptime_ms(),
-                    ok: false,
-                    etag: still.etag.clone(),
-                    networks: still.corpus.networks.len(),
-                    detail: e.to_string(),
-                });
+                shared.record_failure(&e.to_string());
             }
         }
     }

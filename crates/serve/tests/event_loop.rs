@@ -136,8 +136,7 @@ fn plan_endpoint_serves_the_attached_document_and_404s_without_one() {
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     assert!(head.contains("etag: "), "plan responses are snapshot-tagged: {head}");
     assert_eq!(body, plan_doc.as_bytes(), "served verbatim");
-    // The same bytes come from the dynamic path too (`--no-cache`
-    // equivalence is the cache contract).
+    // A non-canonical spelling reaches the same cached bytes.
     stream.write_all(b"GET //plan HTTP/1.1\r\nhost: t\r\n\r\n").unwrap();
     let (head, body) = read_response(&mut stream);
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
@@ -167,6 +166,56 @@ fn counter(name: &str) -> u64 {
             _ => None,
         })
         .unwrap_or(0)
+}
+
+#[test]
+fn non_canonical_spellings_are_served_from_the_cache() {
+    let opts = ServeOptions { workers: 1, ..ServeOptions::default() };
+    let server =
+        Server::start_with(corpus_of(&["net1", "net2"]), "127.0.0.1:0", opts).expect("starts");
+    let etag = server.etag();
+    let hits_before = counter("http.cache_hit");
+    let mut stream = connect(&server);
+    let mut get = |target: &str, validator: &str| -> (String, Vec<u8>) {
+        let mut request = format!("GET {target} HTTP/1.1\r\nhost: t\r\n");
+        if !validator.is_empty() {
+            request += &format!("if-none-match: {validator}\r\n");
+        }
+        stream.write_all(format!("{request}\r\n").as_bytes()).unwrap();
+        read_response(&mut stream)
+    };
+
+    let mut paths: Vec<String> =
+        ["/networks", "/instances", "/pathways", "/diag"].map(String::from).to_vec();
+    for id in ["net1", "net2"] {
+        paths.push(format!("/networks/{id}"));
+        paths.push(format!("/networks/{id}/processes"));
+    }
+    let mut sent = 0u64;
+    for path in &paths {
+        let (head, body) = get(path, "");
+        assert!(head.starts_with("HTTP/1.1 200"), "{path}: {head}");
+        assert!(head.contains(&format!("etag: {etag}\r\n")), "{path}: {head}");
+        for spelling in [format!("/{path}"), format!("{path}/")] {
+            // Same status line, headers (etag included) and body.
+            let (h, b) = get(&spelling, "");
+            assert_eq!(h, head, "{spelling}");
+            assert_eq!(b, body, "{spelling}");
+            let (h, b) = get(&spelling, &etag);
+            assert!(h.starts_with("HTTP/1.1 304"), "{spelling}: {h}");
+            assert!(h.contains(&format!("etag: {etag}\r\n")), "{spelling}: {h}");
+            assert!(b.is_empty());
+            sent += 2;
+        }
+    }
+
+    // `/metrics` on the same connection folds this loop's batched stats
+    // into the registry before it renders.
+    let (head, _) = get("/metrics", "");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let hits = counter("http.cache_hit") - hits_before;
+    assert!(hits >= sent, "{hits} cache hits for {sent} non-canonical requests");
+    server.shutdown();
 }
 
 #[test]

@@ -37,6 +37,14 @@ cmp /tmp/rd_verify_cli/a.rdsnap /tmp/rd_verify_cli/b.rdsnap
 diff -r /tmp/rd_verify_cli_p1 /tmp/rd_verify_cli_p2
 rm -rf /tmp/rd_verify_cli /tmp/rd_verify_cli_p1 /tmp/rd_verify_cli_p2
 echo "    rdx --help matches its golden file; all six binaries exit 2 on --no-such-flag"
+# The offline build cannot enable a cargo feature, so code behind one
+# never compiles here: no manifest may declare one, no source test one.
+if grep -n -E '^\[features\]|required-features' Cargo.toml crates/*/Cargo.toml \
+    || grep -rn --include='*.rs' 'cfg(feature' crates tests examples; then
+    echo "code behind a cargo feature never builds offline" >&2
+    exit 1
+fi
+echo "    no cargo features declared or tested"
 
 echo "==> repro --small all (offline reproduction smoke test)"
 ./target/release/repro --small all > /dev/null
@@ -118,6 +126,8 @@ for pair in networks:networks networks/net15:net15 networks/net15/processes:net1
     instances:instances pathways:pathways diag:diag; do
     curl -sf "http://127.0.0.1:$PORT/${pair%%:*}" | cmp - "tests/golden/json/${pair#*:}.json"
 done
+curl -sf "http://127.0.0.1:$PORT//pathways" | cmp - tests/golden/json/pathways.json
+curl -sf "http://127.0.0.1:$PORT/networks/net15/" | cmp - tests/golden/json/net15.json
 echo "    served bodies byte-identical to tests/golden/json"
 
 # Conditional GET: the snapshot's FNV trailer doubles as a strong ETag,
