@@ -321,12 +321,26 @@ fn bench(small_only: bool) {
     // 1.4 MB, so a mixed run against them measures loopback byte
     // throughput (~12k req/s no matter how the server is built), not
     // request handling. EXPERIMENTS.md records both figures.
+    let mut cache_builds =
+        vec![rd_bench::timing::bench_cache_build(bench_scale_for_snap, corpus.clone())];
     let serve_corpus = if small_only {
         corpus
     } else {
         drop(corpus);
-        rd_bench::timing::study_corpus(StudyScale::Small)
+        let small = rd_bench::timing::study_corpus(StudyScale::Small);
+        cache_builds
+            .insert(0, rd_bench::timing::bench_cache_build(StudyScale::Small, small.clone()));
+        small
     };
+    for c in &cache_builds {
+        let phases: Vec<String> = c
+            .phases
+            .stages
+            .iter()
+            .map(|(name, d)| format!("{name} {:.1} ms", d.as_secs_f64() * 1e3))
+            .collect();
+        eprintln!("  cache build, {} scale: {}", c.scale, phases.join(", "));
+    }
     let load = rd_bench::loadgen::LoadOptions::default();
     let serve_load = rd_bench::timing::bench_serve_load(serve_corpus, &load);
     eprintln!(
@@ -387,6 +401,7 @@ fn bench(small_only: bool) {
             Some(&external),
             Some(&plans),
             Some(&incremental),
+            &cache_builds,
         ),
     )
     .expect("write BENCH_repro.json");

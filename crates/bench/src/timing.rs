@@ -114,15 +114,14 @@ pub fn bench_scale(scale: StudyScale) -> ScaleBench {
         drop(baseline);
         started.elapsed()
     });
-    ScaleBench {
-        scale: match scale {
-            StudyScale::Small => "small",
-            StudyScale::Full => "full",
-        },
-        threads,
-        wall,
-        sequential_wall,
-        networks,
+    ScaleBench { scale: scale_name(scale), threads, wall, sequential_wall, networks }
+}
+
+/// The label a bench record carries for `scale`.
+fn scale_name(scale: StudyScale) -> &'static str {
+    match scale {
+        StudyScale::Small => "small",
+        StudyScale::Full => "full",
     }
 }
 
@@ -273,6 +272,41 @@ pub fn bench_serve_load(corpus: Corpus, load: &crate::loadgen::LoadOptions) -> S
     let stats = crate::loadgen::run(server.local_addr(), &opts).expect("load run");
     server.shutdown();
     ServeLoadBench { conns: opts.conns, pipeline: opts.pipeline, stats }
+}
+
+/// The spans of a response-cache build that [`bench_cache_build`] keeps:
+/// the whole build and its `/pathways` render, the costliest endpoint.
+const CACHE_BUILD_SPANS: [&str; 2] = ["serve.cache_build", "render:/pathways"];
+
+/// Timing record of one query-server response-cache build
+/// (`bench_cache_build` in `BENCH_repro.json`): what every boot, hot
+/// reload and `rdx watch` publish spends rendering the served bodies.
+pub struct CacheBuildBench {
+    /// `"small"` or `"full"`.
+    pub scale: &'static str,
+    /// Networks in the served corpus.
+    pub networks: usize,
+    /// `serve.cache_build` and its `render:/pathways` child, by span
+    /// name.
+    pub phases: StageTimings,
+}
+
+/// Boots a query server on `corpus` and records its response-cache
+/// build, read from the spans the build opens, so the figures carry the
+/// names the folded profile and the trace use.
+pub fn bench_cache_build(scale: StudyScale, corpus: Corpus) -> CacheBuildBench {
+    let networks = corpus.networks.len();
+    let (server, spans) = rd_obs::span::all_stages(|| {
+        rd_serve::Server::start(corpus, "127.0.0.1:0", 1).expect("bench server")
+    });
+    server.shutdown();
+    let mut phases = StageTimings::new();
+    for name in CACHE_BUILD_SPANS {
+        if let Some(d) = spans.get(name) {
+            phases.push(name, d);
+        }
+    }
+    CacheBuildBench { scale: scale_name(scale), networks, phases }
 }
 
 /// Timing record of one reconfiguration-planning scenario (`bench_plan`
@@ -487,10 +521,11 @@ impl BenchEnv {
 /// (snapshot size and write/load timings vs re-analysis), `"bench_serve"`
 /// (the pipelined mixed-endpoint load run: throughput plus p50/p99/p999),
 /// `"bench_external"` (the isolated external-classification stage),
-/// `"bench_plan"` (the reconfiguration-planning scenarios), and
+/// `"bench_plan"` (the reconfiguration-planning scenarios),
 /// `"bench_incremental"` (cold study wall vs delta refreshes with reuse
-/// accounting and the one-change refresh's phases) objects. All additive,
-/// so existing consumers of `"scales"` are unaffected.
+/// accounting and the one-change refresh's phases) objects, and a
+/// `"bench_cache_build"` array (the serve cache build per scale). All
+/// additive, so existing consumers of `"scales"` are unaffected.
 #[allow(clippy::too_many_arguments)]
 pub fn render_json(
     env: &BenchEnv,
@@ -501,6 +536,7 @@ pub fn render_json(
     external: Option<&ExternalBench>,
     plan: Option<&[PlanBench]>,
     incremental: Option<&IncrementalBench>,
+    cache_builds: &[CacheBuildBench],
 ) -> String {
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let stages = |w: &mut Writer, t: &StageTimings| {
@@ -586,6 +622,17 @@ pub fn render_json(
             w.key("five_change_reused").num(i.five_stats.reused);
             w.key("five_change_recomputed").num(i.five_stats.recomputed);
             w.key("five_change_files_reparsed").num(i.five_stats.files_reparsed);
+        });
+    }
+    if !cache_builds.is_empty() {
+        w.key("bench_cache_build").arr(Layout::Block, |w| {
+            for c in cache_builds {
+                w.obj(Layout::Block, |w| {
+                    w.key("scale").str(c.scale);
+                    w.key("networks").num(c.networks);
+                    stages(w.key("phases_ms"), &c.phases);
+                });
+            }
         });
     }
     w.key("scales").arr(Layout::Block, |w| {
@@ -718,6 +765,16 @@ mod tests {
                 dropped: 0,
             },
         };
+        let cache_builds = vec![CacheBuildBench {
+            scale: "full",
+            networks: 31,
+            phases: {
+                let mut t = StageTimings::new();
+                t.push("serve.cache_build", Duration::from_millis(120));
+                t.push("render:/pathways", Duration::from_millis(80));
+                t
+            },
+        }];
         let mut request_us = rd_obs::metrics::Histogram::new(&[100, 1000]);
         for v in [90, 150, 4000] {
             request_us.record(v);
@@ -737,6 +794,7 @@ mod tests {
             Some(&external),
             Some(&plans),
             Some(&incremental),
+            &cache_builds,
         );
         assert!(text.contains("\"speedup\": 1.80"));
         assert!(text.contains("\"parse\": 2.000"));
@@ -760,17 +818,20 @@ mod tests {
         assert!(text.contains("\"one_change_unattributed_ms\": 10.000"));
         assert!(text.contains("\"one_change_speedup\": 31.0"));
         assert!(text.contains("\"five_change_recomputed\": 5"));
+        assert!(text.contains("\"bench_cache_build\""));
+        assert!(text.contains("\"render:/pathways\": 80.000"));
         assert_eq!(text, include_str!("../../../tests/golden/json/bench.json"));
 
         // Without the optional sections the legacy shape is untouched.
         let env = BenchEnv { nproc: 1, rd_threads: None, git_rev: "unknown".into() };
-        let legacy = render_json(&env, &[], &scales, None, None, None, None, None);
+        let legacy = render_json(&env, &[], &scales, None, None, None, None, None, &[]);
         assert!(legacy.contains("\"rd_threads\": null"));
         assert!(!legacy.contains("\"snap\""));
         assert!(!legacy.contains("\"bench_serve\""));
         assert!(!legacy.contains("\"bench_external\""));
         assert!(!legacy.contains("\"bench_plan\""));
         assert!(!legacy.contains("\"bench_incremental\""));
+        assert!(!legacy.contains("\"bench_cache_build\""));
     }
 
     #[test]
@@ -812,6 +873,16 @@ mod tests {
         assert!(stats.requests >= bench.conns as u64 * bench.pipeline as u64);
         assert!(stats.p50_us <= stats.p99_us && stats.p99_us <= stats.p999_us);
         assert!(stats.throughput_rps > 0.0);
+    }
+
+    #[test]
+    fn cache_build_bench_reads_the_build_spans() {
+        let (_, corpus) = bench_snapshot(rd_bench_study_subset());
+        let bench = bench_cache_build(StudyScale::Small, corpus);
+        assert_eq!((bench.scale, bench.networks), ("small", 2));
+        let names: Vec<&str> = bench.phases.stages.iter().map(|(n, _)| n.as_ref()).collect();
+        assert_eq!(names, CACHE_BUILD_SPANS);
+        assert!(bench.phases.get("render:/pathways") <= bench.phases.get("serve.cache_build"));
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!   ([`crate::trace`]), when a sink is installed, whose `dur_us` is that
 //!   same duration;
 //! - the [`StageTimings`] of the innermost [`stages`] call, when the span
-//!   is that call's direct child. This is what fills
-//!   `NetworkAnalysis::timings`, `Plan::timings` and the refresh phases,
-//!   so a folded profile's root stacks, the trace's span names and the
-//!   `--timings` table are one vocabulary and cannot disagree.
+//!   is that call's direct child (or of an [`all_stages`] call, at any
+//!   depth). This is what fills `NetworkAnalysis::timings`,
+//!   `Plan::timings`, the refresh phases and the bench's cache-build
+//!   record, so a folded profile's root stacks, the trace's span names
+//!   and the `--timings` table are one vocabulary and cannot disagree.
 //!
 //! A span nobody listens to is unarmed: it costs a few relaxed atomic
 //! loads, reads no clock, and (through the `span!` macro) never builds its
@@ -121,9 +122,20 @@ struct Frame {
     trace: bool,
 }
 
-/// A [`stages`] call: collects the spans that close at `depth`.
+/// Which closing spans a stage record collects.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Collect {
+    /// Its direct children ([`stages`]).
+    Children,
+    /// Every span under it ([`all_stages`]).
+    All,
+}
+
+/// A [`stages`] or [`all_stages`] call: collects the spans that close at
+/// `depth` (or below it, for [`Collect::All`]).
 struct Record {
     depth: usize,
+    collect: Collect,
     stages: StageTimings,
 }
 
@@ -133,10 +145,17 @@ struct Stack {
 }
 
 impl Stack {
-    /// True when a span opened now would be a direct child of the
-    /// innermost stage record.
+    /// How the innermost stage record would collect a span opened now,
+    /// if it collects it at all.
+    fn record_collect(&self) -> Option<Collect> {
+        let r = self.records.last()?;
+        let here = self.frames.len();
+        (here == r.depth || (r.collect == Collect::All && here > r.depth)).then_some(r.collect)
+    }
+
+    /// True when the innermost stage record collects a span opened now.
     fn at_record(&self) -> bool {
-        self.records.last().is_some_and(|r| r.depth == self.frames.len())
+        self.record_collect().is_some()
     }
 
     fn path(&self) -> String {
@@ -259,7 +278,15 @@ impl Drop for Span {
 /// duration of every span that closed as a direct child of this call, in
 /// close order. Such spans are armed even when nothing else listens.
 pub fn stages<R>(f: impl FnOnce() -> R) -> (R, StageTimings) {
-    let guard = RecordGuard::push(None, true);
+    let guard = RecordGuard::push(None, Some(Collect::Children));
+    let value = f();
+    (value, guard.take())
+}
+
+/// [`stages`] over every span that closes inside `f`, at any depth, in
+/// close order: a parent follows its children.
+pub fn all_stages<R>(f: impl FnOnce() -> R) -> (R, StageTimings) {
+    let guard = RecordGuard::push(None, Some(Collect::All));
     let value = f();
     (value, guard.take())
 }
@@ -275,8 +302,8 @@ struct RecordGuard {
 
 impl RecordGuard {
     /// Pushes `prefix` as a frame when given, then a stage record when
-    /// `record`.
-    fn push(prefix: Option<&str>, record: bool) -> RecordGuard {
+    /// `record` says how it collects.
+    fn push(prefix: Option<&str>, record: Option<Collect>) -> RecordGuard {
         STACK.with(|s| {
             let mut stack = s.borrow_mut();
             if let Some(prefix) = prefix {
@@ -288,15 +315,15 @@ impl RecordGuard {
                     trace: false,
                 });
             }
-            if record {
+            if let Some(collect) = record {
                 let depth = stack.frames.len();
-                stack.records.push(Record { depth, stages: StageTimings::new() });
+                stack.records.push(Record { depth, collect, stages: StageTimings::new() });
             }
         });
-        if record {
+        if record.is_some() {
             RECORDING.fetch_add(1, Ordering::Relaxed);
         }
-        RecordGuard { record, frame: prefix.is_some() }
+        RecordGuard { record: record.is_some(), frame: prefix.is_some() }
     }
 
     /// The record's stages so far (empty when none was pushed).
@@ -337,10 +364,11 @@ impl Drop for RecordGuard {
 }
 
 /// A thread's span context, captured before a fan-out: the open stack
-/// (while profiling) and whether spans opened here would be stages.
+/// (while profiling) and how a stage record would collect spans opened
+/// here.
 pub struct Context {
     prefix: Option<String>,
-    stage: bool,
+    stage: Option<Collect>,
 }
 
 /// Captures the calling thread's [`Context`].
@@ -349,7 +377,7 @@ pub fn context() -> Context {
         let stack = s.borrow();
         let profiling = crate::profile::enabled();
         let prefix = (profiling && !stack.frames.is_empty()).then(|| stack.path());
-        Context { prefix, stage: stack.at_record() }
+        Context { prefix, stage: stack.record_collect() }
     })
 }
 
@@ -409,6 +437,30 @@ mod tests {
         assert_eq!(a.get("analyze:net15"), Some(Duration::from_millis(3)));
         assert_eq!(a.stages.len(), 3);
         assert_eq!(a.total(), Duration::from_millis(11));
+    }
+
+    /// `all_stages` records every span under it in close order, a worker's
+    /// nested spans included; `stages` keeps only direct children.
+    #[test]
+    fn all_stages_records_every_depth() {
+        let _global = crate::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let build = || {
+            let _outer = span("build");
+            drop(crate::span!("render:{}", "/a"));
+            let ctx = context();
+            std::thread::scope(|s| {
+                s.spawn(|| ctx.run(|| drop(span("render:/b")))).join().expect("worker")
+            })
+            .1
+            .replay();
+        };
+        let ((), all) = all_stages(build);
+        let names: Vec<&str> = all.stages.iter().map(|(n, _)| n.as_ref()).collect();
+        assert_eq!(names, ["render:/a", "render:/b", "build"]);
+        assert!(all.get("render:/a").unwrap() <= all.get("build").unwrap());
+        let ((), direct) = stages(build);
+        let names: Vec<&str> = direct.stages.iter().map(|(n, _)| n.as_ref()).collect();
+        assert_eq!(names, ["build"]);
     }
 
     #[test]

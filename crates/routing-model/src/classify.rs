@@ -98,9 +98,10 @@ pub fn classify_network(
         asns.dedup();
         asns.len()
     };
+    let inter_domain = graph.inter_domain();
     let staging_instances = instances
         .staging_instances()
-        .filter(|i| graph.is_inter_domain(i.id))
+        .filter(|i| inter_domain.contains(&i.id))
         .count();
     let igp_instances = instances
         .list

@@ -26,6 +26,13 @@ pub enum InstanceNode {
     ExternalWorld,
 }
 
+impl InstanceNode {
+    /// True for an external AS or the external world.
+    pub fn is_external(&self) -> bool {
+        matches!(self, InstanceNode::ExternalAs(_) | InstanceNode::ExternalWorld)
+    }
+}
+
 impl fmt::Display for InstanceNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -178,13 +185,6 @@ impl InstanceGraph {
         InstanceGraph { nodes: nodes.into_iter().collect(), edges }
     }
 
-    /// Edges incident to a node.
-    pub fn edges_of(&self, node: InstanceNode) -> impl Iterator<Item = &InstanceEdge> {
-        self.edges
-            .iter()
-            .filter(move |e| e.from == node || e.to == node)
-    }
-
     /// The routers redistributing between two given instances (net5's
     /// redundancy question: 6 routers redistribute between instances 4
     /// and 1).
@@ -224,13 +224,21 @@ impl InstanceGraph {
         out
     }
 
-    /// Whether an instance has any edge to the outside world (external
-    /// EBGP or IGP edge) — the inter-domain role test of Section 5.2.
-    pub fn is_inter_domain(&self, id: InstanceId) -> bool {
-        self.edges_of(InstanceNode::Instance(id)).any(|e| {
-            matches!(e.from, InstanceNode::ExternalAs(_) | InstanceNode::ExternalWorld)
-                || matches!(e.to, InstanceNode::ExternalAs(_) | InstanceNode::ExternalWorld)
-        })
+    /// The instances with an edge to the outside world (external EBGP or
+    /// IGP edge) — the inter-domain role test of Section 5.2 — in one
+    /// pass over the edges.
+    pub fn inter_domain(&self) -> BTreeSet<InstanceId> {
+        let mut out = BTreeSet::new();
+        for e in &self.edges {
+            if e.from.is_external() || e.to.is_external() {
+                for node in [e.from, e.to] {
+                    if let InstanceNode::Instance(id) = node {
+                        out.insert(id);
+                    }
+                }
+            }
+        }
+        out
     }
 }
 
@@ -292,8 +300,8 @@ mod tests {
         // The BGP instance is inter-domain; OSPF is intra-domain.
         let bgp_inst = inst.list.iter().find(|i| i.asn.is_some()).unwrap();
         let ospf_inst = inst.list.iter().find(|i| i.asn.is_none()).unwrap();
-        assert!(graph.is_inter_domain(bgp_inst.id));
-        assert!(!graph.is_inter_domain(ospf_inst.id));
+        assert!(graph.inter_domain().contains(&bgp_inst.id));
+        assert!(!graph.inter_domain().contains(&ospf_inst.id));
     }
 
     /// Redundant redistribution points show up as parallel edges.
@@ -345,6 +353,6 @@ mod tests {
         .unwrap();
         let (_, inst, graph) = build(&net);
         assert!(graph.nodes.contains(&InstanceNode::ExternalWorld));
-        assert!(graph.is_inter_domain(inst.list[0].id));
+        assert!(graph.inter_domain().contains(&inst.list[0].id));
     }
 }

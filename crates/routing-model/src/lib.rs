@@ -51,7 +51,7 @@ pub use diagnose::design_diagnostics;
 pub use instance::{InstanceId, Instances, RoutingInstance};
 pub use instance_graph::{ExchangeKind, InstanceEdge, InstanceGraph, InstanceNode};
 pub use mesh::{ibgp_meshes, IbgpMesh};
-pub use pathway::{PathwayGraph, PathwayIndex, PathwayNode};
+pub use pathway::{PathwayGraph, PathwayIndex, PathwayNode, PathwaySummary};
 pub use process::{ProcKey, Processes, Proto, ProtoKind, RoutingProcess};
 pub use process_graph::{EdgeKind, ProcessEdge, ProcessGraph, RibNode};
 pub use roles::{RoleCounts, Table1};

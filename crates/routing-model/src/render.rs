@@ -4,12 +4,13 @@
 //! 10, 12); these renderers produce the same pictures as DOT for graphviz
 //! and as indented text for terminals and tests.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use nettopo::Network;
 
 use crate::instance::Instances;
-use crate::instance_graph::{ExchangeKind, InstanceGraph, InstanceNode};
+use crate::instance_graph::{ExchangeKind, InstanceEdge, InstanceGraph, InstanceNode};
 use crate::pathway::PathwayGraph;
 use crate::process_graph::{EdgeKind, ProcessGraph};
 
@@ -78,10 +79,18 @@ pub fn instance_graph_dot(instances: &Instances, graph: &InstanceGraph) -> Strin
 
 /// Renders an instance graph as indented text (for terminals).
 pub fn instance_graph_text(instances: &Instances, graph: &InstanceGraph) -> String {
+    // Each node's incident edges in edge order, a self-loop once.
+    let mut incident: BTreeMap<InstanceNode, Vec<&InstanceEdge>> = BTreeMap::new();
+    for e in &graph.edges {
+        incident.entry(e.from).or_default().push(e);
+        if e.to != e.from {
+            incident.entry(e.to).or_default().push(e);
+        }
+    }
     let mut out = String::new();
     for inst in &instances.list {
         let _ = writeln!(out, "{}: {}", inst.id, inst.label());
-        for e in graph.edges_of(InstanceNode::Instance(inst.id)) {
+        for e in incident.get(&InstanceNode::Instance(inst.id)).into_iter().flatten() {
             let arrow = match (&e.kind, e.from) {
                 (ExchangeKind::Redistribution { .. }, InstanceNode::Instance(f))
                     if f == inst.id =>

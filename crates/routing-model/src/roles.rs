@@ -56,12 +56,13 @@ impl Table1 {
     /// Computes the counts for one network.
     pub fn compute(instances: &Instances, graph: &InstanceGraph, adj: &Adjacencies) -> Table1 {
         let mut t = Table1::default();
+        let inter_domain = graph.inter_domain();
         for inst in &instances.list {
             if !inst.kind.is_igp() {
                 continue;
             }
             let row = t.igp_instances.entry(inst.kind.table1_label()).or_default();
-            if graph.is_inter_domain(inst.id) {
+            if inter_domain.contains(&inst.id) {
                 row.inter += 1;
             } else {
                 row.intra += 1;

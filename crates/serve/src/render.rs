@@ -174,32 +174,19 @@ pub fn pathways(corpus: &Corpus) -> String {
     let mut w = Writer::object(Layout::Block);
     w.key("pathways").arr(Layout::Block, |w| {
         for n in &corpus.networks {
-            // One shared reverse-flow index per network, and one trace per
-            // distinct instance-membership seed: routers with equal seeds
-            // have identical pathway structure, so a large network costs a
-            // handful of traces instead of one per router.
+            // One multi-source BFS per network summarizes every router:
+            // O(distinct seeds / 64 · graph) plus the nodes each seed
+            // reaches.
             let index = PathwayIndex::new(&n.instances, &n.instance_graph);
-            let mut memo: std::collections::BTreeMap<Vec<routing_model::InstanceId>, (usize, bool, usize, usize)> =
-                std::collections::BTreeMap::new();
-            for (idx, router) in n.network.routers.iter().enumerate() {
-                let rid = nettopo::RouterId(idx);
-                let seed = index.seed(rid).to_vec();
-                let (max_depth, reaches, nodes, edges) = *memo.entry(seed).or_insert_with(|| {
-                    let pathway = index.trace(rid);
-                    (
-                        pathway.max_depth(),
-                        pathway.reaches_external_world(),
-                        pathway.nodes.len(),
-                        pathway.edges.len(),
-                    )
-                });
+            let summaries = index.summaries(n.network.routers.len());
+            for (router, s) in n.network.routers.iter().zip(summaries) {
                 w.obj(Layout::Inline, |w| {
                     w.key("network").str(&n.name);
                     w.key("router").str(router.name());
-                    w.key("max_depth").num(max_depth);
-                    w.key("reaches_external_world").num(reaches);
-                    w.key("nodes").num(nodes);
-                    w.key("edges").num(edges);
+                    w.key("max_depth").num(s.max_depth);
+                    w.key("reaches_external_world").num(s.reaches_external_world);
+                    w.key("nodes").num(s.nodes);
+                    w.key("edges").num(s.edges);
                 });
             }
         }

@@ -389,16 +389,26 @@ rm -rf /tmp/rd_verify_study /tmp/rd_verify.rdsnap /tmp/rd_verify_serve.txt \
     /tmp/rd_verify_served.json /tmp/rd_verify_direct.json
 
 if [ "${1:-}" = "--bench" ]; then
-    # Stage-regression guard: remember the committed run's worst
-    # "external" stage total before repro --bench overwrites the file.
-    # The budget is 3x that figure — generous enough for machine noise,
-    # tight enough to catch the O(n^2) classifier coming back. (The
-    # "bench_external" section deliberately doesn't match this pattern.)
-    BUDGET=""
+    # Stage-regression guards: remember the committed run's worst figure
+    # for each guarded stage before repro --bench overwrites the file.
+    # A budget is 3x that figure — generous enough for machine noise,
+    # tight enough to catch a quadratic stage coming back: the external
+    # classifier, the instance-graph classify pass, and the serve cache
+    # build's /pathways render (its worst figure is the full-scale one).
+    # A guard whose field the committed file lacks is skipped. (The
+    # "bench_external" section deliberately doesn't match "external".)
+    worst() { # <stage> <factor>: the largest "<stage>" figure times factor
+        awk -F': ' -v key="\"$1\":" -v factor="$2" \
+            'index($0, key) { v = $2 + 0; if (v > max) max = v }
+            END { if (max > 0) printf "%.0f", max * factor }' BENCH_repro.json
+    }
+    BUDGETS=""
     SERVE_FLOOR=""
     if [ -f BENCH_repro.json ]; then
-        BUDGET=$(awk -F': ' '/"external":/ { v = $2 + 0; if (v > max) max = v }
-            END { if (max > 0) printf "%.0f", max * 3 }' BENCH_repro.json)
+        for STAGE in external classify render:/pathways; do
+            BUDGET=$(worst "$STAGE" 3)
+            [ -z "$BUDGET" ] || BUDGETS="$BUDGETS $STAGE=$BUDGET"
+        done
         # Same idea for the query server, inverted: the committed
         # bench_serve throughput sets a floor at one third — catches the
         # event loop regressing toward thread-per-connection-era numbers
@@ -411,15 +421,16 @@ if [ "${1:-}" = "--bench" ]; then
     ./target/release/repro --bench --trace /tmp/rd_verify_bench.jsonl
     ./target/release/trace_check /tmp/rd_verify_bench.jsonl
     rm -f /tmp/rd_verify_bench.jsonl
-    if [ -n "$BUDGET" ]; then
-        NEW=$(awk -F': ' '/"external":/ { v = $2 + 0; if (v > max) max = v }
-            END { printf "%.0f", max }' BENCH_repro.json)
-        if [ "$NEW" -gt "$BUDGET" ]; then
-            echo "external stage regression: ${NEW} ms exceeds the stored budget ${BUDGET} ms" >&2
+    for GUARD in $BUDGETS; do
+        STAGE=${GUARD%=*}
+        BUDGET=${GUARD##*=}
+        NEW=$(worst "$STAGE" 1)
+        if [ "${NEW:-0}" -gt "$BUDGET" ]; then
+            echo "$STAGE stage regression: ${NEW} ms exceeds the stored budget ${BUDGET} ms" >&2
             exit 1
         fi
-        echo "    external stage ${NEW} ms within budget ${BUDGET} ms"
-    fi
+        echo "    $STAGE stage ${NEW:-0} ms within budget ${BUDGET} ms"
+    done
     if [ -n "$SERVE_FLOOR" ]; then
         NEW_RPS=$(awk -F': ' '/"bench_serve":/ { inb = 1 }
             inb && /"throughput_rps":/ { printf "%.0f", $2 + 0; exit }' \

@@ -229,3 +229,37 @@ fn reports_render() {
     let cdf = report.filter_cdf.to_string();
     assert!(cdf.contains("CDF"));
 }
+
+/// Section 3.3: `/pathways` summarizes every router with one
+/// multi-source BFS per network, and each summary must equal the full
+/// trace of its router. Three networks have more than 64 distinct seeds
+/// (instance sets), so their BFS runs in more than one 64-lane batch.
+#[test]
+fn pathway_summaries_match_trace_for_every_router() {
+    let networks = analyzed_study();
+    let (mut routers, mut multi_batch) = (0, 0);
+    for n in &networks {
+        let a = &n.analysis;
+        let index = routing_model::PathwayIndex::new(&a.instances, &a.instance_graph);
+        let summaries = index.summaries(a.network.len());
+        assert_eq!(summaries.len(), a.network.len(), "{}", n.name);
+        for (rid, _) in a.network.iter() {
+            assert_eq!(summaries[rid.0], index.trace(rid).summary(), "{} router {}", n.name, rid.0);
+        }
+        routers += summaries.len();
+
+        let mut seeds = vec![Vec::new(); a.network.len()];
+        for inst in &a.instances.list {
+            for r in &inst.routers {
+                seeds[r.0].push(inst.id);
+            }
+        }
+        let distinct: std::collections::BTreeSet<_> =
+            seeds.into_iter().filter(|s| !s.is_empty()).collect();
+        if distinct.len() > 64 {
+            multi_batch += 1;
+        }
+    }
+    assert_eq!(routers, 853);
+    assert_eq!(multi_batch, 3, "net17, net18 and net19 need two or three batches");
+}

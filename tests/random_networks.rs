@@ -142,6 +142,13 @@ fn pipeline_invariants_on_random_networks() {
             );
         }
 
+        // The `/pathways` summaries equal a full trace of every router.
+        let index = routing_model::PathwayIndex::new(&analysis.instances, &analysis.instance_graph);
+        let summaries = index.summaries(analysis.network.len());
+        for (rid, _) in analysis.network.iter() {
+            assert_eq!(summaries[rid.0], index.trace(rid).summary(), "case {case}: {desc:?}");
+        }
+
         // Rendering never panics.
         let _ = analysis.instance_graph_text();
         let _ = analysis.process_graph_dot();
