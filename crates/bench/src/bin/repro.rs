@@ -130,7 +130,7 @@ fn main() -> ExitCode {
         }
         // The rd-snap round trip rides along so a slow snapshot path is
         // as visible as a slow pipeline stage.
-        let (snap, _) = rd_bench::timing::bench_snapshot_ref(&networks);
+        let (snap, _) = rd_bench::timing::bench_snapshot(networks.clone());
         totals.push("snap:write", snap.write);
         totals.push("snap:load", snap.load);
         // Per-network rows ride along under dynamic Cow labels.

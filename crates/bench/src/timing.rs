@@ -235,18 +235,6 @@ pub fn study_corpus(scale: StudyScale) -> Corpus {
     )
 }
 
-/// Borrowing variant of [`bench_snapshot`] for callers that still need
-/// the analyses afterwards (`repro --timings`): clones each analysis
-/// into its snapshot form first.
-pub fn bench_snapshot_ref(networks: &[StudyNetwork]) -> (SnapBench, Corpus) {
-    let analyze = networks.iter().map(|n| n.analysis.timings.total()).sum();
-    let snaps = networks
-        .iter()
-        .map(|n| routing_design::snapshot::capture_ref(&n.name, &n.analysis))
-        .collect();
-    snapshot_roundtrip(snaps, analyze)
-}
-
 /// Result of the pipelined mixed-endpoint load run (`bench_serve` in
 /// `BENCH_repro.json`): what the epoll server sustains when clients
 /// batch requests instead of strict request/response lockstep.
@@ -846,7 +834,7 @@ mod tests {
     fn snapshot_bench_roundtrips_and_beats_reanalysis_floor() {
         let networks = rd_bench_study_subset();
         let count = networks.len();
-        let (snap, corpus) = bench_snapshot_ref(&networks);
+        let (snap, corpus) = bench_snapshot(networks);
         assert_eq!(snap.networks, count);
         assert_eq!(corpus.networks.len(), count);
         assert!(snap.bytes > 0);

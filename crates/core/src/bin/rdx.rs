@@ -922,7 +922,7 @@ fn analyze(dir: &str, action: Action, obs: &Observe, after: &mut After) -> Resul
 fn run_action(a: &NetworkAnalysis, dir: &str, action: Action) -> Result<ExitCode, Error> {
     match action {
         Action::Summary { json: true } => {
-            let snap = routing_design::snapshot::capture_ref(&network_name(dir), a);
+            let snap = routing_design::snapshot::capture(&network_name(dir), a.clone());
             print!("{}", rd_serve::render::network_summary(&snap));
         }
         Action::Summary { json: false } => summary(a),
@@ -1180,8 +1180,9 @@ fn diff(old: &NetworkAnalysis, dir: &str, other: &str, networks: bool) -> Result
 }
 
 /// `rdx <dir> diff <other> --networks`: instead of the router-level diff,
-/// print which networks the change invalidates — the question the
-/// incremental engine answers before re-analyzing. Both sides are read
+/// print which networks the change invalidates, judged from the routers
+/// it touches (the incremental engine answers the same question from
+/// per-file hashes instead). Both sides are read
 /// as `rdx snap` reads them (a study directory, each subdirectory a
 /// network, or a single network); same-named networks are diffed pairwise
 /// and routed through the router → owning-network invalidation map;

@@ -186,9 +186,9 @@ impl DesignDiff {
 
     /// Hostnames of every router this diff touches — added, removed,
     /// modified, or either side of a rename — sorted and deduplicated.
-    /// This is the key set the incremental engine and `rdx diff
-    /// --networks` feed through [`invalidation_map`] to decide which
-    /// networks a change invalidates.
+    /// This is the key set `rdx diff --networks` feeds through
+    /// [`invalidation_map`] to decide which networks a change
+    /// invalidates.
     pub fn touched_routers(&self) -> Vec<String> {
         let mut touched: BTreeSet<String> = BTreeSet::new();
         touched.extend(self.routers_added.iter().cloned());
@@ -258,9 +258,11 @@ impl fmt::Display for DesignDiff {
 /// Builds the `router hostname → owning network(s)` map over a set of
 /// named analyses (e.g. a study corpus). A hostname that appears in more
 /// than one network — shared lab fixtures, cloned templates — maps to
-/// every owner, in name order. This is the lookup the delta engine and
-/// `rdx diff --networks` use to translate a router-level diff into the
-/// set of per-network analyses it invalidates.
+/// every owner, in name order. This is the lookup `rdx diff --networks`
+/// uses to translate a router-level diff into the set of per-network
+/// analyses it invalidates. (The delta engine does not use it: it
+/// decides staleness from per-file hashes, see
+/// [`crate::incremental`].)
 pub fn invalidation_map<'a>(
     networks: impl IntoIterator<Item = (&'a str, &'a NetworkAnalysis)>,
 ) -> BTreeMap<String, Vec<String>> {

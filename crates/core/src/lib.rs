@@ -75,6 +75,7 @@ pub use rd_obs::StageTimings;
 
 /// The complete static analysis of one network: every abstraction the
 /// paper derives, computed in dependency order from the parsed configs.
+#[derive(Clone)]
 pub struct NetworkAnalysis {
     /// The parsed configurations.
     pub network: Network,

@@ -17,7 +17,7 @@ use nettopo::graph::RouterGraph;
 use rd_plan::{CorpusFiles, RouterState, StateFacts};
 use routing_model::instance_graph::ExchangeKind;
 
-use crate::diff::{body_fingerprint, config_fingerprint};
+use crate::diff::config_fingerprint;
 use crate::NetworkAnalysis;
 
 /// Projects a completed analysis into the planner's fact tables.
@@ -65,7 +65,6 @@ pub fn state_facts(analysis: &NetworkAnalysis) -> StateFacts {
                 name: router.name().to_string(),
                 file_name: router.file_name.clone(),
                 fingerprint: config_fingerprint(&router.config),
-                body_fingerprint: body_fingerprint(&router.config),
                 external_facing: borders.contains(&rid),
                 redistributes: redistributes.contains(&rid),
                 component: component_of.get(&rid).copied().unwrap_or(0),

@@ -14,6 +14,7 @@ use routing_model::{DesignClass, Table1};
 use crate::NetworkAnalysis;
 
 /// One named, analyzed network of the study.
+#[derive(Clone)]
 pub struct StudyNetwork {
     /// The network's name (`net1`..`net31`).
     pub name: String,

@@ -34,28 +34,6 @@ pub fn capture(name: &str, analysis: NetworkAnalysis) -> NetworkSnapshot {
     }
 }
 
-/// Like [`capture`], but clones out of a borrowed analysis — for callers
-/// that still need the analysis afterwards (e.g. `rdx summary --json`,
-/// which prints timings after rendering).
-pub fn capture_ref(name: &str, analysis: &NetworkAnalysis) -> NetworkSnapshot {
-    NetworkSnapshot {
-        name: name.to_string(),
-        network: analysis.network.clone(),
-        links: analysis.links.clone(),
-        external: analysis.external.clone(),
-        processes: analysis.processes.clone(),
-        adjacencies: analysis.adjacencies.clone(),
-        instances: analysis.instances.clone(),
-        instance_graph: analysis.instance_graph.clone(),
-        process_graph: analysis.process_graph.clone(),
-        blocks: analysis.blocks.clone(),
-        table1: analysis.table1.clone(),
-        design: analysis.design.clone(),
-        diagnostics: analysis.diagnostics.clone(),
-        file_hashes: analysis.file_hashes.clone(),
-    }
-}
-
 /// Reconstitutes an analysis from a loaded snapshot. No parsing, no
 /// recomputation: every derived product comes straight from the snapshot
 /// (`timings` is empty — nothing ran).

@@ -153,11 +153,6 @@ impl InterfaceName {
         InterfaceName { ty, unit: unit.into() }
     }
 
-    /// True if this is a subinterface (`Serial1/0.5`).
-    pub fn is_subinterface(&self) -> bool {
-        self.unit.contains('.')
-    }
-
     /// The parent interface of a subinterface (`Serial1/0.5` → `Serial1/0`),
     /// or `None` if this is not a subinterface.
     pub fn parent(&self) -> Option<InterfaceName> {
@@ -219,11 +214,9 @@ mod tests {
         let s: InterfaceName = "Serial1/0.5".parse().unwrap();
         assert_eq!(s.ty, InterfaceType::Serial);
         assert_eq!(s.unit, "1/0.5");
-        assert!(s.is_subinterface());
         assert_eq!(s.parent().unwrap().to_string(), "Serial1/0");
         let h: InterfaceName = "Hssi2/0".parse().unwrap();
         assert_eq!(h.ty, InterfaceType::Hssi);
-        assert!(!h.is_subinterface());
         assert!(h.parent().is_none());
     }
 

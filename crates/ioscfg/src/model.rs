@@ -494,13 +494,6 @@ impl BgpProcess {
             .iter()
             .filter(|n| n.remote_as.is_some_and(|asn| asn != self.asn))
     }
-
-    /// Neighbors whose `remote-as` equals the local ASN (IBGP peers).
-    pub fn ibgp_neighbors(&self) -> impl Iterator<Item = &BgpNeighbor> {
-        self.neighbors
-            .iter()
-            .filter(|n| n.remote_as.is_some_and(|asn| asn == self.asn))
-    }
 }
 
 /// The target of a static route: a next-hop address or an exit interface.
@@ -713,21 +706,6 @@ impl AccessList {
         AccessList { id, entries: Vec::new() }
     }
 
-    /// Evaluates the list against a source address (standard-list
-    /// semantics; the implicit trailing rule denies).
-    pub fn permits_source(&self, addr: Addr) -> bool {
-        for e in &self.entries {
-            let (action, matched) = match e {
-                AclEntry::Standard { action, addr: m } => (*action, m.matches(addr)),
-                AclEntry::Extended { action, src, .. } => (*action, src.matches(addr)),
-            };
-            if matched {
-                return action == AclAction::Permit;
-            }
-        }
-        false
-    }
-
     /// The set of source addresses the list permits, as exact set algebra
     /// over the clauses (first match wins, implicit deny at the end).
     pub fn permitted_source_set(&self) -> netaddr::PrefixSet {
@@ -835,9 +813,9 @@ mod tests {
                 AclEntry::Standard { action: AclAction::Permit, addr: AclAddr::Any },
             ],
         };
-        assert!(!acl.permits_source(addr("134.161.5.5")));
-        assert!(acl.permits_source(addr("8.8.8.8")));
         let set = acl.permitted_source_set();
+        assert!(!set.contains(addr("134.161.5.5")));
+        assert!(set.contains(addr("8.8.8.8")));
         assert!(!set.contains(addr("134.161.255.255")));
         assert!(set.contains(addr("134.162.0.0")));
     }
@@ -851,9 +829,10 @@ mod tests {
                 addr: AclAddr::Host(addr("10.0.0.1")),
             }],
         };
-        assert!(acl.permits_source(addr("10.0.0.1")));
-        assert!(!acl.permits_source(addr("10.0.0.2")));
-        assert_eq!(acl.permitted_source_set().size(), 1);
+        let set = acl.permitted_source_set();
+        assert!(set.contains(addr("10.0.0.1")));
+        assert!(!set.contains(addr("10.0.0.2")));
+        assert_eq!(set.size(), 1);
     }
 
     #[test]
@@ -862,7 +841,6 @@ mod tests {
         bgp.neighbor_mut(addr("66.253.160.68")).remote_as = Some(12762);
         bgp.neighbor_mut(addr("10.0.0.2")).remote_as = Some(64780);
         assert_eq!(bgp.ebgp_neighbors().count(), 1);
-        assert_eq!(bgp.ibgp_neighbors().count(), 1);
         // Updating an existing neighbor does not duplicate it.
         bgp.neighbor_mut(addr("10.0.0.2")).next_hop_self = true;
         assert_eq!(bgp.neighbors.len(), 2);

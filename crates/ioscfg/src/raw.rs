@@ -59,11 +59,6 @@ pub struct RawConfig {
 }
 
 impl RawConfig {
-    /// Finds all top-level stanzas whose command starts with `words`.
-    pub fn find_all<'a>(&'a self, words: &'a [&'a str]) -> impl Iterator<Item = &'a Stanza> {
-        self.stanzas.iter().filter(move |s| s.starts_with(words))
-    }
-
     /// Finds the first top-level stanza starting with `words`.
     pub fn find(&self, words: &[&str]) -> Option<&Stanza> {
         self.stanzas.iter().find(|s| s.starts_with(words))
@@ -193,7 +188,6 @@ ignored after end
         let cfg = lex_config(SAMPLE);
         assert!(cfg.find(&["router", "ospf"]).is_some());
         assert!(cfg.find(&["router", "bgp"]).is_none());
-        assert_eq!(cfg.find_all(&["interface"]).count(), 1);
     }
 
     #[test]

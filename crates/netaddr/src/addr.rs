@@ -54,12 +54,6 @@ impl Addr {
     pub const fn saturating_prev(self) -> Addr {
         Addr(self.0.saturating_sub(1))
     }
-
-    /// True if this address lies in one of the RFC 1918 private ranges.
-    pub fn is_rfc1918(self) -> bool {
-        let o = self.octets();
-        o[0] == 10 || (o[0] == 172 && (16..=31).contains(&o[1])) || (o[0] == 192 && o[1] == 168)
-    }
 }
 
 impl fmt::Display for Addr {
@@ -163,16 +157,6 @@ mod tests {
         assert_eq!(hi.saturating_prev(), lo);
         assert_eq!(Addr::BROADCAST.saturating_next(), Addr::BROADCAST);
         assert_eq!(Addr::ZERO.saturating_prev(), Addr::ZERO);
-    }
-
-    #[test]
-    fn rfc1918_detection() {
-        assert!("10.1.2.3".parse::<Addr>().unwrap().is_rfc1918());
-        assert!("172.16.0.1".parse::<Addr>().unwrap().is_rfc1918());
-        assert!("172.31.255.255".parse::<Addr>().unwrap().is_rfc1918());
-        assert!("192.168.5.5".parse::<Addr>().unwrap().is_rfc1918());
-        assert!(!"172.32.0.1".parse::<Addr>().unwrap().is_rfc1918());
-        assert!(!"8.8.8.8".parse::<Addr>().unwrap().is_rfc1918());
     }
 
     #[test]

@@ -102,11 +102,6 @@ impl LinkMap {
         self.links.values().filter(|l| l.routers().len() >= 2)
     }
 
-    /// Links with a single endpoint in the corpus.
-    pub fn unmatched_links(&self) -> impl Iterator<Item = &Link> {
-        self.links.values().filter(|l| l.kind() == LinkKind::Unmatched)
-    }
-
     /// The link a given interface's primary address is on, if any.
     pub fn link_of(&self, subnet: Prefix) -> Option<&Link> {
         self.links.get(&subnet)
@@ -179,7 +174,6 @@ mod tests {
         let net = net3();
         let links = LinkMap::build(&net);
         assert_eq!(links.internal_links().count(), 2);
-        assert_eq!(links.unmatched_links().count(), 1);
     }
 
     #[test]

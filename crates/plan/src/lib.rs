@@ -74,10 +74,6 @@ pub struct RouterState {
     /// Semantic fingerprint of the full parsed configuration
     /// (FNV-1a-64 over its canonical encoding).
     pub fingerprint: u64,
-    /// [`fingerprint`](RouterState::fingerprint) with the hostname
-    /// cleared — equal body fingerprints across a remove/add pair mean a
-    /// rename, not a redesign.
-    pub body_fingerprint: u64,
     /// True when the analysis classifies any interface of this router as
     /// external-facing (a border router).
     pub external_facing: bool,
@@ -419,7 +415,6 @@ mod tests {
             name: name.to_string(),
             file_name: format!("{name}.cfg"),
             fingerprint,
-            body_fingerprint: fingerprint,
             ..RouterState::default()
         }
     }
@@ -515,7 +510,6 @@ mod tests {
                     .map(|(_, bytes)| bytes.iter().map(|&b| u64::from(b)).sum())
                     .unwrap_or(0);
                 r.fingerprint = body;
-                r.body_fingerprint = body;
             }
             f
         };
@@ -576,7 +570,6 @@ mod tests {
                         name: n.trim_end_matches(".cfg").to_string(),
                         file_name: n.clone(),
                         fingerprint: bytes.iter().map(|&b| u64::from(b)).sum(),
-                        body_fingerprint: bytes.iter().map(|&b| u64::from(b)).sum(),
                         ..RouterState::default()
                     })
                     .collect(),

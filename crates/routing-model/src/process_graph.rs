@@ -154,13 +154,6 @@ impl ProcessGraph {
         ProcessGraph { nodes, edges }
     }
 
-    /// Edges incident to a node.
-    pub fn edges_of(&self, node: RibNode) -> impl Iterator<Item = &ProcessEdge> {
-        self.edges
-            .iter()
-            .filter(move |e| e.from == node || e.to == node)
-    }
-
     /// Nodes grouped by router (for per-router rendering).
     pub fn by_router(&self) -> BTreeMap<RouterId, Vec<RibNode>> {
         let mut map: BTreeMap<RouterId, Vec<RibNode>> = BTreeMap::new();
@@ -282,12 +275,5 @@ mod tests {
             .count();
         // 3 processes + local RIB.
         assert_eq!(selections, 4);
-    }
-
-    #[test]
-    fn edges_of_filters_by_incidence() {
-        let (_, g) = r2_like();
-        let rib = RibNode::RouterRib(RouterId(0));
-        assert_eq!(g.edges_of(rib).count(), 4);
     }
 }

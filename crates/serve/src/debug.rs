@@ -149,8 +149,8 @@ pub(crate) fn render_cache(
     w.key("etag").str(&st.etag);
     w.key("networks").num(st.corpus.networks.len());
     w.key("entries").num(st.cache.len());
-    w.key("body_bytes").num(st.cache_body_bytes);
-    w.key("response_bytes").num(st.cache_resp_bytes);
+    w.key("body_bytes").num(st.cache.values().map(|c| c.body().len()).sum::<usize>());
+    w.key("response_bytes").num(st.cache.values().map(|c| c.framed.len()).sum::<usize>());
     w.key("uptime_ms").num(uptime_ms);
     w.key("reload_history").arr(Layout::Inline, |w| {
         for ev in history {

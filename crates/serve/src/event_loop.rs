@@ -31,11 +31,15 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::cache::{self, SnapshotState};
+use crate::cache::SnapshotState;
 use crate::debug::{ConnDebug, LoopDebug, MAX_CONNS_LISTED, PUBLISH_INTERVAL};
-use crate::http::{self, HeadView};
+use crate::http::{self, HeadView, Response};
 use crate::render;
-use crate::{Shared, CONN_AGE_BOUNDS_MS, LATENCY_BOUNDS_US, LOOP_US_BOUNDS, WAKEUP_BATCH_BOUNDS};
+use crate::route::Route;
+use crate::{
+    HealthState, Shared, CONN_AGE_BOUNDS_MS, LATENCY_BOUNDS_US, LOOP_US_BOUNDS,
+    WAKEUP_BATCH_BOUNDS,
+};
 
 /// Per-connection read deadline: bounds keep-alive idle time and how
 /// long a client can take to deliver one request head (slowloris).
@@ -51,6 +55,8 @@ const LINGER_BUDGET: usize = 1024 * 1024;
 /// a connection's pipelined requests wait in `read_buf` (and its read
 /// interest drops) until the peer drains what it already asked for.
 const WRITE_HIGH_WATER: usize = 1024 * 1024;
+/// The header that keeps caches from storing a per-request body.
+const NO_STORE: &str = "cache-control: no-store\r\n";
 /// Longest an epoll wait sleeps, so shutdown flags and cross-loop
 /// snapshot swaps are noticed promptly even on an idle loop.
 const EPOLL_WAIT_MS: i32 = 100;
@@ -505,7 +511,7 @@ impl LoopStats {
 // Request handling (pure functions over a taken-out connection, so the
 // loop struct's disjoint fields borrow cleanly).
 
-/// What routing decided about one request.
+/// What answering one request decided about its connection.
 struct Outcome {
     keep_alive: bool,
     /// Protocol-level error: close after flushing, with a draining
@@ -518,17 +524,7 @@ struct Outcome {
 /// Appends a protocol-error response and flags the connection for a
 /// lingering close. Used for 400/413/431 and head timeouts.
 fn push_error(conn: &mut Conn, stats: &mut LoopStats, status: u16, message: &str) {
-    let body = http::error_body(status, message);
-    http::push_response(
-        &mut conn.write_buf,
-        status,
-        "application/json",
-        body.as_bytes(),
-        false,
-        None,
-        "",
-        false,
-    );
+    Response::error(status, message).write(&mut conn.write_buf, false, false);
     stats.record_error(status);
     // The close is decided: any declared body still owed is now just
     // discarded input. A stale skip here would re-enter the
@@ -537,7 +533,8 @@ fn push_error(conn: &mut Conn, stats: &mut LoopStats, status: u16, message: &str
     conn.state = ConnState::FlushClose { linger: true };
 }
 
-/// Routes one parsed request, appending the response to `out`.
+/// Answers one parsed request, appending the response to `out` in one
+/// write.
 fn respond(
     st: &SnapshotState,
     shared: &Shared,
@@ -547,213 +544,95 @@ fn respond(
     force_close: bool,
     started: Instant,
 ) -> Outcome {
-    let keep = head.keep_alive && !force_close;
-    let mut outcome = Outcome { keep_alive: keep, error: false, body_skip: head.content_length };
-    let status;
-
-    if head.content_length > http::MAX_BODY_BYTES {
-        status = 413;
-        let body = http::error_body(413, "request body exceeds limit");
-        http::push_response(out, 413, "application/json", body.as_bytes(), false, None, "", false);
+    let keep_alive = head.keep_alive && !force_close;
+    let mut outcome = Outcome { keep_alive, error: false, body_skip: head.content_length };
+    let reply = if head.content_length > http::MAX_BODY_BYTES {
         outcome = Outcome { keep_alive: false, error: true, body_skip: 0 };
+        Response::error(413, "request body exceeds limit")
     } else {
         match head.method {
-            "GET" | "HEAD" => {
-                let head_only = head.method == "HEAD";
-                let path = head.path();
-                // The exact spelling first; the canonical one is built
-                // only on a miss, so `//pathways` still hits.
-                let cached = st.cache.get(path).or_else(|| st.cache.get(&cache::canonical(path)));
-                if let Some(cached) = cached {
-                    stats.cache_hits += 1;
-                    if head.none_match(&st.etag) {
-                        status = 304;
-                        if keep && !st.not_modified_ka.is_empty() {
-                            out.extend_from_slice(&st.not_modified_ka);
-                        } else {
-                            http::push_response(out, 304, "", b"", keep, Some(&st.etag), "", false);
-                        }
-                    } else {
-                        status = 200;
-                        if keep && !head_only {
-                            // The hot path: one memcpy of the pre-rendered
-                            // keep-alive response.
-                            out.extend_from_slice(&cached.resp_ka);
-                        } else {
-                            http::push_response(
-                                out,
-                                200,
-                                "application/json",
-                                &cached.body,
-                                keep,
-                                Some(&st.etag),
-                                "",
-                                head_only,
-                            );
-                        }
-                    }
-                } else {
-                    let segments: Vec<&str> =
-                        path.split('/').filter(|s| !s.is_empty()).collect();
-                    // The debug views render from state the loops publish
-                    // off the hot path (and, for the cache view, from this
-                    // loop's current snapshot state) — never from another
-                    // loop's live slab.
-                    let debug = match segments.as_slice() {
-                        ["admin", "debug", "loop"] => Some(shared.render_debug_loops()),
-                        ["admin", "debug", "conns"] => Some(shared.render_debug_conns()),
-                        ["admin", "debug", "cache"] => Some(shared.render_debug_cache(st)),
-                        ["admin", "debug", "watch"] => Some(shared.render_debug_watch()),
-                        _ => None,
-                    };
-                    if segments.as_slice() == ["healthz"] {
-                        // Dynamic on purpose: the body reflects the live
-                        // health state machine, so it is never cached.
-                        // `?live=1` is pure liveness (always 200); the
-                        // plain form goes non-200 when degraded.
-                        let live = head
-                            .target
-                            .split_once('?')
-                            .map(|(_, q)| q.split('&').any(|kv| kv == "live=1"))
-                            .unwrap_or(false);
-                        let health = shared.health();
-                        let (code, body) = if live {
-                            (200, render::healthz_live(&st.corpus))
-                        } else if health == crate::HealthState::Degraded {
-                            (503, render::healthz(&st.corpus, health))
-                        } else {
-                            (200, render::healthz(&st.corpus, health))
-                        };
-                        status = code;
-                        http::push_response(
-                            out,
-                            code,
-                            "application/json",
-                            body.as_bytes(),
-                            keep,
-                            None,
-                            "cache-control: no-store\r\n",
-                            head_only,
-                        );
-                    } else if segments.as_slice() == ["metrics"] {
-                        // Fold this loop's batch in first so the scrape
-                        // sees its own request history.
-                        stats.flush();
-                        status = 200;
-                        let body = rd_obs::metrics::render_prometheus();
-                        http::push_response(
-                            out,
-                            200,
-                            "text/plain; version=0.0.4",
-                            body.as_bytes(),
-                            keep,
-                            None,
-                            "",
-                            head_only,
-                        );
-                    } else if let Some(body) = debug {
-                        status = 200;
-                        http::push_response(
-                            out,
-                            200,
-                            "application/json",
-                            body.as_bytes(),
-                            keep,
-                            None,
-                            "cache-control: no-store\r\n",
-                            head_only,
-                        );
-                    } else {
-                        // No cached entry under any spelling and no
-                        // dynamic route: a 404, counted as a cache miss.
-                        stats.cache_misses += 1;
-                        status = 404;
-                        let body = http::error_body(404, &cache::not_found_message(path));
-                        http::push_response(
-                            out,
-                            404,
-                            "application/json",
-                            body.as_bytes(),
-                            keep,
-                            None,
-                            "",
-                            head_only,
-                        );
-                    }
-                }
-            }
-            "POST" => {
-                let path = head.path();
-                let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-                if segments.as_slice() == ["admin", "reload"] {
-                    if shared.reload_configured() {
-                        shared.request_reload();
-                        status = 200;
-                        let mut w = rd_obs::json::Writer::object(rd_obs::json::Layout::Inline);
-                        w.key("status").str("reload scheduled");
-                        let body = w.finish();
-                        http::push_response(
-                            out,
-                            200,
-                            "application/json",
-                            body.as_bytes(),
-                            keep,
-                            None,
-                            "",
-                            false,
-                        );
-                    } else {
-                        status = 409;
-                        let body = http::error_body(
-                            409,
-                            "no reload source configured; start the server from a snapshot file",
-                        );
-                        http::push_response(
-                            out,
-                            409,
-                            "application/json",
-                            body.as_bytes(),
-                            keep,
-                            None,
-                            "",
-                            false,
-                        );
-                    }
-                } else {
-                    status = 405;
-                    let body = http::error_body(405, &format!("method {} not allowed", head.method));
-                    http::push_response(
-                        out,
-                        405,
-                        "application/json",
-                        body.as_bytes(),
-                        keep,
-                        None,
-                        "allow: GET, HEAD\r\n",
-                        false,
-                    );
-                }
-            }
-            other => {
-                status = 405;
-                let body = http::error_body(405, &format!("method {other} not allowed"));
-                http::push_response(
-                    out,
-                    405,
-                    "application/json",
-                    body.as_bytes(),
-                    keep,
-                    None,
-                    "allow: GET, HEAD\r\n",
-                    false,
-                );
-            }
+            "GET" | "HEAD" => get(st, shared, stats, head),
+            "POST" if Route::parse(head.target) == Route::Reload => reload(shared),
+            method => Response {
+                extra: "allow: GET, HEAD\r\n",
+                ..Response::error(405, &format!("method {method} not allowed"))
+            },
+        }
+    };
+    // HEAD elides the body; a 413 is decided before the method is read,
+    // so it keeps its body.
+    let head_only = head.method == "HEAD" && !outcome.error;
+    reply.write(out, outcome.keep_alive, head_only);
+    let us = started.elapsed().as_micros() as u64;
+    stats.record(head.method, head.target, reply.status, us);
+    outcome
+}
+
+/// Answers a GET or HEAD: from the cache when the request names a
+/// snapshot-derived route, else per request.
+fn get<'a>(
+    st: &'a SnapshotState,
+    shared: &Shared,
+    stats: &mut LoopStats,
+    head: &HeadView<'_>,
+) -> Response<'a> {
+    let lookup = st.lookup(head);
+    if lookup.is_ok() {
+        stats.cache_hits += 1;
+    }
+    match lookup {
+        Ok(_) if head.none_match(&st.etag) => st.not_modified(),
+        // The hot path: `write` copies the pre-framed keep-alive response
+        // whole.
+        Ok(cached) => cached.response(&st.etag),
+        // Dynamic on purpose: the body reflects the live health state
+        // machine, so it is never cached. `?live=1` is pure liveness
+        // (always 200); the plain form goes non-200 when degraded.
+        Err(Route::Healthz { live }) => {
+            let health = shared.health();
+            let body = if live {
+                render::healthz_live(&st.corpus)
+            } else {
+                render::healthz(&st.corpus, health)
+            };
+            let status = if !live && health == HealthState::Degraded { 503 } else { 200 };
+            Response { extra: NO_STORE, ..Response::json(status, body) }
+        }
+        Err(Route::Metrics) => {
+            // Fold this loop's batch in first so the scrape sees its own
+            // request history.
+            stats.flush();
+            let body = rd_obs::metrics::render_prometheus();
+            Response { content_type: "text/plain; version=0.0.4", ..Response::json(200, body) }
+        }
+        // The debug views render from state the loops publish off the
+        // hot path (and, for the cache view, from this loop's current
+        // snapshot state) — never from another loop's live slab.
+        Err(Route::Debug(view)) => {
+            Response { extra: NO_STORE, ..Response::json(200, shared.render_debug(view, st)) }
+        }
+        // No cached entry under any spelling and no dynamic route: a
+        // 404, counted as a cache miss.
+        Err(route) => {
+            stats.cache_misses += 1;
+            Response::error(404, &route.not_found(head.path()))
         }
     }
+}
 
-    let us = started.elapsed().as_micros() as u64;
-    stats.record(head.method, head.target, status, us);
-    outcome
+/// Answers `POST /admin/reload`: schedules a hot reload when the server
+/// has a snapshot file to re-read.
+fn reload(shared: &Shared) -> Response<'static> {
+    if shared.reload_path.is_none() {
+        return Response::error(
+            409,
+            "no reload source configured; start the server from a snapshot file",
+        );
+    }
+    shared.request_reload();
+    let mut w = rd_obs::json::Writer::object(rd_obs::json::Layout::Inline);
+    w.key("status").str("reload scheduled");
+    Response::json(200, w.finish())
 }
 
 /// Parses and answers every complete pipelined request currently in

@@ -14,11 +14,12 @@
 //!   headers) → 431
 //! - declared body longer than [`MAX_BODY_BYTES`] → 413
 //!
-//! Response rendering appends into the connection's write buffer
-//! ([`push_head`] / [`push_response`]); the hot path never comes here at
-//! all — it copies a pre-rendered response straight from the cache.
+//! Every response is a `Response` value that frames itself onto the
+//! connection's write buffer; a cache entry carries its pre-framed
+//! keep-alive bytes, so the hot path is one copy of them.
 
-use std::fmt::Write as _;
+use std::borrow::Cow;
+use std::io::Write as _;
 
 /// Longest accepted request line (method + target + version).
 pub const MAX_REQUEST_LINE: usize = 4096;
@@ -186,54 +187,68 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Appends a response head to `out`. Headers are lowercase, in a fixed
-/// order (`content-type`, `content-length`, `etag`, `connection`, then
-/// `extra` verbatim), so a pre-framed cached response and the same body
-/// framed per request are byte-identical. `extra` carries status-specific lines such as
-/// `allow: ...\r\n` or `retry-after: 1\r\n`. A 304 omits `content-type`
-/// (it has no body by definition).
-pub fn push_head(
-    out: &mut Vec<u8>,
-    status: u16,
-    content_type: &str,
-    content_length: usize,
-    keep_alive: bool,
-    etag: Option<&str>,
-    extra: &str,
-) {
-    let mut head = String::with_capacity(128 + extra.len());
-    let _ = write!(head, "HTTP/1.1 {status} {}\r\n", reason(status));
-    if status != 304 {
-        let _ = write!(head, "content-type: {content_type}\r\n");
-    }
-    let _ = write!(head, "content-length: {content_length}\r\n");
-    if let Some(tag) = etag {
-        let _ = write!(head, "etag: {tag}\r\n");
-    }
-    let _ = write!(
-        head,
-        "connection: {}\r\n{extra}\r\n",
-        if keep_alive { "keep-alive" } else { "close" }
-    );
-    out.extend_from_slice(head.as_bytes());
+/// One response as the server decided it; [`Response::write`] frames it
+/// onto a connection's write buffer. Every response the server sends
+/// goes through one of these.
+pub(crate) struct Response<'a> {
+    /// Status code; the reason phrase comes from [`reason`].
+    pub status: u16,
+    /// The `content-type` value (omitted on a 304, which has no body).
+    pub content_type: &'static str,
+    /// The body; HEAD elides it but keeps its `content-length`.
+    pub body: Cow<'a, [u8]>,
+    /// The snapshot's entity tag, on snapshot-derived responses.
+    pub etag: Option<&'a str>,
+    /// Status-specific header lines, such as `allow: ...\r\n`.
+    pub extra: &'static str,
+    /// This same response already framed for keep-alive (a cache
+    /// entry), copied whole when the request keeps the connection open
+    /// and wants the body.
+    pub framed: Option<&'a [u8]>,
 }
 
-/// Appends a full response (head + body) to `out`. `head_only` elides
-/// the body while keeping its `content-length` — the HEAD semantics.
-#[allow(clippy::too_many_arguments)]
-pub fn push_response(
-    out: &mut Vec<u8>,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-    etag: Option<&str>,
-    extra: &str,
-    head_only: bool,
-) {
-    push_head(out, status, content_type, body.len(), keep_alive, etag, extra);
-    if !head_only {
-        out.extend_from_slice(body);
+impl Response<'_> {
+    /// A JSON response with no entity tag and no extra headers.
+    pub(crate) fn json(status: u16, body: String) -> Response<'static> {
+        Response {
+            status,
+            content_type: "application/json",
+            body: Cow::Owned(body.into_bytes()),
+            etag: None,
+            extra: "",
+            framed: None,
+        }
+    }
+
+    /// A JSON error response (see [`error_body`]).
+    pub(crate) fn error(status: u16, message: &str) -> Response<'static> {
+        Response::json(status, error_body(status, message))
+    }
+
+    /// Appends the response to `out`. Headers are lowercase, in a fixed
+    /// order (`content-type`, `content-length`, `etag`, `connection`,
+    /// then `extra` verbatim), so a cache entry framed once and the same
+    /// body framed per request are byte-identical. `head_only` elides
+    /// the body while keeping its `content-length`: the HEAD semantics.
+    pub(crate) fn write(&self, out: &mut Vec<u8>, keep_alive: bool, head_only: bool) {
+        if let (Some(framed), true, false) = (self.framed, keep_alive, head_only) {
+            // The hot path: one copy of the pre-framed response.
+            out.extend_from_slice(framed);
+            return;
+        }
+        let _ = write!(out, "HTTP/1.1 {} {}\r\n", self.status, reason(self.status));
+        if self.status != 304 {
+            let _ = write!(out, "content-type: {}\r\n", self.content_type);
+        }
+        let _ = write!(out, "content-length: {}\r\n", self.body.len());
+        if let Some(tag) = self.etag {
+            let _ = write!(out, "etag: {tag}\r\n");
+        }
+        let connection = if keep_alive { "keep-alive" } else { "close" };
+        let _ = write!(out, "connection: {connection}\r\n{}\r\n", self.extra);
+        if !head_only {
+            out.extend_from_slice(&self.body);
+        }
     }
 }
 
@@ -241,18 +256,9 @@ pub fn push_response(
 /// `retry-after` tells well-behaved clients when to come back, and the
 /// connection always closes.
 pub fn busy_response() -> Vec<u8> {
-    let body = error_body(503, "server busy; connection limit reached");
-    let mut out = Vec::with_capacity(160 + body.len());
-    push_response(
-        &mut out,
-        503,
-        "application/json",
-        body.as_bytes(),
-        false,
-        None,
-        "retry-after: 1\r\n",
-        false,
-    );
+    let busy = Response::error(503, "server busy; connection limit reached");
+    let mut out = Vec::new();
+    Response { extra: "retry-after: 1\r\n", ..busy }.write(&mut out, false, false);
     out
 }
 
@@ -346,29 +352,37 @@ mod tests {
 
     #[test]
     fn response_rendering() {
-        let mut out = Vec::new();
-        push_response(&mut out, 200, "application/json", b"{}", true, Some("\"t\""), "", false);
-        let text = String::from_utf8(out).unwrap();
+        let render = |r: Response<'_>, keep_alive: bool, head_only: bool| {
+            let mut out = Vec::new();
+            r.write(&mut out, keep_alive, head_only);
+            String::from_utf8(out).unwrap()
+        };
+        let tagged = |status, body: &str| Response {
+            etag: Some("\"t\""),
+            ..Response::json(status, body.to_string())
+        };
         assert_eq!(
-            text,
+            render(tagged(200, "{}"), true, false),
             "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 2\r\netag: \"t\"\r\nconnection: keep-alive\r\n\r\n{}"
         );
 
         // Zero-length body keeps explicit framing; HEAD keeps the length
         // of the body it elides.
-        let mut out = Vec::new();
-        push_response(&mut out, 200, "application/json", b"", false, None, "", false);
-        assert!(String::from_utf8(out).unwrap().contains("content-length: 0\r\n"));
-        let mut out = Vec::new();
-        push_response(&mut out, 200, "application/json", b"abcde", true, None, "", true);
-        let text = String::from_utf8(out).unwrap();
+        let text = render(Response::json(200, String::new()), false, false);
+        assert!(text.contains("content-length: 0\r\n"));
+        let text = render(Response::json(200, "abcde".to_string()), true, true);
         assert!(text.contains("content-length: 5\r\n") && text.ends_with("\r\n\r\n"));
+
+        // A pre-framed response is copied whole only for a keep-alive
+        // GET; HEAD and close frame the body afresh.
+        let framed = Response { framed: Some(b"FRAMED"), ..tagged(200, "{}") };
+        assert_eq!(render(framed, true, false), "FRAMED");
+        let framed = Response { framed: Some(b"FRAMED"), ..tagged(200, "{}") };
+        assert!(render(framed, false, false).ends_with("connection: close\r\n\r\n{}"));
 
         // 304 has no content-type and an empty body, and the busy
         // rejection carries retry-after + close.
-        let mut out = Vec::new();
-        push_response(&mut out, 304, "application/json", b"", true, Some("\"t\""), "", false);
-        let text = String::from_utf8(out).unwrap();
+        let text = render(tagged(304, ""), true, false);
         assert!(text.starts_with("HTTP/1.1 304 Not Modified\r\n"));
         assert!(!text.contains("content-type"));
         assert!(text.contains("content-length: 0\r\n") && text.contains("etag: \"t\"\r\n"));

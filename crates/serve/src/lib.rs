@@ -7,13 +7,18 @@
 //! [`event_loop`] internals: non-blocking accept/read/write,
 //! per-connection state machines with partial-read/partial-write
 //! buffers, a lazy deadline wheel). Because every GET body is a pure
-//! function of the loaded snapshot, static endpoints are rendered once
-//! per snapshot into a pre-rendered response cache keyed by the
-//! snapshot's FNV-1a-64 trailer — every snapshot-derived response is a
-//! single memcpy of cached bytes (a non-canonical spelling such as
-//! `//pathways` is looked up under its canonical path), which is what
-//! takes mixed-endpoint throughput from thousands to hundreds of
-//! thousands of requests per second:
+//! function of the loaded snapshot, snapshot-derived endpoints are
+//! rendered once per snapshot into a pre-rendered response cache tagged
+//! with the snapshot's FNV-1a-64 trailer — every snapshot-derived
+//! response is a single memcpy of one cached buffer (a non-canonical
+//! spelling such as `//pathways` is looked up under its canonical path),
+//! which is what takes mixed-endpoint throughput from thousands to
+//! hundreds of thousands of requests per second. One route table decides
+//! what a path names: a request target that misses the cache is parsed
+//! once into a `Route`, and the cache's path list and renderers, the
+//! canonical-spelling retry, the 404 wording, and the dynamic and POST
+//! handlers all match on it. Every response, cached or not, leaves
+//! through one writer ([`http`]'s response value):
 //!
 //! | Endpoint | Body |
 //! |---|---|
@@ -24,6 +29,7 @@
 //! | `/instances` | routing instances across the corpus |
 //! | `/pathways` | per-router pathway depth summaries |
 //! | `/diag` | all pipeline diagnostics |
+//! | `/plan` | the reconfiguration plan given at start (404 without one) |
 //! | `/metrics` | the rd-obs registry, Prometheus text format |
 //! | `/admin/debug/loop` | per-event-loop health (wakeups, slab, wheel) |
 //! | `/admin/debug/conns` | live connections: state, age, buffers |
@@ -63,6 +69,7 @@ mod cache;
 mod debug;
 mod event_loop;
 mod reload;
+mod route;
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -76,6 +83,7 @@ use rd_snap::Corpus;
 
 use cache::SnapshotState;
 use debug::{LoopDebug, ReloadEvent};
+use route::DebugView;
 
 /// Latency histogram bounds, in microseconds.
 pub(crate) const LATENCY_BOUNDS_US: &[u64] =
@@ -206,9 +214,6 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Live-connection cap; past it, accepts get `503` + `Retry-After`.
     pub max_conns: usize,
-    /// Snapshot file re-read on SIGHUP / `POST /admin/reload`. `None`
-    /// disables file-based reload ([`Controller::publish`] still works).
-    pub reload_path: Option<PathBuf>,
     /// Reconfiguration-plan document (the `rdx plan --json` bytes)
     /// served verbatim at `/plan`; `None` 404s the endpoint. The plan
     /// survives hot reloads — it describes the migration, not the
@@ -218,7 +223,7 @@ pub struct ServeOptions {
 
 impl Default for ServeOptions {
     fn default() -> ServeOptions {
-        ServeOptions { workers: 0, max_conns: 1024, reload_path: None, plan: None }
+        ServeOptions { workers: 0, max_conns: 1024, plan: None }
     }
 }
 
@@ -230,6 +235,9 @@ pub(crate) struct Shared {
     reload_requested: AtomicBool,
     pub(crate) conn_count: AtomicUsize,
     pub(crate) max_conns: usize,
+    /// The snapshot file SIGHUP and `POST /admin/reload` re-read; `None`
+    /// (a server started from an in-memory corpus) disables file-based
+    /// reload, while [`Controller::publish`] still works.
     pub(crate) reload_path: Option<PathBuf>,
     /// The `/plan` document, rendered into every rebuilt snapshot state.
     plan: Option<String>,
@@ -279,10 +287,6 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst) || signal_shutdown_requested()
     }
 
-    pub(crate) fn reload_configured(&self) -> bool {
-        self.reload_path.is_some()
-    }
-
     pub(crate) fn request_reload(&self) {
         self.reload_requested.store(true, Ordering::SeqCst);
     }
@@ -316,23 +320,24 @@ impl Shared {
         ring.push(ev);
     }
 
-    /// Renders `/admin/debug/loop` from the published snapshots.
-    pub(crate) fn render_debug_loops(&self) -> String {
-        let slots = self.debug.lock().unwrap_or_else(|p| p.into_inner());
-        debug::render_loops(&slots)
-    }
-
-    /// Renders `/admin/debug/conns` from the published snapshots.
-    pub(crate) fn render_debug_conns(&self) -> String {
-        let slots = self.debug.lock().unwrap_or_else(|p| p.into_inner());
-        debug::render_conns(&slots)
-    }
-
-    /// Renders `/admin/debug/cache` against the snapshot state the
-    /// calling loop is serving from.
-    pub(crate) fn render_debug_cache(&self, st: &SnapshotState) -> String {
-        let ring = self.reload_history.lock().unwrap_or_else(|p| p.into_inner());
-        debug::render_cache(st, &ring, self.uptime_ms())
+    /// Renders one `/admin/debug/*` view: the loop and connection views
+    /// from the snapshots the loops publish, the cache view against the
+    /// snapshot state the calling loop is serving from, the watch view
+    /// from the status `rdx watch` last published.
+    pub(crate) fn render_debug(&self, view: DebugView, st: &SnapshotState) -> String {
+        let loops = || self.debug.lock().unwrap_or_else(|p| p.into_inner());
+        match view {
+            DebugView::Loop => debug::render_loops(&loops()),
+            DebugView::Conns => debug::render_conns(&loops()),
+            DebugView::Cache => {
+                let ring = self.reload_history.lock().unwrap_or_else(|p| p.into_inner());
+                debug::render_cache(st, &ring, self.uptime_ms())
+            }
+            DebugView::Watch => {
+                let status = self.watch.lock().unwrap_or_else(|p| p.into_inner());
+                debug::render_watch(self.health(), status.as_ref(), self.uptime_ms())
+            }
+        }
     }
 
     pub(crate) fn health(&self) -> HealthState {
@@ -346,12 +351,6 @@ impl Shared {
 
     pub(crate) fn set_watch_status(&self, status: WatchStatus) {
         *self.watch.lock().unwrap_or_else(|p| p.into_inner()) = Some(status);
-    }
-
-    /// Renders `/admin/debug/watch` from the published watcher status.
-    pub(crate) fn render_debug_watch(&self) -> String {
-        let status = self.watch.lock().unwrap_or_else(|p| p.into_inner());
-        debug::render_watch(self.health(), status.as_ref(), self.uptime_ms())
     }
 }
 
@@ -420,16 +419,17 @@ impl Server {
     /// Loads a snapshot file and serves it, wiring the file in as the
     /// hot-reload source (SIGHUP / `POST /admin/reload` re-read it).
     /// The `ETag` comes from the file's stored trailer — no re-encode.
-    pub fn start_file(path: &std::path::Path, addr: &str, mut opts: ServeOptions) -> io::Result<Server> {
+    pub fn start_file(path: &std::path::Path, addr: &str, opts: ServeOptions) -> io::Result<Server> {
         let (corpus, trailer) =
             Corpus::read_file_with_trailer(path).map_err(io::Error::other)?;
-        opts.reload_path = Some(path.to_path_buf());
-        Server::start_inner(corpus, Some(trailer), addr, opts)
+        Server::start_inner(corpus, Some((path.to_path_buf(), trailer)), addr, opts)
     }
 
+    /// Starts the server; `file` is the snapshot file the corpus was read
+    /// from and its stored trailer, when there is one.
     fn start_inner(
         corpus: Corpus,
-        trailer: Option<u64>,
+        file: Option<(PathBuf, u64)>,
         addr: &str,
         opts: ServeOptions,
     ) -> io::Result<Server> {
@@ -438,6 +438,7 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let listener = Arc::new(listener);
 
+        let (reload_path, trailer) = file.unzip();
         let state = SnapshotState::build(corpus, trailer, opts.plan.as_deref());
         let boot = ReloadEvent::new(&state, 0, true, "boot");
         let loops = if opts.workers == 0 { rd_par::thread_count().max(1) } else { opts.workers };
@@ -448,7 +449,7 @@ impl Server {
             reload_requested: AtomicBool::new(false),
             conn_count: AtomicUsize::new(0),
             max_conns: opts.max_conns.max(1),
-            reload_path: opts.reload_path,
+            reload_path,
             plan: opts.plan,
             started: Instant::now(),
             debug: Mutex::new((0..loops).map(|_| None).collect()),
@@ -518,7 +519,7 @@ impl Server {
     }
 
     /// Schedules a file-based hot reload, as `POST /admin/reload` does.
-    /// No-op without a reload source ([`ServeOptions::reload_path`]).
+    /// No-op unless the server was started by [`Server::start_file`].
     pub fn trigger_reload(&self) {
         self.shared.request_reload();
     }

@@ -1,12 +1,13 @@
 //! HTTP protocol edge cases and concurrency behavior of `rd-serve`,
-//! exercised over real sockets against a hand-built mini corpus.
+//! exercised over real sockets against a hand-built mini corpus, and the
+//! full response bytes of every route class.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use nettopo::{ExternalAnalysis, LinkMap, Network};
-use rd_serve::Server;
+use rd_serve::{HealthState, ServeOptions, Server};
 use rd_snap::{Corpus, NetworkSnapshot};
 use routing_model::{
     classify_network, Adjacencies, InstanceGraph, Instances, ProcessGraph, Processes, Table1,
@@ -294,4 +295,108 @@ fn graceful_shutdown_closes_listener() {
         .map(|out| out.contains("200 OK"))
         .unwrap_or(false);
     assert!(!alive, "server still answering after shutdown");
+}
+
+/// The head of a response whose body changes with time, with its
+/// content-length masked.
+fn masked_head(response: &str) -> String {
+    let (head, _) = response.split_once("\r\n\r\n").expect("has header/body split");
+    let lines: Vec<&str> = head
+        .split("\r\n")
+        .map(|l| if l.starts_with("content-length: ") { "content-length: #" } else { l })
+        .collect();
+    lines.join("\r\n")
+}
+
+#[test]
+fn every_route_class_answers_with_pinned_bytes() {
+    let dir = std::env::temp_dir().join(format!("rd-serve-bytes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("corpus.rdsnap");
+    Corpus::new(vec![tiny_snapshot("net1")]).write_file(&path).unwrap();
+    let server = Server::start_file(&path, "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let send = |request: &str| raw_request(&server, request.as_bytes());
+    let get = |target: &str| send(&format!("GET {target} HTTP/1.1\r\nhost: t\r\n\r\n"));
+
+    // Cached 200 as GET, as HEAD, and with `connection: close`, then 304.
+    assert_eq!(
+        get("/networks"),
+        "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 128\r\netag: \"c563c906ea8b55d1\"\r\nconnection: keep-alive\r\n\r\n{\n  \"networks\": [\n    {\"name\": \"net1\", \"routers\": 2, \"links\": 1, \"instances\": 2, \"design\": \"backbone\", \"degraded\": false}\n  ]\n}\n"
+    );
+    assert_eq!(
+        send("HEAD /networks HTTP/1.1\r\nhost: t\r\n\r\n"),
+        "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 128\r\netag: \"c563c906ea8b55d1\"\r\nconnection: keep-alive\r\n\r\n"
+    );
+    assert_eq!(
+        send("GET /networks HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n"),
+        "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 128\r\netag: \"c563c906ea8b55d1\"\r\nconnection: close\r\n\r\n{\n  \"networks\": [\n    {\"name\": \"net1\", \"routers\": 2, \"links\": 1, \"instances\": 2, \"design\": \"backbone\", \"degraded\": false}\n  ]\n}\n"
+    );
+    assert_eq!(
+        send("GET /networks HTTP/1.1\r\nhost: t\r\nif-none-match: \"c563c906ea8b55d1\"\r\n\r\n"),
+        "HTTP/1.1 304 Not Modified\r\ncontent-length: 0\r\netag: \"c563c906ea8b55d1\"\r\nconnection: keep-alive\r\n\r\n"
+    );
+
+    // Dynamic: /healthz at 200 and 503, ?live=1, /metrics, a debug view.
+    assert_eq!(
+        get("/healthz"),
+        "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 51\r\nconnection: keep-alive\r\ncache-control: no-store\r\n\r\n{\"status\": \"ok\", \"health\": \"fresh\", \"networks\": 1}\n"
+    );
+    server.set_health(HealthState::Degraded);
+    assert_eq!(
+        get("/healthz"),
+        "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\ncontent-length: 60\r\nconnection: keep-alive\r\ncache-control: no-store\r\n\r\n{\"status\": \"degraded\", \"health\": \"degraded\", \"networks\": 1}\n"
+    );
+    assert_eq!(
+        get("/healthz?live=1"),
+        "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 34\r\nconnection: keep-alive\r\ncache-control: no-store\r\n\r\n{\"status\": \"live\", \"networks\": 1}\n"
+    );
+    server.set_health(HealthState::Fresh);
+    assert_eq!(
+        masked_head(&get("/metrics")),
+        "HTTP/1.1 200 OK\r\ncontent-type: text/plain; version=0.0.4\r\ncontent-length: #\r\nconnection: keep-alive"
+    );
+    assert_eq!(
+        masked_head(&get("/admin/debug/loop")),
+        "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: #\r\nconnection: keep-alive\r\ncache-control: no-store"
+    );
+
+    // The three 404 wordings, 405, 413, and a protocol-error 400.
+    assert_eq!(
+        get("/networks/net99/processes"),
+        "HTTP/1.1 404 Not Found\r\ncontent-type: application/json\r\ncontent-length: 47\r\nconnection: keep-alive\r\n\r\n{\"error\": \"no network 'net99'\", \"status\": 404}\n"
+    );
+    assert_eq!(
+        get("/plan"),
+        "HTTP/1.1 404 Not Found\r\ncontent-type: application/json\r\ncontent-length: 85\r\nconnection: keep-alive\r\n\r\n{\"error\": \"no plan loaded; start the server with --plan <plan.json>\", \"status\": 404}\n"
+    );
+    assert_eq!(
+        get("/admin/reload"),
+        "HTTP/1.1 404 Not Found\r\ncontent-type: application/json\r\ncontent-length: 55\r\nconnection: keep-alive\r\n\r\n{\"error\": \"no route for /admin/reload\", \"status\": 404}\n"
+    );
+    assert_eq!(
+        send("DELETE /networks HTTP/1.1\r\nhost: t\r\n\r\n"),
+        "HTTP/1.1 405 Method Not Allowed\r\ncontent-type: application/json\r\ncontent-length: 54\r\nconnection: keep-alive\r\nallow: GET, HEAD\r\n\r\n{\"error\": \"method DELETE not allowed\", \"status\": 405}\n"
+    );
+    assert_eq!(
+        send("POST /networks HTTP/1.1\r\nhost: t\r\ncontent-length: 999999999\r\n\r\n"),
+        "HTTP/1.1 413 Payload Too Large\r\ncontent-type: application/json\r\ncontent-length: 55\r\nconnection: close\r\n\r\n{\"error\": \"request body exceeds limit\", \"status\": 413}\n"
+    );
+    assert_eq!(
+        send("NOT-HTTP\r\n\r\n"),
+        "HTTP/1.1 400 Bad Request\r\ncontent-type: application/json\r\ncontent-length: 51\r\nconnection: close\r\n\r\n{\"error\": \"malformed request line\", \"status\": 400}\n"
+    );
+
+    // POST /admin/reload with a reload source (200) and without (409).
+    assert_eq!(
+        send("POST /admin/reload HTTP/1.1\r\nhost: t\r\n\r\n"),
+        "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 31\r\nconnection: keep-alive\r\n\r\n{\"status\": \"reload scheduled\"}\n"
+    );
+    server.shutdown();
+    let server = Server::start(Corpus::new(vec![tiny_snapshot("net1")]), "127.0.0.1:0", 1).unwrap();
+    assert_eq!(
+        raw_request(&server, b"POST /admin/reload HTTP/1.1\r\nhost: t\r\n\r\n"),
+        "HTTP/1.1 409 Conflict\r\ncontent-type: application/json\r\ncontent-length: 95\r\nconnection: keep-alive\r\n\r\n{\"error\": \"no reload source configured; start the server from a snapshot file\", \"status\": 409}\n"
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }

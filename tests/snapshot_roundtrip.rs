@@ -24,7 +24,7 @@ fn study_subset() -> Vec<(String, Vec<(String, String)>)> {
 /// single comparable string: the served JSON summary, the instance
 /// graph, Table-1 roles, and every diagnostic line.
 fn render(name: &str, analysis: &NetworkAnalysis) -> String {
-    let snap = snapshot::capture_ref(name, analysis);
+    let snap = snapshot::capture(name, analysis.clone());
     let mut out = rd_serve::render::network_summary(&snap);
     out.push_str(&analysis.instance_graph_text());
     out.push_str(&analysis.table1.to_string());
