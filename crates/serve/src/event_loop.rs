@@ -559,10 +559,7 @@ fn respond(
             },
         }
     };
-    // HEAD elides the body; a 413 is decided before the method is read,
-    // so it keeps its body.
-    let head_only = head.method == "HEAD" && !outcome.error;
-    reply.write(out, outcome.keep_alive, head_only);
+    reply.write(out, outcome.keep_alive, head.method == "HEAD");
     let us = started.elapsed().as_micros() as u64;
     stats.record(head.method, head.target, reply.status, us);
     outcome

@@ -12,84 +12,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use nettopo::{ExternalAnalysis, LinkMap, Network};
 use rd_serve::{ServeOptions, Server};
-use rd_snap::{Corpus, NetworkSnapshot};
-use routing_model::{
-    classify_network, Adjacencies, InstanceGraph, Instances, ProcessGraph, Processes, Table1,
-};
 
-/// Analyzes a two-router corpus through the real pipeline and snapshots
-/// it under `name`.
-fn tiny_snapshot(name: &str) -> NetworkSnapshot {
-    let r1 = "\
-hostname edge1
-interface Loopback0
- ip address 10.0.0.1 255.255.255.255
-interface Serial0/0
- ip address 10.1.0.1 255.255.255.252
-router ospf 1
- network 10.0.0.0 0.0.255.255 area 0
- network 10.1.0.0 0.0.255.255 area 0
-router bgp 65000
- neighbor 10.0.0.2 remote-as 65000
-";
-    let r2 = "\
-hostname edge2
-interface Loopback0
- ip address 10.0.0.2 255.255.255.255
-interface Serial0/0
- ip address 10.1.0.2 255.255.255.252
-router ospf 1
- network 10.0.0.0 0.0.255.255 area 0
- network 10.1.0.0 0.0.255.255 area 0
-router bgp 65000
- neighbor 10.0.0.1 remote-as 65000
- neighbor 192.168.50.1 remote-as 7018
-";
-    let texts = vec![
-        ("config1".to_string(), r1.to_string()),
-        ("config2".to_string(), r2.to_string()),
-    ];
-    let network = Network::from_texts(texts).expect("tiny corpus parses");
-    let links = LinkMap::build(&network);
-    let external = ExternalAnalysis::build(&network, &links);
-    let processes = Processes::extract(&network);
-    let adjacencies = Adjacencies::build(&network, &links, &processes, &external);
-    let instances = Instances::compute(&processes, &adjacencies);
-    let instance_graph = InstanceGraph::build(&network, &processes, &adjacencies, &instances);
-    let process_graph = ProcessGraph::build(&network, &processes, &adjacencies);
-    let blocks = network.address_blocks();
-    let table1 = Table1::compute(&instances, &instance_graph, &adjacencies);
-    let design = classify_network(&network, &instances, &instance_graph, &adjacencies, &table1);
-    let diagnostics = network.diagnostics.clone();
-    NetworkSnapshot {
-        name: name.to_string(),
-        network,
-        links,
-        external,
-        processes,
-        adjacencies,
-        instances,
-        instance_graph,
-        process_graph,
-        blocks,
-        table1,
-        design,
-        diagnostics,
-        file_hashes: Vec::new(),
-    }
-}
-
-fn corpus_of(names: &[&str]) -> Corpus {
-    Corpus::new(names.iter().map(|n| tiny_snapshot(n)).collect())
-}
-
-fn connect(server: &Server) -> TcpStream {
-    let stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    stream
-}
+mod common;
+use common::{connect, corpus_of, counter};
 
 /// Reads one complete response (content-length framing).
 fn read_response(stream: &mut TcpStream) -> (String, Vec<u8>) {
@@ -120,16 +46,6 @@ fn get(server: &Server, path: &str, status: &str) -> (String, String) {
     let (head, body) = read_response(&mut stream);
     assert!(head.starts_with(&format!("HTTP/1.1 {status}")), "{path}: {head}");
     (head, String::from_utf8(body).expect("utf-8 body"))
-}
-
-fn counter(name: &str) -> u64 {
-    rd_obs::metrics::snapshot()
-        .into_iter()
-        .find_map(|(n, m)| match m {
-            rd_obs::metrics::Metric::Counter(v) if n == name => Some(v),
-            _ => None,
-        })
-        .unwrap_or(0)
 }
 
 /// Asserts `body` is one well-formed JSON object and returns its keys.

@@ -9,87 +9,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use nettopo::{ExternalAnalysis, LinkMap, Network};
 use rd_serve::{ServeOptions, Server};
-use rd_snap::{Corpus, NetworkSnapshot};
-use routing_model::{
-    classify_network, Adjacencies, InstanceGraph, Instances, ProcessGraph, Processes, Table1,
-};
 
-/// Analyzes a two-router corpus through the real pipeline and snapshots
-/// it under `name`.
-fn tiny_snapshot(name: &str) -> NetworkSnapshot {
-    let r1 = "\
-hostname edge1
-interface Loopback0
- ip address 10.0.0.1 255.255.255.255
-interface Serial0/0
- ip address 10.1.0.1 255.255.255.252
-router ospf 1
- network 10.0.0.0 0.0.255.255 area 0
- network 10.1.0.0 0.0.255.255 area 0
-router bgp 65000
- neighbor 10.0.0.2 remote-as 65000
-";
-    let r2 = "\
-hostname edge2
-interface Loopback0
- ip address 10.0.0.2 255.255.255.255
-interface Serial0/0
- ip address 10.1.0.2 255.255.255.252
-router ospf 1
- network 10.0.0.0 0.0.255.255 area 0
- network 10.1.0.0 0.0.255.255 area 0
-router bgp 65000
- neighbor 10.0.0.1 remote-as 65000
- neighbor 192.168.50.1 remote-as 7018
-";
-    let texts = vec![
-        ("config1".to_string(), r1.to_string()),
-        ("config2".to_string(), r2.to_string()),
-    ];
-    let network = Network::from_texts(texts).expect("tiny corpus parses");
-    let links = LinkMap::build(&network);
-    let external = ExternalAnalysis::build(&network, &links);
-    let processes = Processes::extract(&network);
-    let adjacencies = Adjacencies::build(&network, &links, &processes, &external);
-    let instances = Instances::compute(&processes, &adjacencies);
-    let instance_graph = InstanceGraph::build(&network, &processes, &adjacencies, &instances);
-    let process_graph = ProcessGraph::build(&network, &processes, &adjacencies);
-    let blocks = network.address_blocks();
-    let table1 = Table1::compute(&instances, &instance_graph, &adjacencies);
-    let design = classify_network(&network, &instances, &instance_graph, &adjacencies, &table1);
-    let diagnostics = network.diagnostics.clone();
-    NetworkSnapshot {
-        name: name.to_string(),
-        network,
-        links,
-        external,
-        processes,
-        adjacencies,
-        instances,
-        instance_graph,
-        process_graph,
-        blocks,
-        table1,
-        design,
-        diagnostics,
-        file_hashes: Vec::new(),
-    }
-}
-
-fn corpus_of(names: &[&str]) -> Corpus {
-    Corpus::new(names.iter().map(|n| tiny_snapshot(n)).collect())
-}
+mod common;
+use common::{connect, corpus_of, counter};
 
 fn start_server() -> Server {
     Server::start(corpus_of(&["net1", "net2"]), "127.0.0.1:0", 2).expect("server starts")
-}
-
-fn connect(server: &Server) -> TcpStream {
-    let stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    stream
 }
 
 /// Reads one complete response from a persistent stream: returns
@@ -156,16 +82,6 @@ fn plan_endpoint_serves_the_attached_document_and_404s_without_one() {
     );
     drop(stream);
     server.shutdown();
-}
-
-fn counter(name: &str) -> u64 {
-    rd_obs::metrics::snapshot()
-        .into_iter()
-        .find_map(|(n, m)| match m {
-            rd_obs::metrics::Metric::Counter(v) if n == name => Some(v),
-            _ => None,
-        })
-        .unwrap_or(0)
 }
 
 #[test]

@@ -6,85 +6,19 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use nettopo::{ExternalAnalysis, LinkMap, Network};
 use rd_serve::{HealthState, ServeOptions, Server};
-use rd_snap::{Corpus, NetworkSnapshot};
-use routing_model::{
-    classify_network, Adjacencies, InstanceGraph, Instances, ProcessGraph, Processes, Table1,
-};
 
-/// Analyzes a two-router corpus through the real pipeline (no netgen or
-/// core dependency) and snapshots it under `name`.
-fn tiny_snapshot(name: &str) -> NetworkSnapshot {
-    let r1 = "\
-hostname edge1
-interface Loopback0
- ip address 10.0.0.1 255.255.255.255
-interface Serial0/0
- ip address 10.1.0.1 255.255.255.252
-router ospf 1
- network 10.0.0.0 0.0.255.255 area 0
- network 10.1.0.0 0.0.255.255 area 0
-router bgp 65000
- neighbor 10.0.0.2 remote-as 65000
-";
-    let r2 = "\
-hostname edge2
-interface Loopback0
- ip address 10.0.0.2 255.255.255.255
-interface Serial0/0
- ip address 10.1.0.2 255.255.255.252
-router ospf 1
- network 10.0.0.0 0.0.255.255 area 0
- network 10.1.0.0 0.0.255.255 area 0
-router bgp 65000
- neighbor 10.0.0.1 remote-as 65000
- neighbor 192.168.50.1 remote-as 7018
-";
-    let texts = vec![
-        ("config1".to_string(), r1.to_string()),
-        ("config2".to_string(), r2.to_string()),
-    ];
-    let network = Network::from_texts(texts).expect("tiny corpus parses");
-    let links = LinkMap::build(&network);
-    let external = ExternalAnalysis::build(&network, &links);
-    let processes = Processes::extract(&network);
-    let adjacencies = Adjacencies::build(&network, &links, &processes, &external);
-    let instances = Instances::compute(&processes, &adjacencies);
-    let instance_graph = InstanceGraph::build(&network, &processes, &adjacencies, &instances);
-    let process_graph = ProcessGraph::build(&network, &processes, &adjacencies);
-    let blocks = network.address_blocks();
-    let table1 = Table1::compute(&instances, &instance_graph, &adjacencies);
-    let design = classify_network(&network, &instances, &instance_graph, &adjacencies, &table1);
-    let diagnostics = network.diagnostics.clone();
-    NetworkSnapshot {
-        name: name.to_string(),
-        network,
-        links,
-        external,
-        processes,
-        adjacencies,
-        instances,
-        instance_graph,
-        process_graph,
-        blocks,
-        table1,
-        design,
-        diagnostics,
-        file_hashes: Vec::new(),
-    }
-}
+mod common;
+use common::{connect, corpus_of};
 
 fn start_server() -> Server {
-    let corpus = Corpus::new(vec![tiny_snapshot("net1"), tiny_snapshot("net2")]);
-    Server::start(corpus, "127.0.0.1:0", 4).expect("server starts")
+    Server::start(corpus_of(&["net1", "net2"]), "127.0.0.1:0", 4).expect("server starts")
 }
 
 /// Sends raw bytes, half-closes the write side, and returns the raw
 /// response text.
 fn raw_request(server: &Server, bytes: &[u8]) -> String {
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut stream = connect(server);
     // The server may reject mid-send (oversized head): tolerate write
     // errors and read whatever response made it back.
     let _ = stream.write_all(bytes);
@@ -203,8 +137,7 @@ fn protocol_rejections() {
 #[test]
 fn keep_alive_serves_multiple_requests() {
     let server = start_server();
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut stream = connect(&server);
 
     let mut bodies = Vec::new();
     for i in 0..3 {
@@ -313,7 +246,7 @@ fn every_route_class_answers_with_pinned_bytes() {
     let dir = std::env::temp_dir().join(format!("rd-serve-bytes-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("corpus.rdsnap");
-    Corpus::new(vec![tiny_snapshot("net1")]).write_file(&path).unwrap();
+    corpus_of(&["net1"]).write_file(&path).unwrap();
     let server = Server::start_file(&path, "127.0.0.1:0", ServeOptions::default()).unwrap();
     let send = |request: &str| raw_request(&server, request.as_bytes());
     let get = |target: &str| send(&format!("GET {target} HTTP/1.1\r\nhost: t\r\n\r\n"));
@@ -360,7 +293,8 @@ fn every_route_class_answers_with_pinned_bytes() {
         "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: #\r\nconnection: keep-alive\r\ncache-control: no-store"
     );
 
-    // The three 404 wordings, 405, 413, and a protocol-error 400.
+    // The three 404 wordings, 405, 413 to a POST and (head only) to a HEAD,
+    // and a protocol-error 400.
     assert_eq!(
         get("/networks/net99/processes"),
         "HTTP/1.1 404 Not Found\r\ncontent-type: application/json\r\ncontent-length: 47\r\nconnection: keep-alive\r\n\r\n{\"error\": \"no network 'net99'\", \"status\": 404}\n"
@@ -382,6 +316,10 @@ fn every_route_class_answers_with_pinned_bytes() {
         "HTTP/1.1 413 Payload Too Large\r\ncontent-type: application/json\r\ncontent-length: 55\r\nconnection: close\r\n\r\n{\"error\": \"request body exceeds limit\", \"status\": 413}\n"
     );
     assert_eq!(
+        send("HEAD /networks HTTP/1.1\r\nhost: t\r\ncontent-length: 70000\r\n\r\n"),
+        "HTTP/1.1 413 Payload Too Large\r\ncontent-type: application/json\r\ncontent-length: 55\r\nconnection: close\r\n\r\n"
+    );
+    assert_eq!(
         send("NOT-HTTP\r\n\r\n"),
         "HTTP/1.1 400 Bad Request\r\ncontent-type: application/json\r\ncontent-length: 51\r\nconnection: close\r\n\r\n{\"error\": \"malformed request line\", \"status\": 400}\n"
     );
@@ -392,7 +330,7 @@ fn every_route_class_answers_with_pinned_bytes() {
         "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 31\r\nconnection: keep-alive\r\n\r\n{\"status\": \"reload scheduled\"}\n"
     );
     server.shutdown();
-    let server = Server::start(Corpus::new(vec![tiny_snapshot("net1")]), "127.0.0.1:0", 1).unwrap();
+    let server = Server::start(corpus_of(&["net1"]), "127.0.0.1:0", 1).unwrap();
     assert_eq!(
         raw_request(&server, b"POST /admin/reload HTTP/1.1\r\nhost: t\r\n\r\n"),
         "HTTP/1.1 409 Conflict\r\ncontent-type: application/json\r\ncontent-length: 95\r\nconnection: keep-alive\r\n\r\n{\"error\": \"no reload source configured; start the server from a snapshot file\", \"status\": 409}\n"

@@ -1,11 +1,14 @@
-//! [`Snap`] implementations for the analysis model types.
+//! [`Snap`] declarations for the analysis model types.
 //!
 //! Everything a fully analyzed network consists of — parsed configs
 //! (`ioscfg`), topology (`nettopo`), routing design (`routing-model`),
 //! address blocks (`netaddr`) and diagnostics (`rd-obs`) — round-trips
-//! through the snapshot byte format here. The layout of each type is part
-//! of [`crate::FORMAT_VERSION`]: changing any field order or enum tag
-//! below requires a version bump.
+//! through the snapshot byte format here. The declarations below *are*
+//! the format: a `snap_struct!` is its fields in order, a `snap_enum!` is
+//! a tag byte followed by the variant's fields in order, and each
+//! hand-written impl says in one line why it is not a declaration.
+//! Editing a tag, a field order or any hand-written impl changes the
+//! bytes and requires a [`crate::FORMAT_VERSION`] bump.
 //!
 //! Two types need interning on decode. `rd_obs::Diagnostic::code` and the
 //! `Table1` protocol labels are `&'static str` in the model; known values
@@ -34,42 +37,10 @@ use routing_model::{
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Encode every struct field in order; decode rebuilds the struct.
-macro_rules! snap_struct {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl Snap for $ty {
-            fn encode(&self, w: &mut Writer) {
-                $(self.$field.encode(w);)+
-            }
-            fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-                $(let $field = Snap::decode(r)?;)+
-                Ok(Self { $($field),+ })
-            }
-        }
-    };
-}
-
-/// Encode a fieldless enum as a one-byte tag.
-macro_rules! snap_enum_unit {
-    ($ty:ty { $($tag:literal => $variant:ident),+ $(,)? }) => {
-        impl Snap for $ty {
-            fn encode(&self, w: &mut Writer) {
-                w.byte(match self { $(Self::$variant => $tag),+ });
-            }
-            fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-                match r.byte()? {
-                    $($tag => Ok(Self::$variant),)+
-                    b => Err(DecodeError::new(format!(
-                        concat!("invalid ", stringify!($ty), " tag {}"), b))),
-                }
-            }
-        }
-    };
-}
-
 // ---------------------------------------------------------------------------
 // netaddr
 
+// Hand-written: rebuilt through `Addr::from_u32`.
 impl Snap for Addr {
     fn encode(&self, w: &mut Writer) {
         w.u64(u64::from(self.to_u32()));
@@ -79,6 +50,7 @@ impl Snap for Addr {
     }
 }
 
+// Hand-written: a length over 32 is rejected.
 impl Snap for Netmask {
     fn encode(&self, w: &mut Writer) {
         w.byte(self.len());
@@ -89,6 +61,7 @@ impl Snap for Netmask {
     }
 }
 
+// Hand-written: rebuilt through `Wildcard::from_bits`.
 impl Snap for Wildcard {
     fn encode(&self, w: &mut Writer) {
         w.u64(u64::from(self.bits()));
@@ -98,6 +71,7 @@ impl Snap for Wildcard {
     }
 }
 
+// Hand-written: a length over 32 is rejected, and host bits are zeroed.
 impl Snap for Prefix {
     fn encode(&self, w: &mut Writer) {
         self.addr().encode(w);
@@ -117,70 +91,34 @@ snap_struct!(BlockTree { roots });
 // ---------------------------------------------------------------------------
 // ioscfg
 
-impl Snap for InterfaceType {
-    // A tag byte rather than the spelled-out name: interface names are
-    // the single most numerous string in a snapshot (one per interface,
-    // plus unnumbered/static-route references), so this both shrinks the
-    // container and spares the decoder a string allocation and prefix
-    // match per occurrence.
-    fn encode(&self, w: &mut Writer) {
-        let tag: u8 = match self {
-            InterfaceType::Serial => 0,
-            InterfaceType::FastEthernet => 1,
-            InterfaceType::Atm => 2,
-            InterfaceType::Pos => 3,
-            InterfaceType::Ethernet => 4,
-            InterfaceType::Hssi => 5,
-            InterfaceType::GigabitEthernet => 6,
-            InterfaceType::TokenRing => 7,
-            InterfaceType::Dialer => 8,
-            InterfaceType::Bri => 9,
-            InterfaceType::Tunnel => 10,
-            InterfaceType::PortChannel => 11,
-            InterfaceType::Async => 12,
-            InterfaceType::Virtual => 13,
-            InterfaceType::Channel => 14,
-            InterfaceType::Cbr => 15,
-            InterfaceType::Fddi => 16,
-            InterfaceType::Multilink => 17,
-            InterfaceType::Null => 18,
-            InterfaceType::Loopback => 19,
-            InterfaceType::Other(name) => {
-                w.byte(20);
-                w.string(name);
-                return;
-            }
-        };
-        w.byte(tag);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.byte()? {
-            0 => InterfaceType::Serial,
-            1 => InterfaceType::FastEthernet,
-            2 => InterfaceType::Atm,
-            3 => InterfaceType::Pos,
-            4 => InterfaceType::Ethernet,
-            5 => InterfaceType::Hssi,
-            6 => InterfaceType::GigabitEthernet,
-            7 => InterfaceType::TokenRing,
-            8 => InterfaceType::Dialer,
-            9 => InterfaceType::Bri,
-            10 => InterfaceType::Tunnel,
-            11 => InterfaceType::PortChannel,
-            12 => InterfaceType::Async,
-            13 => InterfaceType::Virtual,
-            14 => InterfaceType::Channel,
-            15 => InterfaceType::Cbr,
-            16 => InterfaceType::Fddi,
-            17 => InterfaceType::Multilink,
-            18 => InterfaceType::Null,
-            19 => InterfaceType::Loopback,
-            20 => InterfaceType::Other(r.string()?),
-            b => return Err(DecodeError::new(format!("invalid InterfaceType tag {b}"))),
-        })
-    }
-}
-
+// A tag byte rather than the spelled-out name: interface names are the
+// single most numerous string in a snapshot (one per interface, plus
+// unnumbered/static-route references), so this both shrinks the container
+// and spares the decoder a string allocation and prefix match per
+// occurrence.
+snap_enum!(InterfaceType {
+    0 => Serial,
+    1 => FastEthernet,
+    2 => Atm,
+    3 => Pos,
+    4 => Ethernet,
+    5 => Hssi,
+    6 => GigabitEthernet,
+    7 => TokenRing,
+    8 => Dialer,
+    9 => Bri,
+    10 => Tunnel,
+    11 => PortChannel,
+    12 => Async,
+    13 => Virtual,
+    14 => Channel,
+    15 => Cbr,
+    16 => Fddi,
+    17 => Multilink,
+    18 => Null,
+    19 => Loopback,
+    20 => Other(name),
+});
 snap_struct!(InterfaceName { ty, unit });
 
 snap_struct!(IfAddr { addr, mask });
@@ -199,56 +137,19 @@ snap_struct!(Interface {
     point_to_point,
 });
 
-impl Snap for RedistSource {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            RedistSource::Connected => w.byte(0),
-            RedistSource::Static => w.byte(1),
-            RedistSource::Ospf(id) => {
-                w.byte(2);
-                id.encode(w);
-            }
-            RedistSource::Eigrp(asn) => {
-                w.byte(3);
-                asn.encode(w);
-            }
-            RedistSource::Igrp(asn) => {
-                w.byte(4);
-                asn.encode(w);
-            }
-            RedistSource::Rip => w.byte(5),
-            RedistSource::Bgp(asn) => {
-                w.byte(6);
-                asn.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.byte()? {
-            0 => RedistSource::Connected,
-            1 => RedistSource::Static,
-            2 => RedistSource::Ospf(u32::decode(r)?),
-            3 => RedistSource::Eigrp(u32::decode(r)?),
-            4 => RedistSource::Igrp(u32::decode(r)?),
-            5 => RedistSource::Rip,
-            6 => RedistSource::Bgp(u32::decode(r)?),
-            b => return Err(DecodeError::new(format!("invalid RedistSource tag {b}"))),
-        })
-    }
-}
-
+snap_enum!(RedistSource {
+    0 => Connected,
+    1 => Static,
+    2 => Ospf(id),
+    3 => Eigrp(asn),
+    4 => Igrp(asn),
+    5 => Rip,
+    6 => Bgp(asn),
+});
 snap_struct!(Redistribution { source, metric, metric_type, subnets, route_map, tag });
 snap_struct!(DistributeList { acl, interface });
 
-impl Snap for OspfArea {
-    fn encode(&self, w: &mut Writer) {
-        self.0.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(OspfArea(u32::decode(r)?))
-    }
-}
-
+snap_struct!(OspfArea(area));
 snap_struct!(OspfNetwork { addr, wildcard, area });
 snap_struct!(OspfProcess {
     id,
@@ -300,206 +201,27 @@ snap_struct!(BgpProcess {
     no_synchronization,
 });
 
-impl Snap for StaticTarget {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            StaticTarget::NextHop(a) => {
-                w.byte(0);
-                a.encode(w);
-            }
-            StaticTarget::Interface(n) => {
-                w.byte(1);
-                n.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.byte()? {
-            0 => StaticTarget::NextHop(Addr::decode(r)?),
-            1 => StaticTarget::Interface(InterfaceName::decode(r)?),
-            b => return Err(DecodeError::new(format!("invalid StaticTarget tag {b}"))),
-        })
-    }
-}
-
+snap_enum!(StaticTarget { 0 => NextHop(addr), 1 => Interface(name) });
 snap_struct!(StaticRoute { dest, mask, target, distance, tag });
 
-snap_enum_unit!(AclAction { 0 => Permit, 1 => Deny });
-
-impl Snap for AclAddr {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            AclAddr::Any => w.byte(0),
-            AclAddr::Host(a) => {
-                w.byte(1);
-                a.encode(w);
-            }
-            AclAddr::Wild(a, wc) => {
-                w.byte(2);
-                a.encode(w);
-                wc.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.byte()? {
-            0 => AclAddr::Any,
-            1 => AclAddr::Host(Addr::decode(r)?),
-            2 => AclAddr::Wild(Addr::decode(r)?, Wildcard::decode(r)?),
-            b => return Err(DecodeError::new(format!("invalid AclAddr tag {b}"))),
-        })
-    }
-}
-
-impl Snap for PortMatch {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            PortMatch::Eq(p) => {
-                w.byte(0);
-                p.encode(w);
-            }
-            PortMatch::Lt(p) => {
-                w.byte(1);
-                p.encode(w);
-            }
-            PortMatch::Gt(p) => {
-                w.byte(2);
-                p.encode(w);
-            }
-            PortMatch::Range(a, b) => {
-                w.byte(3);
-                a.encode(w);
-                b.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.byte()? {
-            0 => PortMatch::Eq(u16::decode(r)?),
-            1 => PortMatch::Lt(u16::decode(r)?),
-            2 => PortMatch::Gt(u16::decode(r)?),
-            3 => PortMatch::Range(u16::decode(r)?, u16::decode(r)?),
-            b => return Err(DecodeError::new(format!("invalid PortMatch tag {b}"))),
-        })
-    }
-}
-
-impl Snap for AclEntry {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            AclEntry::Standard { action, addr } => {
-                w.byte(0);
-                action.encode(w);
-                addr.encode(w);
-            }
-            AclEntry::Extended { action, protocol, src, src_port, dst, dst_port, established } => {
-                w.byte(1);
-                action.encode(w);
-                protocol.encode(w);
-                src.encode(w);
-                src_port.encode(w);
-                dst.encode(w);
-                dst_port.encode(w);
-                established.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.byte()? {
-            0 => AclEntry::Standard {
-                action: AclAction::decode(r)?,
-                addr: AclAddr::decode(r)?,
-            },
-            1 => AclEntry::Extended {
-                action: AclAction::decode(r)?,
-                protocol: String::decode(r)?,
-                src: AclAddr::decode(r)?,
-                src_port: Option::decode(r)?,
-                dst: AclAddr::decode(r)?,
-                dst_port: Option::decode(r)?,
-                established: bool::decode(r)?,
-            },
-            b => return Err(DecodeError::new(format!("invalid AclEntry tag {b}"))),
-        })
-    }
-}
-
+snap_enum!(AclAction { 0 => Permit, 1 => Deny });
+snap_enum!(AclAddr { 0 => Any, 1 => Host(addr), 2 => Wild(addr, wildcard) });
+snap_enum!(PortMatch { 0 => Eq(port), 1 => Lt(port), 2 => Gt(port), 3 => Range(lo, hi) });
+snap_enum!(AclEntry {
+    0 => Standard { action, addr },
+    1 => Extended { action, protocol, src, src_port, dst, dst_port, established },
+});
 snap_struct!(AccessList { id, entries });
 
-impl Snap for RmMatch {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            RmMatch::IpAddress(acls) => {
-                w.byte(0);
-                acls.encode(w);
-            }
-            RmMatch::Tag(tags) => {
-                w.byte(1);
-                tags.encode(w);
-            }
-            RmMatch::AsPath(n) => {
-                w.byte(2);
-                n.encode(w);
-            }
-            RmMatch::Community(n) => {
-                w.byte(3);
-                n.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.byte()? {
-            0 => RmMatch::IpAddress(Vec::decode(r)?),
-            1 => RmMatch::Tag(Vec::decode(r)?),
-            2 => RmMatch::AsPath(u32::decode(r)?),
-            3 => RmMatch::Community(u32::decode(r)?),
-            b => return Err(DecodeError::new(format!("invalid RmMatch tag {b}"))),
-        })
-    }
-}
-
-impl Snap for RmSet {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            RmSet::Metric(v) => {
-                w.byte(0);
-                v.encode(w);
-            }
-            RmSet::MetricType(v) => {
-                w.byte(1);
-                v.encode(w);
-            }
-            RmSet::Tag(v) => {
-                w.byte(2);
-                v.encode(w);
-            }
-            RmSet::LocalPreference(v) => {
-                w.byte(3);
-                v.encode(w);
-            }
-            RmSet::Weight(v) => {
-                w.byte(4);
-                v.encode(w);
-            }
-            RmSet::Community(v) => {
-                w.byte(5);
-                v.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.byte()? {
-            0 => RmSet::Metric(u64::decode(r)?),
-            1 => RmSet::MetricType(u8::decode(r)?),
-            2 => RmSet::Tag(u32::decode(r)?),
-            3 => RmSet::LocalPreference(u32::decode(r)?),
-            4 => RmSet::Weight(u32::decode(r)?),
-            5 => RmSet::Community(String::decode(r)?),
-            b => return Err(DecodeError::new(format!("invalid RmSet tag {b}"))),
-        })
-    }
-}
-
+snap_enum!(RmMatch { 0 => IpAddress(acls), 1 => Tag(tags), 2 => AsPath(n), 3 => Community(n) });
+snap_enum!(RmSet {
+    0 => Metric(v),
+    1 => MetricType(v),
+    2 => Tag(v),
+    3 => LocalPreference(v),
+    4 => Weight(v),
+    5 => Community(v),
+});
 snap_struct!(RouteMapClause { seq, action, matches, sets });
 snap_struct!(RouteMap { name, clauses });
 snap_struct!(RouterConfig {
@@ -518,7 +240,7 @@ snap_struct!(RouterConfig {
 // ---------------------------------------------------------------------------
 // rd-obs diagnostics
 
-snap_enum_unit!(rd_obs::Severity { 0 => Info, 1 => Warning, 2 => Error });
+snap_enum!(rd_obs::Severity { 0 => Info, 1 => Warning, 2 => Error });
 
 /// Map a decoded diagnostic code back to a `&'static str`.
 ///
@@ -556,6 +278,7 @@ const KNOWN_CODES: &[&str] = &[
     "worker-panic",
 ];
 
+// Hand-written: `code` is a `&'static str`, interned on decode.
 impl Snap for rd_obs::Diagnostic {
     fn encode(&self, w: &mut Writer) {
         self.file.encode(w);
@@ -575,41 +298,27 @@ impl Snap for rd_obs::Diagnostic {
     }
 }
 
-impl Snap for rd_obs::Diagnostics {
-    fn encode(&self, w: &mut Writer) {
-        self.list.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(rd_obs::Diagnostics { list: Vec::decode(r)? })
-    }
-}
+snap_struct!(rd_obs::Diagnostics { list });
 
 // ---------------------------------------------------------------------------
 // nettopo
 
-impl Snap for RouterId {
-    fn encode(&self, w: &mut Writer) {
-        self.0.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(RouterId(usize::decode(r)?))
-    }
-}
-
+snap_struct!(RouterId(index));
 snap_struct!(Router { file_name, config, command_lines });
 snap_struct!(Coverage { total_files, quarantined });
 snap_struct!(Network { routers, diagnostics, coverage });
 snap_struct!(IfaceRef { router, iface });
 snap_struct!(Link { subnet, endpoints });
 snap_struct!(LinkMap { links });
-snap_enum_unit!(IfaceClass { 0 => Internal, 1 => External, 2 => Unaddressed });
+snap_enum!(IfaceClass { 0 => Internal, 1 => External, 2 => Unaddressed });
 
+// Hand-written: decode checks the pairs are contiguous and ascending.
 // `IfaceClasses` encodes exactly like the `BTreeMap<IfaceRef, IfaceClass>`
 // it replaced — an element count followed by sorted `(key, value)` pairs —
 // so snapshots are byte-compatible across the dense-layout change. The
 // table is total over `(router, iface)` in order, which decode validates
-// (pairs must be contiguous and ascending) before rebuilding the flat
-// layout; routers that appear in no pair decode as interface-less.
+// before rebuilding the flat layout; routers that appear in no pair decode
+// as interface-less.
 impl Snap for IfaceClasses {
     fn encode(&self, w: &mut Writer) {
         w.u64(self.len() as u64);
@@ -651,45 +360,12 @@ snap_struct!(ExternalAnalysis { classes, external_subnets, missing_router_hints 
 // ---------------------------------------------------------------------------
 // routing-model
 
-snap_enum_unit!(ProtoKind { 0 => Ospf, 1 => Eigrp, 2 => Igrp, 3 => Rip, 4 => Bgp });
-
-impl Snap for Proto {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Proto::Ospf(id) => {
-                w.byte(0);
-                id.encode(w);
-            }
-            Proto::Eigrp(asn) => {
-                w.byte(1);
-                asn.encode(w);
-            }
-            Proto::Igrp(asn) => {
-                w.byte(2);
-                asn.encode(w);
-            }
-            Proto::Rip => w.byte(3),
-            Proto::Bgp(asn) => {
-                w.byte(4);
-                asn.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.byte()? {
-            0 => Proto::Ospf(u32::decode(r)?),
-            1 => Proto::Eigrp(u32::decode(r)?),
-            2 => Proto::Igrp(u32::decode(r)?),
-            3 => Proto::Rip,
-            4 => Proto::Bgp(u32::decode(r)?),
-            b => return Err(DecodeError::new(format!("invalid Proto tag {b}"))),
-        })
-    }
-}
-
+snap_enum!(ProtoKind { 0 => Ospf, 1 => Eigrp, 2 => Igrp, 3 => Rip, 4 => Bgp });
+snap_enum!(Proto { 0 => Ospf(id), 1 => Eigrp(asn), 2 => Igrp(asn), 3 => Rip, 4 => Bgp(asn) });
 snap_struct!(ProcKey { router, proto });
 snap_struct!(RoutingProcess { key, covered_ifaces, passive_ifaces, redistributes });
 
+// Hand-written: `Processes::from_list` rebuilds the key index.
 impl Snap for Processes {
     fn encode(&self, w: &mut Writer) {
         self.list.encode(w);
@@ -699,17 +375,10 @@ impl Snap for Processes {
     }
 }
 
-impl Snap for InstanceId {
-    fn encode(&self, w: &mut Writer) {
-        self.0.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(InstanceId(usize::decode(r)?))
-    }
-}
-
+snap_struct!(InstanceId(index));
 snap_struct!(RoutingInstance { id, kind, asn, processes, routers });
 
+// Hand-written: `Instances::from_list` rebuilds the membership index.
 impl Snap for Instances {
     fn encode(&self, w: &mut Writer) {
         self.list.encode(w);
@@ -719,122 +388,25 @@ impl Snap for Instances {
     }
 }
 
-snap_enum_unit!(SessionScope { 0 => Ibgp, 1 => EbgpInternal, 2 => EbgpExternal });
+snap_enum!(SessionScope { 0 => Ibgp, 1 => EbgpInternal, 2 => EbgpExternal });
 snap_struct!(IgpAdjacency { a, b, subnet });
 snap_struct!(BgpSession { local, peer, peer_addr, remote_as, scope });
 snap_struct!(Adjacencies { igp, bgp, igp_external });
 
-impl Snap for InstanceNode {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            InstanceNode::Instance(id) => {
-                w.byte(0);
-                id.encode(w);
-            }
-            InstanceNode::ExternalAs(asn) => {
-                w.byte(1);
-                asn.encode(w);
-            }
-            InstanceNode::ExternalWorld => w.byte(2),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.byte()? {
-            0 => InstanceNode::Instance(InstanceId::decode(r)?),
-            1 => InstanceNode::ExternalAs(u32::decode(r)?),
-            2 => InstanceNode::ExternalWorld,
-            b => return Err(DecodeError::new(format!("invalid InstanceNode tag {b}"))),
-        })
-    }
-}
-
-impl Snap for ExchangeKind {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            ExchangeKind::Redistribution { router, policy } => {
-                w.byte(0);
-                router.encode(w);
-                policy.encode(w);
-            }
-            ExchangeKind::Ebgp { router } => {
-                w.byte(1);
-                router.encode(w);
-            }
-            ExchangeKind::IgpEdge { router } => {
-                w.byte(2);
-                router.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.byte()? {
-            0 => ExchangeKind::Redistribution {
-                router: RouterId::decode(r)?,
-                policy: Option::decode(r)?,
-            },
-            1 => ExchangeKind::Ebgp { router: RouterId::decode(r)? },
-            2 => ExchangeKind::IgpEdge { router: RouterId::decode(r)? },
-            b => return Err(DecodeError::new(format!("invalid ExchangeKind tag {b}"))),
-        })
-    }
-}
-
+snap_enum!(InstanceNode { 0 => Instance(id), 1 => ExternalAs(asn), 2 => ExternalWorld });
+snap_enum!(ExchangeKind {
+    0 => Redistribution { router, policy },
+    1 => Ebgp { router },
+    2 => IgpEdge { router },
+});
 snap_struct!(InstanceEdge { from, to, kind });
 snap_struct!(InstanceGraph { nodes, edges });
 
-impl Snap for RibNode {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            RibNode::Process(k) => {
-                w.byte(0);
-                k.encode(w);
-            }
-            RibNode::Local(r) => {
-                w.byte(1);
-                r.encode(w);
-            }
-            RibNode::RouterRib(r) => {
-                w.byte(2);
-                r.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.byte()? {
-            0 => RibNode::Process(ProcKey::decode(r)?),
-            1 => RibNode::Local(RouterId::decode(r)?),
-            2 => RibNode::RouterRib(RouterId::decode(r)?),
-            b => return Err(DecodeError::new(format!("invalid RibNode tag {b}"))),
-        })
-    }
-}
-
-impl Snap for EdgeKind {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            EdgeKind::Adjacency => w.byte(0),
-            EdgeKind::Session(scope) => {
-                w.byte(1);
-                scope.encode(w);
-            }
-            EdgeKind::Redistribution => w.byte(2),
-            EdgeKind::Selection => w.byte(3),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.byte()? {
-            0 => EdgeKind::Adjacency,
-            1 => EdgeKind::Session(SessionScope::decode(r)?),
-            2 => EdgeKind::Redistribution,
-            3 => EdgeKind::Selection,
-            b => return Err(DecodeError::new(format!("invalid EdgeKind tag {b}"))),
-        })
-    }
-}
-
+snap_enum!(RibNode { 0 => Process(key), 1 => Local(router), 2 => RouterRib(router) });
+snap_enum!(EdgeKind { 0 => Adjacency, 1 => Session(scope), 2 => Redistribution, 3 => Selection });
 snap_struct!(ProcessEdge { from, to, kind, policy });
 snap_struct!(ProcessGraph { nodes, edges });
-snap_enum_unit!(DesignClass {
+snap_enum!(DesignClass {
     0 => Backbone,
     1 => Enterprise,
     2 => Tier2,
@@ -859,6 +431,7 @@ snap_struct!(RoleCounts { intra, inter });
 /// Table 1 row labels, for interning the `&'static str` map keys.
 const KNOWN_LABELS: &[&str] = &["OSPF", "EIGRP", "RIP", "BGP"];
 
+// Hand-written: the row labels are `&'static str` keys, interned on decode.
 impl Snap for Table1 {
     fn encode(&self, w: &mut Writer) {
         w.u64(self.igp_instances.len() as u64);
@@ -881,5 +454,180 @@ impl Snap for Table1 {
             ebgp_sessions: RoleCounts::decode(r)?,
             ibgp_sessions: usize::decode(r)?,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Encodes `value` to exactly `bytes`, and checks that `bytes` decode
+    /// to a value that re-encodes to the same bytes.
+    fn pin<T: Snap>(value: T, bytes: &[u8]) {
+        let mut w = Writer::new();
+        value.encode(&mut w);
+        assert_eq!(w.into_bytes(), bytes);
+        let mut r = Reader::new(bytes);
+        let back = T::decode(&mut r).unwrap_or_else(|e| panic!("{bytes:?}: {e}"));
+        assert!(r.is_at_end(), "{bytes:?} decodes with bytes left over");
+        let mut w = Writer::new();
+        back.encode(&mut w);
+        assert_eq!(w.into_bytes(), bytes);
+    }
+
+    /// Decoding the lone tag byte `tag` fails with `message`.
+    fn unused_tag<T: Snap>(tag: u8, message: &str) {
+        match T::decode(&mut Reader::new(&[tag])) {
+            Ok(_) => panic!("tag {tag} decoded: {message}"),
+            Err(e) => assert_eq!(e.message, message),
+        }
+    }
+
+    /// One value per variant of every `snap_enum!` type, against the bytes
+    /// of the hand-written codec the declarations replaced: a changed tag
+    /// or field order fails here before it reaches a snapshot.
+    #[test]
+    fn every_enum_variant_encodes_to_pinned_bytes() {
+        use InterfaceType as I;
+        let a = Addr::from_u32(0x0a00_0001);
+        pin(I::Serial, &[0]);
+        pin(I::FastEthernet, &[1]);
+        pin(I::Atm, &[2]);
+        pin(I::Pos, &[3]);
+        pin(I::Ethernet, &[4]);
+        pin(I::Hssi, &[5]);
+        pin(I::GigabitEthernet, &[6]);
+        pin(I::TokenRing, &[7]);
+        pin(I::Dialer, &[8]);
+        pin(I::Bri, &[9]);
+        pin(I::Tunnel, &[10]);
+        pin(I::PortChannel, &[11]);
+        pin(I::Async, &[12]);
+        pin(I::Virtual, &[13]);
+        pin(I::Channel, &[14]);
+        pin(I::Cbr, &[15]);
+        pin(I::Fddi, &[16]);
+        pin(I::Multilink, &[17]);
+        pin(I::Null, &[18]);
+        pin(I::Loopback, &[19]);
+        pin(I::Other("Vlan".to_string()), &[20, 4, 86, 108, 97, 110]);
+        unused_tag::<InterfaceType>(21, "invalid InterfaceType tag 21");
+
+        pin(RedistSource::Connected, &[0]);
+        pin(RedistSource::Static, &[1]);
+        pin(RedistSource::Ospf(1), &[2, 1]);
+        pin(RedistSource::Eigrp(300), &[3, 172, 2]);
+        pin(RedistSource::Igrp(7), &[4, 7]);
+        pin(RedistSource::Rip, &[5]);
+        pin(RedistSource::Bgp(65000), &[6, 232, 251, 3]);
+        unused_tag::<RedistSource>(7, "invalid RedistSource tag 7");
+
+        let serial = InterfaceName { ty: I::Serial, unit: "0/1".to_string() };
+        pin(StaticTarget::NextHop(a), &[0, 129, 128, 128, 80]);
+        pin(StaticTarget::Interface(serial), &[1, 0, 3, 48, 47, 49]);
+        unused_tag::<StaticTarget>(2, "invalid StaticTarget tag 2");
+
+        pin(AclAction::Permit, &[0]);
+        pin(AclAction::Deny, &[1]);
+        unused_tag::<AclAction>(2, "invalid AclAction tag 2");
+
+        pin(AclAddr::Any, &[0]);
+        pin(AclAddr::Host(a), &[1, 129, 128, 128, 80]);
+        pin(AclAddr::Wild(a, Wildcard::from_bits(255)), &[2, 129, 128, 128, 80, 255, 1]);
+        unused_tag::<AclAddr>(3, "invalid AclAddr tag 3");
+
+        pin(PortMatch::Eq(80), &[0, 80]);
+        pin(PortMatch::Lt(1024), &[1, 128, 8]);
+        pin(PortMatch::Gt(49151), &[2, 255, 255, 2]);
+        pin(PortMatch::Range(20, 21), &[3, 20, 21]);
+        unused_tag::<PortMatch>(4, "invalid PortMatch tag 4");
+
+        let standard = AclEntry::Standard { action: AclAction::Deny, addr: AclAddr::Host(a) };
+        pin(standard, &[0, 1, 1, 129, 128, 128, 80]);
+        let extended = AclEntry::Extended {
+            action: AclAction::Permit,
+            protocol: "tcp".to_string(),
+            src: AclAddr::Any,
+            src_port: None,
+            dst: AclAddr::Host(a),
+            dst_port: Some(PortMatch::Eq(179)),
+            established: true,
+        };
+        pin(extended, &[1, 0, 3, 116, 99, 112, 0, 0, 1, 129, 128, 128, 80, 1, 0, 179, 1, 1]);
+        unused_tag::<AclEntry>(2, "invalid AclEntry tag 2");
+
+        pin(RmMatch::IpAddress(vec![10, 20]), &[0, 2, 10, 20]);
+        pin(RmMatch::Tag(vec![300]), &[1, 1, 172, 2]);
+        pin(RmMatch::AsPath(5), &[2, 5]);
+        pin(RmMatch::Community(6), &[3, 6]);
+        unused_tag::<RmMatch>(4, "invalid RmMatch tag 4");
+
+        pin(RmSet::Metric(1000), &[0, 232, 7]);
+        pin(RmSet::MetricType(1), &[1, 1]);
+        pin(RmSet::Tag(99), &[2, 99]);
+        pin(RmSet::LocalPreference(200), &[3, 200, 1]);
+        pin(RmSet::Weight(50), &[4, 50]);
+        pin(RmSet::Community("65000:1".to_string()), &[5, 7, 54, 53, 48, 48, 48, 58, 49]);
+        unused_tag::<RmSet>(6, "invalid RmSet tag 6");
+
+        pin(rd_obs::Severity::Info, &[0]);
+        pin(rd_obs::Severity::Warning, &[1]);
+        pin(rd_obs::Severity::Error, &[2]);
+        unused_tag::<rd_obs::Severity>(3, "invalid rd_obs::Severity tag 3");
+
+        pin(IfaceClass::Internal, &[0]);
+        pin(IfaceClass::External, &[1]);
+        pin(IfaceClass::Unaddressed, &[2]);
+        unused_tag::<IfaceClass>(3, "invalid IfaceClass tag 3");
+
+        pin(ProtoKind::Ospf, &[0]);
+        pin(ProtoKind::Eigrp, &[1]);
+        pin(ProtoKind::Igrp, &[2]);
+        pin(ProtoKind::Rip, &[3]);
+        pin(ProtoKind::Bgp, &[4]);
+        unused_tag::<ProtoKind>(5, "invalid ProtoKind tag 5");
+
+        pin(Proto::Ospf(1), &[0, 1]);
+        pin(Proto::Eigrp(100), &[1, 100]);
+        pin(Proto::Igrp(200), &[2, 200, 1]);
+        pin(Proto::Rip, &[3]);
+        pin(Proto::Bgp(65000), &[4, 232, 251, 3]);
+        unused_tag::<Proto>(5, "invalid Proto tag 5");
+
+        pin(SessionScope::Ibgp, &[0]);
+        pin(SessionScope::EbgpInternal, &[1]);
+        pin(SessionScope::EbgpExternal, &[2]);
+        unused_tag::<SessionScope>(3, "invalid SessionScope tag 3");
+
+        pin(InstanceNode::Instance(InstanceId(3)), &[0, 3]);
+        pin(InstanceNode::ExternalAs(7018), &[1, 234, 54]);
+        pin(InstanceNode::ExternalWorld, &[2]);
+        unused_tag::<InstanceNode>(3, "invalid InstanceNode tag 3");
+
+        let policy = Some("rm".to_string());
+        let redistribution = ExchangeKind::Redistribution { router: RouterId(2), policy };
+        pin(redistribution, &[0, 2, 1, 2, 114, 109]);
+        pin(ExchangeKind::Ebgp { router: RouterId(4) }, &[1, 4]);
+        pin(ExchangeKind::IgpEdge { router: RouterId(5) }, &[2, 5]);
+        unused_tag::<ExchangeKind>(3, "invalid ExchangeKind tag 3");
+
+        let key = ProcKey { router: RouterId(1), proto: Proto::Rip };
+        pin(RibNode::Process(key), &[0, 1, 3]);
+        pin(RibNode::Local(RouterId(2)), &[1, 2]);
+        pin(RibNode::RouterRib(RouterId(3)), &[2, 3]);
+        unused_tag::<RibNode>(3, "invalid RibNode tag 3");
+
+        pin(EdgeKind::Adjacency, &[0]);
+        pin(EdgeKind::Session(SessionScope::EbgpExternal), &[1, 2]);
+        pin(EdgeKind::Redistribution, &[2]);
+        pin(EdgeKind::Selection, &[3]);
+        unused_tag::<EdgeKind>(4, "invalid EdgeKind tag 4");
+
+        pin(DesignClass::Backbone, &[0]);
+        pin(DesignClass::Enterprise, &[1]);
+        pin(DesignClass::Tier2, &[2]);
+        pin(DesignClass::NoBgp, &[3]);
+        pin(DesignClass::Unclassifiable, &[4]);
+        unused_tag::<DesignClass>(5, "invalid DesignClass tag 5");
     }
 }
