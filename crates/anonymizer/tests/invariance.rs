@@ -68,7 +68,7 @@ fn figure2_anonymizes_to_isomorphic_structure() {
     assert_eq!(anonymized.interfaces.len(), original.interfaces.len());
     assert_eq!(anonymized.ospf.len(), original.ospf.len());
     assert_eq!(anonymized.ospf[0].id, 64); // process ids are plain integers
-    assert_eq!(anonymized.ospf[0].redistribute.len(), 2);
+    assert_eq!(anonymized.ospf[0].policy.redistribute.len(), 2);
     assert_eq!(
         anonymized.access_lists[&143].entries.len(),
         original.access_lists[&143].entries.len()
@@ -90,7 +90,7 @@ fn figure2_anonymizes_to_isomorphic_structure() {
     // Subnet structure is preserved: the Serial interface still lives in a
     // /30, and redistribution sources still line up.
     assert_eq!(anonymized.interfaces[1].address.unwrap().subnet().len(), 30);
-    assert_eq!(anonymized.ospf[0].redistribute[1].source, RedistSource::Bgp(64780));
+    assert_eq!(anonymized.ospf[0].policy.redistribute[1].source, RedistSource::Bgp(64780));
 
     // The OSPF network statement still covers the Ethernet interface.
     let eth_addr = anonymized.interfaces[0].address.unwrap().addr;

@@ -43,6 +43,7 @@ use rd_bench::timing::{bench_scale, render_json};
 use rd_obs::cli::{self, CliError, Flag, Table};
 use rd_obs::Observe;
 use routing_design::report::{render_fig4, render_table3, StudyNetwork, StudyReport};
+use routing_design::snapshot::DroppedNetwork;
 use routing_design::{DesignClass, Prefix, StageTimings};
 
 static TABLE: Table = Table {
@@ -186,7 +187,7 @@ fn main() -> ExitCode {
 fn finish(
     show_metrics: bool,
     outputs: &rd_obs::Outputs,
-    dropped: &[rd_bench::StudyDrop],
+    dropped: &[DroppedNetwork],
 ) -> ExitCode {
     if show_metrics {
         eprint!("{}", rd_obs::metrics::dump());
@@ -204,7 +205,7 @@ fn finish(
 
 /// The per-network parse coverage table printed by chaos runs: every
 /// surviving network's file counts, then the dropped networks.
-fn coverage_table(networks: &[StudyNetwork], dropped: &[rd_bench::StudyDrop]) {
+fn coverage_table(networks: &[StudyNetwork], dropped: &[DroppedNetwork]) {
     heading("Per-network parse coverage (degraded pipeline)");
     println!(
         "{:<10} {:>6} {:>7} {:>12} {:>9}",

@@ -9,6 +9,7 @@ pub mod timing;
 
 use netgen::{study_roster, StudyScale};
 use routing_design::report::StudyNetwork;
+use routing_design::snapshot::DroppedNetwork;
 use routing_design::NetworkAnalysis;
 
 /// Generates and fully analyzes the whole study at the given scale.
@@ -30,17 +31,6 @@ pub fn analyzed_study(scale: StudyScale) -> Vec<StudyNetwork> {
     })
 }
 
-/// One network excluded from a chaos study run because its quarantined
-/// fraction exceeded the error budget.
-pub struct StudyDrop {
-    /// Roster name of the dropped network.
-    pub name: String,
-    /// Config files the network was generated with.
-    pub total_files: usize,
-    /// How many of those files were quarantined after mutation.
-    pub quarantined: usize,
-}
-
 /// Like [`analyzed_study`], but damages each network's corpus with one
 /// seeded `rd-chaos` mutation before analysis — the degraded-pipeline
 /// benchmark and test path (`repro --chaos <seed>`).
@@ -50,7 +40,7 @@ pub struct StudyDrop {
 /// produces — is byte-identical at any `RD_THREADS`. Returns the
 /// surviving networks (possibly degraded, coverage intact) and the
 /// networks dropped by [`nettopo::error_budget`].
-pub fn chaos_study(scale: StudyScale, seed: u64) -> (Vec<StudyNetwork>, Vec<StudyDrop>) {
+pub fn chaos_study(scale: StudyScale, seed: u64) -> (Vec<StudyNetwork>, Vec<DroppedNetwork>) {
     let roster = study_roster(scale);
     let budget = nettopo::error_budget();
     let analyzed = rd_par::par_map(&roster, |index, spec| {
@@ -78,15 +68,9 @@ pub fn chaos_study(scale: StudyScale, seed: u64) -> (Vec<StudyNetwork>, Vec<Stud
     let mut kept = Vec::new();
     let mut dropped = Vec::new();
     for sn in analyzed {
-        let coverage = &sn.analysis.network.coverage;
-        if coverage.over_budget(budget) {
-            dropped.push(StudyDrop {
-                name: sn.name.clone(),
-                total_files: coverage.total_files,
-                quarantined: coverage.quarantined.len(),
-            });
-        } else {
-            kept.push(sn);
+        match DroppedNetwork::over_budget(&sn.name, &sn.analysis.network.coverage, budget) {
+            Some(drop) => dropped.push(drop),
+            None => kept.push(sn),
         }
     }
     (kept, dropped)

@@ -831,7 +831,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_bench_roundtrips_and_beats_reanalysis_floor() {
+    fn snapshot_bench_roundtrips_with_positive_speedup() {
         let networks = rd_bench_study_subset();
         let count = networks.len();
         let (snap, corpus) = bench_snapshot(networks);

@@ -101,7 +101,7 @@ pub fn read_tree(dir: &Path) -> Result<Vec<(String, rd_plan::CorpusFiles)>, Read
 /// the error budget (see [`nettopo::error_budget`]) or its directory could
 /// not be read at all.
 pub struct DroppedNetwork {
-    /// Directory basename of the network.
+    /// Directory basename (or study roster name) of the network.
     pub name: String,
     /// Config files found under the network directory (0 when unreadable).
     pub total_files: usize,
@@ -114,7 +114,7 @@ pub struct DroppedNetwork {
 impl DroppedNetwork {
     /// The drop record for `name` when its parse coverage exceeds
     /// `budget`, else `None`.
-    pub(crate) fn over_budget(name: &str, coverage: &Coverage, budget: f64) -> Option<Self> {
+    pub fn over_budget(name: &str, coverage: &Coverage, budget: f64) -> Option<Self> {
         coverage.over_budget(budget).then(|| DroppedNetwork {
             name: name.to_string(),
             total_files: coverage.total_files,

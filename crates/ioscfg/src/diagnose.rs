@@ -112,63 +112,29 @@ pub fn config_diagnostics(file: &str, cfg: &RouterConfig) -> Vec<Diagnostic> {
         }
     }
 
-    // Routing-process policy references (distribute lists + redistribution
-    // route maps), in model order: OSPF, EIGRP/IGRP, RIP, BGP.
-    let mut process_refs: Vec<(String, Vec<u32>, Vec<&str>)> = Vec::new();
-    for p in &cfg.ospf {
-        process_refs.push((
-            format!("router ospf {}", p.id),
-            p.distribute_in
-                .iter()
-                .chain(&p.distribute_out)
-                .map(|dl| dl.acl)
-                .collect(),
-            p.redistribute.iter().filter_map(|r| r.route_map.as_deref()).collect(),
-        ));
+    // BGP per-neighbor references, then routing-process policy references
+    // (distribute lists + redistribution route maps) in model order:
+    // OSPF, EIGRP/IGRP, RIP, BGP.
+    for n in cfg.bgp.iter().flat_map(|p| &p.neighbors) {
+        for acl in [n.distribute_in, n.distribute_out].into_iter().flatten() {
+            missing_acl(&mut out, acl, format!("neighbor {} distribute-list", n.addr));
+        }
+        for map in [&n.route_map_in, &n.route_map_out].into_iter().flatten() {
+            missing_map(&mut out, map, format!("neighbor {} route-map", n.addr));
+        }
     }
-    for p in &cfg.eigrp {
-        process_refs.push((
-            format!("router {} {}", if p.is_igrp { "igrp" } else { "eigrp" }, p.asn),
-            p.distribute_in
-                .iter()
-                .chain(&p.distribute_out)
-                .map(|dl| dl.acl)
-                .collect(),
-            p.redistribute.iter().filter_map(|r| r.route_map.as_deref()).collect(),
-        ));
-    }
-    if let Some(p) = &cfg.rip {
-        process_refs.push((
-            "router rip".to_string(),
-            p.distribute_in
-                .iter()
-                .chain(&p.distribute_out)
-                .map(|dl| dl.acl)
-                .collect(),
-            p.redistribute.iter().filter_map(|r| r.route_map.as_deref()).collect(),
-        ));
+    for igp in cfg.igps() {
+        let policy = igp.policy();
+        for dl in policy.distribute_in.iter().chain(&policy.distribute_out) {
+            missing_acl(&mut out, dl.acl, format!("{igp} distribute-list"));
+        }
+        for map in policy.redistribute.iter().filter_map(|r| r.route_map.as_deref()) {
+            missing_map(&mut out, map, igp.to_string());
+        }
     }
     if let Some(p) = &cfg.bgp {
-        process_refs.push((
-            format!("router bgp {}", p.asn),
-            Vec::new(),
-            p.redistribute.iter().filter_map(|r| r.route_map.as_deref()).collect(),
-        ));
-        for n in &p.neighbors {
-            for acl in [n.distribute_in, n.distribute_out].into_iter().flatten() {
-                missing_acl(&mut out, acl, format!("neighbor {} distribute-list", n.addr));
-            }
-            for map in [&n.route_map_in, &n.route_map_out].into_iter().flatten() {
-                missing_map(&mut out, map, format!("neighbor {} route-map", n.addr));
-            }
-        }
-    }
-    for (context, acls, maps) in process_refs {
-        for acl in acls {
-            missing_acl(&mut out, acl, format!("{context} distribute-list"));
-        }
-        for map in maps {
-            missing_map(&mut out, map, context.clone());
+        for map in p.redistribute.iter().filter_map(|r| r.route_map.as_deref()) {
+            missing_map(&mut out, map, format!("router bgp {}", p.asn));
         }
     }
 

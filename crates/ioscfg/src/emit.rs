@@ -9,8 +9,8 @@
 use std::fmt::Write as _;
 
 use crate::model::{
-    AclEntry, BgpProcess, DistributeList, EigrpProcess, Interface, OspfProcess,
-    Redistribution, RipProcess, RouteMap, RouterConfig, StaticRoute,
+    AclEntry, BgpProcess, EigrpProcess, Igp, IgpPolicy, Interface, OspfProcess, Redistribution,
+    RipProcess, RouteMap, RouterConfig, StaticRoute,
 };
 
 /// Renders a full configuration file.
@@ -103,62 +103,60 @@ fn emit_interface(out: &mut String, iface: &Interface) {
     }
 }
 
-fn emit_redistribute(out: &mut String, r: &Redistribution) {
-    let _ = write!(out, " redistribute {}", r.source);
-    if let Some(m) = r.metric {
-        let _ = write!(out, " metric {m}");
+fn emit_redistribute(out: &mut String, redistribute: &[Redistribution]) {
+    for r in redistribute {
+        let _ = write!(out, " redistribute {}", r.source);
+        if let Some(m) = r.metric {
+            let _ = write!(out, " metric {m}");
+        }
+        if let Some(t) = r.metric_type {
+            let _ = write!(out, " metric-type {t}");
+        }
+        if r.subnets {
+            out.push_str(" subnets");
+        }
+        if let Some(tag) = r.tag {
+            let _ = write!(out, " tag {tag}");
+        }
+        if let Some(map) = &r.route_map {
+            let _ = write!(out, " route-map {map}");
+        }
+        out.push('\n');
     }
-    if let Some(t) = r.metric_type {
-        let _ = write!(out, " metric-type {t}");
-    }
-    if r.subnets {
-        out.push_str(" subnets");
-    }
-    if let Some(tag) = r.tag {
-        let _ = write!(out, " tag {tag}");
-    }
-    if let Some(map) = &r.route_map {
-        let _ = write!(out, " route-map {map}");
-    }
-    out.push('\n');
 }
 
-fn emit_distribute(out: &mut String, dl: &DistributeList, dir: &str) {
-    let _ = write!(out, " distribute-list {} {dir}", dl.acl);
-    if let Some(iface) = &dl.interface {
-        let _ = write!(out, " {iface}");
+/// The passive-interface and distribute-list lines of an IGP stanza,
+/// which follow its `network` statements.
+fn emit_filters(out: &mut String, policy: &IgpPolicy) {
+    for p in &policy.passive {
+        let _ = writeln!(out, " passive-interface {p}");
     }
-    out.push('\n');
+    for (dir, lists) in [("in", &policy.distribute_in), ("out", &policy.distribute_out)] {
+        for dl in lists {
+            let _ = write!(out, " distribute-list {} {dir}", dl.acl);
+            if let Some(iface) = &dl.interface {
+                let _ = write!(out, " {iface}");
+            }
+            out.push('\n');
+        }
+    }
 }
 
 fn emit_ospf(out: &mut String, p: &OspfProcess) {
-    let _ = writeln!(out, "router ospf {}", p.id);
-    for r in &p.redistribute {
-        emit_redistribute(out, r);
-    }
+    let _ = writeln!(out, "{}", Igp::Ospf(p));
+    emit_redistribute(out, &p.policy.redistribute);
     for n in &p.networks {
         let _ = writeln!(out, " network {} {} area {}", n.addr, n.wildcard, n.area);
     }
-    for p in &p.passive {
-        let _ = writeln!(out, " passive-interface {p}");
-    }
-    for dl in &p.distribute_in {
-        emit_distribute(out, dl, "in");
-    }
-    for dl in &p.distribute_out {
-        emit_distribute(out, dl, "out");
-    }
+    emit_filters(out, &p.policy);
     if p.default_information {
         out.push_str(" default-information originate\n");
     }
 }
 
 fn emit_eigrp(out: &mut String, p: &EigrpProcess) {
-    let kind = if p.is_igrp { "igrp" } else { "eigrp" };
-    let _ = writeln!(out, "router {kind} {}", p.asn);
-    for r in &p.redistribute {
-        emit_redistribute(out, r);
-    }
+    let _ = writeln!(out, "{}", Igp::Eigrp(p));
+    emit_redistribute(out, &p.policy.redistribute);
     for n in &p.networks {
         match n.wildcard {
             Some(w) => {
@@ -169,40 +167,22 @@ fn emit_eigrp(out: &mut String, p: &EigrpProcess) {
             }
         }
     }
-    for pi in &p.passive {
-        let _ = writeln!(out, " passive-interface {pi}");
-    }
-    for dl in &p.distribute_in {
-        emit_distribute(out, dl, "in");
-    }
-    for dl in &p.distribute_out {
-        emit_distribute(out, dl, "out");
-    }
+    emit_filters(out, &p.policy);
     if p.no_auto_summary {
         out.push_str(" no auto-summary\n");
     }
 }
 
 fn emit_rip(out: &mut String, p: &RipProcess) {
-    out.push_str("router rip\n");
+    let _ = writeln!(out, "{}", Igp::Rip(p));
     if let Some(v) = p.version {
         let _ = writeln!(out, " version {v}");
     }
-    for r in &p.redistribute {
-        emit_redistribute(out, r);
-    }
+    emit_redistribute(out, &p.policy.redistribute);
     for n in &p.networks {
         let _ = writeln!(out, " network {n}");
     }
-    for pi in &p.passive {
-        let _ = writeln!(out, " passive-interface {pi}");
-    }
-    for dl in &p.distribute_in {
-        emit_distribute(out, dl, "in");
-    }
-    for dl in &p.distribute_out {
-        emit_distribute(out, dl, "out");
-    }
+    emit_filters(out, &p.policy);
 }
 
 fn emit_bgp(out: &mut String, p: &BgpProcess) {
@@ -213,9 +193,7 @@ fn emit_bgp(out: &mut String, p: &BgpProcess) {
     if let Some(id) = p.router_id {
         let _ = writeln!(out, " bgp router-id {id}");
     }
-    for r in &p.redistribute {
-        emit_redistribute(out, r);
-    }
+    emit_redistribute(out, &p.redistribute);
     for (addr, mask) in &p.networks {
         match mask {
             Some(m) => {

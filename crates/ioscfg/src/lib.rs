@@ -9,7 +9,10 @@
 //!   the direct analogue of what the paper's scripts walk over.
 //! - [`model`]: the typed router model — [`Interface`]s, routing processes
 //!   ([`OspfProcess`], [`EigrpProcess`], [`RipProcess`], [`BgpProcess`]),
-//!   [`StaticRoute`]s, [`AccessList`]s and [`RouteMap`]s.
+//!   [`StaticRoute`]s, [`AccessList`]s and [`RouteMap`]s. The three IGP
+//!   process types share one [`IgpPolicy`] block (redistribution,
+//!   distribute lists, passive interfaces), and [`RouterConfig::igps`]
+//!   walks them as [`Igp`]s.
 //! - [`parse`]: tolerant parsing. Real configuration corpora always contain
 //!   commands outside any parser's grammar; unknown lines are preserved in
 //!   [`RouterConfig::unparsed`] rather than failing the file, while
@@ -49,10 +52,9 @@ pub use ifname::{InterfaceName, InterfaceType};
 pub use emit::emit_config;
 pub use model::{
     classful_prefix, AccessList, AclAction, AclAddr, AclEntry, BgpNeighbor, BgpProcess,
-    DistributeList, EigrpNetwork, EigrpProcess, IfAddr, Interface, OspfArea, OspfNetwork,
-    OspfProcess, PortMatch, Redistribution, RedistSource, RipProcess, RouteMap,
-    RouteMapClause, RouterConfig, RmMatch, RmSet, StaticRoute,
-    StaticTarget,
+    DistributeList, EigrpNetwork, EigrpProcess, IfAddr, Igp, IgpPolicy, Interface, OspfArea,
+    OspfNetwork, OspfProcess, PortMatch, Redistribution, RedistSource, RipProcess, RouteMap,
+    RouteMapClause, RouterConfig, RmMatch, RmSet, StaticRoute, StaticTarget,
 };
 pub use parse::{parse_config, parse_raw};
 pub use raw::{lex_config, RawConfig, Stanza};

@@ -54,6 +54,12 @@ impl RouterConfig {
     pub fn interface_subnets(&self) -> impl Iterator<Item = Prefix> + '_ {
         self.interfaces.iter().flat_map(|i| i.subnets())
     }
+
+    /// The IGP processes in model order: OSPF, EIGRP/IGRP, then RIP.
+    pub fn igps(&self) -> impl Iterator<Item = Igp<'_>> {
+        let ospf = self.ospf.iter().map(Igp::Ospf);
+        ospf.chain(self.eigrp.iter().map(Igp::Eigrp)).chain(self.rip.iter().map(Igp::Rip))
+    }
 }
 
 /// An interface address: host address plus netmask.
@@ -214,6 +220,67 @@ pub struct DistributeList {
     pub interface: Option<InterfaceName>,
 }
 
+/// The routing policy an IGP process attaches to the edges of the process
+/// and instance graphs (paper Sections 3.1–3.2): OSPF, EIGRP, IGRP and
+/// RIP stanzas all carry these statements.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct IgpPolicy {
+    /// `redistribute` statements.
+    pub redistribute: Vec<Redistribution>,
+    /// Inbound distribute lists.
+    pub distribute_in: Vec<DistributeList>,
+    /// Outbound distribute lists.
+    pub distribute_out: Vec<DistributeList>,
+    /// `passive-interface` names (no adjacencies formed there).
+    pub passive: Vec<InterfaceName>,
+}
+
+/// One IGP process of a router, whichever protocol it runs.
+#[derive(Clone, Copy, Debug)]
+pub enum Igp<'a> {
+    /// A `router ospf` process.
+    Ospf(&'a OspfProcess),
+    /// A `router eigrp` or `router igrp` process.
+    Eigrp(&'a EigrpProcess),
+    /// The `router rip` process.
+    Rip(&'a RipProcess),
+}
+
+impl<'a> Igp<'a> {
+    /// The process's routing policy.
+    #[inline]
+    pub fn policy(self) -> &'a IgpPolicy {
+        match self {
+            Igp::Ospf(p) => &p.policy,
+            Igp::Eigrp(p) => &p.policy,
+            Igp::Rip(p) => &p.policy,
+        }
+    }
+
+    /// True if some network statement of the process covers `addr`.
+    #[inline]
+    pub fn covers(self, addr: Addr) -> bool {
+        match self {
+            Igp::Ospf(p) => p.covers(addr),
+            Igp::Eigrp(p) => p.covers(addr),
+            Igp::Rip(p) => p.covers(addr),
+        }
+    }
+}
+
+/// The stanza header: `router ospf 64`, `router igrp 10`, `router rip`.
+impl fmt::Display for Igp<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Igp::Ospf(p) => write!(f, "router ospf {}", p.id),
+            Igp::Eigrp(p) => {
+                write!(f, "router {} {}", if p.is_igrp { "igrp" } else { "eigrp" }, p.asn)
+            }
+            Igp::Rip(_) => f.write_str("router rip"),
+        }
+    }
+}
+
 /// An OSPF area identifier (plain number or dotted-quad form).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OspfArea(pub u32);
@@ -250,14 +317,8 @@ pub struct OspfProcess {
     pub id: u32,
     /// `network` statements, in file order (first match wins in IOS).
     pub networks: Vec<OspfNetwork>,
-    /// `redistribute` statements.
-    pub redistribute: Vec<Redistribution>,
-    /// Inbound distribute lists.
-    pub distribute_in: Vec<DistributeList>,
-    /// Outbound distribute lists.
-    pub distribute_out: Vec<DistributeList>,
-    /// `passive-interface` names (no adjacencies formed there).
-    pub passive: Vec<InterfaceName>,
+    /// Redistribution, distribute lists and passive interfaces.
+    pub policy: IgpPolicy,
     /// `default-information originate` flag.
     pub default_information: bool,
 }
@@ -268,10 +329,7 @@ impl OspfProcess {
         OspfProcess {
             id,
             networks: Vec::new(),
-            redistribute: Vec::new(),
-            distribute_in: Vec::new(),
-            distribute_out: Vec::new(),
-            passive: Vec::new(),
+            policy: IgpPolicy::default(),
             default_information: false,
         }
     }
@@ -326,14 +384,8 @@ pub struct EigrpProcess {
     pub is_igrp: bool,
     /// `network` statements.
     pub networks: Vec<EigrpNetwork>,
-    /// `redistribute` statements.
-    pub redistribute: Vec<Redistribution>,
-    /// Inbound distribute lists.
-    pub distribute_in: Vec<DistributeList>,
-    /// Outbound distribute lists.
-    pub distribute_out: Vec<DistributeList>,
-    /// `passive-interface` names.
-    pub passive: Vec<InterfaceName>,
+    /// Redistribution, distribute lists and passive interfaces.
+    pub policy: IgpPolicy,
     /// `no auto-summary` present.
     pub no_auto_summary: bool,
 }
@@ -345,10 +397,7 @@ impl EigrpProcess {
             asn,
             is_igrp: false,
             networks: Vec::new(),
-            redistribute: Vec::new(),
-            distribute_in: Vec::new(),
-            distribute_out: Vec::new(),
-            passive: Vec::new(),
+            policy: IgpPolicy::default(),
             no_auto_summary: false,
         }
     }
@@ -360,44 +409,25 @@ impl EigrpProcess {
 }
 
 /// The `router rip` process.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RipProcess {
     /// `version 1|2`.
     pub version: Option<u8>,
     /// Classful `network` statements.
     pub networks: Vec<Addr>,
-    /// `redistribute` statements.
-    pub redistribute: Vec<Redistribution>,
-    /// Inbound distribute lists.
-    pub distribute_in: Vec<DistributeList>,
-    /// Outbound distribute lists.
-    pub distribute_out: Vec<DistributeList>,
-    /// `passive-interface` names.
-    pub passive: Vec<InterfaceName>,
+    /// Redistribution, distribute lists and passive interfaces.
+    pub policy: IgpPolicy,
 }
 
 impl RipProcess {
     /// An empty RIP process.
     pub fn new() -> RipProcess {
-        RipProcess {
-            version: None,
-            networks: Vec::new(),
-            redistribute: Vec::new(),
-            distribute_in: Vec::new(),
-            distribute_out: Vec::new(),
-            passive: Vec::new(),
-        }
+        RipProcess::default()
     }
 
     /// True if some classful network statement covers `addr`.
     pub fn covers(&self, addr: Addr) -> bool {
         self.networks.iter().any(|n| classful_prefix(*n).contains(addr))
-    }
-}
-
-impl Default for RipProcess {
-    fn default() -> RipProcess {
-        RipProcess::new()
     }
 }
 

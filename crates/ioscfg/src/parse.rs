@@ -12,7 +12,7 @@ use crate::error::{ParseError, ParseErrorKind};
 use crate::ifname::InterfaceName;
 use crate::model::{
     AccessList, AclAction, AclAddr, AclEntry, BgpProcess, DistributeList, EigrpNetwork,
-    EigrpProcess, IfAddr, Interface, OspfArea, OspfNetwork, OspfProcess, PortMatch,
+    EigrpProcess, IfAddr, IgpPolicy, Interface, OspfArea, OspfNetwork, OspfProcess, PortMatch,
     Redistribution, RedistSource, RouteMap, RouteMapClause, RouterConfig,
     RmMatch, RmSet, StaticRoute, StaticTarget,
 };
@@ -161,32 +161,31 @@ fn parse_interface(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseE
 
 // ---------- redistribution (shared by all process types) ----------
 
-fn parse_redistribute(stanza: &Stanza) -> Result<Redistribution, ParseError> {
-    let words = stanza.words();
+fn parse_redistribute(stanza: &Stanza, words: &[&str]) -> Result<Redistribution, ParseError> {
     debug_assert!(words[0].eq_ignore_ascii_case("redistribute"));
-    let source_word = need(stanza, &words, 1, "redistribution source")?;
+    let source_word = need(stanza, words, 1, "redistribution source")?;
     let mut idx = 2;
     let source = match source_word.to_ascii_lowercase().as_str() {
         "connected" => RedistSource::Connected,
         "static" => RedistSource::Static,
         "rip" => RedistSource::Rip,
         "ospf" => {
-            let id = parse_num(stanza, need(stanza, &words, idx, "ospf pid")?)?;
+            let id = parse_num(stanza, need(stanza, words, idx, "ospf pid")?)?;
             idx += 1;
             RedistSource::Ospf(id)
         }
         "eigrp" => {
-            let asn = parse_num(stanza, need(stanza, &words, idx, "eigrp asn")?)?;
+            let asn = parse_num(stanza, need(stanza, words, idx, "eigrp asn")?)?;
             idx += 1;
             RedistSource::Eigrp(asn)
         }
         "igrp" => {
-            let asn = parse_num(stanza, need(stanza, &words, idx, "igrp asn")?)?;
+            let asn = parse_num(stanza, need(stanza, words, idx, "igrp asn")?)?;
             idx += 1;
             RedistSource::Igrp(asn)
         }
         "bgp" => {
-            let asn = parse_num(stanza, need(stanza, &words, idx, "bgp asn")?)?;
+            let asn = parse_num(stanza, need(stanza, words, idx, "bgp asn")?)?;
             idx += 1;
             RedistSource::Bgp(asn)
         }
@@ -200,22 +199,22 @@ fn parse_redistribute(stanza: &Stanza) -> Result<Redistribution, ParseError> {
         match words[idx].to_ascii_lowercase().as_str() {
             "metric" => {
                 idx += 1;
-                redist.metric = Some(parse_num(stanza, need(stanza, &words, idx, "metric")?)?);
+                redist.metric = Some(parse_num(stanza, need(stanza, words, idx, "metric")?)?);
             }
             "metric-type" => {
                 idx += 1;
                 redist.metric_type =
-                    Some(parse_num(stanza, need(stanza, &words, idx, "metric-type")?)?);
+                    Some(parse_num(stanza, need(stanza, words, idx, "metric-type")?)?);
             }
             "subnets" => redist.subnets = true,
             "route-map" => {
                 idx += 1;
                 redist.route_map =
-                    Some(need(stanza, &words, idx, "route-map name")?.to_string());
+                    Some(need(stanza, words, idx, "route-map name")?.to_string());
             }
             "tag" => {
                 idx += 1;
-                redist.tag = Some(parse_num(stanza, need(stanza, &words, idx, "tag")?)?);
+                redist.tag = Some(parse_num(stanza, need(stanza, words, idx, "tag")?)?);
             }
             // `match route-map X` appears in some BGP redistribute forms
             // (Fig. 2 line 25: "redistribute ospf 64 match route-map ...").
@@ -231,13 +230,13 @@ fn parse_redistribute(stanza: &Stanza) -> Result<Redistribution, ParseError> {
 
 fn parse_distribute_list(
     stanza: &Stanza,
-) -> Result<(DistributeList, /*inbound*/ bool), ParseError> {
-    let words = stanza.words();
-    let acl: u32 = parse_num(stanza, need(stanza, &words, 1, "acl number")?)?;
-    let dir = need(stanza, &words, 2, "direction")?;
-    let inbound = match dir {
-        "in" => true,
-        "out" => false,
+    words: &[&str],
+    policy: &mut IgpPolicy,
+) -> Result<(), ParseError> {
+    let acl: u32 = parse_num(stanza, need(stanza, words, 1, "acl number")?)?;
+    let lists = match need(stanza, words, 2, "direction")? {
+        "in" => &mut policy.distribute_in,
+        "out" => &mut policy.distribute_out,
         other => {
             return Err(err(stanza, ParseErrorKind::UnexpectedArgument(other.to_string())))
         }
@@ -246,7 +245,24 @@ fn parse_distribute_list(
         Some(text) => Some(parse_ifname(stanza, text)?),
         None => None,
     };
-    Ok((DistributeList { acl, interface }, inbound))
+    lists.push(DistributeList { acl, interface });
+    Ok(())
+}
+
+/// Parses one of the policy statements every IGP stanza shares into
+/// `policy`; false when `words` is some other statement.
+fn parse_policy(
+    stanza: &Stanza,
+    words: &[&str],
+    policy: &mut IgpPolicy,
+) -> Result<bool, ParseError> {
+    match words {
+        ["redistribute", ..] => policy.redistribute.push(parse_redistribute(stanza, words)?),
+        ["distribute-list", ..] => parse_distribute_list(stanza, words, policy)?,
+        ["passive-interface", name] => policy.passive.push(parse_ifname(stanza, name)?),
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
 // ---------- OSPF ----------
@@ -258,6 +274,9 @@ fn parse_ospf(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseError>
 
     for child in &stanza.children {
         let cw = child.words();
+        if parse_policy(child, &cw, &mut proc.policy)? {
+            continue;
+        }
         match cw.as_slice() {
             ["network", addr, wildcard, "area", area] => {
                 proc.networks.push(OspfNetwork {
@@ -265,18 +284,6 @@ fn parse_ospf(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseError>
                     wildcard: parse_wildcard(child, wildcard)?,
                     area: parse_area(child, area)?,
                 });
-            }
-            ["redistribute", ..] => proc.redistribute.push(parse_redistribute(child)?),
-            ["distribute-list", ..] => {
-                let (dl, inbound) = parse_distribute_list(child)?;
-                if inbound {
-                    proc.distribute_in.push(dl);
-                } else {
-                    proc.distribute_out.push(dl);
-                }
-            }
-            ["passive-interface", name] => {
-                proc.passive.push(parse_ifname(child, name)?);
             }
             ["default-information", "originate", ..] => proc.default_information = true,
             ["router-id", ..] | ["area", ..] | ["maximum-paths", ..] | ["no", ..]
@@ -312,6 +319,9 @@ fn parse_eigrp(stanza: &Stanza, cfg: &mut RouterConfig, is_igrp: bool) -> Result
 
     for child in &stanza.children {
         let cw = child.words();
+        if parse_policy(child, &cw, &mut proc.policy)? {
+            continue;
+        }
         match cw.as_slice() {
             ["network", addr] => {
                 proc.networks
@@ -323,16 +333,6 @@ fn parse_eigrp(stanza: &Stanza, cfg: &mut RouterConfig, is_igrp: bool) -> Result
                     wildcard: Some(parse_wildcard(child, wildcard)?),
                 });
             }
-            ["redistribute", ..] => proc.redistribute.push(parse_redistribute(child)?),
-            ["distribute-list", ..] => {
-                let (dl, inbound) = parse_distribute_list(child)?;
-                if inbound {
-                    proc.distribute_in.push(dl);
-                } else {
-                    proc.distribute_out.push(dl);
-                }
-            }
-            ["passive-interface", name] => proc.passive.push(parse_ifname(child, name)?),
             ["no", "auto-summary"] => proc.no_auto_summary = true,
             ["no", ..] | ["eigrp", ..] | ["variance", ..] | ["default-metric", ..] => {}
             _ => record_unparsed(child, cfg),
@@ -355,19 +355,12 @@ fn parse_rip(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseError> 
     let mut proc = cfg.rip.take().unwrap_or_default();
     for child in &stanza.children {
         let cw = child.words();
+        if parse_policy(child, &cw, &mut proc.policy)? {
+            continue;
+        }
         match cw.as_slice() {
             ["version", v] => proc.version = Some(parse_num(child, v)?),
             ["network", addr] => proc.networks.push(parse_addr(child, addr)?),
-            ["redistribute", ..] => proc.redistribute.push(parse_redistribute(child)?),
-            ["distribute-list", ..] => {
-                let (dl, inbound) = parse_distribute_list(child)?;
-                if inbound {
-                    proc.distribute_in.push(dl);
-                } else {
-                    proc.distribute_out.push(dl);
-                }
-            }
-            ["passive-interface", name] => proc.passive.push(parse_ifname(child, name)?),
             ["no", ..] | ["default-metric", ..] | ["timers", ..] => {}
             _ => record_unparsed(child, cfg),
         }
@@ -402,7 +395,7 @@ fn parse_bgp(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseError> 
             ["network", addr, "mask", mask] => proc
                 .networks
                 .push((parse_addr(child, addr)?, Some(parse_mask(child, mask)?))),
-            ["redistribute", ..] => proc.redistribute.push(parse_redistribute(child)?),
+            ["redistribute", ..] => proc.redistribute.push(parse_redistribute(child, &cw)?),
             ["no", "synchronization"] => proc.no_synchronization = true,
             ["neighbor", addr, rest @ ..] => {
                 let peer = parse_addr(child, addr)?;
@@ -693,12 +686,12 @@ ip route 10.235.240.71 255.255.0.0 10.234.12.7
         assert_eq!(cfg.ospf.len(), 2);
         let ospf64 = &cfg.ospf[0];
         assert_eq!(ospf64.id, 64);
-        assert_eq!(ospf64.redistribute.len(), 2);
-        assert_eq!(ospf64.redistribute[0].source, RedistSource::Connected);
-        assert_eq!(ospf64.redistribute[0].metric_type, Some(1));
-        assert!(ospf64.redistribute[0].subnets);
-        assert_eq!(ospf64.redistribute[1].source, RedistSource::Bgp(64780));
-        assert_eq!(ospf64.redistribute[1].metric, Some(1));
+        assert_eq!(ospf64.policy.redistribute.len(), 2);
+        assert_eq!(ospf64.policy.redistribute[0].source, RedistSource::Connected);
+        assert_eq!(ospf64.policy.redistribute[0].metric_type, Some(1));
+        assert!(ospf64.policy.redistribute[0].subnets);
+        assert_eq!(ospf64.policy.redistribute[1].source, RedistSource::Bgp(64780));
+        assert_eq!(ospf64.policy.redistribute[1].metric, Some(1));
         assert_eq!(ospf64.networks.len(), 1);
         assert_eq!(ospf64.networks[0].area, OspfArea(0));
         assert!(ospf64.covers("66.251.75.144".parse().unwrap()));
@@ -706,15 +699,15 @@ ip route 10.235.240.71 255.255.0.0 10.234.12.7
         let ospf128 = &cfg.ospf[1];
         assert_eq!(ospf128.id, 128);
         assert_eq!(ospf128.networks[0].area, OspfArea(11));
-        assert_eq!(ospf128.distribute_in.len(), 1);
-        assert_eq!(ospf128.distribute_in[0].acl, 44);
+        assert_eq!(ospf128.policy.distribute_in.len(), 1);
+        assert_eq!(ospf128.policy.distribute_in[0].acl, 44);
         assert_eq!(
-            ospf128.distribute_in[0].interface.as_ref().unwrap().to_string(),
+            ospf128.policy.distribute_in[0].interface.as_ref().unwrap().to_string(),
             "Serial1/0.5"
         );
-        assert_eq!(ospf128.distribute_out.len(), 1);
-        assert_eq!(ospf128.distribute_out[0].acl, 45);
-        assert!(ospf128.distribute_out[0].interface.is_none());
+        assert_eq!(ospf128.policy.distribute_out.len(), 1);
+        assert_eq!(ospf128.policy.distribute_out[0].acl, 45);
+        assert!(ospf128.policy.distribute_out[0].interface.is_none());
     }
 
     #[test]

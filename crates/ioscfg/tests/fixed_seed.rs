@@ -5,7 +5,7 @@
 
 use ioscfg::{
     emit_config, parse_config, AccessList, AclAction, AclAddr, AclEntry, BgpProcess,
-    DistributeList, EigrpNetwork, EigrpProcess, IfAddr, Interface, InterfaceName,
+    DistributeList, EigrpNetwork, EigrpProcess, IfAddr, IgpPolicy, Interface, InterfaceName,
     InterfaceType, OspfArea, OspfNetwork, OspfProcess, PortMatch, Redistribution,
     RedistSource, RipProcess, RouteMap, RouteMapClause, RouterConfig, RmMatch, RmSet,
     StaticRoute, StaticTarget,
@@ -90,6 +90,20 @@ fn redist(rng: &mut StdRng) -> Redistribution {
     }
 }
 
+fn distribute_list(rng: &mut StdRng) -> DistributeList {
+    DistributeList { acl: rng.gen_range(1..200u32), interface: opt(rng, ifname) }
+}
+
+/// A random policy block: every IGP draws all four lists.
+fn policy(rng: &mut StdRng) -> IgpPolicy {
+    IgpPolicy {
+        redistribute: vec_of(rng, 2, redist),
+        distribute_in: vec_of(rng, 2, distribute_list),
+        distribute_out: vec_of(rng, 2, distribute_list),
+        passive: vec_of(rng, 2, ifname),
+    }
+}
+
 fn ospf(rng: &mut StdRng) -> OspfProcess {
     let mut p = OspfProcess::new(rng.gen_range(1..65536u32));
     p.networks = vec_of(rng, 3, |r| OspfNetwork {
@@ -97,11 +111,7 @@ fn ospf(rng: &mut StdRng) -> OspfProcess {
         wildcard: contiguous_wildcard(r),
         area: OspfArea(r.gen_range(0..100u32)),
     });
-    p.redistribute = vec_of(rng, 2, redist);
-    p.distribute_in = vec_of(rng, 1, |r| DistributeList {
-        acl: r.gen_range(1..200u32),
-        interface: opt(r, ifname),
-    });
+    p.policy = policy(rng);
     p.default_information = rng.gen_bool(0.5);
     p
 }
@@ -113,7 +123,7 @@ fn eigrp(rng: &mut StdRng) -> EigrpProcess {
         addr: addr(r),
         wildcard: opt(r, contiguous_wildcard),
     });
-    p.redistribute = vec_of(rng, 2, redist);
+    p.policy = policy(rng);
     p.no_auto_summary = rng.gen_bool(0.5);
     p
 }
@@ -122,7 +132,7 @@ fn rip(rng: &mut StdRng) -> RipProcess {
     let mut p = RipProcess::new();
     p.version = opt(rng, |r| r.gen_range(1..3u8));
     p.networks = vec_of(rng, 2, addr);
-    p.redistribute = vec_of(rng, 1, redist);
+    p.policy = policy(rng);
     p
 }
 

@@ -114,7 +114,7 @@ pub fn generate(spec: BackboneSpec, rng: &mut StdRng) -> DesignOutput {
     for idx in 0..out.builder.len() {
         let mut p = OspfProcess::new(1);
         p.networks = ospf_internal_covers(&plan);
-        p.redistribute.push(Redistribution::plain(RedistSource::Connected));
+        p.policy.redistribute.push(Redistribution::plain(RedistSource::Connected));
         out.builder.router(idx).ospf.push(p);
     }
 

@@ -107,7 +107,7 @@ pub fn generate(spec: EnterpriseSpec, rng: &mut StdRng) -> DesignOutput {
             }
             p.networks.extend(ospf_internal_covers(&plan));
             // Interior routers redistribute their connected LANs.
-            p.redistribute.push(Redistribution {
+            p.policy.redistribute.push(Redistribution {
                 source: RedistSource::Connected,
                 metric: None,
                 metric_type: Some(1),
@@ -117,7 +117,7 @@ pub fn generate(spec: EnterpriseSpec, rng: &mut StdRng) -> DesignOutput {
             });
             if id == border {
                 // Inject BGP-learned summaries into the IGP.
-                p.redistribute.push(Redistribution {
+                p.policy.redistribute.push(Redistribution {
                     source: RedistSource::Bgp(65001),
                     metric: Some(100),
                     metric_type: Some(1),

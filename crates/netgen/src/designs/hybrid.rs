@@ -253,22 +253,13 @@ fn redist_of(flavour: Flavour) -> Redistribution {
 /// Adds a redistribution statement *into* the given flavour's process.
 fn push_igp_redist(out: &mut DesignOutput, id: usize, flavour: Flavour, redist: Redistribution) {
     let cfg = out.builder.router(id);
-    match flavour {
-        Flavour::Ospf(pid) => {
-            if let Some(p) = cfg.ospf.iter_mut().find(|p| p.id == pid) {
-                p.redistribute.push(redist);
-            }
-        }
-        Flavour::Eigrp(asn) => {
-            if let Some(p) = cfg.eigrp.iter_mut().find(|p| p.asn == asn) {
-                p.redistribute.push(redist);
-            }
-        }
-        Flavour::Rip => {
-            if let Some(p) = cfg.rip.as_mut() {
-                p.redistribute.push(redist);
-            }
-        }
+    let policy = match flavour {
+        Flavour::Ospf(pid) => cfg.ospf.iter_mut().find(|p| p.id == pid).map(|p| &mut p.policy),
+        Flavour::Eigrp(asn) => cfg.eigrp.iter_mut().find(|p| p.asn == asn).map(|p| &mut p.policy),
+        Flavour::Rip => cfg.rip.as_mut().map(|p| &mut p.policy),
+    };
+    if let Some(policy) = policy {
+        policy.redistribute.push(redist);
     }
 }
 

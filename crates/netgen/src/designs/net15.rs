@@ -265,7 +265,7 @@ fn redistribute_site(builder: &mut NetworkBuilder, router: usize, ospf_pid: u32,
         .iter_mut()
         .find(|p| p.id == ospf_pid)
         .expect("border is a site member");
-    ospf.redistribute.push(Redistribution {
+    ospf.policy.redistribute.push(Redistribution {
         subnets: true,
         metric: Some(200),
         metric_type: Some(1),

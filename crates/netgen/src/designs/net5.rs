@@ -240,7 +240,7 @@ pub fn generate(spec: Net5Spec, rng: &mut StdRng) -> DesignOutput {
                 .iter_mut()
                 .find(|p| p.asn == 10 + *comp as u32)
                 .expect("member belongs to its compartment");
-            eigrp.redistribute.push(Redistribution {
+            eigrp.policy.redistribute.push(Redistribution {
                 tag: Some(tag),
                 metric: Some(1000),
                 ..Redistribution::plain(RedistSource::Bgp(*asn))

@@ -35,7 +35,7 @@ pub fn generate(spec: NoBgpSpec, rng: &mut StdRng) -> DesignOutput {
             p.version = Some(2);
             // RIP network statements are classful; 10.0.0.0 covers the plan.
             p.networks.push(Addr::new(10, 0, 0, 0));
-            p.redistribute.push(Redistribution::plain(RedistSource::Static));
+            p.policy.redistribute.push(Redistribution::plain(RedistSource::Static));
             out.builder.router(id).rip = Some(p);
         } else {
             let mut p = ioscfg::OspfProcess::new(1);
@@ -43,7 +43,7 @@ pub fn generate(spec: NoBgpSpec, rng: &mut StdRng) -> DesignOutput {
             // (above) intentionally covers the external link too — one of
             // the paper's IGP-at-the-edge cases.
             p.networks = ospf_internal_covers(&plan);
-            p.redistribute.push(Redistribution::plain(RedistSource::Static));
+            p.policy.redistribute.push(Redistribution::plain(RedistSource::Static));
             out.builder.router(id).ospf.push(p);
         }
     }

@@ -244,7 +244,7 @@ pub fn add_site_igps(builder: &mut NetworkBuilder, rng: &mut StdRng, mean_per_ro
                 let mut p = ioscfg::RipProcess::new();
                 p.version = Some(2);
                 p.networks.push(netaddr::Addr::new(10, 0, 0, 0));
-                p.passive = cfg
+                p.policy.passive = cfg
                     .interfaces
                     .iter()
                     .filter(|i| i.name != lan_name)

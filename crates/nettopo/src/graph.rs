@@ -78,28 +78,7 @@ impl RouterGraph {
 
     /// Connected components, each sorted; components sorted by first id.
     pub fn components(&self) -> Vec<Vec<RouterId>> {
-        let mut seen = vec![false; self.len()];
-        let mut out = Vec::new();
-        for start in 0..self.len() {
-            if seen[start] {
-                continue;
-            }
-            let mut comp = Vec::new();
-            let mut stack = vec![start];
-            seen[start] = true;
-            while let Some(v) = stack.pop() {
-                comp.push(RouterId(v));
-                for &w in &self.adj[v] {
-                    if !seen[w] {
-                        seen[w] = true;
-                        stack.push(w);
-                    }
-                }
-            }
-            comp.sort();
-            out.push(comp);
-        }
-        out
+        self.components_without(&BTreeSet::new())
     }
 
     /// Articulation routers: removing any one of these disconnects its

@@ -2,11 +2,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ioscfg::RedistSource;
+use ioscfg::{DistributeList, Igp, RedistSource, Redistribution, RouterConfig};
 use netaddr::{Prefix, PrefixSet};
 use nettopo::Network;
 use routing_model::{
-    Adjacencies, InstanceId, InstanceNode, Instances, ProcKey, Processes, SessionScope,
+    exchanges, Adjacencies, ExchangeVia, InstanceId, InstanceNode, Instances, ProcKey,
+    Processes, Proto,
 };
 
 use crate::filter::{acl_prefix_set, resolve_route_map_filter, RouteFilter};
@@ -41,184 +42,69 @@ pub struct ReachAnalysis<'a> {
     net: &'a Network,
     instances: &'a Instances,
     edges: Vec<FlowEdge>,
-    nodes: BTreeSet<InstanceNode>,
+    /// The external ASes and the external world, where outside routes
+    /// enter.
+    externals: BTreeSet<InstanceNode>,
     origination: BTreeMap<InstanceId, TaggedRoutes>,
 }
 
 impl<'a> ReachAnalysis<'a> {
-    /// Compiles the propagation graph.
+    /// Compiles the propagation graph: the route filters of every
+    /// exchange in [`routing_model::exchanges`], in both directions
+    /// where routes flow both ways.
     pub fn new(
         net: &'a Network,
         procs: &'a Processes,
         adj: &'a Adjacencies,
         instances: &'a Instances,
     ) -> ReachAnalysis<'a> {
-        let mut nodes: BTreeSet<InstanceNode> = instances
-            .list
-            .iter()
-            .map(|i| InstanceNode::Instance(i.id))
-            .collect();
         let mut edges = Vec::new();
-        let mut origination: BTreeMap<InstanceId, TaggedRoutes> = BTreeMap::new();
-
-        // --- Origination ---
-        for p in &procs.list {
-            let Some(inst) = instances.instance_of(p.key) else { continue };
-            let entry = origination.entry(inst).or_default();
-            let cfg = &net.router(p.key.router).config;
-
-            // Covered interface subnets are carried natively.
-            for &idx in &p.covered_ifaces {
-                if let Some(a) = cfg.interfaces[idx].address {
-                    entry.merge(&TaggedRoutes::untagged(PrefixSet::from_prefix(
-                        a.subnet(),
-                    )));
-                }
+        let mut externals = BTreeSet::new();
+        let mut edge = |from, to, filter, retag| edges.push(FlowEdge { from, to, filter, retag });
+        // An instance's distribute lists do not depend on the router, so
+        // its external IGP coverage compiles to one pair of edges.
+        let mut igp_covered: BTreeSet<InstanceId> = BTreeSet::new();
+        for x in exchanges(procs, adj, instances) {
+            let (local, other) = (InstanceNode::Instance(x.from), x.to);
+            if other.is_external() {
+                externals.insert(other);
             }
-            // BGP `network` statements.
-            if let Proto::Bgp(_) = p.key.proto {
-                if let Some(bgp) = &cfg.bgp {
-                    for (addr, mask) in &bgp.networks {
-                        let prefix = match mask {
-                            Some(m) => Prefix::from_mask(*addr, *m),
-                            None => ioscfg::classful_prefix(*addr),
-                        };
-                        entry.merge(&TaggedRoutes::untagged(PrefixSet::from_prefix(
-                            prefix,
-                        )));
-                    }
+            match x.via {
+                ExchangeVia::Redistribution { router, redist } => {
+                    let filter = redistribution_filter(&net.router(router).config, redist);
+                    edge(local, other, filter, redist.tag);
                 }
-            }
-            // Redistribution of the local RIB (connected / static).
-            for r in &p.redistributes {
-                let seeds = match r.source {
-                    RedistSource::Connected => {
-                        let mut set = PrefixSet::empty();
-                        for iface in &cfg.interfaces {
-                            for s in iface.subnets() {
-                                set = set.union(&PrefixSet::from_prefix(s));
-                            }
+                ExchangeVia::Ebgp(s) => {
+                    let local_in = neighbor_filter(net, s.local, Some(s.peer_addr), Dir::In);
+                    let local_out = neighbor_filter(net, s.local, Some(s.peer_addr), Dir::Out);
+                    match (other, s.peer) {
+                        // Each way: the sender's out-policy, then the
+                        // receiver's in-policy toward the sender.
+                        (InstanceNode::Instance(_), Some(peer)) => {
+                            let back = session_local_addr(net, s.local, peer);
+                            let peer_in = neighbor_filter(net, peer, back, Dir::In);
+                            let peer_out = neighbor_filter(net, peer, back, Dir::Out);
+                            edge(local, other, local_out.then(peer_in), None);
+                            edge(other, local, peer_out.then(local_in), None);
                         }
-                        set
-                    }
-                    RedistSource::Static => {
-                        let mut set = PrefixSet::empty();
-                        for sr in &cfg.static_routes {
-                            set = set.union(&PrefixSet::from_prefix(sr.prefix()));
+                        _ => {
+                            edge(other, local, local_in, None);
+                            edge(local, other, local_out, None);
                         }
-                        set
                     }
-                    _ => continue,
-                };
-                let filter = match &r.route_map {
-                    Some(name) => resolve_route_map_filter(cfg, name),
-                    None => RouteFilter::Pass,
-                };
-                let mut routes = filter.apply(&TaggedRoutes::untagged(seeds));
-                if let Some(tag) = r.tag {
-                    routes = routes.retag(tag);
                 }
-                entry.merge(&routes);
-            }
-        }
-
-        // --- Inter-instance redistribution edges ---
-        for p in &procs.list {
-            let Some(to_inst) = instances.instance_of(p.key) else { continue };
-            let cfg = &net.router(p.key.router).config;
-            for r in &p.redistributes {
-                let Some(src_key) = procs.resolve_source(p.key.router, r.source) else {
-                    continue;
-                };
-                let Some(from_inst) = instances.instance_of(src_key) else { continue };
-                if from_inst == to_inst {
-                    continue;
-                }
-                let filter = match &r.route_map {
-                    Some(name) => resolve_route_map_filter(cfg, name),
-                    None => RouteFilter::Pass,
-                };
-                edges.push(FlowEdge {
-                    from: InstanceNode::Instance(from_inst),
-                    to: InstanceNode::Instance(to_inst),
-                    filter,
-                    retag: r.tag,
-                });
-            }
-        }
-
-        // --- BGP session edges ---
-        for s in &adj.bgp {
-            match s.scope {
-                SessionScope::Ibgp => {}
-                SessionScope::EbgpInternal => {
-                    let (Some(a), Some(peer_key)) =
-                        (instances.instance_of(s.local), s.peer)
-                    else {
-                        continue;
-                    };
-                    let Some(b) = instances.instance_of(peer_key) else { continue };
-                    // local → peer: local out-policy, then peer in-policy.
-                    let peer_addr_of_local = session_local_addr(net, s.local, peer_key);
-                    edges.push(FlowEdge {
-                        from: InstanceNode::Instance(a),
-                        to: InstanceNode::Instance(b),
-                        filter: neighbor_filter(net, s.local, s.peer_addr, Dir::Out).then(
-                            neighbor_filter_opt(net, peer_key, peer_addr_of_local, Dir::In),
-                        ),
-                        retag: None,
-                    });
-                    edges.push(FlowEdge {
-                        from: InstanceNode::Instance(b),
-                        to: InstanceNode::Instance(a),
-                        filter: neighbor_filter_opt(net, peer_key, peer_addr_of_local, Dir::Out)
-                            .then(neighbor_filter(net, s.local, s.peer_addr, Dir::In)),
-                        retag: None,
-                    });
-                }
-                SessionScope::EbgpExternal => {
-                    let Some(a) = instances.instance_of(s.local) else { continue };
-                    let ext = InstanceNode::ExternalAs(s.remote_as);
-                    nodes.insert(ext);
-                    edges.push(FlowEdge {
-                        from: ext,
-                        to: InstanceNode::Instance(a),
-                        filter: neighbor_filter(net, s.local, s.peer_addr, Dir::In),
-                        retag: None,
-                    });
-                    edges.push(FlowEdge {
-                        from: InstanceNode::Instance(a),
-                        to: ext,
-                        filter: neighbor_filter(net, s.local, s.peer_addr, Dir::Out),
-                        retag: None,
-                    });
+                ExchangeVia::IgpCoverage { .. } => {
+                    if igp_covered.insert(x.from) {
+                        let filter_in = igp_distribute_filter(net, instances, x.from, Dir::In);
+                        let filter_out = igp_distribute_filter(net, instances, x.from, Dir::Out);
+                        edge(other, local, filter_in, None);
+                        edge(local, other, filter_out, None);
+                    }
                 }
             }
         }
-
-        // --- IGP edges to the external world ---
-        let mut seen: BTreeSet<InstanceId> = BTreeSet::new();
-        for (key, _) in &adj.igp_external {
-            let Some(inst) = instances.instance_of(*key) else { continue };
-            if !seen.insert(inst) {
-                continue;
-            }
-            nodes.insert(InstanceNode::ExternalWorld);
-            edges.push(FlowEdge {
-                from: InstanceNode::ExternalWorld,
-                to: InstanceNode::Instance(inst),
-                filter: igp_distribute_filter(net, procs, instances, inst, Dir::In),
-                retag: None,
-            });
-            edges.push(FlowEdge {
-                from: InstanceNode::Instance(inst),
-                to: InstanceNode::ExternalWorld,
-                filter: igp_distribute_filter(net, procs, instances, inst, Dir::Out),
-                retag: None,
-            });
-        }
-
-        ReachAnalysis { net, instances, edges, nodes, origination }
+        let origination = originations(net, procs, instances);
+        ReachAnalysis { net, instances, edges, externals, origination }
     }
 
     /// Routes an instance originates (connected subnets, BGP networks,
@@ -269,10 +155,7 @@ impl<'a> ReachAnalysis<'a> {
     /// that can appear in `id`'s RIBs.
     pub fn external_routes_entering(&self, id: InstanceId) -> PrefixSet {
         let mut total = PrefixSet::empty();
-        for node in &self.nodes {
-            if matches!(node, InstanceNode::Instance(_)) {
-                continue;
-            }
+        for node in &self.externals {
             let state = self.propagate(*node, TaggedRoutes::untagged(PrefixSet::all()));
             if let Some(routes) = state.get(&InstanceNode::Instance(id)) {
                 total = total.union(&routes.all_prefixes());
@@ -361,7 +244,61 @@ impl<'a> ReachAnalysis<'a> {
     }
 }
 
-use routing_model::Proto;
+/// The routes each instance originates: covered interface subnets, BGP
+/// `network` statements, and the local RIB entries (connected, static)
+/// its processes redistribute.
+fn originations(
+    net: &Network,
+    procs: &Processes,
+    instances: &Instances,
+) -> BTreeMap<InstanceId, TaggedRoutes> {
+    let mut origination: BTreeMap<InstanceId, TaggedRoutes> = BTreeMap::new();
+    for p in &procs.list {
+        let Some(inst) = instances.instance_of(p.key) else { continue };
+        let entry = origination.entry(inst).or_default();
+        let cfg = &net.router(p.key.router).config;
+
+        // Covered interface subnets are carried natively.
+        for &idx in &p.covered_ifaces {
+            if let Some(a) = cfg.interfaces[idx].address {
+                entry.merge(&TaggedRoutes::untagged(PrefixSet::from_prefix(a.subnet())));
+            }
+        }
+        // BGP `network` statements.
+        if let (Proto::Bgp(_), Some(bgp)) = (p.key.proto, &cfg.bgp) {
+            for (addr, mask) in &bgp.networks {
+                let prefix = match mask {
+                    Some(m) => Prefix::from_mask(*addr, *m),
+                    None => ioscfg::classful_prefix(*addr),
+                };
+                entry.merge(&TaggedRoutes::untagged(PrefixSet::from_prefix(prefix)));
+            }
+        }
+        // Redistribution of the local RIB (connected / static).
+        for r in &p.redistributes {
+            let seeds: PrefixSet = match r.source {
+                RedistSource::Connected => cfg.interface_subnets().collect(),
+                RedistSource::Static => cfg.static_routes.iter().map(|sr| sr.prefix()).collect(),
+                _ => continue,
+            };
+            let mut routes = redistribution_filter(cfg, r).apply(&TaggedRoutes::untagged(seeds));
+            if let Some(tag) = r.tag {
+                routes = routes.retag(tag);
+            }
+            entry.merge(&routes);
+        }
+    }
+    origination
+}
+
+/// The route map of a `redistribute` statement as a filter (none passes
+/// everything).
+fn redistribution_filter(cfg: &RouterConfig, r: &Redistribution) -> RouteFilter {
+    match &r.route_map {
+        Some(name) => resolve_route_map_filter(cfg, name),
+        None => RouteFilter::Pass,
+    }
+}
 
 /// Direction of a per-neighbor policy.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -394,16 +331,17 @@ fn session_local_addr(
         .find(|a| local_addrs.contains(a))
 }
 
-/// Per-neighbor policy of `local` toward `peer_addr`.
+/// Per-neighbor policy of `local` toward `peer_addr`; a session with no
+/// known neighbor address (one-sided) passes everything.
 fn neighbor_filter(
     net: &Network,
     local: ProcKey,
-    peer_addr: netaddr::Addr,
+    peer_addr: Option<netaddr::Addr>,
     dir: Dir,
 ) -> RouteFilter {
     let cfg = &net.router(local.router).config;
     let Some(bgp) = &cfg.bgp else { return RouteFilter::Pass };
-    let Some(n) = bgp.neighbors.iter().find(|n| n.addr == peer_addr) else {
+    let Some(n) = bgp.neighbors.iter().find(|n| Some(n.addr) == peer_addr) else {
         return RouteFilter::Pass;
     };
     let (dl, rm) = match dir {
@@ -423,105 +361,41 @@ fn neighbor_filter(
     filter
 }
 
-/// Like [`neighbor_filter`] but tolerant of a missing address (one-sided
-/// sessions).
-fn neighbor_filter_opt(
-    net: &Network,
-    local: ProcKey,
-    peer_addr: Option<netaddr::Addr>,
-    dir: Dir,
-) -> RouteFilter {
-    match peer_addr {
-        Some(addr) => neighbor_filter(net, local, addr, dir),
-        None => RouteFilter::Pass,
-    }
-}
-
 /// Global (interface-unscoped) distribute lists of an IGP instance's
 /// member processes, unioned. Interface-scoped lists are conservatively
 /// ignored (they admit at most what the global list admits in our
-/// corpora).
+/// corpora), and one member without a global list lets everything pass.
 fn igp_distribute_filter(
     net: &Network,
-    procs: &Processes,
     instances: &Instances,
     id: InstanceId,
     dir: Dir,
 ) -> RouteFilter {
-    let inst = instances.get(id);
-    let mut sets: Vec<PrefixSet> = Vec::new();
-    let mut any_unfiltered = false;
-    for key in &inst.processes {
-        let Some(proc_) = procs.get(*key) else { continue };
+    let mut admitted: Option<PrefixSet> = None;
+    for key in &instances.get(id).processes {
         let cfg = &net.router(key.router).config;
-        let lists = collect_distribute_lists(cfg, key.proto, dir);
-        let global: Vec<u32> = lists
-            .iter()
-            .filter(|dl| dl.interface.is_none())
-            .map(|dl| dl.acl)
-            .collect();
-        if global.is_empty() {
-            any_unfiltered = true;
-            continue;
+        let lists = distribute_lists(cfg, key.proto, dir);
+        let mut global = lists.iter().filter(|dl| dl.interface.is_none()).peekable();
+        if global.peek().is_none() {
+            return RouteFilter::Pass;
         }
-        for acl in global {
-            if let Some(set) = acl_prefix_set(cfg, acl) {
-                sets.push(set);
-            }
+        for set in global.filter_map(|dl| acl_prefix_set(cfg, dl.acl)) {
+            admitted = Some(match admitted {
+                Some(before) => before.union(&set),
+                None => set,
+            });
         }
-        let _ = proc_;
     }
-    if any_unfiltered || sets.is_empty() {
-        return RouteFilter::Pass;
-    }
-    let mut union = PrefixSet::empty();
-    for s in sets {
-        union = union.union(&s);
-    }
-    RouteFilter::Restrict(union)
+    admitted.map_or(RouteFilter::Pass, RouteFilter::Restrict)
 }
 
-fn collect_distribute_lists(
-    cfg: &ioscfg::RouterConfig,
-    proto: Proto,
-    dir: Dir,
-) -> Vec<ioscfg::DistributeList> {
-    match proto {
-        Proto::Ospf(id) => cfg
-            .ospf
-            .iter()
-            .find(|p| p.id == id)
-            .map(|p| {
-                if dir == Dir::In {
-                    p.distribute_in.clone()
-                } else {
-                    p.distribute_out.clone()
-                }
-            })
-            .unwrap_or_default(),
-        Proto::Eigrp(asn) | Proto::Igrp(asn) => cfg
-            .eigrp
-            .iter()
-            .find(|p| p.asn == asn)
-            .map(|p| {
-                if dir == Dir::In {
-                    p.distribute_in.clone()
-                } else {
-                    p.distribute_out.clone()
-                }
-            })
-            .unwrap_or_default(),
-        Proto::Rip => cfg
-            .rip
-            .as_ref()
-            .map(|p| {
-                if dir == Dir::In {
-                    p.distribute_in.clone()
-                } else {
-                    p.distribute_out.clone()
-                }
-            })
-            .unwrap_or_default(),
-        Proto::Bgp(_) => Vec::new(),
+/// The distribute lists the IGP process `proto` on `cfg` applies in
+/// `dir`. The process is found by its full identity, so `router igrp 10`
+/// and `router eigrp 10` on one router keep their own lists.
+fn distribute_lists(cfg: &RouterConfig, proto: Proto, dir: Dir) -> &[DistributeList] {
+    match cfg.igps().find(|igp| Proto::of_igp(*igp) == proto).map(Igp::policy) {
+        Some(policy) if dir == Dir::In => &policy.distribute_in,
+        Some(policy) => &policy.distribute_out,
+        None => &[],
     }
 }

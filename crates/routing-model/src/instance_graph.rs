@@ -3,14 +3,18 @@
 //! Routers and processes are collapsed into their routing instances;
 //! the edges that remain are exactly the places where route exchange
 //! crosses protocol or AS boundaries: redistribution points, EBGP
-//! sessions, and peerings with the external world.
+//! sessions, and peerings with the external world. [`exchanges`] lists
+//! those places once, each with the configuration it comes from; the
+//! graph's edges and the reachability analysis's route filters are both
+//! built from that list.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
+use ioscfg::Redistribution;
 use nettopo::{Network, RouterId};
 
-use crate::adjacency::{Adjacencies, SessionScope};
+use crate::adjacency::{Adjacencies, BgpSession, SessionScope};
 use crate::instance::{InstanceId, Instances};
 use crate::process::Processes;
 
@@ -66,6 +70,100 @@ pub enum ExchangeKind {
     },
 }
 
+/// The configuration behind one [`Exchange`].
+#[derive(Clone, Copy, Debug)]
+pub enum ExchangeVia<'a> {
+    /// A `redistribute` statement inside the receiving process's stanza.
+    Redistribution {
+        /// The router doing the redistribution.
+        router: RouterId,
+        /// The statement.
+        redist: &'a Redistribution,
+    },
+    /// An EBGP session, to another instance or to an external AS.
+    Ebgp(&'a BgpSession),
+    /// An IGP process covering an interface that faces outside the
+    /// network.
+    IgpCoverage {
+        /// The router with the external-facing covered interface.
+        router: RouterId,
+    },
+}
+
+/// One route exchange that crosses an instance boundary.
+#[derive(Clone, Copy, Debug)]
+pub struct Exchange<'a> {
+    /// The instance on our side: the source of a redistribution, the
+    /// local end of a session, the instance with the external coverage.
+    pub from: InstanceId,
+    /// The other side: another instance, an external AS or the external
+    /// world.
+    pub to: InstanceNode,
+    /// The configuration that makes the exchange.
+    pub via: ExchangeVia<'a>,
+}
+
+/// Every route exchange that crosses an instance boundary: redistributions
+/// between two instances (in process order), EBGP sessions (in
+/// [`Adjacencies::bgp`] order), then external IGP coverage, once per
+/// instance and router.
+pub fn exchanges<'a>(
+    procs: &'a Processes,
+    adj: &'a Adjacencies,
+    instances: &Instances,
+) -> Vec<Exchange<'a>> {
+    let mut out = Vec::new();
+    for p in &procs.list {
+        let Some(to) = instances.instance_of(p.key) else { continue };
+        for redist in &p.redistributes {
+            let Some(src_key) = procs.resolve_source(p.key.router, redist.source) else {
+                continue; // connected/static: local, not inter-instance
+            };
+            let Some(from) = instances.instance_of(src_key) else { continue };
+            if from != to {
+                let via = ExchangeVia::Redistribution { router: p.key.router, redist };
+                out.push(Exchange { from, to: InstanceNode::Instance(to), via });
+            }
+        }
+    }
+    for s in &adj.bgp {
+        let Some(from) = instances.instance_of(s.local) else { continue };
+        let to = match s.scope {
+            SessionScope::Ibgp => continue, // inside one instance
+            SessionScope::EbgpInternal => {
+                match s.peer.and_then(|peer| instances.instance_of(peer)) {
+                    Some(peer) => InstanceNode::Instance(peer),
+                    None => continue,
+                }
+            }
+            SessionScope::EbgpExternal => InstanceNode::ExternalAs(s.remote_as),
+        };
+        out.push(Exchange { from, to, via: ExchangeVia::Ebgp(s) });
+    }
+    let mut seen: BTreeSet<(InstanceId, RouterId)> = BTreeSet::new();
+    for (key, iref) in &adj.igp_external {
+        let Some(from) = instances.instance_of(*key) else { continue };
+        if seen.insert((from, iref.router)) {
+            let via = ExchangeVia::IgpCoverage { router: iref.router };
+            out.push(Exchange { from, to: InstanceNode::ExternalWorld, via });
+        }
+    }
+    out
+}
+
+/// The policy annotation of a redistribution edge, in the instance and
+/// process graphs alike: its route map and tag, if any.
+pub(crate) fn redist_label(r: &Redistribution) -> Option<String> {
+    let mut parts = Vec::new();
+    if let Some(map) = &r.route_map {
+        parts.push(format!("route-map {map}"));
+    }
+    if let Some(tag) = r.tag {
+        parts.push(format!("tag {tag}"));
+    }
+    (!parts.is_empty()).then(|| parts.join(", "))
+}
+
 /// One edge of the instance graph.
 #[derive(Clone, Debug)]
 pub struct InstanceEdge {
@@ -89,9 +187,9 @@ pub struct InstanceGraph {
 }
 
 impl InstanceGraph {
-    /// Builds the instance graph.
+    /// Builds the instance graph: one edge per [`exchanges`] entry.
     pub fn build(
-        net: &Network,
+        _net: &Network,
         procs: &Processes,
         adj: &Adjacencies,
         instances: &Instances,
@@ -101,87 +199,21 @@ impl InstanceGraph {
             .iter()
             .map(|i| InstanceNode::Instance(i.id))
             .collect();
-        let mut edges = Vec::new();
-
-        // Redistribution edges between instances.
-        for p in &procs.list {
-            let Some(to_inst) = instances.instance_of(p.key) else { continue };
-            for r in &p.redistributes {
-                let Some(src_key) = procs.resolve_source(p.key.router, r.source) else {
-                    continue; // connected/static: local, not inter-instance
-                };
-                let Some(from_inst) = instances.instance_of(src_key) else { continue };
-                if from_inst == to_inst {
-                    continue;
+        let exchanges = exchanges(procs, adj, instances);
+        let mut edges = Vec::with_capacity(exchanges.len());
+        for x in exchanges {
+            let kind = match x.via {
+                ExchangeVia::Redistribution { router, redist } => {
+                    ExchangeKind::Redistribution { router, policy: redist_label(redist) }
                 }
-                let mut policy_parts = Vec::new();
-                if let Some(m) = &r.route_map {
-                    policy_parts.push(format!("route-map {m}"));
-                }
-                if let Some(t) = r.tag {
-                    policy_parts.push(format!("tag {t}"));
-                }
-                edges.push(InstanceEdge {
-                    from: InstanceNode::Instance(from_inst),
-                    to: InstanceNode::Instance(to_inst),
-                    kind: ExchangeKind::Redistribution {
-                        router: p.key.router,
-                        policy: if policy_parts.is_empty() {
-                            None
-                        } else {
-                            Some(policy_parts.join(", "))
-                        },
-                    },
-                });
+                ExchangeVia::Ebgp(s) => ExchangeKind::Ebgp { router: s.local.router },
+                ExchangeVia::IgpCoverage { router } => ExchangeKind::IgpEdge { router },
+            };
+            if x.to.is_external() {
+                nodes.insert(x.to);
             }
+            edges.push(InstanceEdge { from: InstanceNode::Instance(x.from), to: x.to, kind });
         }
-
-        // EBGP edges (internal between instances, external to peer ASes).
-        for s in &adj.bgp {
-            match s.scope {
-                SessionScope::Ibgp => {} // inside one instance
-                SessionScope::EbgpInternal => {
-                    let (Some(a), Some(peer)) =
-                        (instances.instance_of(s.local), s.peer)
-                    else {
-                        continue;
-                    };
-                    let Some(b) = instances.instance_of(peer) else { continue };
-                    edges.push(InstanceEdge {
-                        from: InstanceNode::Instance(a),
-                        to: InstanceNode::Instance(b),
-                        kind: ExchangeKind::Ebgp { router: s.local.router },
-                    });
-                }
-                SessionScope::EbgpExternal => {
-                    let Some(a) = instances.instance_of(s.local) else { continue };
-                    let ext = InstanceNode::ExternalAs(s.remote_as);
-                    nodes.insert(ext);
-                    edges.push(InstanceEdge {
-                        from: InstanceNode::Instance(a),
-                        to: ext,
-                        kind: ExchangeKind::Ebgp { router: s.local.router },
-                    });
-                }
-            }
-        }
-
-        // IGP edges to the external world.
-        let mut seen_igp_ext: BTreeSet<(InstanceId, RouterId)> = BTreeSet::new();
-        for (key, iref) in &adj.igp_external {
-            let Some(inst) = instances.instance_of(*key) else { continue };
-            if !seen_igp_ext.insert((inst, iref.router)) {
-                continue;
-            }
-            nodes.insert(InstanceNode::ExternalWorld);
-            edges.push(InstanceEdge {
-                from: InstanceNode::Instance(inst),
-                to: InstanceNode::ExternalWorld,
-                kind: ExchangeKind::IgpEdge { router: iref.router },
-            });
-        }
-
-        let _ = net; // reserved for richer annotations
         InstanceGraph { nodes: nodes.into_iter().collect(), edges }
     }
 

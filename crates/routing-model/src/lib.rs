@@ -49,7 +49,9 @@ pub use areas::{area_structures, AreaStructure};
 pub use classify::{classify_network, DesignClass, DesignSummary};
 pub use diagnose::design_diagnostics;
 pub use instance::{InstanceId, Instances, RoutingInstance};
-pub use instance_graph::{ExchangeKind, InstanceEdge, InstanceGraph, InstanceNode};
+pub use instance_graph::{
+    exchanges, Exchange, ExchangeKind, ExchangeVia, InstanceEdge, InstanceGraph, InstanceNode,
+};
 pub use mesh::{ibgp_meshes, IbgpMesh};
 pub use pathway::{PathwayGraph, PathwayIndex, PathwayNode, PathwaySummary};
 pub use process::{ProcKey, Processes, Proto, ProtoKind, RoutingProcess};

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use ioscfg::{RedistSource, RouterConfig};
+use ioscfg::{Igp, RedistSource, RouterConfig};
 use nettopo::{Network, RouterId};
 
 /// The protocol family of a process (without instance identifiers).
@@ -81,6 +81,17 @@ impl Proto {
             Proto::Igrp(_) => ProtoKind::Igrp,
             Proto::Rip => ProtoKind::Rip,
             Proto::Bgp(_) => ProtoKind::Bgp,
+        }
+    }
+
+    /// The identity of an IGP process; IGRP and EIGRP processes with the
+    /// same AS number stay distinct.
+    pub fn of_igp(igp: Igp<'_>) -> Proto {
+        match igp {
+            Igp::Ospf(p) => Proto::Ospf(p.id),
+            Igp::Eigrp(p) if p.is_igrp => Proto::Igrp(p.asn),
+            Igp::Eigrp(p) => Proto::Eigrp(p.asn),
+            Igp::Rip(_) => Proto::Rip,
         }
     }
 
@@ -229,46 +240,23 @@ impl Processes {
 fn extract_router(rid: RouterId, cfg: &RouterConfig, out: &mut Vec<RoutingProcess>) {
     let iface_addrs: Vec<Option<netaddr::Addr>> =
         cfg.interfaces.iter().map(|i| i.address.map(|a| a.addr)).collect();
-
-    let covered_by = |covers: &dyn Fn(netaddr::Addr) -> bool| -> Vec<usize> {
-        iface_addrs
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, addr)| addr.filter(|a| covers(*a)).map(|_| idx))
-            .collect()
-    };
-    let passive_of = |names: &[ioscfg::InterfaceName]| -> Vec<usize> {
-        cfg.interfaces
-            .iter()
-            .enumerate()
-            .filter(|(_, i)| names.contains(&i.name))
-            .map(|(idx, _)| idx)
-            .collect()
-    };
-
-    for p in &cfg.ospf {
+    for igp in cfg.igps() {
+        let policy = igp.policy();
         out.push(RoutingProcess {
-            key: ProcKey { router: rid, proto: Proto::Ospf(p.id) },
-            covered_ifaces: covered_by(&|a| p.covers(a)),
-            passive_ifaces: passive_of(&p.passive),
-            redistributes: p.redistribute.clone(),
-        });
-    }
-    for p in &cfg.eigrp {
-        let proto = if p.is_igrp { Proto::Igrp(p.asn) } else { Proto::Eigrp(p.asn) };
-        out.push(RoutingProcess {
-            key: ProcKey { router: rid, proto },
-            covered_ifaces: covered_by(&|a| p.covers(a)),
-            passive_ifaces: passive_of(&p.passive),
-            redistributes: p.redistribute.clone(),
-        });
-    }
-    if let Some(p) = &cfg.rip {
-        out.push(RoutingProcess {
-            key: ProcKey { router: rid, proto: Proto::Rip },
-            covered_ifaces: covered_by(&|a| p.covers(a)),
-            passive_ifaces: passive_of(&p.passive),
-            redistributes: p.redistribute.clone(),
+            key: ProcKey { router: rid, proto: Proto::of_igp(igp) },
+            covered_ifaces: iface_addrs
+                .iter()
+                .enumerate()
+                .filter_map(|(idx, addr)| addr.filter(|a| igp.covers(*a)).map(|_| idx))
+                .collect(),
+            passive_ifaces: cfg
+                .interfaces
+                .iter()
+                .enumerate()
+                .filter(|(_, i)| policy.passive.contains(&i.name))
+                .map(|(idx, _)| idx)
+                .collect(),
+            redistributes: policy.redistribute.clone(),
         });
     }
     if let Some(p) = &cfg.bgp {

@@ -13,6 +13,7 @@ use std::fmt;
 use nettopo::{Network, RouterId};
 
 use crate::adjacency::{Adjacencies, SessionScope};
+use crate::instance_graph::redist_label;
 use crate::process::{ProcKey, Processes};
 
 /// A vertex of the process graph: one RIB.
@@ -132,7 +133,7 @@ impl ProcessGraph {
                     from,
                     to: RibNode::Process(p.key),
                     kind: EdgeKind::Redistribution,
-                    policy: redist_policy(r),
+                    policy: redist_label(r),
                 });
             }
             edges.push(ProcessEdge {
@@ -161,22 +162,6 @@ impl ProcessGraph {
             map.entry(n.router()).or_default().push(*n);
         }
         map
-    }
-}
-
-/// Annotation text for a redistribution edge.
-fn redist_policy(r: &ioscfg::Redistribution) -> Option<String> {
-    let mut parts = Vec::new();
-    if let Some(map) = &r.route_map {
-        parts.push(format!("route-map {map}"));
-    }
-    if let Some(tag) = r.tag {
-        parts.push(format!("tag {tag}"));
-    }
-    if parts.is_empty() {
-        None
-    } else {
-        Some(parts.join(", "))
     }
 }
 

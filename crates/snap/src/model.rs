@@ -19,9 +19,9 @@
 use crate::codec::{DecodeError, Reader, Snap, Writer};
 use ioscfg::{
     AccessList, AclAction, AclAddr, AclEntry, BgpNeighbor, BgpProcess, DistributeList,
-    EigrpNetwork, EigrpProcess, IfAddr, Interface, InterfaceName, InterfaceType, OspfArea,
-    OspfNetwork, OspfProcess, PortMatch, Redistribution, RedistSource, RipProcess, RouteMap,
-    RouteMapClause, RouterConfig, RmMatch, RmSet, StaticRoute, StaticTarget,
+    EigrpNetwork, EigrpProcess, IfAddr, IgpPolicy, Interface, InterfaceName, InterfaceType,
+    OspfArea, OspfNetwork, OspfProcess, PortMatch, Redistribution, RedistSource, RipProcess,
+    RouteMap, RouteMapClause, RouterConfig, RmMatch, RmSet, StaticRoute, StaticTarget,
 };
 use netaddr::{Addr, AddressBlock, BlockTree, Netmask, Prefix, Wildcard};
 use nettopo::{
@@ -151,34 +151,11 @@ snap_struct!(DistributeList { acl, interface });
 
 snap_struct!(OspfArea(area));
 snap_struct!(OspfNetwork { addr, wildcard, area });
-snap_struct!(OspfProcess {
-    id,
-    networks,
-    redistribute,
-    distribute_in,
-    distribute_out,
-    passive,
-    default_information,
-});
+snap_struct!(IgpPolicy { redistribute, distribute_in, distribute_out, passive });
+snap_struct!(OspfProcess { id, networks, policy, default_information });
 snap_struct!(EigrpNetwork { addr, wildcard });
-snap_struct!(EigrpProcess {
-    asn,
-    is_igrp,
-    networks,
-    redistribute,
-    distribute_in,
-    distribute_out,
-    passive,
-    no_auto_summary,
-});
-snap_struct!(RipProcess {
-    version,
-    networks,
-    redistribute,
-    distribute_in,
-    distribute_out,
-    passive,
-});
+snap_struct!(EigrpProcess { asn, is_igrp, networks, policy, no_auto_summary });
+snap_struct!(RipProcess { version, networks, policy });
 snap_struct!(BgpNeighbor {
     addr,
     remote_as,
@@ -629,5 +606,90 @@ mod tests {
         pin(DesignClass::NoBgp, &[3]);
         pin(DesignClass::Unclassifiable, &[4]);
         unused_tag::<DesignClass>(5, "invalid DesignClass tag 5");
+    }
+
+    /// A policy block with one entry in each of its four lists.
+    fn policy(
+        redist: Redistribution,
+        dl_in: &DistributeList,
+        dl_out: &DistributeList,
+        passive: &InterfaceName,
+    ) -> IgpPolicy {
+        IgpPolicy {
+            redistribute: vec![redist],
+            distribute_in: vec![dl_in.clone()],
+            distribute_out: vec![dl_out.clone()],
+            passive: vec![passive.clone()],
+        }
+    }
+
+    /// One process of each IGP with all four policy lists non-empty,
+    /// against the bytes of the codec from before the lists moved into
+    /// [`IgpPolicy`]: the nested block must encode as the flat fields did.
+    #[test]
+    fn igp_processes_encode_to_pinned_bytes() {
+        let a = Addr::from_u32(0x0a00_0001);
+        let serial = InterfaceName { ty: InterfaceType::Serial, unit: "0/1".to_string() };
+        let ether = InterfaceName { ty: InterfaceType::Ethernet, unit: "0".to_string() };
+        let scoped = DistributeList { acl: 44, interface: Some(serial.clone()) };
+        let global = DistributeList { acl: 45, interface: None };
+
+        let mut ospf = OspfProcess::new(64);
+        let wildcard = Wildcard::from_bits(255);
+        ospf.networks.push(OspfNetwork { addr: a, wildcard, area: OspfArea(11) });
+        let redist = Redistribution {
+            source: RedistSource::Bgp(65000),
+            metric: Some(20),
+            metric_type: Some(1),
+            subnets: true,
+            route_map: Some("rm".to_string()),
+            tag: Some(7),
+        };
+        ospf.policy = policy(redist, &scoped, &global, &ether);
+        ospf.default_information = true;
+        pin(
+            ospf,
+            &[
+                64, 1, 129, 128, 128, 80, 255, 1, 11, 1, 6, 232, 251, 3, 1, 20, 1, 1, 1, 1, 2,
+                114, 109, 1, 7, 1, 44, 1, 0, 3, 48, 47, 49, 1, 45, 0, 1, 4, 1, 48, 1,
+            ],
+        );
+
+        let mut eigrp = EigrpProcess::new(100);
+        eigrp.networks.push(EigrpNetwork { addr: a, wildcard: None });
+        eigrp.policy =
+            policy(Redistribution::plain(RedistSource::Static), &global, &scoped, &serial);
+        eigrp.no_auto_summary = true;
+        let mut igrp = eigrp.clone();
+        igrp.asn = 10;
+        igrp.is_igrp = true;
+        igrp.policy.redistribute[0] = Redistribution::plain(RedistSource::Eigrp(100));
+        pin(
+            eigrp,
+            &[
+                100, 0, 1, 129, 128, 128, 80, 0, 1, 1, 0, 0, 0, 0, 0, 1, 45, 0, 1, 44, 1, 0, 3,
+                48, 47, 49, 1, 0, 3, 48, 47, 49, 1,
+            ],
+        );
+        pin(
+            igrp,
+            &[
+                10, 1, 1, 129, 128, 128, 80, 0, 1, 3, 100, 0, 0, 0, 0, 0, 1, 45, 0, 1, 44, 1, 0,
+                3, 48, 47, 49, 1, 0, 3, 48, 47, 49, 1,
+            ],
+        );
+
+        let mut rip = RipProcess::new();
+        rip.version = Some(2);
+        rip.networks.push(a);
+        let connected = Redistribution::plain(RedistSource::Connected);
+        rip.policy = policy(connected, &scoped, &global, &ether);
+        pin(
+            rip,
+            &[
+                1, 2, 1, 129, 128, 128, 80, 1, 0, 0, 0, 0, 0, 0, 1, 44, 1, 0, 3, 48, 47, 49, 1,
+                45, 0, 1, 4, 1, 48,
+            ],
+        );
     }
 }

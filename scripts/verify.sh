@@ -394,10 +394,12 @@ if [ "${1:-}" = "--bench" ]; then
     # for each guarded stage before repro --bench overwrites the file.
     # A budget is 3x that figure — generous enough for machine noise,
     # tight enough to catch a quadratic stage coming back: the external
-    # classifier, the instance-graph classify pass, and the serve cache
-    # build's /pathways render (its worst figure is the full-scale one).
-    # A guard whose field the committed file lacks is skipped. (The
-    # "bench_external" section deliberately doesn't match "external".)
+    # classifier, the instance-graph classify pass, the serve cache
+    # build's /pathways render (its worst figure is the full-scale one),
+    # and the snapshot load. The load is guarded by its own time, not by
+    # its speedup over re-analysis, which falls whenever analysis gets
+    # faster. A guard whose field the committed file lacks is skipped.
+    # (The "bench_external" section deliberately doesn't match "external".)
     worst() { # <stage> <factor>: the largest "<stage>" figure times factor
         awk -F': ' -v key="\"$1\":" -v factor="$2" \
             'index($0, key) { v = $2 + 0; if (v > max) max = v }
@@ -406,7 +408,7 @@ if [ "${1:-}" = "--bench" ]; then
     BUDGETS=""
     SERVE_FLOOR=""
     if [ -f BENCH_repro.json ]; then
-        for STAGE in external classify render:/pathways; do
+        for STAGE in external classify render:/pathways load_ms; do
             BUDGET=$(worst "$STAGE" 3)
             [ -z "$BUDGET" ] || BUDGETS="$BUDGETS $STAGE=$BUDGET"
         done

@@ -75,7 +75,7 @@ fn build(desc: &RandomNet) -> Vec<(String, String)> {
                     wildcard: slab.mask().to_wildcard(),
                     area: ioscfg::OspfArea(0),
                 });
-                p.redistribute.push(Redistribution::plain(RedistSource::Connected));
+                p.policy.redistribute.push(Redistribution::plain(RedistSource::Connected));
                 cfg.ospf.push(p);
             }
             3 | 4 => {
