@@ -18,7 +18,10 @@
 //! - [`SnapMutator`]: corruption of `.rdsnap` containers (truncation at
 //!   every frame boundary — with the checksum *recomputed*, so the damage
 //!   reaches the decoder instead of dying at the checksum gate — plus raw
-//!   bit flips and length-prefix bombs).
+//!   bit flips and length-prefix bombs). The boundaries and length fields
+//!   come from the container's frame table, [`rd_snap::Frames`]: rd-snap
+//!   is the one reader of the container framing, and this crate walks
+//!   none of it itself.
 //!
 //! Everything is driven by `rd_rng::StdRng`, so a seed fully determines
 //! the fault corpus: two sweeps with the same seed mutate identically on
@@ -217,112 +220,6 @@ impl SnapMutator {
     }
 }
 
-/// Structural offsets of an `.rdsnap` container body (everything before
-/// the 8-byte checksum trailer), recovered by walking the frame layout:
-/// magic, version varint, section count varint, then per section a name
-/// string, a length varint, and the payload, then the format-v3 manifest
-/// footer (payload + fixed-width length field).
-#[derive(Clone, Debug, Default)]
-pub struct SnapLayout {
-    /// Byte offsets (into the body) of every frame boundary: after the
-    /// magic, after the version, after the count, after each section's
-    /// name, length prefix, and payload, and after the manifest payload
-    /// and its 8-byte length field.
-    pub boundaries: Vec<usize>,
-    /// `(offset, encoded_len)` of each section-length varint — the
-    /// targets for [`SnapMutator::LengthBomb`].
-    pub length_varints: Vec<(usize, usize)>,
-}
-
-/// Reads one LEB128 varint at `pos`, returning `(value, bytes_consumed)`.
-fn read_varint(body: &[u8], pos: usize) -> Option<(u64, usize)> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    let mut i = pos;
-    loop {
-        let b = *body.get(i)?;
-        if shift >= 64 {
-            return None;
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        i += 1;
-        if b & 0x80 == 0 {
-            return Some((v, i - pos));
-        }
-        shift += 7;
-    }
-}
-
-/// Encodes a LEB128 varint (mirror of `rd_snap::Writer::u64`).
-fn encode_varint(mut v: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return out;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-/// Walks a well-formed snapshot's container frames and returns its
-/// layout. `bytes` is the whole file (trailer included). Returns an empty
-/// layout when the container is too damaged to walk — corruptors then
-/// fall back to raw positions.
-pub fn snapshot_layout(bytes: &[u8]) -> SnapLayout {
-    let mut layout = SnapLayout::default();
-    if bytes.len() < rd_snap::MAGIC.len() + 8 {
-        return layout;
-    }
-    let body = &bytes[..bytes.len() - 8];
-    let mut pos = rd_snap::MAGIC.len();
-    layout.boundaries.push(pos);
-    let Some((_version, n)) = read_varint(body, pos) else { return SnapLayout::default() };
-    pos += n;
-    layout.boundaries.push(pos);
-    let Some((count, n)) = read_varint(body, pos) else { return SnapLayout::default() };
-    pos += n;
-    layout.boundaries.push(pos);
-    for _ in 0..count {
-        // Section name: length varint + bytes.
-        let Some((name_len, n)) = read_varint(body, pos) else { return SnapLayout::default() };
-        pos += n + name_len as usize;
-        if pos > body.len() {
-            return SnapLayout::default();
-        }
-        layout.boundaries.push(pos);
-        // Section payload length.
-        let Some((payload_len, n)) = read_varint(body, pos) else {
-            return SnapLayout::default();
-        };
-        layout.length_varints.push((pos, n));
-        pos += n;
-        layout.boundaries.push(pos);
-        pos += payload_len as usize;
-        if pos > body.len() {
-            return SnapLayout::default();
-        }
-        layout.boundaries.push(pos);
-    }
-    // Format v3: the manifest payload and its fixed-width 8-byte length
-    // field sit between the last section and the checksum trailer.
-    if body.len() < pos + 8 {
-        return SnapLayout::default();
-    }
-    let mut field = [0u8; 8];
-    field.copy_from_slice(&body[body.len() - 8..]);
-    let manifest_len = u64::from_le_bytes(field) as usize;
-    if pos + manifest_len + 8 != body.len() {
-        return SnapLayout::default();
-    }
-    pos += manifest_len;
-    layout.boundaries.push(pos);
-    layout.boundaries.push(pos + 8);
-    layout
-}
-
 /// Truncates the body at `cut` and appends a freshly computed checksum,
 /// producing a file whose trailer is valid for its (damaged) body.
 pub fn truncate_rechecksum(bytes: &[u8], cut: usize) -> Vec<u8> {
@@ -335,15 +232,18 @@ pub fn truncate_rechecksum(bytes: &[u8], cut: usize) -> Vec<u8> {
 }
 
 /// Applies `mutator` to a snapshot file. Deterministic in (`rng` state,
-/// input bytes).
+/// input bytes). Frame boundaries and length fields come from the
+/// container's frame table ([`rd_snap::Frames`]); a container too damaged
+/// to read gets raw positions instead.
 pub fn corrupt_snapshot(rng: &mut StdRng, mutator: SnapMutator, bytes: &[u8]) -> Vec<u8> {
     match mutator {
         SnapMutator::TruncateAtBoundary => {
             let body_len = bytes.len().saturating_sub(8);
             // Boundaries strictly inside the body: cutting at the very end
             // would reproduce the original file, which is not a fault.
-            let cuts: Vec<usize> = snapshot_layout(bytes)
-                .boundaries
+            let cuts: Vec<usize> = rd_snap::Frames::read(bytes)
+                .map(|f| f.boundaries())
+                .unwrap_or_default()
                 .into_iter()
                 .filter(|&b| b < body_len)
                 .collect();
@@ -363,18 +263,15 @@ pub fn corrupt_snapshot(rng: &mut StdRng, mutator: SnapMutator, bytes: &[u8]) ->
             out
         }
         SnapMutator::LengthBomb => {
-            let layout = snapshot_layout(bytes);
+            let sections = rd_snap::Frames::read(bytes).map(|f| f.sections).unwrap_or_default();
             let mut out = bytes[..bytes.len().saturating_sub(8)].to_vec();
-            if let Some(&(at, len)) = layout
-                .length_varints
-                .get(rng.gen_range(0..layout.length_varints.len().max(1)))
-                .filter(|_| !layout.length_varints.is_empty())
-            {
+            if let Some(frame) = sections.get(rng.gen_range(0..sections.len().max(1))) {
                 // A bomb well past any plausible corpus size, but still a
                 // valid varint: the decoder's length caps must reject it
                 // before allocating.
-                let bomb = 1u64 << rng.gen_range(40..62u32);
-                out.splice(at..at + len, encode_varint(bomb));
+                let mut bomb = rd_snap::Writer::new();
+                bomb.u64(1u64 << rng.gen_range(40..62u32));
+                out.splice(frame.len_field.clone(), bomb.into_bytes());
             } else if !out.is_empty() {
                 let at = out.len() - 1;
                 out[at] = 0xff; // dangling continuation bit
@@ -509,25 +406,6 @@ mod tests {
     fn invalid_utf8_mutator_breaks_utf8() {
         let out = mutate_config(&mut rng(), ConfigMutator::InvalidUtf8, SAMPLE).unwrap();
         assert!(std::str::from_utf8(&out).is_err());
-    }
-
-    #[test]
-    fn varint_roundtrip() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, 1 << 60] {
-            let enc = encode_varint(v);
-            assert_eq!(read_varint(&enc, 0), Some((v, enc.len())));
-        }
-    }
-
-    #[test]
-    fn layout_walks_an_empty_corpus() {
-        let corpus = rd_snap::Corpus::default();
-        let bytes = corpus.to_bytes();
-        let layout = snapshot_layout(&bytes);
-        // magic | version | count boundaries, no sections, then the
-        // manifest payload and its length field.
-        assert_eq!(layout.boundaries.len(), 5);
-        assert!(layout.length_varints.is_empty());
     }
 
     #[test]

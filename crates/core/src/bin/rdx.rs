@@ -636,30 +636,24 @@ fn snap(dir: &str, out: &str, from: Option<&str>) -> Result<ExitCode, Error> {
     Ok(ExitCode::FAILURE)
 }
 
-/// `rdx snap --info <file>`: print the container's section/manifest
-/// table straight off the manifest footer — no network payload is
-/// decoded, so this is cheap even for a large study snapshot.
+/// `rdx snap --info <file>`: print the container's frame table
+/// ([`rd_snap::Frames`]) — no network payload is decoded, so this is
+/// cheap even for a large study snapshot.
 fn snap_info(file: &str) -> Result<(), Error> {
     let bytes =
         std::fs::read(file).map_err(|e| Error::Failed(format!("snap: cannot read {file}: {e}")))?;
-    let manifest = rd_snap::Manifest::read(&bytes)
+    let frames = rd_snap::Frames::read(&bytes)
         .map_err(|e| Error::Failed(format!("snap: {file} is not a valid snapshot: {e}")))?;
-    // Footer geometry: [..sections..][manifest payload][len u64][fnv u64]
-    let manifest_len =
-        u64::from_le_bytes(bytes[bytes.len() - 16..bytes.len() - 8].try_into().unwrap_or_default());
-    let manifest_offset = bytes.len() - 16 - manifest_len as usize;
-    println!("{file}: {} bytes, {} network section(s)", bytes.len(), manifest.entries.len());
+    println!("{file}: {} bytes, {} network section(s)", bytes.len(), frames.sections.len());
+    let row = |name: &str, at: &std::ops::Range<usize>| {
+        println!("{name:<24} {:>12} {:>12}", at.start, at.len());
+    };
     println!("{:<24} {:>12} {:>12}", "section", "offset", "bytes");
-    for entry in &manifest.entries {
-        println!("{:<24} {:>12} {:>12}", entry.name, entry.offset, entry.len);
+    for frame in &frames.sections {
+        row(&frame.name, &frame.payload);
     }
-    println!("{:<24} {:>12} {:>12}", "(manifest)", manifest_offset, manifest_len);
-    println!(
-        "{:<24} {:>12} {:>12}",
-        "(footer: len + fnv64)",
-        bytes.len() - 16,
-        16
-    );
+    row("(manifest)", &frames.manifest);
+    row("(footer: len + fnv64)", &frames.footer);
     Ok(())
 }
 

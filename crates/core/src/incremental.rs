@@ -30,11 +30,11 @@
 //! same deterministic pipeline and every reused network contributes the
 //! very bytes a cold run would re-produce. The engine can also be
 //! seeded from a persisted snapshot ([`seed_from_snapshot`]): the
-//! manifest footer locates each network's payload and
-//! [`NetworkSnapshot::file_hashes`] carries the hashes, so a freshly
-//! booted `rdx watch` daemon reuses everything that did not change
-//! while it was down (seeded files carry no parse product, so the first
-//! change to a seeded network re-parses that network whole).
+//! container's frame table ([`rd_snap::Frames`]) locates each network's
+//! payload and [`NetworkSnapshot::file_hashes`] carries the hashes, so
+//! a freshly booted `rdx watch` daemon reuses everything that did not
+//! change while it was down (seeded files carry no parse product, so
+//! the first change to a seeded network re-parses that network whole).
 //!
 //! Observability: each refresh runs under an `analyze.incr` span whose
 //! duration feeds the `incr.last_wall_us` gauge, with one child span per
@@ -55,7 +55,7 @@ use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
 use nettopo::{Network, PreparsedFile};
-use rd_snap::{assemble_container, fnv1a64_extend, Corpus, Manifest, NetworkSnapshot, Snap, Writer};
+use rd_snap::{assemble_container, fnv1a64_extend, Corpus, Frames, NetworkSnapshot, Snap, Writer};
 
 use crate::diff::config_fingerprint;
 use crate::snapshot::{capture, network_dirs, DroppedNetwork, SnapOutcome};
@@ -193,23 +193,20 @@ impl DeltaEngine {
         DeltaEngine { dir: dir.to_path_buf(), files: BTreeMap::new(), nets: BTreeMap::new() }
     }
 
-    /// Seeds the cache from a previously persisted container: each
-    /// network's payload bytes come straight from the manifest footer and
-    /// its file hashes from [`NetworkSnapshot::file_hashes`], so the next
-    /// refresh reuses every network whose files still hash the same —
-    /// without re-parsing or re-encoding anything. Returns the number of
-    /// networks seeded. Files no sweep has seen yet get records with no
-    /// parse product, so the first *change* to a seeded network re-parses
-    /// the rest of it.
+    /// Seeds the cache from a previously persisted container: one read of
+    /// its frame table ([`Frames::read`]) yields both the decoded networks
+    /// and each network's payload bytes, and the file hashes come from
+    /// [`NetworkSnapshot::file_hashes`], so the next refresh reuses every
+    /// network whose files still hash the same — without re-parsing or
+    /// re-encoding anything. Returns the number of networks seeded. Files
+    /// no sweep has seen yet get records with no parse product, so the
+    /// first *change* to a seeded network re-parses the rest of it.
     pub fn seed_from_snapshot(&mut self, bytes: &[u8]) -> Result<usize, rd_snap::DecodeError> {
-        let corpus = Corpus::from_bytes(bytes)?;
-        let manifest = Manifest::read(bytes)?;
+        let frames = Frames::read(bytes)?;
+        let corpus = frames.decode(bytes)?;
         let mut nets = BTreeMap::new();
-        for snap in corpus.networks {
-            let payload = manifest
-                .payload(bytes, &snap.name)
-                .map(|p| p.to_vec())
-                .unwrap_or_else(|| encode_payload(&snap));
+        for (snap, frame) in corpus.networks.into_iter().zip(&frames.sections) {
+            let payload = bytes[frame.payload.clone()].to_vec();
             // A parse of the same bytes would fingerprint each router
             // exactly as the snapshot's decoded config does.
             let prints: BTreeMap<&str, u64> = snap
@@ -470,7 +467,8 @@ fn list_network(
             swept.push((None, false));
             continue;
         }
-        let bytes = std::fs::read(path).map_err(LoadError::Io)?;
+        let bytes =
+            std::fs::read(path).map_err(|error| LoadError { path: path.clone(), error })?;
         let hash = rd_snap::fnv1a64(&bytes);
         // Racily clean: an mtime within one tick of the sweep's start
         // could hide a later same-size rewrite, so it is not trusted.
@@ -505,7 +503,8 @@ fn list_network(
         let bytes = match bytes {
             Some(bytes) => bytes,
             None => {
-                let bytes = std::fs::read(path).map_err(LoadError::Io)?;
+                let bytes = std::fs::read(path)
+                    .map_err(|error| LoadError { path: path.clone(), error })?;
                 record.hash = rd_snap::fnv1a64(&bytes);
                 record.stamp = None;
                 bytes

@@ -317,38 +317,15 @@ fn analyze(network: Network) -> NetworkAnalysis {
     }
 }
 
-/// A config directory or file that could not be read.
-#[derive(Debug)]
-pub struct ReadError {
-    /// The directory or file.
-    pub path: PathBuf,
-    /// Why it could not be read.
-    pub error: std::io::Error,
-}
-
-impl std::fmt::Display for ReadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "cannot read {}: {}", self.path.display(), self.error)
-    }
-}
-
-impl std::error::Error for ReadError {}
-
-impl From<ReadError> for LoadError {
-    fn from(e: ReadError) -> LoadError {
-        LoadError::Io(e.error)
-    }
-}
-
 /// Every plain file in `dir` (symlinks followed) with its name and
 /// metadata, in file-name order: the one definition of a network's
 /// inputs, shared by cold loads ([`read_network`]) and the
 /// [`incremental`] engine's sweep, which stats each file exactly once.
 pub(crate) fn config_files(
     dir: &Path,
-) -> Result<Vec<(String, PathBuf, std::fs::Metadata)>, ReadError> {
+) -> Result<Vec<(String, PathBuf, std::fs::Metadata)>, LoadError> {
     let mut files: Vec<(String, PathBuf, std::fs::Metadata)> = std::fs::read_dir(dir)
-        .map_err(|error| ReadError { path: dir.to_path_buf(), error })?
+        .map_err(|error| LoadError { path: dir.to_path_buf(), error })?
         .filter_map(|e| e.ok())
         .filter_map(|e| {
             let path = e.path();
@@ -363,12 +340,12 @@ pub(crate) fn config_files(
 /// One network directory's config files as `(file name, bytes)`, in
 /// file-name order: what [`NetworkAnalysis::from_dir`] analyzes.
 /// [`snapshot::read_tree`] reads a whole tree through this.
-pub fn read_network(dir: &Path) -> Result<rd_plan::CorpusFiles, ReadError> {
+pub fn read_network(dir: &Path) -> Result<rd_plan::CorpusFiles, LoadError> {
     config_files(dir)?
         .into_iter()
         .map(|(name, path, _)| match std::fs::read(&path) {
             Ok(bytes) => Ok((name, bytes)),
-            Err(error) => Err(ReadError { path, error }),
+            Err(error) => Err(LoadError { path, error }),
         })
         .collect()
 }
@@ -430,5 +407,18 @@ mod tests {
         let ospf = a.instances.list.iter().find(|i| i.asn.is_none()).unwrap().id;
         let external = reach.external_routes_entering(ospf);
         assert!(external.covers_prefix(Prefix::DEFAULT));
+    }
+
+    #[test]
+    fn load_error_names_the_path() {
+        let missing =
+            std::env::temp_dir().join(format!("rd-load-error-{}-missing", std::process::id()));
+        let cold = NetworkAnalysis::from_dir(&missing).err().expect("a missing dir fails");
+        let delta = incremental::DeltaEngine::new(&missing).refresh().err().expect("fails too");
+        for err in [cold, delta] {
+            assert_eq!(err.path, missing);
+            let text = err.to_string();
+            assert!(text.starts_with(&format!("cannot read {}: ", missing.display())), "{text}");
+        }
     }
 }

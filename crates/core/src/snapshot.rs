@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 use nettopo::Coverage;
 use rd_snap::{Corpus, NetworkSnapshot};
 
-use crate::{read_network, LoadError, NetworkAnalysis, ReadError};
+use crate::{read_network, LoadError, NetworkAnalysis};
 
 /// Converts a finished analysis into its snapshot form, named `name`.
 pub fn capture(name: &str, analysis: NetworkAnalysis) -> NetworkSnapshot {
@@ -93,7 +93,7 @@ pub(crate) fn network_dirs(dir: &Path) -> (bool, Vec<(String, PathBuf)>) {
 /// subdirectory holds one, else a single network, and [`read_network`]
 /// reads each network's files. A network directory without files is
 /// returned empty.
-pub fn read_tree(dir: &Path) -> Result<Vec<(String, rd_plan::CorpusFiles)>, ReadError> {
+pub fn read_tree(dir: &Path) -> Result<Vec<(String, rd_plan::CorpusFiles)>, LoadError> {
     network_dirs(dir).1.into_iter().map(|(name, path)| Ok((name, read_network(&path)?))).collect()
 }
 

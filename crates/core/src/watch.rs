@@ -42,10 +42,9 @@ use std::time::{Duration, Instant};
 use rd_chaos::DiskFault;
 use rd_rng::StdRng;
 use rd_serve::{Controller, HealthState, ServeOptions, Server, WatchStatus};
-use rd_snap::Corpus;
 
 use crate::incremental::DeltaEngine;
-use crate::snapshot::snap_dir;
+use crate::snapshot::{snap_dir, SnapOutcome};
 
 /// Supervisor tuning knobs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -306,27 +305,10 @@ impl Watcher {
             }
             Ok(Err(e)) => return self.fail(format!("analysis failed: {e}")),
             Ok(Ok(refresh)) => {
-                let outcome = refresh.outcome;
-                if !outcome.dropped.is_empty() {
-                    // Over-budget parse damage: publishing would silently
-                    // shrink the corpus. Keep last-good serving instead.
-                    let names: Vec<&str> =
-                        outcome.dropped.iter().map(|d| d.name.as_str()).collect();
-                    return self.fail(format!(
-                        "{} network(s) over error budget: {}",
-                        outcome.dropped.len(),
-                        names.join(", ")
-                    ));
+                if let Err(e) = publishable(&refresh.outcome) {
+                    return self.fail(e);
                 }
-                if outcome.corpus.networks.iter().all(|n| n.network.routers.is_empty()) {
-                    // A vanished or emptied config dir analyzes "cleanly"
-                    // into zero routers. Publishing that would wipe the
-                    // served corpus on what is far more likely a broken
-                    // push (rm + copy in flight) than a real decommission
-                    // of every router at once. Keep last-good.
-                    return self.fail("analysis produced an empty corpus".to_string());
-                }
-                (outcome.corpus, refresh.bytes, refresh.digest)
+                (refresh.outcome.corpus, refresh.bytes, refresh.digest)
             }
         };
 
@@ -410,9 +392,27 @@ impl Watcher {
     }
 }
 
-/// Boots the full daemon: recovery sweep, initial snapshot (from the
-/// persisted last-good file when it is valid, else a fresh synchronous
-/// analysis), a co-hosted server on `addr`, and the watch loop on a
+/// The one publish check, shared by the boot analysis and every
+/// [`Watcher`] attempt. A result that dropped a network (unreadable, or
+/// over the error budget) would silently shrink the served corpus. One
+/// with no router at all — a vanished or emptied config dir analyzes
+/// "cleanly" into zero routers — would wipe it, on what is far more
+/// likely a broken push (rm + copy in flight) than a real decommission of
+/// every router at once. Either keeps last-good serving.
+fn publishable(outcome: &SnapOutcome) -> Result<(), String> {
+    if !outcome.dropped.is_empty() {
+        let names: Vec<&str> = outcome.dropped.iter().map(|d| d.name.as_str()).collect();
+        return Err(format!("{} network(s) dropped: {}", outcome.dropped.len(), names.join(", ")));
+    }
+    if outcome.corpus.networks.iter().all(|n| n.network.routers.is_empty()) {
+        return Err("analysis produced an empty corpus".to_string());
+    }
+    Ok(())
+}
+
+/// Boots the full daemon: recovery sweep, a co-hosted server on `addr`
+/// serving the persisted last-good snapshot (or, when that does not load,
+/// a fresh synchronous analysis), and the watch loop on a
 /// supervisor thread. Blocks until shutdown (SIGTERM/SIGINT). This is
 /// `rdx watch`.
 pub fn run_daemon(
@@ -449,31 +449,22 @@ pub fn run_daemon(
         }
     }
 
-    // Boot corpus: prefer the persisted last-good snapshot (instant
-    // start, survives a config dir that is currently broken); fall back
-    // to a fresh analysis.
-    let mut boot_stale = false;
-    if Corpus::read_file_with_trailer(snapshot_path).is_ok() {
-        boot_stale = true;
-    } else {
-        let outcome = snap_dir(dir).map_err(|e| format!("initial analysis failed: {e}"))?;
-        if !outcome.dropped.is_empty() {
-            let names: Vec<&str> = outcome.dropped.iter().map(|d| d.name.as_str()).collect();
-            return Err(format!(
-                "initial analysis dropped {} network(s) ({}) and no last-good snapshot exists",
-                outcome.dropped.len(),
-                names.join(", ")
-            ));
+    // Boot corpus: serve the persisted last-good snapshot when it loads
+    // (instant start, survives a config dir that is currently broken);
+    // analyze fresh only when it does not. A failed bind fails the boot.
+    let (server, boot_stale) = match Server::start_file(snapshot_path, addr, serve_opts.clone()) {
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+            let outcome = snap_dir(dir).map_err(|e| format!("initial analysis failed: {e}"))?;
+            publishable(&outcome).map_err(|e| {
+                format!("initial analysis failed ({e}) and no last-good snapshot loads")
+            })?;
+            rd_snap::write_atomic(snapshot_path, &outcome.corpus.to_bytes())
+                .map_err(|e| format!("cannot persist initial snapshot: {e}"))?;
+            (Server::start_file(snapshot_path, addr, serve_opts), false)
         }
-        if outcome.corpus.networks.iter().all(|n| n.network.routers.is_empty()) {
-            return Err("initial analysis produced an empty corpus".to_string());
-        }
-        rd_snap::write_atomic(snapshot_path, &outcome.corpus.to_bytes())
-            .map_err(|e| format!("cannot persist initial snapshot: {e}"))?;
-    }
-
-    let server = Server::start_file(snapshot_path, addr, serve_opts)
-        .map_err(|e| format!("cannot start server: {e}"))?;
+        started => (started, true),
+    };
+    let server = server.map_err(|e| format!("cannot start server: {e}"))?;
     println!(
         "listening on http://{} ({} network(s) from {})",
         server.local_addr(),

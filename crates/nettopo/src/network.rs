@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use ioscfg::{lex_config, parse_raw, ParseError, RouterConfig};
+use ioscfg::{lex_config, parse_raw, RouterConfig};
 
 /// Index of a router within a [`Network`] (stable for the network's life).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -114,40 +114,24 @@ pub struct Network {
     pub coverage: Coverage,
 }
 
-/// Error loading a network from disk or text.
+/// A config directory or file that could not be read. Parse failures
+/// never abort a load: they are quarantined per file (see
+/// [`Network::from_bytes_list`]).
 #[derive(Debug)]
-pub enum LoadError {
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// A configuration failed to parse; the file name is attached.
-    ///
-    /// Per-file parse failures are now quarantined into diagnostics
-    /// rather than aborting the load; this variant remains for callers
-    /// that still construct it (and for exhaustive matches).
-    Parse {
-        /// The offending file.
-        file: String,
-        /// The underlying parse error.
-        error: ParseError,
-    },
+pub struct LoadError {
+    /// The directory or file.
+    pub path: std::path::PathBuf,
+    /// Why it could not be read.
+    pub error: std::io::Error,
 }
 
 impl fmt::Display for LoadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LoadError::Io(e) => write!(f, "i/o error: {e}"),
-            LoadError::Parse { file, error } => write!(f, "{file}: {error}"),
-        }
+        write!(f, "cannot read {}: {}", self.path.display(), self.error)
     }
 }
 
 impl std::error::Error for LoadError {}
-
-impl From<std::io::Error> for LoadError {
-    fn from(e: std::io::Error) -> LoadError {
-        LoadError::Io(e)
-    }
-}
 
 /// Per-file outcome of the parallel lex + parse stage.
 #[derive(Clone)]

@@ -1,6 +1,7 @@
 //! Route propagation over the instance graph.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 use ioscfg::{DistributeList, Igp, RedistSource, Redistribution, RouterConfig};
 use netaddr::{Prefix, PrefixSet};
@@ -46,6 +47,18 @@ pub struct ReachAnalysis<'a> {
     /// enter.
     externals: BTreeSet<InstanceNode>,
     origination: BTreeMap<InstanceId, TaggedRoutes>,
+    /// Built on first use: see [`Unions`].
+    unions: OnceLock<Unions>,
+}
+
+/// What every route source's propagation reaches, unioned per target:
+/// per instance, the external routes that can enter it; per external AS,
+/// the routes announced to it. Each source propagates once per analysis,
+/// however many instances and ASes are asked about.
+#[derive(Default)]
+struct Unions {
+    entering: BTreeMap<InstanceId, PrefixSet>,
+    announced: BTreeMap<u32, PrefixSet>,
 }
 
 impl<'a> ReachAnalysis<'a> {
@@ -104,7 +117,7 @@ impl<'a> ReachAnalysis<'a> {
             }
         }
         let origination = originations(net, procs, instances);
-        ReachAnalysis { net, instances, edges, externals, origination }
+        ReachAnalysis { net, instances, edges, externals, origination, unions: OnceLock::new() }
     }
 
     /// Routes an instance originates (connected subnets, BGP networks,
@@ -154,30 +167,43 @@ impl<'a> ReachAnalysis<'a> {
     /// The external routes (from any external AS or the external world)
     /// that can appear in `id`'s RIBs.
     pub fn external_routes_entering(&self, id: InstanceId) -> PrefixSet {
-        let mut total = PrefixSet::empty();
-        for node in &self.externals {
-            let state = self.propagate(*node, TaggedRoutes::untagged(PrefixSet::all()));
-            if let Some(routes) = state.get(&InstanceNode::Instance(id)) {
-                total = total.union(&routes.all_prefixes());
-            }
-        }
-        total
+        self.unions().entering.get(&id).cloned().unwrap_or_else(PrefixSet::empty)
     }
 
     /// The routes this network can announce to a given external AS.
     pub fn routes_announced_to(&self, asn: u32) -> PrefixSet {
-        let mut total = PrefixSet::empty();
-        for inst in &self.instances.list {
-            let seed = self.origination(inst.id);
-            if seed.is_empty() {
-                continue;
+        self.unions().announced.get(&asn).cloned().unwrap_or_else(PrefixSet::empty)
+    }
+
+    /// [`Unions`], propagating from every external node (all routes) and
+    /// from every instance that originates routes, once each.
+    fn unions(&self) -> &Unions {
+        self.unions.get_or_init(|| {
+            let mut unions = Unions::default();
+            for node in &self.externals {
+                let state = self.propagate(*node, TaggedRoutes::untagged(PrefixSet::all()));
+                for (reached, routes) in &state {
+                    if let InstanceNode::Instance(id) = reached {
+                        let total = unions.entering.entry(*id).or_insert_with(PrefixSet::empty);
+                        *total = total.union(&routes.all_prefixes());
+                    }
+                }
             }
-            let state = self.propagate(InstanceNode::Instance(inst.id), seed);
-            if let Some(routes) = state.get(&InstanceNode::ExternalAs(asn)) {
-                total = total.union(&routes.all_prefixes());
+            for inst in &self.instances.list {
+                let seed = self.origination(inst.id);
+                if seed.is_empty() {
+                    continue;
+                }
+                let state = self.propagate(InstanceNode::Instance(inst.id), seed);
+                for (reached, routes) in &state {
+                    if let InstanceNode::ExternalAs(asn) = reached {
+                        let total = unions.announced.entry(*asn).or_insert_with(PrefixSet::empty);
+                        *total = total.union(&routes.all_prefixes());
+                    }
+                }
             }
-        }
-        total
+            unions
+        })
     }
 
     /// Instances that have an interface inside `block` (where those hosts

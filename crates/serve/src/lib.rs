@@ -419,9 +419,12 @@ impl Server {
     /// Loads a snapshot file and serves it, wiring the file in as the
     /// hot-reload source (SIGHUP / `POST /admin/reload` re-read it).
     /// The `ETag` comes from the file's stored trailer — no re-encode.
+    /// A file that cannot be read or decoded fails with
+    /// [`io::ErrorKind::InvalidData`] before anything binds, so a caller
+    /// can tell it from a failed bind.
     pub fn start_file(path: &std::path::Path, addr: &str, opts: ServeOptions) -> io::Result<Server> {
-        let (corpus, trailer) =
-            Corpus::read_file_with_trailer(path).map_err(io::Error::other)?;
+        let (corpus, trailer) = Corpus::read_file_with_trailer(path)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         Server::start_inner(corpus, Some((path.to_path_buf(), trailer)), addr, opts)
     }
 

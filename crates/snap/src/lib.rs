@@ -42,14 +42,22 @@
 //! are detected up front. Sections are length-prefixed, which lets a
 //! reader skip networks it does not care about without decoding them.
 //!
-//! The manifest footer ([`Manifest`]) indexes each section's payload by
-//! absolute byte range. It is purely structural — derivable from the
-//! sections themselves — so re-encoding a decoded corpus reproduces it
-//! byte for byte. Its purpose is incremental splicing: the delta engine
-//! copies an unchanged network's encoded bytes straight out of the
-//! previous container (located via the manifest) instead of re-encoding
-//! the network, and [`assemble_container`] glues pre-encoded payloads
-//! back into a valid container.
+//! [`Frames::read`] is the one reader of this framing: it walks a
+//! container once and returns its frame table, the byte range of every
+//! field above. Everything else that needs an offset takes it from that
+//! table: [`Corpus::from_bytes`] decodes the payload ranges, the delta
+//! engine copies an unchanged network's payload straight out of the
+//! previous container instead of re-encoding it, `rdx snap --info`
+//! prints the table, and `rd-chaos` truncates and bombs containers at
+//! its boundaries. [`assemble_container`] is the one writer.
+//!
+//! The manifest footer indexes each section's payload by absolute byte
+//! range. It is purely structural — derivable from the sections
+//! themselves — so re-encoding a decoded corpus reproduces it byte for
+//! byte. No reader takes offsets from it any more: [`Frames::read`]
+//! cross-checks it against the frames it walked and rejects a container
+//! where the two disagree. Dropping it would change the bytes and needs
+//! a [`FORMAT_VERSION`] bump.
 //!
 //! The payload layout is *not* self-describing. The `snap_struct!` and
 //! `snap_enum!` declarations in [`model`] (and [`NetworkSnapshot`]'s
@@ -132,6 +140,8 @@ pub mod codec;
 mod model;
 
 pub use codec::{fnv1a64, fnv1a64_extend, DecodeError, Reader, Snap, Writer};
+
+use std::ops::Range;
 
 use ioscfg::RouterConfig;
 use netaddr::BlockTree;
@@ -273,69 +283,10 @@ impl Corpus {
         assemble_container(&sections)
     }
 
-    /// Deserializes a corpus, validating magic, version and checksum.
+    /// Deserializes a corpus: reads the container's frame table
+    /// ([`Frames::read`]), then decodes the payloads it lists.
     pub fn from_bytes(bytes: &[u8]) -> Result<Corpus, DecodeError> {
-        let body = validated_body(bytes)?;
-        let mut r = Reader::new(body);
-        let count = read_header(&mut r)?;
-        // First pass: slice out the (name, payload) frames sequentially —
-        // cheap, no decoding. Second pass: decode section payloads in
-        // parallel over `rd-par`; results come back in input order, so
-        // the corpus is identical at any `RD_THREADS`.
-        let mut sections = Vec::with_capacity(count);
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let name = r.string()?;
-            let len = r.len()?;
-            if len > MAX_SECTION_BYTES {
-                return Err(DecodeError::new(format!(
-                    "section '{name}' declares {len} bytes, over the {MAX_SECTION_BYTES} cap"
-                )));
-            }
-            let offset = r.position();
-            sections.push((name.clone(), r.raw(len)?));
-            entries.push(ManifestEntry { name, offset, len });
-        }
-        // What remains must be exactly the manifest payload plus its
-        // 8-byte length field, and the manifest must agree with the
-        // frames just sliced — the splicing index is only trustworthy if
-        // it matches the data it indexes.
-        let declared = read_manifest_len(body)?;
-        if r.remaining() != declared + 8 {
-            return Err(DecodeError::new(format!(
-                "{} bytes between last section and manifest length field \
-                 (manifest declares {declared})",
-                r.remaining().saturating_sub(8),
-            )));
-        }
-        let manifest = decode_manifest(r.raw(declared)?)?;
-        if manifest.entries != entries {
-            return Err(DecodeError::new(
-                "manifest does not match the section frames it indexes",
-            ));
-        }
-        let decoded = rd_par::par_map(&sections, |_, (name, payload)| {
-            let mut pr = Reader::new(payload);
-            let net = NetworkSnapshot::decode(&mut pr)?;
-            if !pr.is_at_end() {
-                return Err(DecodeError::new(format!(
-                    "section '{name}' has {} trailing bytes",
-                    pr.remaining()
-                )));
-            }
-            if net.name != *name {
-                return Err(DecodeError::new(format!(
-                    "section name '{name}' does not match network name '{}'",
-                    net.name
-                )));
-            }
-            Ok(net)
-        });
-        let mut networks = Vec::with_capacity(count);
-        for result in decoded {
-            networks.push(std::sync::Arc::new(result?));
-        }
-        Ok(Corpus { networks })
+        Frames::read(bytes)?.decode(bytes)
     }
 
     /// Writes the snapshot to a file via [`write_atomic`]: a crash at any
@@ -375,73 +326,145 @@ impl Corpus {
     }
 }
 
-/// One manifest entry: a section's name and the absolute byte range its
-/// encoded payload occupies in the container.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ManifestEntry {
-    /// Section (network) name, matching the frame's name field.
+/// Where one section's frame lies in a container: the network's name,
+/// then its payload's length field, then the payload.
+#[derive(Clone, Debug)]
+pub struct Frame {
+    /// Section (network) name.
     pub name: String,
-    /// Absolute offset of the payload's first byte from the start of the
-    /// container.
-    pub offset: usize,
-    /// Payload length in bytes.
-    pub len: usize,
+    /// Byte range of the payload's length field, a varint.
+    pub len_field: Range<usize>,
+    /// Byte range of the encoded [`NetworkSnapshot`].
+    pub payload: Range<usize>,
 }
 
-/// The per-section offset table stored as the container's footer.
+/// A container's frame table: the byte range of every framing field,
+/// read by one walk over the container ([`Frames::read`]). Offsets are
+/// absolute, from the first byte of the file.
 ///
-/// Purely structural — [`Corpus::to_bytes`] regenerates it from the
-/// sections, so it never carries state of its own — but it lets a reader
-/// locate any network's encoded payload without walking the frames:
-/// [`Manifest::read`] validates only the checksum/magic/version and the
-/// footer itself, never decoding a section. The delta engine uses this
-/// to splice unchanged networks' bytes from a previous container, and
-/// `rdx snap --info` prints it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Manifest {
-    /// Entries in container (canonical name) order.
-    pub entries: Vec<ManifestEntry>,
+/// [`Corpus::from_bytes`] decodes the payload ranges it lists; the delta
+/// engine's seed copies the same ranges as its cached payloads; `rdx snap
+/// --info` prints them; `rd-chaos` cuts and bombs a container at them.
+#[derive(Clone, Debug)]
+pub struct Frames {
+    /// The ends of the magic, the format version and the section count.
+    pub header: [usize; 3],
+    /// The section frames, in container (canonical name) order.
+    pub sections: Vec<Frame>,
+    /// Byte range of the manifest footer's entries.
+    pub manifest: Range<usize>,
+    /// Byte range of the manifest's fixed-width length field and the
+    /// checksum trailer that follows it (8 bytes each).
+    pub footer: Range<usize>,
 }
 
-impl Manifest {
-    /// Reads the manifest footer from full container bytes, validating
-    /// the checksum, magic, and version but decoding no section payload.
-    pub fn read(bytes: &[u8]) -> Result<Manifest, DecodeError> {
+impl Frames {
+    /// Walks a container once, validating the checksum, magic, version,
+    /// section count, every section frame and the manifest footer, which
+    /// must index exactly the frames walked. No payload is decoded.
+    pub fn read(bytes: &[u8]) -> Result<Frames, DecodeError> {
         let body = validated_body(bytes)?;
         let mut r = Reader::new(body);
-        let count = read_header(&mut r)?;
-        let declared = read_manifest_len(body)?;
-        let manifest_start = body
-            .len()
-            .checked_sub(8 + declared)
-            .filter(|&s| s >= r.position())
-            .ok_or_else(|| {
-                DecodeError::new("manifest length field overlaps the container header")
-            })?;
-        let manifest = decode_manifest(&body[manifest_start..body.len() - 8])?;
-        if manifest.entries.len() != count {
+        let mut header = [0; 3];
+        if r.raw(MAGIC.len())? != MAGIC {
+            return Err(DecodeError::new("bad magic: not an rd-snap file"));
+        }
+        header[0] = r.position();
+        let version = r.u64()?;
+        if version != u64::from(FORMAT_VERSION) {
             return Err(DecodeError::new(format!(
-                "manifest holds {} entries but the header declares {count} sections",
-                manifest.entries.len()
+                "unsupported snapshot format version {version} (this tool reads {FORMAT_VERSION})"
             )));
         }
-        for e in &manifest.entries {
-            let end = e.offset.checked_add(e.len);
-            if e.offset < MAGIC.len() || end.map_or(true, |end| end > manifest_start) {
+        header[1] = r.position();
+        let count = r.len()?;
+        if count > MAX_SECTIONS {
+            return Err(DecodeError::new(format!(
+                "section count {count} exceeds hard cap {MAX_SECTIONS}"
+            )));
+        }
+        header[2] = r.position();
+        let mut sections = Vec::with_capacity(count);
+        for _ in 0..count {
+            let name = r.string()?;
+            let len_at = r.position();
+            let len = r.len()?;
+            if len > MAX_SECTION_BYTES {
                 return Err(DecodeError::new(format!(
-                    "manifest entry '{}' points outside the section region",
-                    e.name
+                    "section '{name}' declares {len} bytes, over the {MAX_SECTION_BYTES} cap"
                 )));
             }
+            let start = r.position();
+            r.raw(len)?;
+            sections.push(Frame { name, len_field: len_at..start, payload: start..start + len });
         }
-        Ok(manifest)
+        // What remains must be exactly the manifest entries plus their
+        // 8-byte length field, and the entries must agree with the frames
+        // just walked.
+        let declared = read_manifest_len(body)?;
+        if r.remaining() != declared + 8 {
+            return Err(DecodeError::new(format!(
+                "{} bytes between last section and manifest length field \
+                 (manifest declares {declared})",
+                r.remaining().saturating_sub(8),
+            )));
+        }
+        let start = r.position();
+        let indexed = decode_manifest(r.raw(declared)?)?;
+        let walked = sections.iter().map(|f| (f.name.as_str(), f.payload.start, f.payload.len()));
+        if !indexed.iter().map(|(name, at, len)| (name.as_str(), *at, *len)).eq(walked) {
+            return Err(DecodeError::new(
+                "manifest does not match the section frames it indexes",
+            ));
+        }
+        let footer = body.len() - 8..bytes.len();
+        Ok(Frames { header, sections, manifest: start..start + declared, footer })
     }
 
-    /// The payload byte range of section `name`, sliced out of the same
-    /// container bytes the manifest was read from.
-    pub fn payload<'a>(&self, bytes: &'a [u8], name: &str) -> Option<&'a [u8]> {
-        let e = self.entries.iter().find(|e| e.name == name)?;
-        bytes.get(e.offset..e.offset + e.len)
+    /// The offset after each framing field, in file order: the magic, the
+    /// version, the section count, each section's name, length field and
+    /// payload, the manifest entries and the manifest length field.
+    /// Cutting the container at one of them leaves only whole fields.
+    pub fn boundaries(&self) -> Vec<usize> {
+        let mut cuts = self.header.to_vec();
+        for f in &self.sections {
+            cuts.extend([f.len_field.start, f.payload.start, f.payload.end]);
+        }
+        cuts.extend([self.manifest.end, self.footer.start + 8]);
+        cuts
+    }
+
+    /// Decodes the payload of every section, sliced out of `bytes` (the
+    /// container this table was read from), in parallel over `rd-par`.
+    /// Results come back in section order, so the corpus is identical at
+    /// any `RD_THREADS`.
+    pub fn decode(&self, bytes: &[u8]) -> Result<Corpus, DecodeError> {
+        let decoded = rd_par::par_map(&self.sections, |_, frame| {
+            let name = &frame.name;
+            let payload = bytes.get(frame.payload.clone()).ok_or_else(|| {
+                DecodeError::new(format!("section '{name}' lies outside the container"))
+            })?;
+            let mut pr = Reader::new(payload);
+            let net = NetworkSnapshot::decode(&mut pr)?;
+            if !pr.is_at_end() {
+                return Err(DecodeError::new(format!(
+                    "section '{name}' has {} trailing bytes",
+                    pr.remaining()
+                )));
+            }
+            if net.name != *name {
+                return Err(DecodeError::new(format!(
+                    "section name '{name}' does not match network name '{}'",
+                    net.name
+                )));
+            }
+            Ok(net)
+        });
+        let mut networks = Vec::with_capacity(decoded.len());
+        for result in decoded {
+            networks.push(std::sync::Arc::new(result?));
+        }
+        Ok(Corpus { networks })
     }
 }
 
@@ -497,27 +520,6 @@ fn validated_body(bytes: &[u8]) -> Result<&[u8], DecodeError> {
     Ok(body)
 }
 
-/// Reads and validates the container header (magic, version, section
-/// count), leaving `r` positioned at the first section frame.
-fn read_header(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
-    if r.raw(MAGIC.len())? != MAGIC {
-        return Err(DecodeError::new("bad magic: not an rd-snap file"));
-    }
-    let version = r.u64()?;
-    if version != u64::from(FORMAT_VERSION) {
-        return Err(DecodeError::new(format!(
-            "unsupported snapshot format version {version} (this tool reads {FORMAT_VERSION})"
-        )));
-    }
-    let count = r.len()?;
-    if count > MAX_SECTIONS {
-        return Err(DecodeError::new(format!(
-            "section count {count} exceeds hard cap {MAX_SECTIONS}"
-        )));
-    }
-    Ok(count)
-}
-
 /// Reads the fixed-width manifest length field from the last 8 bytes of
 /// the body, bounds-checked against the body itself.
 fn read_manifest_len(body: &[u8]) -> Result<usize, DecodeError> {
@@ -529,14 +531,15 @@ fn read_manifest_len(body: &[u8]) -> Result<usize, DecodeError> {
     let declared = u64::from_le_bytes(field);
     usize::try_from(declared)
         .ok()
-        .filter(|&d| d + 8 <= body.len())
+        .filter(|&d| d <= body.len() - 8)
         .ok_or_else(|| {
             DecodeError::new(format!("manifest length {declared} exceeds the container"))
         })
 }
 
-/// Decodes the manifest payload (count + entries).
-fn decode_manifest(payload: &[u8]) -> Result<Manifest, DecodeError> {
+/// Decodes the manifest entries: per section its name, absolute payload
+/// offset and payload length.
+fn decode_manifest(payload: &[u8]) -> Result<Vec<(String, usize, usize)>, DecodeError> {
     let mut r = Reader::new(payload);
     let count = r.len()?;
     if count > MAX_SECTIONS {
@@ -546,10 +549,7 @@ fn decode_manifest(payload: &[u8]) -> Result<Manifest, DecodeError> {
     }
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
-        let name = r.string()?;
-        let offset = r.usize()?;
-        let len = r.usize()?;
-        entries.push(ManifestEntry { name, offset, len });
+        entries.push((r.string()?, r.usize()?, r.usize()?));
     }
     if !r.is_at_end() {
         return Err(DecodeError::new(format!(
@@ -557,7 +557,7 @@ fn decode_manifest(payload: &[u8]) -> Result<Manifest, DecodeError> {
             r.remaining()
         )));
     }
-    Ok(Manifest { entries })
+    Ok(entries)
 }
 
 /// Extracts the stored FNV-1a-64 trailer from raw snapshot bytes without
@@ -810,43 +810,67 @@ router bgp 65000
         let bytes = corpus.to_bytes();
         let restored = Corpus::from_bytes(&bytes).unwrap();
         assert!(restored.networks.is_empty());
-        let manifest = Manifest::read(&bytes).expect("empty manifest reads");
-        assert!(manifest.entries.is_empty());
+    }
+
+    #[test]
+    fn layout_walks_an_empty_corpus() {
+        let bytes = Corpus::default().to_bytes();
+        let frames = Frames::read(&bytes).expect("empty container reads");
+        // magic | version | count, no sections, then the manifest entries
+        // and their length field.
+        assert_eq!(frames.boundaries(), [6, 7, 8, 9, 17]);
+        assert!(frames.sections.is_empty());
+        assert_eq!(frames.manifest, 8..9);
+        assert_eq!(frames.footer, 9..25);
+        assert_eq!(frames.footer.end, bytes.len());
     }
 
     #[test]
     fn manifest_indexes_every_section() {
         let corpus = Corpus::new(vec![tiny_snapshot("beta"), tiny_snapshot("alpha")]);
         let bytes = corpus.to_bytes();
-        let manifest = Manifest::read(&bytes).expect("manifest reads");
-        assert_eq!(manifest.entries.len(), 2);
-        assert_eq!(manifest.entries[0].name, "alpha");
-        assert_eq!(manifest.entries[1].name, "beta");
-        // Each entry's byte range decodes to exactly its network.
-        for e in &manifest.entries {
-            let payload = manifest.payload(&bytes, &e.name).expect("payload slice");
-            assert_eq!(payload.len(), e.len);
-            let mut r = Reader::new(payload);
+        let frames = Frames::read(&bytes).expect("frames read");
+        let names: Vec<&str> = frames.sections.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["alpha", "beta"]);
+        // The manifest footer lists each frame's payload range...
+        let entries = decode_manifest(&bytes[frames.manifest.clone()]).expect("manifest");
+        for (f, (name, offset, len)) in frames.sections.iter().zip(&entries) {
+            assert_eq!((name, *offset, *len), (&f.name, f.payload.start, f.payload.len()));
+        }
+        // ...and each range decodes to exactly its network.
+        for f in &frames.sections {
+            let mut r = Reader::new(&bytes[f.payload.clone()]);
             let net = NetworkSnapshot::decode(&mut r).expect("payload decodes");
-            assert_eq!(net.name, e.name);
+            assert_eq!(net.name, f.name);
             assert!(r.is_at_end());
         }
     }
 
     #[test]
     fn spliced_container_is_byte_identical() {
-        // Reassembling from manifest-located payload slices reproduces
+        // Reassembling from the frame table's payload slices reproduces
         // the container exactly — the property the delta engine's
         // unchanged-network splicing rests on.
         let corpus = Corpus::new(vec![tiny_snapshot("beta"), tiny_snapshot("alpha")]);
         let bytes = corpus.to_bytes();
-        let manifest = Manifest::read(&bytes).expect("manifest reads");
-        let sections: Vec<(&str, &[u8])> = manifest
-            .entries
+        let frames = Frames::read(&bytes).expect("frames read");
+        let sections: Vec<(&str, &[u8])> = frames
+            .sections
             .iter()
-            .map(|e| (e.name.as_str(), manifest.payload(&bytes, &e.name).expect("slice")))
+            .map(|f| (f.name.as_str(), &bytes[f.payload.clone()]))
             .collect();
         assert_eq!(assemble_container(&sections), bytes);
+    }
+
+    #[test]
+    fn huge_manifest_length_is_an_error_not_an_overflow() {
+        let mut bytes = Corpus::default().to_bytes();
+        let body_len = bytes.len() - 8;
+        bytes[body_len - 8..body_len].copy_from_slice(&u64::MAX.to_le_bytes());
+        let sum = fnv1a64(&bytes[..body_len]).to_le_bytes();
+        bytes[body_len..].copy_from_slice(&sum);
+        let err = Corpus::from_bytes(&bytes).unwrap_err();
+        assert!(err.message.ends_with("exceeds the container"), "got: {err}");
     }
 
     #[test]

@@ -16,9 +16,8 @@ echo "==> cargo test -q (twice: a racy pass must not hide)"
 cargo test -q
 cargo test -q
 
-echo "==> clippy: no unwrap() in input-facing crates (ioscfg, rd-snap, rd-serve, nettopo, rd-plan, rd-chaos, rd-bench, rd-par, rd-obs, netaddr, routing-model, reachability, anonymizer)"
-cargo clippy -q -p ioscfg -p rd-snap -p rd-serve -p nettopo -p rd-plan -p rd-chaos -p rd-bench -p rd-par -p rd-obs \
-    -p netaddr -p routing-model -p reachability -p anonymizer -- -D clippy::unwrap_used
+echo "==> clippy: no unwrap() in any workspace crate"
+cargo clippy -q --workspace -- -D clippy::unwrap_used
 echo "    ok"
 
 echo "==> CLI contract: one flag parser, usage errors exit 2, --flag=value == --flag value"

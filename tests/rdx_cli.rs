@@ -98,3 +98,35 @@ fn usage_errors_exit_2() {
     }
     fs::remove_dir_all(&root).ok();
 }
+
+/// `rdx snap --info` prints the frame table of the snapshot of
+/// `emit_study --small net15` exactly as `tests/golden/snap_info_net15.txt`
+/// holds it (the file is named relative to the working directory, so
+/// the first line is fixed too).
+#[test]
+fn snap_info_prints_the_pinned_frame_table() {
+    let root = scratch("info");
+    let spec = netgen::study_roster(netgen::StudyScale::Small)
+        .into_iter()
+        .find(|spec| spec.name == "net15")
+        .expect("net15 is in the roster");
+    let net15 = root.join("tree").join("net15");
+    fs::create_dir_all(&net15).expect("create tree");
+    for (name, text) in netgen::study::generate_network(&spec, netgen::StudyScale::Small).texts {
+        fs::write(net15.join(name), text).expect("write config");
+    }
+    let snap = root.join("net15.rdsnap");
+    let out = rdx(&[Path::new("snap"), &root.join("tree"), Path::new("-o"), &snap]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let out = Command::new(env!("CARGO_BIN_EXE_rdx"))
+        .args(["snap", "--info", "net15.rdsnap"])
+        .current_dir(&root)
+        .output()
+        .expect("spawn rdx");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/snap_info_net15.txt");
+    let golden = fs::read_to_string(golden).expect("golden file");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), golden);
+    fs::remove_dir_all(&root).ok();
+}

@@ -3,7 +3,9 @@
 //! — must come back as a decode error, never a panic and never a
 //! silently-partial corpus. Same for length-bomb variants that splice an
 //! absurd section length behind a valid checksum: the decoder's hard caps
-//! must reject them before allocating.
+//! must reject them before allocating. The boundaries and length fields
+//! come from rd-snap's frame table; one fixed container pins them, and
+//! what each `rd-chaos` snapshot mutator makes of it, byte for byte.
 
 use std::panic::catch_unwind;
 
@@ -29,18 +31,17 @@ fn corpus_bytes() -> Vec<u8> {
     rd_snap::Corpus::new(vec![snap]).to_bytes()
 }
 
-/// LEB128 varint encoding, mirroring the container writer.
-fn encode_varint(mut v: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return out;
-        }
-        out.push(b | 0x80);
-    }
+/// `bytes` (a whole container) with the varint `field` replaced by
+/// `value`, written as the container writer writes one, and a freshly
+/// valid checksum, so only the structural decoder can reject it.
+fn bomb(bytes: &[u8], field: std::ops::Range<usize>, value: u64) -> Vec<u8> {
+    let mut varint = rd_snap::Writer::new();
+    varint.u64(value);
+    let mut body = bytes[..bytes.len() - 8].to_vec();
+    body.splice(field, varint.into_bytes());
+    let sum = rd_snap::fnv1a64(&body);
+    body.extend_from_slice(&sum.to_le_bytes());
+    body
 }
 
 /// Decodes under `catch_unwind`; panics the test if decoding panics.
@@ -56,15 +57,11 @@ fn decode_must_error(bytes: Vec<u8>, what: &str) {
 #[test]
 fn truncation_at_every_boundary_is_an_error_not_a_panic() {
     let bytes = corpus_bytes();
-    let layout = rd_chaos::snapshot_layout(&bytes);
+    let boundaries = rd_snap::Frames::read(&bytes).expect("frame table").boundaries();
     let body_len = bytes.len() - 8;
-    assert!(
-        layout.boundaries.len() >= 3 + 3,
-        "layout walker found too few boundaries: {:?}",
-        layout.boundaries
-    );
+    assert!(boundaries.len() >= 3 + 3, "too few boundaries: {boundaries:?}");
 
-    for &cut in &layout.boundaries {
+    for &cut in &boundaries {
         if cut >= body_len {
             continue; // cutting at the end reproduces the original
         }
@@ -83,21 +80,17 @@ fn truncation_at_every_boundary_is_an_error_not_a_panic() {
 #[test]
 fn length_bombs_are_rejected_by_the_decode_caps() {
     let bytes = corpus_bytes();
-    let layout = rd_chaos::snapshot_layout(&bytes);
-    assert!(!layout.length_varints.is_empty(), "no section length varints found");
+    let frames = rd_snap::Frames::read(&bytes).expect("frame table");
+    assert!(!frames.sections.is_empty(), "no section length fields found");
 
     // Claimed lengths far beyond the real payload and beyond the decoder's
     // MAX_SECTION_BYTES cap. Each variant gets a freshly valid checksum so
     // only the cap can reject it.
-    for &(offset, encoded_len) in &layout.length_varints {
-        for bomb in [u64::MAX, 1 << 40, u32::MAX as u64] {
-            let mut body = bytes[..bytes.len() - 8].to_vec();
-            body.splice(offset..offset + encoded_len, encode_varint(bomb));
-            let sum = rd_snap::fnv1a64(&body);
-            body.extend_from_slice(&sum.to_le_bytes());
+    for frame in &frames.sections {
+        for value in [u64::MAX, 1 << 40, u32::MAX as u64] {
             decode_must_error(
-                body,
-                &format!("length bomb {bomb:#x} at varint offset {offset}"),
+                bomb(&bytes, frame.len_field.clone(), value),
+                &format!("length bomb {value:#x} at offset {}", frame.len_field.start),
             );
         }
     }
@@ -106,13 +99,75 @@ fn length_bombs_are_rejected_by_the_decode_caps() {
 #[test]
 fn section_count_bomb_is_rejected() {
     let bytes = corpus_bytes();
-    let layout = rd_chaos::snapshot_layout(&bytes);
-    // boundaries[1] is the start of the section-count varint,
-    // boundaries[2] its end.
-    let (start, end) = (layout.boundaries[1], layout.boundaries[2]);
-    let mut body = bytes[..bytes.len() - 8].to_vec();
-    body.splice(start..end, encode_varint(u64::MAX));
-    let sum = rd_snap::fnv1a64(&body);
-    body.extend_from_slice(&sum.to_le_bytes());
-    decode_must_error(body, "section count bomb");
+    // The section count lies between the ends of the version and the
+    // count.
+    let header = rd_snap::Frames::read(&bytes).expect("frame table").header;
+    decode_must_error(bomb(&bytes, header[1]..header[2], u64::MAX), "section count bomb");
+}
+
+/// Two one-router networks, `alpha` and `beta`: 429 bytes.
+fn pinned_container() -> Vec<u8> {
+    let texts = |host: &str, octet: u8| {
+        vec![(
+            "config1".to_string(),
+            format!(
+                "hostname {host}\ninterface Ethernet0\n ip address 10.0.{octet}.1 255.255.255.0\n\
+                 router ospf 1\n network 10.0.0.0 0.255.255.255 area 0\n"
+            ),
+        )]
+    };
+    let alpha = NetworkAnalysis::from_texts(texts("ra", 1)).expect("alpha parses");
+    let beta = NetworkAnalysis::from_texts(texts("rb", 2)).expect("beta parses");
+    rd_snap::Corpus::new(vec![snapshot::capture("beta", beta), snapshot::capture("alpha", alpha)])
+        .to_bytes()
+}
+
+/// The frame table of one fixed container, and the decode error each
+/// cut and each snapshot mutator produces on it. Every figure was
+/// captured from the container walker that rd-chaos carried before
+/// rd-snap's frame table replaced it, and from the decoder of that time.
+#[test]
+fn frame_table_and_mutator_errors_are_pinned() {
+    let bytes = pinned_container();
+    assert_eq!(bytes.len(), 429);
+    assert_eq!(rd_snap::fnv1a64(&bytes), 0x3e8d_6589_b10c_0d5f);
+    let frames = rd_snap::Frames::read(&bytes).expect("frame table");
+    assert_eq!(frames.boundaries(), [6, 7, 8, 14, 16, 202, 207, 209, 394, 413, 421]);
+    let len_fields: Vec<_> = frames.sections.iter().map(|f| f.len_field.clone()).collect();
+    assert_eq!(len_fields, [14..16, 207..209]);
+
+    let cuts: &[(usize, &str)] = &[
+        (6, "unexpected end of snapshot"),
+        (7, "unexpected end of snapshot"),
+        (8, "length 2 exceeds remaining 0 bytes"),
+        (14, "unexpected end of snapshot"),
+        (16, "length 186 exceeds remaining 0 bytes"),
+        (202, "unexpected end of snapshot"),
+        (207, "unexpected end of snapshot"),
+        (209, "length 185 exceeds remaining 0 bytes"),
+        (394, "manifest length 1146065880437736125 exceeds the container"),
+        (413, "manifest length 124132463524210018 exceeds the container"),
+    ];
+    for &(cut, want) in cuts {
+        let err = rd_snap::Corpus::from_bytes(&rd_chaos::truncate_rechecksum(&bytes, cut));
+        assert_eq!(err.err().map(|e| e.message).as_deref(), Some(want), "cut at {cut}");
+    }
+
+    let mutated: &[(rd_chaos::SnapMutator, &str)] = &[
+        (
+            rd_chaos::SnapMutator::TruncateAtBoundary,
+            "manifest length 1146065880437736125 exceeds the container",
+        ),
+        (
+            rd_chaos::SnapMutator::BitFlip,
+            "checksum mismatch: stored 825ca70fec8f48f9, computed 826a3f0fec9ad59d",
+        ),
+        (rd_chaos::SnapMutator::LengthBomb, "length 281474976710656 exceeds remaining 405 bytes"),
+    ];
+    for &(mutator, want) in mutated {
+        let mut rng = rd_rng::StdRng::seed_from_u64(7);
+        let out = rd_chaos::corrupt_snapshot(&mut rng, mutator, &bytes);
+        let err = rd_snap::Corpus::from_bytes(&out);
+        assert_eq!(err.err().map(|e| e.message).as_deref(), Some(want), "{}", mutator.name());
+    }
 }

@@ -82,11 +82,12 @@ fn torn_tmp_at_every_boundary_is_quarantined_and_last_good_survives() {
     let bytes = corpus_bytes();
     rd_snap::write_atomic(&last_good, &bytes).expect("seed last-good");
 
-    let layout = rd_chaos::snapshot_layout(&bytes);
-    let mut cuts: Vec<usize> = layout.boundaries.iter().copied().filter(|&b| b < bytes.len()).collect();
+    let frames = rd_snap::Frames::read(&bytes).expect("frame table");
+    let mut cuts: Vec<usize> =
+        frames.boundaries().into_iter().filter(|&b| b < bytes.len()).collect();
     cuts.push(0);
     cuts.push(bytes.len() - 1);
-    assert!(cuts.len() > 4, "layout produced no boundaries to truncate at");
+    assert!(cuts.len() > 4, "the frame table has no boundaries to truncate at");
 
     for cut in cuts {
         let tmp = rd_snap::tmp_path(&last_good);
