@@ -39,7 +39,7 @@ use std::process::ExitCode;
 
 use netgen::{repository_sizes, StudyScale};
 use rd_bench::analyzed_study;
-use rd_bench::timing::{bench_scale, render_json};
+use rd_bench::timing::{bench_scale, render_json, BenchSections};
 use rd_obs::cli::{self, CliError, Flag, Table};
 use rd_obs::Observe;
 use routing_design::report::{render_fig4, render_table3, StudyNetwork, StudyReport};
@@ -397,12 +397,14 @@ fn bench(small_only: bool) {
             &rd_bench::timing::BenchEnv::detect(),
             &rd_obs::metrics::snapshot(),
             &results,
-            Some(&snap),
-            Some(&serve_load),
-            Some(&external),
-            Some(&plans),
-            Some(&incremental),
-            &cache_builds,
+            &BenchSections {
+                snap: &snap,
+                serve_load: &serve_load,
+                external: &external,
+                plan: &plans,
+                incremental: &incremental,
+                cache_builds: &cache_builds,
+            },
         ),
     )
     .expect("write BENCH_repro.json");

@@ -47,10 +47,7 @@ pub fn chaos_study(scale: StudyScale, seed: u64) -> (Vec<StudyNetwork>, Vec<Drop
         let generated = netgen::study::generate_network(spec, scale);
         let mut files: Vec<(String, Vec<u8>)> =
             generated.texts.into_iter().map(|(n, t)| (n, t.into_bytes())).collect();
-        let mut rng = rd_rng::StdRng::seed_from_u64(
-            seed ^ (index as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        );
-        let mutator = rd_chaos::CONFIG_MUTATORS[index % rd_chaos::CONFIG_MUTATORS.len()];
+        let (mutator, mut rng) = rd_chaos::config_trial(seed, index);
         if !files.is_empty() {
             let victim = rng.gen_range(0..files.len());
             match rd_chaos::mutate_config(&mut rng, mutator, &files[victim].1) {

@@ -256,7 +256,8 @@ pub fn bench_serve_load(corpus: Corpus, load: &crate::loadgen::LoadOptions) -> S
         let names: Vec<String> = corpus.networks.iter().map(|n| n.name.clone()).collect();
         opts.paths = crate::loadgen::mixed_paths(&names);
     }
-    let server = rd_serve::Server::start(corpus, "127.0.0.1:0", 0).expect("bench server");
+    let serve = rd_serve::ServeOptions::default();
+    let server = rd_serve::Server::start(corpus, None, "127.0.0.1:0", serve).expect("bench server");
     let stats = crate::loadgen::run(server.local_addr(), &opts).expect("load run");
     server.shutdown();
     ServeLoadBench { conns: opts.conns, pipeline: opts.pipeline, stats }
@@ -285,7 +286,8 @@ pub struct CacheBuildBench {
 pub fn bench_cache_build(scale: StudyScale, corpus: Corpus) -> CacheBuildBench {
     let networks = corpus.networks.len();
     let (server, spans) = rd_obs::span::all_stages(|| {
-        rd_serve::Server::start(corpus, "127.0.0.1:0", 1).expect("bench server")
+        let opts = rd_serve::ServeOptions { workers: 1, ..rd_serve::ServeOptions::default() };
+        rd_serve::Server::start(corpus, None, "127.0.0.1:0", opts).expect("bench server")
     });
     server.shutdown();
     let mut phases = StageTimings::new();
@@ -501,31 +503,44 @@ impl BenchEnv {
     }
 }
 
+/// The measured sections of a `repro --bench` run, beside its per-scale
+/// study walls.
+pub struct BenchSections<'a> {
+    /// Snapshot size and write/load timings vs re-analysis.
+    pub snap: &'a SnapBench,
+    /// The pipelined mixed-endpoint load run.
+    pub serve_load: &'a ServeLoadBench,
+    /// The isolated external-classification stage.
+    pub external: &'a ExternalBench,
+    /// The reconfiguration-planning scenarios.
+    pub plan: &'a [PlanBench],
+    /// Cold study wall vs delta refreshes.
+    pub incremental: &'a IncrementalBench,
+    /// The serve cache build per scale.
+    pub cache_builds: &'a [CacheBuildBench],
+}
+
 /// Renders bench results as the `BENCH_repro.json` document, a pure
-/// function of its arguments. The document additionally carries the run's
-/// `"env"` ([`BenchEnv`]), `metrics` (`rd_obs::metrics::snapshot()` in a
-/// real run) as a top-level `"metrics"` object (counters/gauges as
-/// numbers, histograms as objects), and — when measured — `"snap"`
-/// (snapshot size and write/load timings vs re-analysis), `"bench_serve"`
-/// (the pipelined mixed-endpoint load run: throughput plus p50/p99/p999),
-/// `"bench_external"` (the isolated external-classification stage),
-/// `"bench_plan"` (the reconfiguration-planning scenarios),
-/// `"bench_incremental"` (cold study wall vs delta refreshes with reuse
-/// accounting and the one-change refresh's phases) objects, and a
-/// `"bench_cache_build"` array (the serve cache build per scale). All
-/// additive, so existing consumers of `"scales"` are unaffected.
-#[allow(clippy::too_many_arguments)]
+/// function of its arguments. Besides `"scales"`, the document carries
+/// the run's `"env"` ([`BenchEnv`]), `metrics` (`rd_obs::metrics::snapshot()`
+/// in a real run) as a top-level `"metrics"` object (counters/gauges as
+/// numbers, histograms as objects), and one member per section:
+/// `"snap"` (snapshot size and write/load timings vs re-analysis),
+/// `"bench_serve"` (the pipelined mixed-endpoint load run: throughput
+/// plus p50/p99/p999), `"bench_external"` (the isolated
+/// external-classification stage), `"bench_plan"` (the
+/// reconfiguration-planning scenarios), `"bench_incremental"` (cold study
+/// wall vs delta refreshes with reuse accounting and the one-change
+/// refresh's phases), and `"bench_cache_build"` (the serve cache build
+/// per scale).
 pub fn render_json(
     env: &BenchEnv,
     metrics: &[(String, Metric)],
     scales: &[ScaleBench],
-    snap: Option<&SnapBench>,
-    serve_load: Option<&ServeLoadBench>,
-    external: Option<&ExternalBench>,
-    plan: Option<&[PlanBench]>,
-    incremental: Option<&IncrementalBench>,
-    cache_builds: &[CacheBuildBench],
+    sections: &BenchSections<'_>,
 ) -> String {
+    let BenchSections { snap: s, serve_load: l, external: e, plan, incremental: i, cache_builds } =
+        *sections;
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let stages = |w: &mut Writer, t: &StageTimings| {
         w.obj(Layout::Block, |w| {
@@ -547,82 +562,70 @@ pub fn render_json(
         w.key("git_rev").str(&env.git_rev);
     });
     rd_obs::metrics::write_json(w.key("metrics"), metrics);
-    if let Some(s) = snap {
-        w.key("snap").obj(Layout::Block, |w| {
-            w.key("networks").num(s.networks);
-            w.key("bytes").num(s.bytes);
-            w.key("write_ms").num(format_args!("{:.3}", ms(s.write)));
-            w.key("load_ms").num(format_args!("{:.3}", ms(s.load)));
-            w.key("analyze_ms").num(format_args!("{:.3}", ms(s.analyze)));
-            w.key("load_speedup").num(format_args!("{:.1}", s.speedup()));
-        });
-    }
-    if let Some(l) = serve_load {
-        w.key("bench_serve").obj(Layout::Block, |w| {
-            w.key("conns").num(l.conns);
-            w.key("pipeline").num(l.pipeline);
-            w.key("duration_ms").num(format_args!("{:.3}", ms(l.stats.duration)));
-            w.key("requests").num(l.stats.requests);
-            w.key("errors").num(l.stats.errors);
-            w.key("throughput_rps").num(format_args!("{:.0}", l.stats.throughput_rps));
-            w.key("p50_us").num(l.stats.p50_us);
-            w.key("p99_us").num(l.stats.p99_us);
-            w.key("p999_us").num(l.stats.p999_us);
-        });
-    }
-    if let Some(e) = external {
-        w.key("bench_external").obj(Layout::Block, |w| {
-            w.key("network").str(&e.network);
-            w.key("routers").num(e.routers);
-            w.key("interfaces").num(e.interfaces);
-            w.key("build_ms").num(format_args!("{:.3}", ms(e.build)));
-        });
-    }
-    if let Some(plans) = plan {
-        w.key("bench_plan").arr(Layout::Block, |w| {
-            for p in plans {
-                w.obj(Layout::Block, |w| {
-                    w.key("scenario").str(p.scenario);
-                    w.key("routers").num(p.routers);
-                    w.key("units").num(p.units);
-                    w.key("steps").num(p.steps);
-                    w.key("states_analyzed").num(p.states_analyzed);
-                    w.key("diff_ms").num(format_args!("{:.3}", ms(p.diff)));
-                    w.key("dag_ms").num(format_args!("{:.3}", ms(p.dag)));
-                    w.key("search_ms").num(format_args!("{:.3}", ms(p.search)));
-                });
-            }
-        });
-    }
-    if let Some(i) = incremental {
-        w.key("bench_incremental").obj(Layout::Block, |w| {
-            w.key("networks").num(i.networks);
-            w.key("cold_ms").num(format_args!("{:.3}", ms(i.cold)));
-            w.key("one_change_ms").num(format_args!("{:.3}", ms(i.one_change)));
-            stages(w.key("one_change_phases_ms"), &i.one_phases);
-            w.key("one_change_unattributed_ms")
-                .num(format_args!("{:.3}", ms(i.one_change_unattributed())));
-            w.key("one_change_reused").num(i.one_stats.reused);
-            w.key("one_change_recomputed").num(i.one_stats.recomputed);
-            w.key("one_change_files_reparsed").num(i.one_stats.files_reparsed);
-            w.key("one_change_speedup").num(format_args!("{:.1}", i.one_change_speedup()));
-            w.key("five_change_ms").num(format_args!("{:.3}", ms(i.five_change)));
-            w.key("five_change_reused").num(i.five_stats.reused);
-            w.key("five_change_recomputed").num(i.five_stats.recomputed);
-            w.key("five_change_files_reparsed").num(i.five_stats.files_reparsed);
-        });
-    }
-    if !cache_builds.is_empty() {
-        w.key("bench_cache_build").arr(Layout::Block, |w| {
-            for c in cache_builds {
-                w.obj(Layout::Block, |w| {
-                    w.key("scale").str(c.scale);
-                    w.key("networks").num(c.networks);
-                    stages(w.key("phases_ms"), &c.phases);
-                });
-            }
-        });
-    }
+    w.key("snap").obj(Layout::Block, |w| {
+        w.key("networks").num(s.networks);
+        w.key("bytes").num(s.bytes);
+        w.key("write_ms").num(format_args!("{:.3}", ms(s.write)));
+        w.key("load_ms").num(format_args!("{:.3}", ms(s.load)));
+        w.key("analyze_ms").num(format_args!("{:.3}", ms(s.analyze)));
+        w.key("load_speedup").num(format_args!("{:.1}", s.speedup()));
+    });
+    w.key("bench_serve").obj(Layout::Block, |w| {
+        w.key("conns").num(l.conns);
+        w.key("pipeline").num(l.pipeline);
+        w.key("duration_ms").num(format_args!("{:.3}", ms(l.stats.duration)));
+        w.key("requests").num(l.stats.requests);
+        w.key("errors").num(l.stats.errors);
+        w.key("throughput_rps").num(format_args!("{:.0}", l.stats.throughput_rps));
+        w.key("p50_us").num(l.stats.p50_us);
+        w.key("p99_us").num(l.stats.p99_us);
+        w.key("p999_us").num(l.stats.p999_us);
+    });
+    w.key("bench_external").obj(Layout::Block, |w| {
+        w.key("network").str(&e.network);
+        w.key("routers").num(e.routers);
+        w.key("interfaces").num(e.interfaces);
+        w.key("build_ms").num(format_args!("{:.3}", ms(e.build)));
+    });
+    w.key("bench_plan").arr(Layout::Block, |w| {
+        for p in plan {
+            w.obj(Layout::Block, |w| {
+                w.key("scenario").str(p.scenario);
+                w.key("routers").num(p.routers);
+                w.key("units").num(p.units);
+                w.key("steps").num(p.steps);
+                w.key("states_analyzed").num(p.states_analyzed);
+                w.key("diff_ms").num(format_args!("{:.3}", ms(p.diff)));
+                w.key("dag_ms").num(format_args!("{:.3}", ms(p.dag)));
+                w.key("search_ms").num(format_args!("{:.3}", ms(p.search)));
+            });
+        }
+    });
+    w.key("bench_incremental").obj(Layout::Block, |w| {
+        w.key("networks").num(i.networks);
+        w.key("cold_ms").num(format_args!("{:.3}", ms(i.cold)));
+        w.key("one_change_ms").num(format_args!("{:.3}", ms(i.one_change)));
+        stages(w.key("one_change_phases_ms"), &i.one_phases);
+        w.key("one_change_unattributed_ms")
+            .num(format_args!("{:.3}", ms(i.one_change_unattributed())));
+        w.key("one_change_reused").num(i.one_stats.reused);
+        w.key("one_change_recomputed").num(i.one_stats.recomputed);
+        w.key("one_change_files_reparsed").num(i.one_stats.files_reparsed);
+        w.key("one_change_speedup").num(format_args!("{:.1}", i.one_change_speedup()));
+        w.key("five_change_ms").num(format_args!("{:.3}", ms(i.five_change)));
+        w.key("five_change_reused").num(i.five_stats.reused);
+        w.key("five_change_recomputed").num(i.five_stats.recomputed);
+        w.key("five_change_files_reparsed").num(i.five_stats.files_reparsed);
+    });
+    w.key("bench_cache_build").arr(Layout::Block, |w| {
+        for c in cache_builds {
+            w.obj(Layout::Block, |w| {
+                w.key("scale").str(c.scale);
+                w.key("networks").num(c.networks);
+                stages(w.key("phases_ms"), &c.phases);
+            });
+        }
+    });
     w.key("scales").arr(Layout::Block, |w| {
         for s in scales {
             w.obj(Layout::Block, |w| {
@@ -773,17 +776,15 @@ mod tests {
             ("serve.request_us".to_string(), Metric::Histogram(request_us)),
         ];
         let env = BenchEnv { nproc: 2, rd_threads: Some("2".into()), git_rev: "abc123".into() };
-        let text = render_json(
-            &env,
-            &metrics,
-            &scales,
-            Some(&snap),
-            Some(&serve_load),
-            Some(&external),
-            Some(&plans),
-            Some(&incremental),
-            &cache_builds,
-        );
+        let sections = BenchSections {
+            snap: &snap,
+            serve_load: &serve_load,
+            external: &external,
+            plan: &plans,
+            incremental: &incremental,
+            cache_builds: &cache_builds,
+        };
+        let text = render_json(&env, &metrics, &scales, &sections);
         assert!(text.contains("\"speedup\": 1.80"));
         assert!(text.contains("\"parse\": 2.000"));
         assert!(text.contains("\"routers\": 7"));
@@ -810,16 +811,9 @@ mod tests {
         assert!(text.contains("\"render:/pathways\": 80.000"));
         assert_eq!(text, include_str!("../../../tests/golden/json/bench.json"));
 
-        // Without the optional sections the legacy shape is untouched.
+        // An unset RD_THREADS renders as null.
         let env = BenchEnv { nproc: 1, rd_threads: None, git_rev: "unknown".into() };
-        let legacy = render_json(&env, &[], &scales, None, None, None, None, None, &[]);
-        assert!(legacy.contains("\"rd_threads\": null"));
-        assert!(!legacy.contains("\"snap\""));
-        assert!(!legacy.contains("\"bench_serve\""));
-        assert!(!legacy.contains("\"bench_external\""));
-        assert!(!legacy.contains("\"bench_plan\""));
-        assert!(!legacy.contains("\"bench_incremental\""));
-        assert!(!legacy.contains("\"bench_cache_build\""));
+        assert!(render_json(&env, &[], &scales, &sections).contains("\"rd_threads\": null"));
     }
 
     #[test]

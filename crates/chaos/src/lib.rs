@@ -80,6 +80,15 @@ pub const CONFIG_MUTATORS: &[ConfigMutator] = &[
     ConfigMutator::TokenSmear,
 ];
 
+/// Config trial `trial` of a sweep seeded with `seed`: its mutator (trials
+/// cycle through [`CONFIG_MUTATORS`]) and a generator derived from
+/// `(seed, trial)` alone, so the damage never depends on worker or order.
+pub fn config_trial(seed: u64, trial: usize) -> (ConfigMutator, StdRng) {
+    let mutator = CONFIG_MUTATORS[trial % CONFIG_MUTATORS.len()];
+    let rng = StdRng::seed_from_u64(seed ^ (trial as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    (mutator, rng)
+}
+
 impl ConfigMutator {
     /// Stable kebab-case name (used in sweep summaries).
     pub fn name(self) -> &'static str {

@@ -533,8 +533,10 @@ serve endpoints:
   /admin/debug/watch  watch supervisor state (generation, failures,
                       backoff, last error; null under plain `rdx serve`)
   Snapshot-derived responses carry the snapshot's FNV-1a-64 trailer as
-  an ETag and honor If-None-Match with 304. SIGHUP or POST /admin/reload
-  re-reads the snapshot file and hot-swaps it with zero dropped requests.
+  an ETag and honor If-None-Match with 304. Under rdx serve, SIGHUP or
+  POST /admin/reload re-reads the snapshot file and hot-swaps it with
+  zero dropped requests; under rdx watch the watcher is the only
+  publisher, so POST /admin/reload answers 409 and SIGHUP is ignored.
   /metrics includes per-request and per-loop histograms (request_us,
   conn_age_ms, epoll_wait_us, wakeup_events, iter_us), backpressure and
   rejection counters, rd_build_info, and process_uptime_seconds.
@@ -560,30 +562,18 @@ degraded mode:
     )
 }
 
-/// The network name a directory is published under: its basename (the
-/// same rule `rdx snap` applies), so `rdx <dir> summary --json` matches
-/// the served `/networks/{id}` body for that directory.
-fn network_name(dir: &str) -> String {
-    Path::new(dir)
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "network".to_string())
-}
-
 fn snap(dir: &str, out: &str, from: Option<&str>) -> Result<ExitCode, Error> {
     let started = Instant::now();
     let analyze_failed = |e| Error::Failed(format!("failed to analyze {dir}: {e}"));
     let (outcome, bytes, incr) = if let Some(prev) = from {
-        // Incremental path: seed the delta engine from the previous
-        // snapshot, refresh against the directory, and splice unchanged
-        // networks' encoded bytes straight through. Output is
+        // Incremental path: decode the previous snapshot once, seed the
+        // delta engine from it, refresh against the directory, and splice
+        // unchanged networks' encoded bytes straight through. Output is
         // byte-identical to a cold run over the same directory.
+        let previous = rd_snap::Corpus::read_file(Path::new(prev))
+            .map_err(|e| Error::Failed(format!("snap: {e}")))?;
         let mut engine = routing_design::incremental::DeltaEngine::new(Path::new(dir));
-        let prev_bytes = std::fs::read(prev)
-            .map_err(|e| Error::Failed(format!("snap: cannot read {prev}: {e}")))?;
-        engine
-            .seed_from_snapshot(&prev_bytes)
-            .map_err(|e| Error::Failed(format!("snap: cannot seed from {prev}: {e}")))?;
+        engine.seed(&previous);
         let refresh = engine.refresh().map_err(analyze_failed)?;
         (refresh.outcome, refresh.bytes, Some(refresh.stats))
     } else {
@@ -741,10 +731,7 @@ fn chaos(
 
     for trial in 0..configs {
         let (_, files) = &networks[trial % networks.len()];
-        let mutator = rd_chaos::CONFIG_MUTATORS[trial % rd_chaos::CONFIG_MUTATORS.len()];
-        let mut rng = rd_rng::StdRng::seed_from_u64(
-            seed ^ (trial as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        );
+        let (mutator, mut rng) = rd_chaos::config_trial(seed, trial);
         let victim = rng.gen_range(0..files.len());
         let mut mutated: Vec<(String, Vec<u8>)> = Vec::with_capacity(files.len());
         for (i, (name, bytes)) in files.iter().enumerate() {
@@ -916,7 +903,8 @@ fn analyze(dir: &str, action: Action, obs: &Observe, after: &mut After) -> Resul
 fn run_action(a: &NetworkAnalysis, dir: &str, action: Action) -> Result<ExitCode, Error> {
     match action {
         Action::Summary { json: true } => {
-            let snap = routing_design::snapshot::capture(&network_name(dir), a.clone());
+            let name = routing_design::snapshot::network_name(Path::new(dir));
+            let snap = routing_design::snapshot::capture(&name, a.clone());
             print!("{}", rd_serve::render::network_summary(&snap));
         }
         Action::Summary { json: false } => summary(a),

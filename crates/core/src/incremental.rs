@@ -29,11 +29,15 @@
 //! `RD_THREADS`**, because every recomputed network flows through the
 //! same deterministic pipeline and every reused network contributes the
 //! very bytes a cold run would re-produce. The engine can also be
-//! seeded from a persisted snapshot ([`seed_from_snapshot`]): the
-//! container's frame table ([`rd_snap::Frames`]) locates each network's
-//! payload and [`NetworkSnapshot::file_hashes`] carries the hashes, so
-//! a freshly booted `rdx watch` daemon reuses everything that did not
-//! change while it was down (seeded files carry no parse product, so
+//! seeded from a corpus already in memory ([`seed`]): `rdx watch` hands
+//! it the networks its server is serving, `rdx snap --from` the ones it
+//! decoded from the previous snapshot. The engine shares those networks,
+//! re-encodes each one's payload (decoding a container and re-encoding
+//! it gives back its bytes), and takes each file's hash from
+//! [`NetworkSnapshot::file_hashes`], so the next probe parses only the
+//! files whose bytes moved and reports whether the seeded corpus is
+//! still [`current`](Probe::current), and the next refresh reuses every
+//! network that did not change (seeded files carry no parse product, so
 //! the first change to a seeded network re-parses that network whole).
 //!
 //! Observability: each refresh runs under an `analyze.incr` span whose
@@ -46,7 +50,7 @@
 //!
 //! [`probe`]: DeltaEngine::probe
 //! [`refresh`]: DeltaEngine::refresh
-//! [`seed_from_snapshot`]: DeltaEngine::seed_from_snapshot
+//! [`seed`]: DeltaEngine::seed
 //! [`snap_dir`]: crate::snapshot::snap_dir
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -55,7 +59,7 @@ use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
 use nettopo::{Network, PreparsedFile};
-use rd_snap::{assemble_container, fnv1a64_extend, Corpus, Frames, NetworkSnapshot, Snap, Writer};
+use rd_snap::{assemble_container, fnv1a64_extend, Corpus, NetworkSnapshot, Snap, Writer};
 
 use crate::diff::config_fingerprint;
 use crate::snapshot::{capture, network_dirs, DroppedNetwork, SnapOutcome};
@@ -112,16 +116,19 @@ pub struct Probe {
     /// Config files the digest covers.
     pub files: usize,
     /// Files the probe fed to the parser: those whose raw hash moved
-    /// (plus the unparsed rest of a stale network restored from a
-    /// snapshot).
+    /// (plus the unparsed rest of a stale seeded network).
     pub parsed: usize,
+    /// True when a refresh now would hand out the committed analyses
+    /// unchanged: every network reused, none added, gone, unreadable or
+    /// (in a study) over the error budget.
+    pub current: bool,
 }
 
 /// What the engine knows about one config file.
 struct FileRecord {
     /// The `(size, mtime)` a later sweep trusts without reading the
     /// file. `None` makes the next sweep re-hash it: the record was
-    /// seeded from a snapshot, or its mtime was too recent to trust.
+    /// seeded from a corpus, or its mtime was too recent to trust.
     stamp: Option<(u64, SystemTime)>,
     /// Raw-byte FNV-1a-64.
     hash: u64,
@@ -193,28 +200,23 @@ impl DeltaEngine {
         DeltaEngine { dir: dir.to_path_buf(), files: BTreeMap::new(), nets: BTreeMap::new() }
     }
 
-    /// Seeds the cache from a previously persisted container: one read of
-    /// its frame table ([`Frames::read`]) yields both the decoded networks
-    /// and each network's payload bytes, and the file hashes come from
-    /// [`NetworkSnapshot::file_hashes`], so the next refresh reuses every
-    /// network whose files still hash the same — without re-parsing or
-    /// re-encoding anything. Returns the number of networks seeded. Files
-    /// no sweep has seen yet get records with no parse product, so the
-    /// first *change* to a seeded network re-parses the rest of it.
-    pub fn seed_from_snapshot(&mut self, bytes: &[u8]) -> Result<usize, rd_snap::DecodeError> {
-        let frames = Frames::read(bytes)?;
-        let corpus = frames.decode(bytes)?;
+    /// Seeds the cache from a corpus already in memory, as if a refresh
+    /// had just produced it: the engine shares its networks, re-encodes
+    /// each one's section payload, and takes each file's hash from
+    /// [`NetworkSnapshot::file_hashes`]. Files no sweep has seen yet get
+    /// records with no parse product, so the first *change* to a seeded
+    /// network re-parses the rest of it. Returns the networks seeded.
+    pub fn seed(&mut self, corpus: &Corpus) -> usize {
+        // A parse of the same bytes would fingerprint each router exactly
+        // as the corpus's config does.
+        let encoded = rd_par::par_map(&corpus.networks, |_, snap| {
+            let routers = snap.network.routers.iter();
+            let prints: BTreeMap<String, u64> =
+                routers.map(|r| (r.file_name.clone(), config_fingerprint(&r.config))).collect();
+            (encode_payload(snap), prints)
+        });
         let mut nets = BTreeMap::new();
-        for (snap, frame) in corpus.networks.into_iter().zip(&frames.sections) {
-            let payload = bytes[frame.payload.clone()].to_vec();
-            // A parse of the same bytes would fingerprint each router
-            // exactly as the snapshot's decoded config does.
-            let prints: BTreeMap<&str, u64> = snap
-                .network
-                .routers
-                .iter()
-                .map(|r| (r.file_name.as_str(), config_fingerprint(&r.config)))
-                .collect();
+        for (snap, (payload, prints)) in corpus.networks.iter().zip(encoded) {
             // Files a sweep already saw keep their (fresher) records.
             let records = self.files.entry(snap.name.clone()).or_default();
             for (file, hash) in &snap.file_hashes {
@@ -225,16 +227,16 @@ impl DeltaEngine {
                     parsed: None,
                 });
             }
-            nets.insert(snap.name.clone(), NetCache { snap, payload });
+            nets.insert(snap.name.clone(), NetCache { snap: Arc::clone(snap), payload });
         }
         let count = nets.len();
         self.nets = nets;
-        Ok(count)
+        count
     }
 
     /// Brings the file records up to date with the directory — parsing
     /// only the files whose raw hash moved (and the rest of a network
-    /// restored from a snapshot that must be re-analyzed) — and returns a
+    /// seeded from a corpus that must be re-analyzed) — and returns a
     /// digest of the tree's semantic state. Nothing is analyzed; the
     /// parse products wait for the next [`refresh`](DeltaEngine::refresh).
     /// This is the cheap check `rdx watch` runs on every poll.
@@ -378,6 +380,7 @@ impl DeltaEngine {
     fn sweep(&mut self) -> Result<Sweep, LoadError> {
         let _span = rd_obs::span!("incr.sweep");
         let started = SystemTime::now();
+        let budget = nettopo::error_budget();
         let (study, dirs) = network_dirs(&self.dir);
         let mut prior = std::mem::take(&mut self.files);
         // The digest covers the layout, then per network its name, its
@@ -420,7 +423,14 @@ impl DeltaEngine {
             };
             units.push((name, work));
         }
-        Ok(Sweep { study, units, probe: Probe { digest, files, parsed } })
+        // Reuse is reported only for committed names, so all-reuse over
+        // as many networks as are committed means none is new or gone.
+        let current = units.len() == self.nets.len()
+            && units.iter().all(|(name, work)| {
+                matches!(work, Work::Reuse)
+                    && !(study && self.nets[name].snap.network.coverage.over_budget(budget))
+            });
+        Ok(Sweep { study, units, probe: Probe { digest, files, parsed, current } })
     }
 
     /// Re-analyzes one stale network from its records' parse products
@@ -448,7 +458,7 @@ impl DeltaEngine {
 /// once ([`config_files`]), reads and hashes the files whose stamp moved,
 /// and parses those whose hash moved. The network is stale when its
 /// hashes no longer match `committed`; a stale network also parses every
-/// file that lacks a parse product (restored from a snapshot), so a
+/// file that lacks a parse product (seeded from a corpus), so a
 /// refresh recomputes it without I/O. No file is read twice.
 fn list_network(
     dir: &Path,
@@ -492,7 +502,7 @@ fn list_network(
         hashes.len() != files.len()
             || hashes.iter().zip(&files).any(|((f, h), name)| f != name || records[name].hash != *h)
     });
-    // Files restored from a snapshot have no parse product until their
+    // Files seeded from a corpus have no parse product until their
     // network is rebuilt.
     let mut unparsed = Vec::new();
     for ((name, path, _), (bytes, moved)) in entries.iter().zip(swept) {
@@ -585,6 +595,11 @@ mod tests {
         snap_dir(dir).expect("cold snap").corpus.to_bytes()
     }
 
+    /// The corpus a server booted from `bytes` would serve.
+    fn decoded(bytes: &[u8]) -> Corpus {
+        Corpus::from_bytes(bytes).expect("snapshot decodes")
+    }
+
     fn append(path: &Path, text: &str) {
         let mut old = std::fs::read_to_string(path).expect("read");
         old.push_str(text);
@@ -669,7 +684,7 @@ mod tests {
         let tmp = study("seed");
         let bytes = cold_bytes(&tmp.0);
         let mut engine = DeltaEngine::new(&tmp.0);
-        assert_eq!(engine.seed_from_snapshot(&bytes).expect("seed"), 3);
+        assert_eq!(engine.seed(&decoded(&bytes)), 3);
         let refresh = engine.refresh().expect("refresh");
         assert_eq!(refresh.stats.reused, 3);
         assert_eq!(refresh.stats.recomputed, 0);
@@ -682,7 +697,7 @@ mod tests {
         let tmp = study("seedchg");
         let bytes = cold_bytes(&tmp.0);
         let mut engine = DeltaEngine::new(&tmp.0);
-        engine.seed_from_snapshot(&bytes).expect("seed");
+        engine.seed(&decoded(&bytes));
         let changed = tmp.0.join("net3").join("config2");
         let mut text = std::fs::read_to_string(&changed).expect("read");
         text.push_str("interface Loopback0\n ip address 10.8.0.1 255.255.255.255\n");
@@ -693,6 +708,25 @@ mod tests {
         // network re-parses, the other two splice through.
         assert_eq!(refresh.stats.files_reparsed, 2);
         assert_eq!(refresh.bytes, cold_bytes(&tmp.0));
+    }
+
+    #[test]
+    fn a_seeded_network_over_the_error_budget_is_not_current() {
+        let tmp = study("seedbudget");
+        // Both files of net2 quarantined: over the error budget, so a
+        // refresh would drop it.
+        write_config(&tmp.0.join("net2"), "config1", "interface E0\n ip address bad 255.0.0.0\n");
+        write_config(&tmp.0.join("net2"), "config2", "interface E0\n ip address bad 255.0.0.0\n");
+        // A corpus that still holds it, as one written under a laxer
+        // budget would.
+        let networks = ["net1", "net2", "net3"].map(|net| {
+            capture(net, NetworkAnalysis::from_dir(&tmp.0.join(net)).expect("readable"))
+        });
+        let mut engine = DeltaEngine::new(&tmp.0);
+        engine.seed(&Corpus::new(networks.into()));
+        let probe = engine.probe();
+        assert_eq!(probe.parsed, 0);
+        assert!(!probe.current, "a refresh would drop net2 from the seeded corpus");
     }
 
     #[test]
@@ -809,9 +843,43 @@ mod tests {
         write_config(&net4, "config5", "");
         let bytes = cold_bytes(&tmp.0);
         let mut seeded = DeltaEngine::new(&tmp.0);
-        assert_eq!(seeded.seed_from_snapshot(&bytes).expect("seed"), 4);
+        assert_eq!(seeded.seed(&decoded(&bytes)), 4);
         let probe = seeded.probe();
         assert_eq!(probe.parsed, 0, "seeded files hash as recorded: nothing to parse");
+        assert!(probe.current, "an unchanged tree leaves the seeded corpus current");
         assert_eq!(probe.digest, DeltaEngine::new(&tmp.0).probe().digest);
+    }
+
+    #[test]
+    fn seeded_probe_is_current_only_while_nothing_needs_redoing() {
+        let tmp = study("seedcurrent");
+        let corpus = decoded(&cold_bytes(&tmp.0));
+        let probe_seeded = || {
+            let mut engine = DeltaEngine::new(&tmp.0);
+            engine.seed(&corpus);
+            engine.probe()
+        };
+        assert!(probe_seeded().current);
+
+        // A changed file, a new network and a vanished one each leave
+        // work for a refresh.
+        let path = tmp.0.join("net2").join("config1");
+        let original = std::fs::read(&path).expect("read");
+        append(&path, "interface Loopback0\n ip address 10.9.0.1 255.255.255.255\n");
+        let changed = probe_seeded();
+        assert!(!changed.current);
+        assert_eq!(changed.parsed, 2, "the stale network parses whole; the others parse nothing");
+        std::fs::write(&path, &original).expect("restore");
+        assert!(probe_seeded().current, "restored bytes hash as recorded again");
+
+        write_config(&tmp.0.join("net4"), "config1", &config("delta", 4));
+        assert!(!probe_seeded().current, "an added network is not in the seeded corpus");
+        std::fs::remove_dir_all(tmp.0.join("net4")).expect("remove net4");
+        let net1 = std::fs::read(tmp.0.join("net1").join("config1")).expect("read");
+        std::fs::remove_dir_all(tmp.0.join("net1")).expect("remove net1");
+        assert!(!probe_seeded().current, "a removed network is still in the seeded corpus");
+        write_config(&tmp.0.join("net1"), "config1", std::str::from_utf8(&net1).expect("utf-8"));
+        write_config(&tmp.0.join("net1"), "config2", &config("alpha2", 2));
+        assert!(probe_seeded().current);
     }
 }

@@ -56,18 +56,23 @@ pub fn restore(snap: NetworkSnapshot) -> NetworkAnalysis {
     }
 }
 
-/// The networks under `dir`, in name order, with their names (directory
-/// basenames). `dir` is a study layout (flag true, one network per
+/// The name a network directory is published under: its basename, or
+/// `network` when the path has none. `rdx snap`, the delta engine and
+/// `rdx <dir> summary --json` all name a network by it, so the summary of
+/// a directory matches the served `/networks/{id}` body for it.
+pub fn network_name(dir: &Path) -> String {
+    dir.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "network".to_string())
+}
+
+/// The networks under `dir`, in name order, with their names
+/// ([`network_name`]). `dir` is a study layout (flag true, one network per
 /// subdirectory) when it holds no plain file and some subdirectory holds
 /// one; otherwise it is a single network's config directory. Cold runs
 /// and the delta engine both read the tree through this, so they always
 /// agree on what a network is.
 pub(crate) fn network_dirs(dir: &Path) -> (bool, Vec<(String, PathBuf)>) {
-    let name_of = |p: &Path| {
-        p.file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "network".to_string())
-    };
     let mut subdirs = Vec::new();
     let mut has_plain_file = false;
     for path in std::fs::read_dir(dir).into_iter().flatten().flatten().map(|e| e.path()) {
@@ -81,10 +86,10 @@ pub(crate) fn network_dirs(dir: &Path) -> (bool, Vec<(String, PathBuf)>) {
         std::fs::read_dir(sub).is_ok_and(|mut s| s.any(|e| e.is_ok_and(|e| e.path().is_file())))
     };
     if has_plain_file || !subdirs.iter().any(holds_files) {
-        return (false, vec![(name_of(dir), dir.to_path_buf())]);
+        return (false, vec![(network_name(dir), dir.to_path_buf())]);
     }
     subdirs.sort();
-    (true, subdirs.into_iter().map(|p| (name_of(&p), p)).collect())
+    (true, subdirs.into_iter().map(|p| (network_name(&p), p)).collect())
 }
 
 /// Every network under `dir` with its config files, named and ordered as

@@ -22,6 +22,18 @@
 //! ([`rd_serve::Controller::publish`]), so the last-good snapshot keeps
 //! serving whenever the new analysis fails.
 //!
+//! The served corpus is the only copy of the analysis. The watcher seeds
+//! its engine from the networks the server is serving
+//! ([`rd_serve::Controller::corpus`]), so its first probe hashes the
+//! tree, parses only files whose bytes moved, and decides whether that
+//! corpus is still [`current`](crate::incremental::Probe::current):
+//! only when every network is reused and none was added, removed or
+//! turned unreadable does the first tick stay idle; otherwise it
+//! re-analyzes what changed. The watcher is the server's only
+//! publisher: [`run_daemon`] starts the server from a corpus, not a
+//! file, so `POST /admin/reload` answers 409, SIGHUP changes nothing,
+//! and no reload can overwrite what the watcher reports.
+//!
 //! Failure handling is a small state machine surfaced at `/healthz` and
 //! `/admin/debug/watch`:
 //!
@@ -113,7 +125,8 @@ pub struct Watcher {
     /// Digest of the latest probed config state.
     latest: u64,
     /// Digest of the config state the serving snapshot was analyzed
-    /// from; `None` while that is unknown (a persisted boot snapshot).
+    /// from; `None` while the served corpus is not known to match any
+    /// (a boot corpus the first probe found out of date).
     published: Option<u64>,
     /// When `latest` last changed — the debounce clock. `None` once the
     /// change has been acted on (or at a quiet start).
@@ -130,16 +143,14 @@ pub struct Watcher {
 
 impl Watcher {
     /// Builds a watcher over `dir`, persisting snapshots to
-    /// `snapshot_path` and publishing into `ctrl`. The initial probe's
-    /// digest is taken as *published* — correct when the server
-    /// was just booted from a fresh analysis of the same directory. If
-    /// the server booted from a previously persisted (possibly stale)
-    /// snapshot instead, follow with [`mark_boot_stale`], which forces
-    /// the first tick to re-analyze.
-    ///
-    /// [`mark_boot_stale`]: Watcher::mark_boot_stale
+    /// `snapshot_path` and publishing into `ctrl`. The delta engine is
+    /// seeded from the corpus `ctrl` is serving, then probes the tree:
+    /// the served corpus counts as published only when that probe finds
+    /// it current (every network reused, none added, removed or
+    /// unreadable); otherwise the first tick re-analyzes what changed.
     pub fn new(dir: &Path, snapshot_path: &Path, ctrl: Controller, opts: WatchOptions) -> Watcher {
         let mut engine = DeltaEngine::new(dir);
+        engine.seed(&ctrl.corpus());
         let probe = engine.probe();
         let w = Watcher {
             snapshot_path: snapshot_path.to_path_buf(),
@@ -148,7 +159,7 @@ impl Watcher {
             engine,
             opts,
             latest: probe.digest,
-            published: Some(probe.digest),
+            published: probe.current.then_some(probe.digest),
             changed_at: None,
             next_attempt: Instant::now(),
             consecutive_failures: 0,
@@ -158,22 +169,6 @@ impl Watcher {
         };
         w.publish_status();
         w
-    }
-
-    /// Declares the serving snapshot potentially stale (booted from a
-    /// persisted file): the first tick re-analyzes regardless of whether
-    /// the configs changed since.
-    pub fn mark_boot_stale(&mut self) {
-        self.published = None;
-    }
-
-    /// Seeds the incremental engine from persisted snapshot container
-    /// bytes (the boot snapshot): the first rebuild tick then re-analyzes
-    /// only the networks whose config files no longer hash the way the
-    /// snapshot recorded. Returns false (and leaves the engine cold) when
-    /// the bytes do not decode.
-    pub fn seed_from_snapshot(&mut self, bytes: &[u8]) -> bool {
-        self.engine.seed_from_snapshot(bytes).is_ok()
     }
 
     /// Arms a one-shot injected panic inside the next analysis attempt —
@@ -410,11 +405,12 @@ fn publishable(outcome: &SnapOutcome) -> Result<(), String> {
     Ok(())
 }
 
-/// Boots the full daemon: recovery sweep, a co-hosted server on `addr`
-/// serving the persisted last-good snapshot (or, when that does not load,
-/// a fresh synchronous analysis), and the watch loop on a
-/// supervisor thread. Blocks until shutdown (SIGTERM/SIGINT). This is
-/// `rdx watch`.
+/// Boots the full daemon: recovery sweep, the boot corpus (the persisted
+/// last-good snapshot, decoded once, or — when that does not load — a
+/// fresh synchronous analysis, persisted), a co-hosted server on `addr`
+/// started from that corpus, and the watch loop on a supervisor thread,
+/// the server's only publisher. Blocks until shutdown (SIGTERM/SIGINT).
+/// This is `rdx watch`.
 pub fn run_daemon(
     dir: &Path,
     snapshot_path: &Path,
@@ -449,22 +445,26 @@ pub fn run_daemon(
         }
     }
 
-    // Boot corpus: serve the persisted last-good snapshot when it loads
+    // Boot corpus: the persisted last-good snapshot when it loads
     // (instant start, survives a config dir that is currently broken);
-    // analyze fresh only when it does not. A failed bind fails the boot.
-    let (server, boot_stale) = match Server::start_file(snapshot_path, addr, serve_opts.clone()) {
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+    // a fresh analysis, persisted, only when it does not. Either way the
+    // ETag is the container's trailer, and the watcher's first probe
+    // decides whether the corpus is current.
+    let (corpus, trailer) = match rd_snap::Corpus::read_file_with_trailer(snapshot_path) {
+        Ok((corpus, trailer)) => (corpus, Some(trailer)),
+        Err(_) => {
             let outcome = snap_dir(dir).map_err(|e| format!("initial analysis failed: {e}"))?;
             publishable(&outcome).map_err(|e| {
                 format!("initial analysis failed ({e}) and no last-good snapshot loads")
             })?;
-            rd_snap::write_atomic(snapshot_path, &outcome.corpus.to_bytes())
+            let bytes = outcome.corpus.to_bytes();
+            rd_snap::write_atomic(snapshot_path, &bytes)
                 .map_err(|e| format!("cannot persist initial snapshot: {e}"))?;
-            (Server::start_file(snapshot_path, addr, serve_opts), false)
+            (outcome.corpus, rd_snap::trailer_of(&bytes))
         }
-        started => (started, true),
     };
-    let server = server.map_err(|e| format!("cannot start server: {e}"))?;
+    let server = Server::start(corpus, trailer, addr, serve_opts)
+        .map_err(|e| format!("cannot start server: {e}"))?;
     println!(
         "listening on http://{} ({} network(s) from {})",
         server.local_addr(),
@@ -476,16 +476,7 @@ pub fn run_daemon(
     use std::io::Write as _;
     std::io::stdout().flush().ok();
 
-    let mut watcher = Watcher::new(dir, snapshot_path, server.controller(), watch_opts);
-    if boot_stale {
-        watcher.mark_boot_stale();
-    }
-    // Both boot paths leave a valid snapshot at snapshot_path; seeding
-    // the delta engine from it means the first rebuild tick re-analyzes
-    // only the networks that actually changed since it was written.
-    if let Ok(bytes) = std::fs::read(snapshot_path) {
-        watcher.seed_from_snapshot(&bytes);
-    }
+    let watcher = Watcher::new(dir, snapshot_path, server.controller(), watch_opts);
     let supervisor = std::thread::Builder::new()
         .name("rdx-watch".to_string())
         .spawn(move || watcher.run())
@@ -531,7 +522,8 @@ mod tests {
         let outcome = snap_dir(&dir).expect("initial analysis");
         let snapshot_path = base.join("last-good.rdsnap");
         rd_snap::write_atomic(&snapshot_path, &outcome.corpus.to_bytes()).expect("persist");
-        let server = Server::start(outcome.corpus, "127.0.0.1:0", 1).expect("server");
+        let serve = ServeOptions { workers: 1, ..ServeOptions::default() };
+        let server = Server::start(outcome.corpus, None, "127.0.0.1:0", serve).expect("server");
         let opts = WatchOptions {
             poll_interval: Duration::ZERO,
             debounce: Duration::ZERO,
@@ -548,6 +540,63 @@ mod tests {
         assert_eq!(watcher.tick(), Tick::Idle);
         assert_eq!(watcher.generation(), 1);
 
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// A two-network tree under a fresh scratch directory, its snapshot
+    /// persisted beside it, and a server booted from that file, as `rdx
+    /// serve` would. Returns (scratch dir, tree, snapshot, server).
+    fn booted_from_snapshot(tag: &str) -> (PathBuf, PathBuf, PathBuf, Server) {
+        let base =
+            std::env::temp_dir().join(format!("rd-watch-boot-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let dir = base.join("configs");
+        for (net, octet) in [("netA", 1), ("netB", 2)] {
+            std::fs::create_dir_all(dir.join(net)).expect("network dir");
+            std::fs::write(dir.join(net).join("ra.cfg"), config(octet)).expect("write config");
+        }
+        let outcome = snap_dir(&dir).expect("initial analysis");
+        let snapshot_path = base.join("last-good.rdsnap");
+        rd_snap::write_atomic(&snapshot_path, &outcome.corpus.to_bytes()).expect("persist");
+        let serve = ServeOptions { workers: 1, ..ServeOptions::default() };
+        let server = Server::start_file(&snapshot_path, "127.0.0.1:0", serve).expect("server");
+        (base, dir, snapshot_path, server)
+    }
+
+    fn immediate() -> WatchOptions {
+        let zero = Duration::ZERO;
+        WatchOptions { poll_interval: zero, debounce: zero, ..WatchOptions::default() }
+    }
+
+    #[test]
+    fn booting_on_a_current_snapshot_publishes_nothing() {
+        let (base, dir, snapshot_path, server) = booted_from_snapshot("current");
+        let persisted = std::fs::read(&snapshot_path).expect("snapshot");
+        let mut watcher = Watcher::new(&dir, &snapshot_path, server.controller(), immediate());
+        assert!(watcher.settled(), "the served corpus matches the tree");
+        assert_eq!(watcher.tick(), Tick::Idle);
+        assert_eq!(watcher.generation(), 0);
+        let now = std::fs::read(&snapshot_path).expect("snapshot");
+        assert_eq!(now, persisted, "nothing re-persisted");
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn booting_on_an_outdated_snapshot_publishes_the_change() {
+        let (base, dir, snapshot_path, server) = booted_from_snapshot("outdated");
+        let etag = server.etag();
+        // The config changes after the snapshot was written (while the
+        // daemon was down).
+        std::fs::write(dir.join("netB").join("ra.cfg"), config(7)).expect("edit config");
+        let mut watcher = Watcher::new(&dir, &snapshot_path, server.controller(), immediate());
+        assert!(!watcher.settled());
+        assert_eq!(watcher.tick(), Tick::Published);
+        assert_eq!(watcher.generation(), 1);
+        assert_ne!(server.etag(), etag);
+        let cold = snap_dir(&dir).expect("cold analysis").corpus.to_bytes();
+        assert_eq!(std::fs::read(&snapshot_path).expect("snapshot"), cold);
         server.shutdown();
         let _ = std::fs::remove_dir_all(&base);
     }

@@ -620,7 +620,7 @@ fn get<'a>(
 /// Answers `POST /admin/reload`: schedules a hot reload when the server
 /// has a snapshot file to re-read.
 fn reload(shared: &Shared) -> Response<'static> {
-    if shared.reload_path.is_none() {
+    if !shared.reloadable {
         return Response::error(
             409,
             "no reload source configured; start the server from a snapshot file",

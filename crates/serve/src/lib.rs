@@ -38,12 +38,16 @@
 //! | `POST /admin/reload` | schedule a snapshot hot reload |
 //!
 //! Snapshot-derived responses carry the trailer as an `ETag` and honor
-//! `If-None-Match` with `304`. Hot reload (SIGHUP or `POST
-//! /admin/reload`) re-reads the snapshot file and rebuilds the cache on
-//! a manager thread, then swaps an `Arc` — in-flight requests keep the
-//! snapshot they started with, so no response ever mixes versions and
-//! none are dropped. GET and HEAD are served everywhere (HEAD elides the
-//! body, keeps `content-length`); keep-alive and pipelining are honored;
+//! `If-None-Match` with `304`. A server started from a snapshot file
+//! ([`Server::start_file`], `rdx serve`) hot-reloads it: SIGHUP or `POST
+//! /admin/reload` re-reads the file and rebuilds the cache on a manager
+//! thread, then swaps an `Arc` — in-flight requests keep the snapshot
+//! they started with, so no response ever mixes versions and none are
+//! dropped. A server started from a corpus ([`Server::start`], `rdx
+//! watch`) has no reload file: its supervisor publishes through
+//! [`Controller::publish`] alone, and `POST /admin/reload` answers 409.
+//! GET and HEAD are served everywhere (HEAD elides the body, keeps
+//! `content-length`); keep-alive and pipelining are honored;
 //! `400`/`413`/`431` rejections close cleanly through a lingering close.
 //!
 //! Every request is traced (`http.request` events) and measured
@@ -148,10 +152,11 @@ pub fn signal_shutdown_requested() -> bool {
 /// The serving health state machine surfaced at `/healthz`.
 ///
 /// `rdx serve` alone moves between `Fresh` and `Stale` (a failed hot
-/// reload keeps the last-good snapshot serving); `rdx watch` drives all
-/// three states — repeated analysis failures escalate `Stale` to
-/// `Degraded`, which turns `/healthz` non-200 (the liveness form
-/// `/healthz?live=1` stays 200 as long as the process answers at all).
+/// reload keeps the last-good snapshot serving); `rdx watch`, whose
+/// watcher is the server's only publisher, drives all three states —
+/// repeated analysis failures escalate `Stale` to `Degraded`, which
+/// turns `/healthz` non-200 (the liveness form `/healthz?live=1` stays
+/// 200 as long as the process answers at all).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HealthState {
     /// The served snapshot reflects the latest known input.
@@ -207,7 +212,7 @@ pub struct WatchStatus {
     pub fingerprints: usize,
 }
 
-/// Server tuning knobs beyond the classic `(corpus, addr, workers)`.
+/// Server tuning knobs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Event-loop threads; 0 sizes by [`rd_par::thread_count`].
@@ -235,10 +240,10 @@ pub(crate) struct Shared {
     reload_requested: AtomicBool,
     pub(crate) conn_count: AtomicUsize,
     pub(crate) max_conns: usize,
-    /// The snapshot file SIGHUP and `POST /admin/reload` re-read; `None`
-    /// (a server started from an in-memory corpus) disables file-based
-    /// reload, while [`Controller::publish`] still works.
-    pub(crate) reload_path: Option<PathBuf>,
+    /// True when a reload manager re-reads a snapshot file on SIGHUP and
+    /// `POST /admin/reload`; a server started from a corpus has none, so
+    /// [`Controller::publish`] is the only way a new corpus gets in.
+    pub(crate) reloadable: bool,
     /// The `/plan` document, rendered into every rebuilt snapshot state.
     plan: Option<String>,
     /// When the server started (uptime base for debug timestamps).
@@ -403,17 +408,18 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
-    /// `workers` event-loop threads (0 sizes by [`rd_par::thread_count`];
-    /// the `RD_THREADS` environment override applies) with default
-    /// [`ServeOptions`].
-    pub fn start(corpus: Corpus, addr: &str, workers: usize) -> io::Result<Server> {
-        Server::start_with(corpus, addr, ServeOptions { workers, ..ServeOptions::default() })
-    }
-
-    /// [`Server::start`] with full options.
-    pub fn start_with(corpus: Corpus, addr: &str, opts: ServeOptions) -> io::Result<Server> {
-        Server::start_inner(corpus, None, addr, opts)
+    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and serves
+    /// `corpus`. The `ETag` is `trailer`, the container trailer of the
+    /// corpus's bytes, or when `None` is computed by re-encoding it. No
+    /// reload file: `POST /admin/reload` answers 409, SIGHUP changes
+    /// nothing, and [`Controller::publish`] is the only publisher.
+    pub fn start(
+        corpus: Corpus,
+        trailer: Option<u64>,
+        addr: &str,
+        opts: ServeOptions,
+    ) -> io::Result<Server> {
+        Server::boot(corpus, trailer, None, addr, opts)
     }
 
     /// Loads a snapshot file and serves it, wiring the file in as the
@@ -425,14 +431,15 @@ impl Server {
     pub fn start_file(path: &std::path::Path, addr: &str, opts: ServeOptions) -> io::Result<Server> {
         let (corpus, trailer) = Corpus::read_file_with_trailer(path)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        Server::start_inner(corpus, Some((path.to_path_buf(), trailer)), addr, opts)
+        Server::boot(corpus, Some(trailer), Some(path.to_path_buf()), addr, opts)
     }
 
-    /// Starts the server; `file` is the snapshot file the corpus was read
-    /// from and its stored trailer, when there is one.
-    fn start_inner(
+    /// Starts the server, with a reload manager when there is a
+    /// `reload_path` for it to re-read.
+    fn boot(
         corpus: Corpus,
-        file: Option<(PathBuf, u64)>,
+        trailer: Option<u64>,
+        reload_path: Option<PathBuf>,
         addr: &str,
         opts: ServeOptions,
     ) -> io::Result<Server> {
@@ -441,7 +448,6 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let listener = Arc::new(listener);
 
-        let (reload_path, trailer) = file.unzip();
         let state = SnapshotState::build(corpus, trailer, opts.plan.as_deref());
         let boot = ReloadEvent::new(&state, 0, true, "boot");
         let loops = if opts.workers == 0 { rd_par::thread_count().max(1) } else { opts.workers };
@@ -452,7 +458,7 @@ impl Server {
             reload_requested: AtomicBool::new(false),
             conn_count: AtomicUsize::new(0),
             max_conns: opts.max_conns.max(1),
-            reload_path,
+            reloadable: reload_path.is_some(),
             plan: opts.plan,
             started: Instant::now(),
             debug: Mutex::new((0..loops).map(|_| None).collect()),
@@ -474,12 +480,12 @@ impl Server {
                     .expect("spawn event loop"),
             );
         }
-        {
+        if let Some(path) = reload_path {
             let shared = Arc::clone(&shared);
             handles.push(
                 std::thread::Builder::new()
                     .name("rd-serve-reload".to_string())
-                    .spawn(move || reload::run(shared))
+                    .spawn(move || reload::run(shared, path))
                     .expect("spawn reload manager"),
             );
         }
@@ -501,17 +507,6 @@ impl Server {
     /// Networks in the currently served corpus.
     pub fn network_count(&self) -> usize {
         self.shared.current_state().corpus.networks.len()
-    }
-
-    /// The current `/healthz` state.
-    pub fn health(&self) -> HealthState {
-        self.shared.health()
-    }
-
-    /// Sets the `/healthz` state (what the reload manager and `rdx
-    /// watch` do on success/failure).
-    pub fn set_health(&self, state: HealthState) {
-        self.shared.set_health(state);
     }
 
     /// A cloneable publishing handle for an external supervisor (`rdx
@@ -572,6 +567,13 @@ impl Controller {
         self.shared.record_failure(detail);
     }
 
+    /// The corpus currently served. Its networks are the very
+    /// `Arc<NetworkSnapshot>`s the server renders from, so a supervisor
+    /// can take them over without a copy or a second decode.
+    pub fn corpus(&self) -> Arc<Corpus> {
+        Arc::clone(&self.shared.current_state().corpus)
+    }
+
     /// The `/healthz` state.
     pub fn health(&self) -> HealthState {
         self.shared.health()
@@ -585,11 +587,6 @@ impl Controller {
     /// Publishes watcher status for `/admin/debug/watch`.
     pub fn set_watch_status(&self, status: WatchStatus) {
         self.shared.set_watch_status(status);
-    }
-
-    /// The entity tag currently served.
-    pub fn etag(&self) -> String {
-        self.shared.current_state().etag.clone()
     }
 
     /// Milliseconds since the server started (the timestamp base for

@@ -1,8 +1,10 @@
 //! The snapshot hot-reload manager.
 //!
-//! One thread per server, off the accept path: it polls the reload
-//! triggers (SIGHUP, `POST /admin/reload`, [`crate::Server::trigger_reload`]),
-//! re-reads the snapshot file, rebuilds the pre-rendered response cache,
+//! One thread per server started from a snapshot file
+//! ([`crate::Server::start_file`]), off the accept path: it polls the
+//! reload triggers (SIGHUP, `POST /admin/reload`,
+//! [`crate::Server::trigger_reload`]), re-reads the snapshot file,
+//! rebuilds the pre-rendered response cache,
 //! and only then publishes the new state with an atomic Arc swap. The
 //! event loops pick it up at their next wake-up via an epoch check;
 //! requests in flight keep rendering from the state they started with,
@@ -15,13 +17,16 @@
 //! verify.sh waits for a SIGHUP reload to land before byte-comparing
 //! pre/post bodies.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use rd_snap::Corpus;
 
 use crate::{Shared, POLL_IDLE};
 
-pub(crate) fn run(shared: Arc<Shared>) {
+/// Serves reload requests for `shared` from the snapshot file at `path`
+/// until shutdown.
+pub(crate) fn run(shared: Arc<Shared>, path: PathBuf) {
     loop {
         std::thread::sleep(POLL_IDLE);
         if shared.is_shutdown() {
@@ -30,11 +35,6 @@ pub(crate) fn run(shared: Arc<Shared>) {
         if !shared.take_reload_request() {
             continue;
         }
-        let Some(path) = shared.reload_path.clone() else {
-            rd_obs::metrics::counter_add("http.reload_failed", 1);
-            eprintln!("rd-serve: reload requested but no snapshot file configured");
-            continue;
-        };
         match Corpus::read_file_with_trailer(&path) {
             Ok((corpus, trailer)) => {
                 // The expensive part — rendering every static endpoint —

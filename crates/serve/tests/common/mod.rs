@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use nettopo::{ExternalAnalysis, LinkMap, Network};
-use rd_serve::Server;
+use rd_serve::{ServeOptions, Server};
 use rd_snap::{Corpus, NetworkSnapshot};
 use routing_model::{
     classify_network, Adjacencies, InstanceGraph, Instances, ProcessGraph, Processes, Table1,
@@ -73,6 +73,11 @@ router bgp 65000
         diagnostics,
         file_hashes: Vec::new(),
     }
+}
+
+/// Default server options with `n` event-loop threads.
+pub fn workers(n: usize) -> ServeOptions {
+    ServeOptions { workers: n, ..ServeOptions::default() }
 }
 
 /// The corpus of one [`tiny_snapshot`] per name.

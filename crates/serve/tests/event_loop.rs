@@ -12,10 +12,11 @@ use std::time::{Duration, Instant};
 use rd_serve::{ServeOptions, Server};
 
 mod common;
-use common::{connect, corpus_of, counter};
+use common::{connect, corpus_of, counter, workers};
 
 fn start_server() -> Server {
-    Server::start(corpus_of(&["net1", "net2"]), "127.0.0.1:0", 2).expect("server starts")
+    let corpus = corpus_of(&["net1", "net2"]);
+    Server::start(corpus, None, "127.0.0.1:0", workers(2)).expect("server starts")
 }
 
 /// Reads one complete response from a persistent stream: returns
@@ -55,7 +56,7 @@ fn read_response(stream: &mut TcpStream) -> (String, Vec<u8>) {
 fn plan_endpoint_serves_the_attached_document_and_404s_without_one() {
     let plan_doc = "{\n  \"plan\": {\"units\": 0, \"steps\": []}\n}\n".to_string();
     let opts = ServeOptions { workers: 1, plan: Some(plan_doc.clone()), ..ServeOptions::default() };
-    let server = Server::start_with(corpus_of(&["net1"]), "127.0.0.1:0", opts).expect("starts");
+    let server = Server::start(corpus_of(&["net1"]), None, "127.0.0.1:0", opts).expect("starts");
     let mut stream = connect(&server);
     stream.write_all(b"GET /plan HTTP/1.1\r\nhost: t\r\n\r\n").unwrap();
     let (head, body) = read_response(&mut stream);
@@ -70,7 +71,8 @@ fn plan_endpoint_serves_the_attached_document_and_404s_without_one() {
     drop(stream);
     server.shutdown();
 
-    let server = Server::start(corpus_of(&["net1"]), "127.0.0.1:0", 1).expect("starts");
+    let server =
+        Server::start(corpus_of(&["net1"]), None, "127.0.0.1:0", workers(1)).expect("starts");
     let mut stream = connect(&server);
     stream.write_all(b"GET /plan HTTP/1.1\r\nhost: t\r\n\r\n").unwrap();
     let (head, body) = read_response(&mut stream);
@@ -88,7 +90,7 @@ fn plan_endpoint_serves_the_attached_document_and_404s_without_one() {
 fn non_canonical_spellings_are_served_from_the_cache() {
     let opts = ServeOptions { workers: 1, ..ServeOptions::default() };
     let server =
-        Server::start_with(corpus_of(&["net1", "net2"]), "127.0.0.1:0", opts).expect("starts");
+        Server::start(corpus_of(&["net1", "net2"]), None, "127.0.0.1:0", opts).expect("starts");
     let etag = server.etag();
     let hits_before = counter("http.cache_hit");
     let mut stream = connect(&server);
@@ -186,7 +188,8 @@ fn etag_and_conditional_requests() {
 
 #[test]
 fn request_right_after_publish_gets_the_new_snapshot() {
-    let server = Server::start(corpus_of(&["net1"]), "127.0.0.1:0", 1).expect("starts");
+    let server =
+        Server::start(corpus_of(&["net1"]), None, "127.0.0.1:0", workers(1)).expect("starts");
     let mut stream = connect(&server);
     let get = b"GET /networks HTTP/1.1\r\nhost: t\r\n\r\n";
     stream.write_all(get).unwrap();
@@ -315,7 +318,7 @@ fn truncated_body_then_eof_closes_with_single_400() {
     // surviving into the error state), the follow-up connection below
     // would never be served.
     let opts = ServeOptions { workers: 1, ..ServeOptions::default() };
-    let server = Server::start_with(corpus_of(&["net1"]), "127.0.0.1:0", opts).expect("starts");
+    let server = Server::start(corpus_of(&["net1"]), None, "127.0.0.1:0", opts).expect("starts");
 
     // Declared body never arrives at all, then FIN: the request itself
     // is answered, the truncation gets exactly one 400, and the
@@ -414,7 +417,7 @@ fn partial_writes_drain_under_buffer_pressure() {
 #[test]
 fn accept_overflow_rejects_with_busy_503() {
     let opts = ServeOptions { workers: 1, max_conns: 2, ..ServeOptions::default() };
-    let server = Server::start_with(corpus_of(&["net1"]), "127.0.0.1:0", opts).expect("starts");
+    let server = Server::start(corpus_of(&["net1"]), None, "127.0.0.1:0", opts).expect("starts");
     let before = counter("http.rejected_busy");
 
     // Fill both connection slots and prove they are registered by

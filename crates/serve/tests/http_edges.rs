@@ -9,10 +9,11 @@ use std::time::Duration;
 use rd_serve::{HealthState, ServeOptions, Server};
 
 mod common;
-use common::{connect, corpus_of};
+use common::{connect, corpus_of, workers};
 
 fn start_server() -> Server {
-    Server::start(corpus_of(&["net1", "net2"]), "127.0.0.1:0", 4).expect("server starts")
+    let corpus = corpus_of(&["net1", "net2"]);
+    Server::start(corpus, None, "127.0.0.1:0", workers(4)).expect("server starts")
 }
 
 /// Sends raw bytes, half-closes the write side, and returns the raw
@@ -274,7 +275,7 @@ fn every_route_class_answers_with_pinned_bytes() {
         get("/healthz"),
         "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 51\r\nconnection: keep-alive\r\ncache-control: no-store\r\n\r\n{\"status\": \"ok\", \"health\": \"fresh\", \"networks\": 1}\n"
     );
-    server.set_health(HealthState::Degraded);
+    server.controller().set_health(HealthState::Degraded);
     assert_eq!(
         get("/healthz"),
         "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\ncontent-length: 60\r\nconnection: keep-alive\r\ncache-control: no-store\r\n\r\n{\"status\": \"degraded\", \"health\": \"degraded\", \"networks\": 1}\n"
@@ -283,7 +284,7 @@ fn every_route_class_answers_with_pinned_bytes() {
         get("/healthz?live=1"),
         "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 34\r\nconnection: keep-alive\r\ncache-control: no-store\r\n\r\n{\"status\": \"live\", \"networks\": 1}\n"
     );
-    server.set_health(HealthState::Fresh);
+    server.controller().set_health(HealthState::Fresh);
     assert_eq!(
         masked_head(&get("/metrics")),
         "HTTP/1.1 200 OK\r\ncontent-type: text/plain; version=0.0.4\r\ncontent-length: #\r\nconnection: keep-alive"
@@ -330,7 +331,7 @@ fn every_route_class_answers_with_pinned_bytes() {
         "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 31\r\nconnection: keep-alive\r\n\r\n{\"status\": \"reload scheduled\"}\n"
     );
     server.shutdown();
-    let server = Server::start(corpus_of(&["net1"]), "127.0.0.1:0", 1).unwrap();
+    let server = Server::start(corpus_of(&["net1"]), None, "127.0.0.1:0", workers(1)).unwrap();
     assert_eq!(
         raw_request(&server, b"POST /admin/reload HTTP/1.1\r\nhost: t\r\n\r\n"),
         "HTTP/1.1 409 Conflict\r\ncontent-type: application/json\r\ncontent-length: 95\r\nconnection: keep-alive\r\n\r\n{\"error\": \"no reload source configured; start the server from a snapshot file\", \"status\": 409}\n"

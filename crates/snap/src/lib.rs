@@ -45,11 +45,11 @@
 //! [`Frames::read`] is the one reader of this framing: it walks a
 //! container once and returns its frame table, the byte range of every
 //! field above. Everything else that needs an offset takes it from that
-//! table: [`Corpus::from_bytes`] decodes the payload ranges, the delta
-//! engine copies an unchanged network's payload straight out of the
-//! previous container instead of re-encoding it, `rdx snap --info`
-//! prints the table, and `rd-chaos` truncates and bombs containers at
-//! its boundaries. [`assemble_container`] is the one writer.
+//! table: [`Corpus::from_bytes`] decodes the payload ranges, `rdx snap
+//! --info` prints the table, and `rd-chaos` truncates and bombs
+//! containers at its boundaries. [`assemble_container`] is the one
+//! writer; the delta engine hands it cached payloads, re-encoded once
+//! from a decoded corpus, which gives back the container's bytes.
 //!
 //! The manifest footer indexes each section's payload by absolute byte
 //! range. It is purely structural — derivable from the sections
@@ -284,9 +284,37 @@ impl Corpus {
     }
 
     /// Deserializes a corpus: reads the container's frame table
-    /// ([`Frames::read`]), then decodes the payloads it lists.
+    /// ([`Frames::read`]), then decodes the payload of every section it
+    /// lists, in parallel over `rd-par`. Results come back in section
+    /// order, so the corpus is identical at any `RD_THREADS`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Corpus, DecodeError> {
-        Frames::read(bytes)?.decode(bytes)
+        let frames = Frames::read(bytes)?;
+        let decoded = rd_par::par_map(&frames.sections, |_, frame| {
+            let name = &frame.name;
+            let payload = bytes.get(frame.payload.clone()).ok_or_else(|| {
+                DecodeError::new(format!("section '{name}' lies outside the container"))
+            })?;
+            let mut pr = Reader::new(payload);
+            let net = NetworkSnapshot::decode(&mut pr)?;
+            if !pr.is_at_end() {
+                return Err(DecodeError::new(format!(
+                    "section '{name}' has {} trailing bytes",
+                    pr.remaining()
+                )));
+            }
+            if net.name != *name {
+                return Err(DecodeError::new(format!(
+                    "section name '{name}' does not match network name '{}'",
+                    net.name
+                )));
+            }
+            Ok(net)
+        });
+        let mut networks = Vec::with_capacity(decoded.len());
+        for result in decoded {
+            networks.push(std::sync::Arc::new(result?));
+        }
+        Ok(Corpus { networks })
     }
 
     /// Writes the snapshot to a file via [`write_atomic`]: a crash at any
@@ -342,8 +370,7 @@ pub struct Frame {
 /// read by one walk over the container ([`Frames::read`]). Offsets are
 /// absolute, from the first byte of the file.
 ///
-/// [`Corpus::from_bytes`] decodes the payload ranges it lists; the delta
-/// engine's seed copies the same ranges as its cached payloads; `rdx snap
+/// [`Corpus::from_bytes`] decodes the payload ranges it lists; `rdx snap
 /// --info` prints them; `rd-chaos` cuts and bombs a container at them.
 #[derive(Clone, Debug)]
 pub struct Frames {
@@ -432,39 +459,6 @@ impl Frames {
         }
         cuts.extend([self.manifest.end, self.footer.start + 8]);
         cuts
-    }
-
-    /// Decodes the payload of every section, sliced out of `bytes` (the
-    /// container this table was read from), in parallel over `rd-par`.
-    /// Results come back in section order, so the corpus is identical at
-    /// any `RD_THREADS`.
-    pub fn decode(&self, bytes: &[u8]) -> Result<Corpus, DecodeError> {
-        let decoded = rd_par::par_map(&self.sections, |_, frame| {
-            let name = &frame.name;
-            let payload = bytes.get(frame.payload.clone()).ok_or_else(|| {
-                DecodeError::new(format!("section '{name}' lies outside the container"))
-            })?;
-            let mut pr = Reader::new(payload);
-            let net = NetworkSnapshot::decode(&mut pr)?;
-            if !pr.is_at_end() {
-                return Err(DecodeError::new(format!(
-                    "section '{name}' has {} trailing bytes",
-                    pr.remaining()
-                )));
-            }
-            if net.name != *name {
-                return Err(DecodeError::new(format!(
-                    "section name '{name}' does not match network name '{}'",
-                    net.name
-                )));
-            }
-            Ok(net)
-        });
-        let mut networks = Vec::with_capacity(decoded.len());
-        for result in decoded {
-            networks.push(std::sync::Arc::new(result?));
-        }
-        Ok(Corpus { networks })
     }
 }
 

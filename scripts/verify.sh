@@ -204,31 +204,38 @@ echo "    zero panics; sweep stdout byte-identical at both thread counts"
 
 echo "==> rdx watch: supervised reload, failure isolation, convergence (RD_THREADS=1 and 4)"
 # One full daemon lifecycle per thread count: boot, publish a semantic
-# change, survive a parse-fatal push on last-good, converge after the
-# restore. Served bodies land in $1/ so the two runs can be compared
+# change, survive a parse-fatal push on last-good (a reload request
+# cannot clear it: the watcher is the only publisher), converge after
+# the restore, then restart on the persisted snapshot and publish
+# nothing. Served bodies land in $1/ so the two runs can be compared
 # byte-for-byte afterwards.
+# start_watch DIR THREADS LOG: boots `rdx watch` on DIR/configs and
+# DIR/last-good.rdsnap, stdout to DIR/LOG; sets WATCH_PID and WPORT.
+start_watch() {
+    # RD_ERROR_BUDGET=0 makes any unparseable config fatal for its
+    # network, which is what the stale-serving-last-good leg relies on.
+    RD_THREADS="$2" RD_ERROR_BUDGET=0 ./target/release/rdx watch "$1/configs" \
+        --addr 127.0.0.1:0 --snapshot "$1/last-good.rdsnap" \
+        --poll-ms 50 --debounce-ms 100 --backoff-ms 100 --backoff-max-ms 400 \
+        --degraded-after 2 --seed 1 > "$1/$3" 2>> "$1/err.txt" &
+    WATCH_PID=$!
+    WPORT=""
+    i=0
+    while [ $i -lt 100 ]; do
+        WPORT=$(sed -n 's|.*http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$1/$3")
+        [ -n "$WPORT" ] && break
+        sleep 0.1
+        i=$((i + 1))
+    done
+    [ -n "$WPORT" ] || { echo "watch never printed its port" >&2; exit 1; }
+}
 watch_cycle() {
     WDIR="$1"
     THREADS="$2"
     rm -rf "$WDIR"
     mkdir -p "$WDIR"
     ./target/release/emit_study "$WDIR/configs" --small net15 > /dev/null
-    # RD_ERROR_BUDGET=0 makes any unparseable config fatal for its
-    # network, which is what the stale-serving-last-good leg relies on.
-    RD_THREADS="$THREADS" RD_ERROR_BUDGET=0 ./target/release/rdx watch "$WDIR/configs" \
-        --addr 127.0.0.1:0 --snapshot "$WDIR/last-good.rdsnap" \
-        --poll-ms 50 --debounce-ms 100 --backoff-ms 100 --backoff-max-ms 400 \
-        --degraded-after 2 --seed 1 > "$WDIR/out.txt" 2> "$WDIR/err.txt" &
-    WATCH_PID=$!
-    WPORT=""
-    i=0
-    while [ $i -lt 100 ]; do
-        WPORT=$(sed -n 's|.*http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$WDIR/out.txt")
-        [ -n "$WPORT" ] && break
-        sleep 0.1
-        i=$((i + 1))
-    done
-    [ -n "$WPORT" ] || { echo "watch never printed its port" >&2; exit 1; }
+    start_watch "$WDIR" "$THREADS" out.txt
     # Liveness must answer 200 from the moment the socket exists,
     # whatever the health state machine says.
     curl -sf "http://127.0.0.1:$WPORT/healthz?live=1" > /dev/null
@@ -276,6 +283,15 @@ watch_cycle() {
         || { echo "last-good body changed during failure" >&2; exit 1; }
     curl -sf "http://127.0.0.1:$WPORT/healthz?live=1" > /dev/null \
         || { echo "liveness probe failed during degradation" >&2; exit 1; }
+    # No reload file backs the daemon's server, so a reload request is
+    # refused and cannot report the failing daemon fresh.
+    CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+        "http://127.0.0.1:$WPORT/admin/reload")
+    [ "$CODE" = "409" ] || { echo "POST /admin/reload under watch answered $CODE" >&2; exit 1; }
+    sleep 0.3
+    curl -s "http://127.0.0.1:$WPORT/healthz" \
+        | grep -q '"health": "stale-serving-last-good"\|"health": "degraded"' \
+        || { echo "a reload request cleared the failing daemon's health" >&2; exit 1; }
 
     # Restore: the daemon must converge back to fresh, and a restored
     # config tree analyzes to the byte-identical boot body.
@@ -313,6 +329,20 @@ watch_cycle() {
     [ -s "$WDIR/last-good.rdsnap" ] || { echo "persisted snapshot missing" >&2; exit 1; }
     [ ! -f "$WDIR/last-good.rdsnap.tmp" ] \
         || { echo "staging file leaked past shutdown" >&2; exit 1; }
+
+    # Restart on the same snapshot and the unchanged tree: the served
+    # corpus is current, so several polls later nothing was published.
+    start_watch "$WDIR" "$THREADS" out_restart.txt
+    sleep 1
+    PUBLISHED=$(curl -sf "http://127.0.0.1:$WPORT/metrics" \
+        | sed -n 's/^watch_publish_ok_total //p')
+    [ "$PUBLISHED" = "0" ] \
+        || { echo "restart on a current snapshot published ${PUBLISHED:-?} time(s)" >&2; exit 1; }
+    curl -sf "http://127.0.0.1:$WPORT/networks/net15" > "$WDIR/body_restart.json"
+    cmp "$WDIR/body_restored.json" "$WDIR/body_restart.json" \
+        || { echo "restart served a different body" >&2; exit 1; }
+    kill -TERM "$WATCH_PID"
+    wait "$WATCH_PID"
 }
 watch_cycle /tmp/rd_verify_watch_t1 1
 watch_cycle /tmp/rd_verify_watch_t4 4
@@ -321,7 +351,7 @@ for body in body_boot.json body_mut.json body_restored.json; do
         || { echo "watch $body differs between RD_THREADS=1 and 4" >&2; exit 1; }
 done
 rm -rf /tmp/rd_verify_watch_t1 /tmp/rd_verify_watch_t4
-echo "    reload, stale-serving-last-good, and convergence verified; bodies identical at both thread counts"
+echo "    publish, stale-serving-last-good (reload refused), convergence and an idle restart verified; bodies identical at both thread counts"
 
 echo "==> reconfiguration planning: seeded scenario, deterministic + independently checked"
 ./target/release/plan_scenario /tmp/rd_verify_plan --seed 42 > /dev/null

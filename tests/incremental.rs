@@ -79,21 +79,18 @@ fn run_churn(threads: &str) -> Vec<(Vec<u8>, String)> {
     let networks = study_files();
     write_study(&base, &networks);
 
-    // Seed from a cold snapshot rather than a warm refresh, so the
-    // restart path (cache rebuilt from persisted bytes) is on trial too.
+    // Seed from a decoded cold snapshot rather than a warm refresh, so
+    // the restart path (cache rebuilt from a persisted corpus) is on
+    // trial too.
     let (seed_bytes, _) = cold_outputs(&base);
     let mut engine = DeltaEngine::new(&base);
-    engine.seed_from_snapshot(&seed_bytes).expect("snapshot seeds the engine");
+    engine.seed(&rd_snap::Corpus::from_bytes(&seed_bytes).expect("snapshot decodes"));
 
     let mut outputs = Vec::new();
     let mut round = 0usize;
     for (net, files) in &networks {
         for (file_name, _) in files.iter().take(3) {
-            let mutator =
-                rd_chaos::CONFIG_MUTATORS[round % rd_chaos::CONFIG_MUTATORS.len()];
-            let mut rng = rd_rng::StdRng::seed_from_u64(
-                0x5eed ^ (round as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            );
+            let (mutator, mut rng) = rd_chaos::config_trial(0x5eed, round);
             let path = base.join(net).join(file_name);
             let bytes = std::fs::read(&path).expect("victim readable");
             match rd_chaos::mutate_config(&mut rng, mutator, &bytes) {

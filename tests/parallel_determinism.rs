@@ -296,7 +296,9 @@ fn watch_publishes_identical_bodies_at_any_thread_count() {
 
         let outcome = routing_design::snapshot::snap_dir(&dir).expect("initial analysis");
         rd_snap::write_atomic(&snapshot_path, &outcome.corpus.to_bytes()).expect("seed");
-        let server = rd_serve::Server::start(outcome.corpus, "127.0.0.1:0", 1).expect("server");
+        let serve = rd_serve::ServeOptions { workers: 1, ..rd_serve::ServeOptions::default() };
+        let server =
+            rd_serve::Server::start(outcome.corpus, None, "127.0.0.1:0", serve).expect("server");
         let opts = routing_design::watch::WatchOptions {
             poll_interval: Duration::from_millis(1),
             debounce: Duration::from_millis(1),

@@ -171,3 +171,22 @@ fn frame_table_and_mutator_errors_are_pinned() {
         assert_eq!(err.err().map(|e| e.message).as_deref(), Some(want), "{}", mutator.name());
     }
 }
+
+/// The delta engine seeds from a decoded corpus and re-encodes each
+/// network's payload, which reproduces the container only if decoding it
+/// and encoding the corpus again gives back its bytes. Checked over the
+/// whole small study.
+#[test]
+fn decoding_then_encoding_the_small_study_gives_back_its_bytes() {
+    let scale = netgen::StudyScale::Small;
+    let roster = netgen::study_roster(scale);
+    let networks = rd_par::par_map(&roster, |_, spec| {
+        let texts = netgen::study::generate_network(spec, scale).texts;
+        let analysis = NetworkAnalysis::from_texts(texts).expect("study network parses");
+        snapshot::capture(&spec.name, analysis)
+    });
+    let bytes = rd_snap::Corpus::new(networks).to_bytes();
+    let decoded = rd_snap::Corpus::from_bytes(&bytes).expect("container decodes");
+    assert_eq!(decoded.networks.len(), roster.len());
+    assert!(decoded.to_bytes() == bytes, "decode then encode changed the container's bytes");
+}

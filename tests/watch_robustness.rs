@@ -1,17 +1,20 @@
 //! Robustness table tests for the `rdx watch` daemon pieces: crash-safe
 //! snapshot persistence (a torn staging file at *every* truncation
 //! boundary must be quarantined on recovery while the last-good file
-//! keeps reading), and failure isolation (an analysis panic must leave
-//! the co-hosted server answering byte-identically from last-good).
+//! keeps reading), failure isolation (an analysis panic must leave the
+//! co-hosted server answering byte-identically from last-good), and the
+//! watcher as the daemon's only publisher (a reload request cannot clear
+//! a failing daemon's health).
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 use routing_design::watch::{Tick, WatchOptions, Watcher};
 use routing_design::{snapshot, NetworkAnalysis};
-use rd_serve::{HealthState, Server};
+use rd_serve::{HealthState, ServeOptions, Server};
 
 const RA: &str = "hostname ra\ninterface Ethernet0\n ip address 10.0.0.1 255.255.255.0\n\
                   router ospf 1\n network 10.0.0.0 0.0.0.255 area 0\n";
@@ -38,12 +41,20 @@ fn corpus_bytes() -> Vec<u8> {
     rd_snap::Corpus::new(vec![snapshot::capture("netA", analysis)]).to_bytes()
 }
 
-/// One-shot GET against a test server; returns (status line, body).
+/// One-shot GET against a test server; returns (response head, body).
 fn get(server: &Server, path: &str) -> (String, Vec<u8>) {
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    request(server.local_addr(), "GET", path)
+}
+
+/// One-shot request without a body; returns (response head, body).
+fn request(addr: SocketAddr, method: &str, path: &str) -> (String, Vec<u8>) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
     stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n").as_bytes())
+        .write_all(
+            format!("{method} {path} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n")
+                .as_bytes(),
+        )
         .expect("request");
     let mut head = Vec::new();
     let mut byte = [0u8; 1];
@@ -139,7 +150,8 @@ fn analysis_panic_keeps_last_good_serving_byte_identically() {
     let outcome = routing_design::snapshot::snap_dir(&dir).expect("initial analysis");
     let bytes = outcome.corpus.to_bytes();
     rd_snap::write_atomic(&snapshot_path, &bytes).expect("seed snapshot");
-    let server = Server::start(outcome.corpus, "127.0.0.1:0", 1).expect("server");
+    let serve = ServeOptions { workers: 1, ..ServeOptions::default() };
+    let server = Server::start(outcome.corpus, None, "127.0.0.1:0", serve).expect("server");
 
     let opts = WatchOptions {
         poll_interval: Duration::from_millis(1),
@@ -197,7 +209,8 @@ fn disk_faults_fail_the_attempt_but_never_corrupt_last_good() {
 
     let outcome = routing_design::snapshot::snap_dir(&dir).expect("initial analysis");
     rd_snap::write_atomic(&snapshot_path, &outcome.corpus.to_bytes()).expect("seed snapshot");
-    let server = Server::start(outcome.corpus, "127.0.0.1:0", 1).expect("server");
+    let serve = ServeOptions { workers: 1, ..ServeOptions::default() };
+    let server = Server::start(outcome.corpus, None, "127.0.0.1:0", serve).expect("server");
 
     let opts = WatchOptions {
         poll_interval: Duration::from_millis(1),
@@ -237,5 +250,73 @@ fn disk_faults_fail_the_attempt_but_never_corrupt_last_good() {
     assert_eq!(watcher.generation(), 3);
 
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// Kills the spawned daemon however the test ends.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn reload_cannot_clear_a_degraded_watch_daemon() {
+    let base = scratch_dir("degraded");
+    let dir = base.join("configs");
+    write_config_dir(&dir);
+    let snapshot_path = base.join("last-good.rdsnap");
+    let child = Command::new(env!("CARGO_BIN_EXE_rdx"))
+        .arg("watch")
+        .arg(&dir)
+        .arg("--snapshot")
+        .arg(&snapshot_path)
+        .args(["--addr", "127.0.0.1:0", "--poll-ms", "10", "--debounce-ms", "10"])
+        .args(["--backoff-ms", "10", "--backoff-max-ms", "20", "--degraded-after", "1"])
+        // Any unparseable config is fatal for its network.
+        .env("RD_ERROR_BUDGET", "0")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn rdx watch");
+    let mut daemon = Daemon(child);
+    let mut line = String::new();
+    let stdout = daemon.0.stdout.take().expect("piped stdout");
+    BufReader::new(stdout).read_line(&mut line).expect("listening line");
+    let addr: SocketAddr = line
+        .strip_prefix("listening on http://")
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|a| a.parse().ok())
+        .unwrap_or_else(|| panic!("no address in {line:?}"));
+    let health = || {
+        let (head, body) = request(addr, "GET", "/healthz");
+        (head, String::from_utf8(body).expect("utf-8 body"))
+    };
+    assert!(health().1.contains("\"health\": \"fresh\""), "boots fresh: {:?}", health());
+
+    // A parse-fatal push: the daemon keeps serving last-good and, at
+    // --degraded-after 1, turns /healthz 503.
+    std::fs::write(dir.join("netA").join("ra.cfg"), b"\xff\xfe not a router config\n")
+        .expect("push invalid config");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !health().0.starts_with("HTTP/1.1 503") {
+        assert!(Instant::now() < deadline, "never degraded: {:?}", health());
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // The watcher is the only publisher: no reload file to re-read, so
+    // the request is refused and the failure stays on /healthz.
+    let (head, body) = request(addr, "POST", "/admin/reload");
+    assert!(head.starts_with("HTTP/1.1 409"), "{head}");
+    assert!(String::from_utf8_lossy(&body).contains("no reload source configured"));
+    std::thread::sleep(Duration::from_millis(500));
+    let (head, body) = health();
+    assert!(head.starts_with("HTTP/1.1 503"), "{head}");
+    assert!(body.contains("\"health\": \"degraded\""), "{body}");
+
+    drop(daemon);
     let _ = std::fs::remove_dir_all(&base);
 }

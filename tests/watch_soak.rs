@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use routing_design::watch::{Tick, WatchOptions, Watcher};
 use rd_rng::StdRng;
-use rd_serve::{HealthState, Server};
+use rd_serve::{HealthState, ServeOptions, Server};
 
 const RA: &str = "hostname ra\ninterface Ethernet0\n ip address 10.0.0.1 255.255.255.0\n\
                   router ospf 1\n network 10.0.0.0 0.0.0.255 area 0\n";
@@ -109,7 +109,8 @@ fn seeded_soak_never_serves_torn_or_mixed_versions() {
 
     let outcome = routing_design::snapshot::snap_dir(&dir).expect("initial analysis");
     rd_snap::write_atomic(&snapshot_path, &outcome.corpus.to_bytes()).expect("seed snapshot");
-    let server = Server::start(outcome.corpus, "127.0.0.1:0", 1).expect("server");
+    let serve = ServeOptions { workers: 1, ..ServeOptions::default() };
+    let server = Server::start(outcome.corpus, None, "127.0.0.1:0", serve).expect("server");
     let addr = server.local_addr();
 
     let opts = WatchOptions {
