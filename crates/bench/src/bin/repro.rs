@@ -21,7 +21,7 @@
 //! stderr, followed by one `analyze:netNN` row per network; `--metrics`
 //! dumps the `rd-obs` metrics registry to stderr; `--trace <path>`
 //! (`--trace -` for stderr) writes the structured JSONL event stream
-//! there — without it the `RD_TRACE` environment variable picks the sink;
+//! there (without it, no trace is written);
 //! `--profile <path>` enables the rd-obs span profiler and writes
 //! collapsed-stack output (`stack;sub count_us` lines, flamegraph-ready)
 //! there on exit — set `RD_PROF_ZERO=1` to zero the counts for

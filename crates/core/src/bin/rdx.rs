@@ -17,6 +17,7 @@
 //! errors — and `main` prints it once.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::Write as _;
 use std::num::{NonZeroU32, NonZeroUsize};
 use std::path::Path;
 use std::process::ExitCode;
@@ -374,7 +375,7 @@ fn run(command: Command, after: &mut After) -> Result<ExitCode, Error> {
             let (dir, snapshot) = (Path::new(&dir), Path::new(&snapshot));
             routing_design::watch::run_daemon(dir, snapshot, &server.addr, watch, server.options)
                 .map_err(|e| Error::Failed(format!("watch: {e}")))?;
-            eprintln!("rdx: shut down cleanly");
+            let _ = writeln!(std::io::stderr(), "rdx: shut down cleanly");
         }
         Command::Chaos { dir, seed, configs, snapshots, max_rss_mb } => {
             return chaos(&dir, seed, configs, snapshots, max_rss_mb)
@@ -668,12 +669,14 @@ fn serve(
         .map_err(|e| Error::Failed(format!("serve: {e}")))?;
     let networks = running.network_count();
     // Scripts parse this line for the bound (possibly ephemeral) port.
-    println!("listening on http://{} ({networks} network(s) from {file})", running.local_addr());
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
+    // Status lines ignore write errors: a closed stdout or stderr must
+    // not stop the server.
+    let (mut out, addr) = (std::io::stdout(), running.local_addr());
+    let _ = writeln!(out, "listening on http://{addr} ({networks} network(s) from {file})");
+    let _ = out.flush();
     running.run_until_shutdown();
     outputs.finish();
-    eprintln!("rdx: shut down cleanly");
+    let _ = writeln!(std::io::stderr(), "rdx: shut down cleanly");
     Ok(())
 }
 

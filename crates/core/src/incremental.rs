@@ -5,24 +5,29 @@
 //! maintenance reality), yet a cold `rdx snap` pays parse + topology +
 //! routing-model cost for all 31 networks on every run. [`DeltaEngine`]
 //! remembers each config file's stat stamp, raw-byte FNV hash
-//! ([`rd_snap::fnv1a64`]), parse product and [`config_fingerprint`], and
-//! each network's finished [`NetworkSnapshot`] with its encoded section
-//! payload. One sweep, shared by [`probe`] and [`refresh`], stats every
-//! file, reads and hashes only the files whose `(size, mtime)` stamp
-//! moved (a `touch` stops there), and parses only the files whose hash
-//! moved, keeping the product for the next refresh. Stamps follow git's
-//! "racily clean" rule: a file whose mtime is not older than the start
-//! of the sweep that stat'ed it by more than 2 s (the coarsest common
-//! mtime tick) gets no stamp, so the next sweep re-hashes it, and a
-//! same-size rewrite within one tick cannot hide.
+//! ([`rd_snap::fnv1a64`]) and [`config_fingerprint`], and each network's
+//! finished [`NetworkSnapshot`] with its encoded section payload: the
+//! committed analysis, which holds the parse of every file whose bytes
+//! have not moved since it was built. One sweep, shared by [`probe`] and [`refresh`],
+//! stats every file, reads and hashes only the files whose `(size,
+//! mtime)` stamp moved (a `touch` stops there), and parses only the files
+//! whose hash moved, keeping each product until a refresh commits it.
+//! Stamps follow git's "racily clean" rule: a file whose mtime is not
+//! older than the start of the sweep that stat'ed it by more than 2 s
+//! (the coarsest common mtime tick) gets no stamp, so the next sweep
+//! re-hashes it, and a same-size rewrite within one tick cannot hide.
 //!
 //! [`probe`] stops there and digests the per-file fingerprints, so
 //! cosmetic churn never reads as a change; `rdx watch` debounces on the
 //! digest. [`refresh`] re-analyzes only the networks whose file hashes no
 //! longer match their committed analysis, through the exact cold-path
-//! assembly ([`Network::from_parsed`] → [`NetworkAnalysis::from_network`]),
-//! and copies every other network's encoded section bytes straight into
-//! the output container ([`rd_snap::assemble_container`]).
+//! assembly ([`Network::from_parsed`] → [`NetworkAnalysis::from_network`]):
+//! each moved file brings its fresh product, and every other file's
+//! product comes back from the committed network ([`Network::to_parsed`]),
+//! so no unmoved file is parsed again. Every other network's encoded
+//! section bytes are copied straight into the output container
+//! ([`rd_snap::assemble_container`]). A successful refresh then drops
+//! every product: the new committed analyses hold them.
 //!
 //! The result — snapshot bytes, restored corpus, and everything derived
 //! from them — is **byte-identical to a cold [`snap_dir`] run at any
@@ -34,11 +39,13 @@
 //! decoded from the previous snapshot. The engine shares those networks,
 //! re-encodes each one's payload (decoding a container and re-encoding
 //! it gives back its bytes), and takes each file's hash from
-//! [`NetworkSnapshot::file_hashes`], so the next probe parses only the
-//! files whose bytes moved and reports whether the seeded corpus is
-//! still [`current`](Probe::current), and the next refresh reuses every
-//! network that did not change (seeded files carry no parse product, so
-//! the first change to a seeded network re-parses that network whole).
+//! [`NetworkSnapshot::file_hashes`], so a seeded engine holds what a
+//! refresh leaves behind (hashes and fingerprints, no parse product),
+//! only without stamps, which its first sweep takes. That sweep parses
+//! only the files whose bytes moved and reports whether the seeded
+//! corpus is still [`current`](Probe::current), and the next refresh
+//! reuses every network that did not change and recomputes the rest
+//! from the moved files' products and the seeded networks.
 //!
 //! Observability: each refresh runs under an `analyze.incr` span whose
 //! duration feeds the `incr.last_wall_us` gauge, with one child span per
@@ -115,8 +122,7 @@ pub struct Probe {
     pub digest: u64,
     /// Config files the digest covers.
     pub files: usize,
-    /// Files the probe fed to the parser: those whose raw hash moved
-    /// (plus the unparsed rest of a stale seeded network).
+    /// Files the probe fed to the parser: those whose raw hash moved.
     pub parsed: usize,
     /// True when a refresh now would hand out the committed analyses
     /// unchanged: every network reused, none added, gone, unreadable or
@@ -134,8 +140,9 @@ struct FileRecord {
     hash: u64,
     /// The file's contribution to [`Probe::digest`].
     print: u64,
-    /// Parse product of the bytes behind `hash`; `None` on a seeded
-    /// record until its network is recomputed.
+    /// Parse product of the bytes behind `hash`, held only while they
+    /// have moved since the last commit. `None` means the committed
+    /// analysis of the network was built from exactly these bytes.
     parsed: Option<PreparsedFile>,
 }
 
@@ -200,45 +207,42 @@ impl DeltaEngine {
         DeltaEngine { dir: dir.to_path_buf(), files: BTreeMap::new(), nets: BTreeMap::new() }
     }
 
-    /// Seeds the cache from a corpus already in memory, as if a refresh
-    /// had just produced it: the engine shares its networks, re-encodes
-    /// each one's section payload, and takes each file's hash from
-    /// [`NetworkSnapshot::file_hashes`]. Files no sweep has seen yet get
-    /// records with no parse product, so the first *change* to a seeded
-    /// network re-parses the rest of it. Returns the networks seeded.
+    /// Replaces the cache with a corpus already in memory, as if a
+    /// refresh had just produced it: the engine shares its networks,
+    /// re-encodes each one's section payload, and takes each file's hash
+    /// from [`NetworkSnapshot::file_hashes`], with no stamp (the next
+    /// sweep hashes every file) and no parse product (the seeded network
+    /// holds the parse, which a recompute takes back through
+    /// [`Network::to_parsed`]; so the file hashes must name each
+    /// network's inputs in load order, as in every corpus a cold run or
+    /// a refresh produced). Returns the networks seeded.
     pub fn seed(&mut self, corpus: &Corpus) -> usize {
-        // A parse of the same bytes would fingerprint each router exactly
-        // as the corpus's config does.
-        let encoded = rd_par::par_map(&corpus.networks, |_, snap| {
+        let seeded = rd_par::par_map(&corpus.networks, |_, snap| {
+            // A parse of the same bytes would fingerprint each router
+            // exactly as the corpus's config does; a quarantined file
+            // digests by its raw hash.
             let routers = snap.network.routers.iter();
-            let prints: BTreeMap<String, u64> =
-                routers.map(|r| (r.file_name.clone(), config_fingerprint(&r.config))).collect();
-            (encode_payload(snap), prints)
+            let prints: BTreeMap<&str, u64> =
+                routers.map(|r| (r.file_name.as_str(), config_fingerprint(&r.config))).collect();
+            let records = snap.file_hashes.iter().map(|(file, hash)| {
+                let print = prints.get(file.as_str()).copied().unwrap_or(*hash);
+                (file.clone(), FileRecord { stamp: None, hash: *hash, print, parsed: None })
+            });
+            (records.collect(), NetCache { snap: Arc::clone(snap), payload: encode_payload(snap) })
         });
-        let mut nets = BTreeMap::new();
-        for (snap, (payload, prints)) in corpus.networks.iter().zip(encoded) {
-            // Files a sweep already saw keep their (fresher) records.
-            let records = self.files.entry(snap.name.clone()).or_default();
-            for (file, hash) in &snap.file_hashes {
-                records.entry(file.clone()).or_insert_with(|| FileRecord {
-                    stamp: None,
-                    hash: *hash,
-                    print: prints.get(file.as_str()).copied().unwrap_or(*hash),
-                    parsed: None,
-                });
-            }
-            nets.insert(snap.name.clone(), NetCache { snap: Arc::clone(snap), payload });
+        self.files.clear();
+        self.nets.clear();
+        for (snap, (records, cache)) in corpus.networks.iter().zip(seeded) {
+            self.files.insert(snap.name.clone(), records);
+            self.nets.insert(snap.name.clone(), cache);
         }
-        let count = nets.len();
-        self.nets = nets;
-        count
+        self.nets.len()
     }
 
     /// Brings the file records up to date with the directory — parsing
-    /// only the files whose raw hash moved (and the rest of a network
-    /// seeded from a corpus that must be re-analyzed) — and returns a
-    /// digest of the tree's semantic state. Nothing is analyzed; the
-    /// parse products wait for the next [`refresh`](DeltaEngine::refresh).
+    /// only the files whose raw hash moved — and returns a digest of the
+    /// tree's semantic state. Nothing is analyzed; the parse products
+    /// wait for the next [`refresh`](DeltaEngine::refresh).
     /// This is the cheap check `rdx watch` runs on every poll.
     pub fn probe(&mut self) -> Probe {
         self.sweep().map(|s| s.probe).unwrap_or_default()
@@ -250,9 +254,10 @@ impl DeltaEngine {
     /// and `to_bytes()` of the same directory at any `RD_THREADS`; only
     /// the work done differs. A failure (I/O error in single-network
     /// mode, or a panic out of the pipeline) leaves the committed
-    /// analyses as they were — commits happen only after every network's
-    /// result is in hand. (File records may advance: they only ever
-    /// describe files as they are on disk.)
+    /// analyses, and the parse products of the files that moved since,
+    /// as they were — commits happen only after every network's result
+    /// is in hand. (File records may advance: they only ever describe
+    /// files as they are on disk.)
     pub fn refresh(&mut self) -> Result<Refresh, LoadError> {
         let span = rd_obs::span::timed("analyze.incr");
         let (refresh, phases) = rd_obs::span::stages(|| self.refresh_phases());
@@ -271,8 +276,9 @@ impl DeltaEngine {
         let Sweep { study, units, probe } = self.sweep()?;
 
         // Recompute phase: the stale networks, in parallel, from the
-        // sweep's parse products. Results come back in input order, so
-        // output never depends on the worker count.
+        // sweep's parse products and their committed analyses. Results
+        // come back in input order, so output never depends on the
+        // worker count.
         let todo: Vec<(&str, &[(String, u64)])> = units
             .iter()
             .filter_map(|(name, work)| match work {
@@ -333,6 +339,11 @@ impl DeltaEngine {
             dropped.sort_by(|a, b| a.name.cmp(&b.name));
         }
         self.nets = nets;
+        // The committed analyses now hold every parse: a record keeps a
+        // product only while its bytes differ from them.
+        for record in self.files.values_mut().flat_map(BTreeMap::values_mut) {
+            record.parsed = None;
+        }
         stats.dropped = dropped.len();
 
         let survivors: Vec<&NetCache> = self
@@ -433,16 +444,22 @@ impl DeltaEngine {
         Ok(Sweep { study, units, probe: Probe { digest, files, parsed, current } })
     }
 
-    /// Re-analyzes one stale network from its records' parse products
-    /// (the sweep parsed every file that lacked one) and returns the new
-    /// cache entry.
+    /// Re-analyzes one stale network and returns the new cache entry. A
+    /// file whose bytes moved since the last commit brings the product
+    /// the sweep parsed; every other file's product comes back from the
+    /// committed network, which was built from exactly its bytes.
     fn recompute(&self, name: &str, hashes: &[(String, u64)]) -> NetCache {
         let records = &self.files[name];
+        let mut committed = BTreeMap::new();
+        if let Some(cache) = self.nets.get(name) {
+            let files = || cache.snap.file_hashes.iter().map(|(file, _)| file.as_str());
+            committed = files().zip(cache.snap.network.to_parsed(files())).collect();
+        }
         let parsed: Vec<PreparsedFile> = hashes
             .iter()
-            .map(|(file, _)| {
-                let parsed = records[file].parsed.clone();
-                parsed.expect("the sweep parses every file of a stale network")
+            .map(|(file, _)| match &records[file].parsed {
+                Some(product) => product.clone(),
+                None => committed.remove(file.as_str()).expect("unmoved files are committed"),
             })
             .collect();
         let network = Network::from_parsed(parsed);
@@ -457,9 +474,7 @@ impl DeltaEngine {
 /// Sweeps one network directory against its `records`: stats every file
 /// once ([`config_files`]), reads and hashes the files whose stamp moved,
 /// and parses those whose hash moved. The network is stale when its
-/// hashes no longer match `committed`; a stale network also parses every
-/// file that lacks a parse product (seeded from a corpus), so a
-/// refresh recomputes it without I/O. No file is read twice.
+/// hashes no longer match `committed`. No file is read twice.
 fn list_network(
     dir: &Path,
     mut records: BTreeMap<String, FileRecord>,
@@ -468,13 +483,11 @@ fn list_network(
 ) -> Result<Listing, LoadError> {
     let entries = config_files(dir)?;
     let mut files = Vec::with_capacity(entries.len());
-    // Per entry: its bytes if this sweep read them, and whether its hash moved.
-    let mut swept = Vec::with_capacity(entries.len());
+    let mut unparsed = Vec::new();
     for (name, path, meta) in &entries {
         files.push(name.clone());
         let stamp = meta.modified().ok().map(|mtime| (meta.len(), mtime));
         if records.get(name).is_some_and(|r| r.stamp.is_some() && r.stamp == stamp) {
-            swept.push((None, false));
             continue;
         }
         let bytes =
@@ -485,13 +498,13 @@ fn list_network(
         let stamp = stamp.filter(|&(_, mtime)| {
             started.duration_since(mtime).is_ok_and(|age| age > MTIME_GRANULARITY)
         });
-        let moved = records.get(name).is_none_or(|r| r.hash != hash);
-        if moved {
-            records.insert(name.clone(), FileRecord { stamp, hash, print: hash, parsed: None });
-        } else if let Some(record) = records.get_mut(name) {
-            record.stamp = stamp;
+        match records.get_mut(name) {
+            Some(record) if record.hash == hash => record.stamp = stamp,
+            _ => {
+                records.insert(name.clone(), FileRecord { stamp, hash, print: hash, parsed: None });
+                unparsed.push((name.clone(), bytes));
+            }
         }
-        swept.push((Some(bytes), moved));
     }
     if records.len() > files.len() {
         let listed: BTreeSet<&str> = files.iter().map(String::as_str).collect();
@@ -502,26 +515,6 @@ fn list_network(
         hashes.len() != files.len()
             || hashes.iter().zip(&files).any(|((f, h), name)| f != name || records[name].hash != *h)
     });
-    // Files seeded from a corpus have no parse product until their
-    // network is rebuilt.
-    let mut unparsed = Vec::new();
-    for ((name, path, _), (bytes, moved)) in entries.iter().zip(swept) {
-        let record = records.get_mut(name).expect("every listed file has a record");
-        if record.parsed.is_some() || !(moved || stale) {
-            continue;
-        }
-        let bytes = match bytes {
-            Some(bytes) => bytes,
-            None => {
-                let bytes = std::fs::read(path)
-                    .map_err(|error| LoadError { path: path.clone(), error })?;
-                record.hash = rd_snap::fnv1a64(&bytes);
-                record.stamp = None;
-                bytes
-            }
-        };
-        unparsed.push((name.clone(), bytes));
-    }
     let products = {
         let _span = rd_obs::span!("incr.parse");
         Network::parse_files(&unparsed)
@@ -704,10 +697,51 @@ mod tests {
         std::fs::write(&changed, text).expect("write");
         let refresh = engine.refresh().expect("refresh");
         assert_eq!(refresh.stats.recomputed, 1);
-        // Seeded caches hold no parse products: the whole changed
-        // network re-parses, the other two splice through.
-        assert_eq!(refresh.stats.files_reparsed, 2);
+        // Only the edited file parses: its neighbour comes back from the
+        // seeded network, and the other two networks splice through.
+        assert_eq!(refresh.stats.files_reparsed, 1);
         assert_eq!(refresh.bytes, cold_bytes(&tmp.0));
+    }
+
+    /// True when no file record holds a parse product.
+    fn holds_no_product(engine: &DeltaEngine) -> bool {
+        engine.files.values().flat_map(BTreeMap::values).all(|r| r.parsed.is_none())
+    }
+
+    #[test]
+    fn a_seeded_network_rebuilds_around_its_quarantined_file_parsing_one() {
+        let tmp = study("seedquarantine");
+        let net4 = tmp.0.join("net4");
+        for i in 1..=4 {
+            write_config(&net4, &format!("config{i}"), &config(&format!("delta{i}"), i));
+        }
+        write_config(&net4, "config5", "interface E0\n ip address bad 255.0.0.0\n");
+        let seed = decoded(&cold_bytes(&tmp.0));
+        let net4_seeded = seed.networks.iter().find(|n| n.name == "net4").expect("net4");
+        assert_eq!(net4_seeded.network.coverage.quarantined, vec!["config5".to_string()]);
+
+        let loopback = |octet: u8| {
+            format!("interface Loopback0\n ip address 10.9.0.{octet} 255.255.255.255\n")
+        };
+
+        let mut engine = DeltaEngine::new(&tmp.0);
+        engine.seed(&seed);
+        assert!(holds_no_product(&engine));
+        append(&net4.join("config1"), &loopback(1));
+        let refresh = engine.refresh().expect("refresh");
+        assert_eq!(refresh.stats.files_reparsed, 1);
+        assert_eq!((refresh.stats.recomputed, refresh.stats.reused), (1, 3));
+        assert_eq!(refresh.bytes, cold_bytes(&tmp.0));
+        assert!(holds_no_product(&engine), "a successful refresh commits every product");
+
+        // A probe keeps the product of what moved until a refresh commits it.
+        append(&net4.join("config2"), &loopback(2));
+        assert_eq!(engine.probe().parsed, 1);
+        assert!(!holds_no_product(&engine));
+        let refresh = engine.refresh().expect("refresh");
+        assert_eq!(refresh.stats.files_reparsed, 0, "the probe parsed the edit");
+        assert_eq!(refresh.bytes, cold_bytes(&tmp.0));
+        assert!(holds_no_product(&engine));
     }
 
     #[test]
@@ -868,7 +902,7 @@ mod tests {
         append(&path, "interface Loopback0\n ip address 10.9.0.1 255.255.255.255\n");
         let changed = probe_seeded();
         assert!(!changed.current);
-        assert_eq!(changed.parsed, 2, "the stale network parses whole; the others parse nothing");
+        assert_eq!(changed.parsed, 1, "only the edited file parses");
         std::fs::write(&path, &original).expect("restore");
         assert!(probe_seeded().current, "restored bytes hash as recorded again");
 

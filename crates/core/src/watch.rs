@@ -25,8 +25,9 @@
 //! The served corpus is the only copy of the analysis. The watcher seeds
 //! its engine from the networks the server is serving
 //! ([`rd_serve::Controller::corpus`]), so its first probe hashes the
-//! tree, parses only files whose bytes moved, and decides whether that
-//! corpus is still [`current`](crate::incremental::Probe::current):
+//! tree, parses only files whose bytes moved (a rebuild takes every
+//! other file's parse from the served networks), and decides whether
+//! that corpus is still [`current`](crate::incremental::Probe::current):
 //! only when every network is reused and none was added, removed or
 //! turned unreadable does the first tick stay idle; otherwise it
 //! re-analyzes what changed. The watcher is the server's only
@@ -47,6 +48,7 @@
 //! A successful publish — or the configs reverting to the last published
 //! state — converges back to `fresh` and resets the backoff.
 
+use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -364,7 +366,9 @@ impl Watcher {
         rd_obs::metrics::counter_add("watch.publish_failed", 1);
         rd_obs::metrics::gauge_set("watch.consecutive_failures", self.consecutive_failures as i64);
         rd_obs::metrics::gauge_set("watch.backoff_ms", self.status.backoff_ms as i64);
-        eprintln!(
+        // A status line: a closed stderr must not take the watch loop down.
+        let _ = writeln!(
+            std::io::stderr(),
             "rdx watch: analysis attempt failed ({error}); serving last-good, retry in {} ms",
             self.status.backoff_ms
         );
@@ -410,7 +414,8 @@ fn publishable(outcome: &SnapOutcome) -> Result<(), String> {
 /// fresh synchronous analysis, persisted), a co-hosted server on `addr`
 /// started from that corpus, and the watch loop on a supervisor thread,
 /// the server's only publisher. Blocks until shutdown (SIGTERM/SIGINT).
-/// This is `rdx watch`.
+/// This is `rdx watch`. Its status lines ignore write errors, so a
+/// closed stdout or stderr never stops the daemon.
 pub fn run_daemon(
     dir: &Path,
     snapshot_path: &Path,
@@ -441,7 +446,8 @@ pub fn run_daemon(
         let swept = rd_snap::recover_dir(parent)
             .map_err(|e| format!("recovery sweep of {} failed: {e}", parent.display()))?;
         for q in &swept {
-            eprintln!("rdx watch: quarantined stale staging file -> {}", q.display());
+            let q = q.display();
+            let _ = writeln!(std::io::stderr(), "rdx watch: quarantined stale staging file -> {q}");
         }
     }
 
@@ -452,7 +458,12 @@ pub fn run_daemon(
     // decides whether the corpus is current.
     let (corpus, trailer) = match rd_snap::Corpus::read_file_with_trailer(snapshot_path) {
         Ok((corpus, trailer)) => (corpus, Some(trailer)),
-        Err(_) => {
+        Err(e) => {
+            // No file is a first boot; one that does not load is replaced.
+            if snapshot_path.exists() {
+                let why = format!("last-good snapshot does not load ({e})");
+                let _ = writeln!(std::io::stderr(), "rdx watch: {why}; analyzing afresh");
+            }
             let outcome = snap_dir(dir).map_err(|e| format!("initial analysis failed: {e}"))?;
             publishable(&outcome).map_err(|e| {
                 format!("initial analysis failed ({e}) and no last-good snapshot loads")
@@ -465,16 +476,12 @@ pub fn run_daemon(
     };
     let server = Server::start(corpus, trailer, addr, serve_opts)
         .map_err(|e| format!("cannot start server: {e}"))?;
-    println!(
-        "listening on http://{} ({} network(s) from {})",
-        server.local_addr(),
-        server.network_count(),
-        snapshot_path.display()
-    );
-    println!("watching {} (poll {} ms, debounce {} ms)", dir.display(),
-        watch_opts.poll_interval.as_millis(), watch_opts.debounce.as_millis());
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
+    let (addr, nets, snap) = (server.local_addr(), server.network_count(), snapshot_path.display());
+    let (poll, debounce) = (watch_opts.poll_interval.as_millis(), watch_opts.debounce.as_millis());
+    let mut out = std::io::stdout();
+    let _ = writeln!(out, "listening on http://{addr} ({nets} network(s) from {snap})");
+    let _ = writeln!(out, "watching {} (poll {poll} ms, debounce {debounce} ms)", dir.display());
+    let _ = out.flush();
 
     let watcher = Watcher::new(dir, snapshot_path, server.controller(), watch_opts);
     let supervisor = std::thread::Builder::new()

@@ -85,14 +85,6 @@ impl Prefix {
         self.covers(other) || other.covers(self)
     }
 
-    /// The immediate supernet (one bit shorter), or `None` for /0.
-    pub fn supernet(self) -> Option<Prefix> {
-        if self.len == 0 {
-            return None;
-        }
-        Prefix::new(self.addr, self.len - 1)
-    }
-
     /// Splits into the two immediate subnets, or `None` for /32.
     pub fn split(self) -> Option<(Prefix, Prefix)> {
         if self.len == 32 {
@@ -102,15 +94,6 @@ impl Prefix {
         let hi = self.addr.to_u32() | 1 << (31 - self.len);
         let right = Prefix { addr: Addr::from_u32(hi), len: self.len + 1 };
         Some((left, right))
-    }
-
-    /// The sibling prefix under the immediate supernet, or `None` for /0.
-    pub fn sibling(self) -> Option<Prefix> {
-        if self.len == 0 {
-            return None;
-        }
-        let flipped = self.addr.to_u32() ^ 1 << (32 - self.len);
-        Some(Prefix { addr: Addr::from_u32(flipped), len: self.len })
     }
 
     /// True for the /30 point-to-point subnets that dominate serial links.
@@ -195,13 +178,15 @@ mod tests {
         let (l, r) = pfx.split().unwrap();
         assert_eq!(l, p("192.0.2.0/25"));
         assert_eq!(r, p("192.0.2.128/25"));
-        assert_eq!(l.supernet(), Some(pfx));
-        assert_eq!(r.supernet(), Some(pfx));
-        assert_eq!(l.sibling(), Some(r));
-        assert_eq!(r.sibling(), Some(l));
+        // Each half's one-bit-shorter supernet is the split prefix, and
+        // the halves are siblings: they differ only in that bit.
+        for half in [l, r] {
+            assert_eq!(Prefix::new(half.addr(), half.len() - 1), Some(pfx));
+            assert!(pfx.covers(half));
+        }
+        assert_eq!(l.addr().to_u32() ^ r.addr().to_u32(), 1 << (32 - l.len()));
+        assert!(!l.overlaps(r));
         assert!(p("1.2.3.4/32").split().is_none());
-        assert!(Prefix::DEFAULT.supernet().is_none());
-        assert!(Prefix::DEFAULT.sibling().is_none());
     }
 
     #[test]

@@ -143,10 +143,11 @@ enum FileOutcome {
 /// One file's parse product, decoupled from [`Network`] assembly: the
 /// result of the lex + parse worker for a single `(file_name, bytes)`
 /// input. [`Network::parse_files`] produces these and
-/// [`Network::from_parsed`] assembles them, which lets an incremental
-/// caller cache the products of unchanged files and re-parse only what a
-/// delta touched while building through the exact same assembly path as
-/// a cold load.
+/// [`Network::from_parsed`] assembles them; [`Network::to_parsed`] gives
+/// them back from an assembled network. An incremental caller re-parses
+/// only the files a delta touched, takes every other file's product from
+/// the network it last assembled, and builds through the exact same
+/// assembly path as a cold load.
 #[derive(Clone)]
 pub struct PreparsedFile {
     file_name: String,
@@ -290,10 +291,10 @@ impl Network {
 
     /// Assembles a network from per-file parse products, in their given
     /// order. This is the assembly half of
-    /// [`from_bytes_list`](Network::from_bytes_list); callers that cache
-    /// [`PreparsedFile`]s (the incremental engine) splice cached and
-    /// fresh products together and get a network byte-for-byte identical
-    /// to a cold load of the same inputs.
+    /// [`from_bytes_list`](Network::from_bytes_list); the incremental
+    /// engine splices fresh products with those of an earlier network
+    /// ([`to_parsed`](Network::to_parsed)) and gets a network
+    /// byte-for-byte identical to a cold load of the same inputs.
     pub fn from_parsed(parsed: Vec<PreparsedFile>) -> Network {
         let mut routers = Vec::with_capacity(parsed.len());
         let mut diagnostics = rd_obs::Diagnostics::new();
@@ -328,6 +329,35 @@ impl Network {
         rd_obs::metrics::counter_add("parse.lines", total_lines);
         rd_obs::metrics::counter_add("parse.unrecognized_lines", unrecognized);
         Network { routers, diagnostics, coverage }
+    }
+
+    /// The per-file parse products this network was assembled from: the
+    /// inverse of [`from_parsed`](Network::from_parsed), with no parsing.
+    /// `files` names every input file in load order (a snapshot's file
+    /// hashes). A name in [`Coverage::quarantined`] gets back its one
+    /// quarantine diagnostic; any other name gets the next router, with
+    /// the parse diagnostics filed under that name. Panics when `files`
+    /// does not list this network's inputs in order.
+    pub fn to_parsed<'a>(&self, files: impl IntoIterator<Item = &'a str>) -> Vec<PreparsedFile> {
+        // `from_parsed` appends each file's diagnostics, routers and
+        // quarantined names in load order, so one cursor each walks them.
+        let mut diags = self.diagnostics.iter().peekable();
+        let mut quarantined = self.coverage.quarantined.iter().peekable();
+        let mut routers = self.routers.iter();
+        let mut inverse = |name: &str| {
+            let mut own: Vec<_> =
+                std::iter::from_fn(|| diags.next_if(|d| d.file == name).cloned()).collect();
+            if quarantined.next_if(|q| *q == name).is_some() {
+                let diag = own.pop().expect("a quarantined file has its diagnostic");
+                return FileOutcome::Quarantined { diag };
+            }
+            let router = routers.next().filter(|r| r.file_name == name);
+            let router = router.expect("files name the routers in load order");
+            let (config, command_lines) = (Box::new(router.config.clone()), router.command_lines);
+            FileOutcome::Parsed { config, command_lines, diags: own }
+        };
+        let products = files.into_iter().map(|name| (name.to_string(), inverse(name)));
+        products.map(|(file_name, outcome)| PreparsedFile { file_name, outcome }).collect()
     }
 
     /// Number of routers.
@@ -451,6 +481,42 @@ mod tests {
         assert_eq!(codes, vec!["empty-config", "invalid-utf8"]);
         assert!(net.coverage.over_budget(0.25)); // 2/3 quarantined
         assert!(!net.coverage.over_budget(0.9));
+    }
+
+    #[test]
+    fn to_parsed_gives_back_what_from_parsed_assembled() {
+        let files = vec![
+            (
+                "config1".to_string(),
+                b"hostname a\nfrobnicate on\n\
+                  interface Ethernet0\n ip address 10.0.0.1 255.255.255.0\n\
+                  router ospf 1\n network 10.0.0.0 0.0.0.255 area 0\n frobnicate off\n"
+                    .to_vec(),
+            ),
+            ("config2".to_string(), b"interface E0\n ip address nope 255.0.0.0\n".to_vec()),
+            ("config3".to_string(), b"hostname c\ninterface Serial0\n".to_vec()),
+        ];
+        let net = Network::from_bytes_list(files.clone());
+        assert_eq!(net.coverage.quarantined, vec!["config2".to_string()]);
+        let codes: Vec<(&str, &str)> =
+            net.diagnostics.iter().map(|d| (d.file.as_str(), d.code)).collect();
+        assert_eq!(
+            codes,
+            vec![
+                ("config1", "unknown-stanza"),
+                ("config1", "unknown-stanza"),
+                ("config2", "parse-error"),
+            ]
+        );
+
+        let rebuilt = Network::from_parsed(net.to_parsed(files.iter().map(|(n, _)| n.as_str())));
+        let routers = |n: &Network| -> Vec<(String, RouterConfig, usize)> {
+            let rows = n.routers.iter();
+            rows.map(|r| (r.file_name.clone(), r.config.clone(), r.command_lines)).collect()
+        };
+        assert_eq!(routers(&rebuilt), routers(&net));
+        assert_eq!(rebuilt.diagnostics, net.diagnostics);
+        assert_eq!(rebuilt.coverage, net.coverage);
     }
 
     #[test]

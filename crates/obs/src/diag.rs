@@ -112,11 +112,6 @@ impl Diagnostics {
         )
     }
 
-    /// True when any error-severity diagnostic was recorded.
-    pub fn has_errors(&self) -> bool {
-        self.list.iter().any(|d| d.severity == Severity::Error)
-    }
-
     /// One-line summary, e.g. `2 errors, 3 warnings, 0 info`.
     pub fn summary(&self) -> String {
         let (e, w, i) = self.counts();
@@ -152,7 +147,7 @@ mod tests {
         ds.push(d("config1", 0, Severity::Error, "undefined-acl"));
         ds.push(d("config2", 9, Severity::Info, "note"));
         assert_eq!(ds.counts(), (1, 1, 1));
-        assert!(ds.has_errors());
+        assert!(ds.count(Severity::Error) > 0);
         assert_eq!(ds.summary(), "1 error, 1 warning, 1 info");
         assert_eq!(ds.len(), 3);
     }

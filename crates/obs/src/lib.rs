@@ -13,12 +13,11 @@
 //!   to every listening view: the folded profile, the trace, and the
 //!   [`StageTimings`] record behind `--timings` and `BENCH_repro.json`.
 //! - [`trace`]: point events and span boundaries with key–value fields,
-//!   emitted as deterministic JSONL to a sink chosen at runtime
-//!   (`RD_TRACE=<path|stderr>`, or `rdx`/`repro --trace <path>`). Events
-//!   raised inside `rd_par::par_map` workers are buffered per work item
-//!   and flushed in input order, so the event sequence is byte-identical
-//!   at any `RD_THREADS` setting once timestamps are zeroed
-//!   (`RD_TRACE_ZERO=1`).
+//!   emitted as deterministic JSONL to the sink that `rdx`/`repro
+//!   --trace <path|->` names. Events raised inside `rd_par::par_map`
+//!   workers are buffered per work item and flushed in input order, so
+//!   the event sequence is byte-identical at any `RD_THREADS` setting
+//!   once timestamps are zeroed (`RD_TRACE_ZERO=1`).
 //! - [`profile`]: the spans' collapsed-stack aggregation for flamegraph
 //!   tooling, enabled by `rdx`/`repro --profile <path>` and
 //!   byte-identical across thread counts under `RD_PROF_ZERO=1`.
@@ -129,14 +128,13 @@ impl Outputs {
     }
 
     /// Installs the trace sink `trace` names: `-` or `stderr`, else a file
-    /// path; without one, whatever `RD_TRACE` names. The error is a sink
-    /// that cannot be opened; the caller reports it and picks the exit
-    /// code.
+    /// path; without one, none. The error is a sink that cannot be
+    /// opened; the caller reports it and picks the exit code.
     pub fn trace(self, trace: Option<&str>) -> std::io::Result<Outputs> {
         match trace {
             Some("-" | "stderr") => trace::set_stderr_sink(),
             Some(path) => trace::set_file_sink(path)?,
-            None => trace::init_from_env()?,
+            None => {}
         }
         Ok(self)
     }

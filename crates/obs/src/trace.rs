@@ -5,13 +5,12 @@
 //!
 //! # Sinks
 //!
-//! Tracing is off until a sink is installed. Binaries call
-//! [`init_from_env`], which honors:
-//!
-//! - `RD_TRACE=<path>` — append-free overwrite of `<path>` with JSONL
-//!   (`RD_TRACE=stderr` or `RD_TRACE=-` selects stderr instead);
-//! - `RD_TRACE_ZERO=1` — zero every `ts_us`/`dur_us` at serialization
-//!   time, making runs byte-comparable across machines and thread counts.
+//! Tracing is off until a sink is installed. Binaries install one from
+//! their `--trace <path>` flag ([`crate::Outputs::trace`]): a file path
+//! ([`set_file_sink`], overwritten with JSONL) or `-`/`stderr`
+//! ([`set_stderr_sink`]). `RD_TRACE_ZERO=1` zeroes every `ts_us`/`dur_us`
+//! at serialization time, making runs byte-comparable across machines
+//! and thread counts.
 //!
 //! Tests install an in-process [`install_memory_sink`] and read lines back
 //! with [`take_memory`].
@@ -44,8 +43,6 @@ use std::time::Instant;
 
 use crate::json::{Layout, Writer};
 
-/// Environment variable selecting the trace sink (`<path>`, `stderr`, `-`).
-pub const TRACE_ENV: &str = "RD_TRACE";
 /// Environment variable zeroing timestamps (`1`): byte-stable output.
 pub const TRACE_ZERO_ENV: &str = "RD_TRACE_ZERO";
 
@@ -198,20 +195,6 @@ fn install(state: Option<SinkState>) {
 
 fn zero_from_env() -> bool {
     std::env::var(TRACE_ZERO_ENV).is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-}
-
-/// Installs the sink named by `RD_TRACE` (no-op when unset): a file path,
-/// or `stderr`/`-` for stderr. `RD_TRACE_ZERO=1` zeroes timestamps.
-pub fn init_from_env() -> Result<(), std::io::Error> {
-    let Ok(target) = std::env::var(TRACE_ENV) else {
-        return Ok(());
-    };
-    if target == "stderr" || target == "-" {
-        set_stderr_sink();
-        Ok(())
-    } else {
-        set_file_sink(&target)
-    }
 }
 
 /// Traces to stderr (timestamp zeroing still honors `RD_TRACE_ZERO`).

@@ -25,7 +25,7 @@ pub struct IbgpMesh {
     /// IBGP sessions inside the instance.
     pub sessions: usize,
     /// Sessions ÷ (n choose 2): 1.0 = full mesh. 0 for single-router
-    /// instances (vacuously complete; see [`IbgpMesh::is_full_mesh`]).
+    /// instances, which have no pair to connect.
     pub completeness: f64,
     /// Routers configured as route reflectors (they have at least one
     /// `route-reflector-client` neighbor).
@@ -35,12 +35,6 @@ pub struct IbgpMesh {
 }
 
 impl IbgpMesh {
-    /// True if every pair of members has a session (vacuously true for
-    /// instances of fewer than two routers).
-    pub fn is_full_mesh(&self) -> bool {
-        self.routers < 2 || self.completeness >= 1.0
-    }
-
     /// True if the instance uses route reflection instead of a mesh.
     pub fn uses_reflection(&self) -> bool {
         !self.reflectors.is_empty()
@@ -166,7 +160,7 @@ mod tests {
         assert_eq!(meshes.len(), 1);
         assert_eq!(meshes[0].routers, 3);
         assert_eq!(meshes[0].sessions, 3);
-        assert!(meshes[0].is_full_mesh());
+        assert_eq!(meshes[0].completeness, 1.0);
         assert!(!meshes[0].uses_reflection());
     }
 
@@ -183,7 +177,7 @@ mod tests {
         let meshes = ibgp_meshes(&net, &inst, &adj);
         assert_eq!(meshes.len(), 1);
         assert_eq!(meshes[0].sessions, 2);
-        assert!(!meshes[0].is_full_mesh());
+        assert!(meshes[0].completeness < 1.0);
         assert!((meshes[0].completeness - 2.0 / 3.0).abs() < 1e-9);
         assert!(meshes[0].uses_reflection());
         assert_eq!(meshes[0].reflectors, vec![RouterId(0)]);
@@ -202,7 +196,8 @@ mod tests {
         let (inst, adj) = analyze(&net);
         let meshes = ibgp_meshes(&net, &inst, &adj);
         assert_eq!(meshes.len(), 1);
-        assert!(meshes[0].is_full_mesh());
+        // Fewer than two routers: no pair is left unconnected.
+        assert_eq!(meshes[0].routers, 1);
         assert_eq!(meshes[0].sessions, 0);
     }
 }

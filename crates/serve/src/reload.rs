@@ -17,6 +17,7 @@
 //! verify.sh waits for a SIGHUP reload to land before byte-comparing
 //! pre/post bodies.
 
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -50,7 +51,8 @@ pub(crate) fn run(shared: Arc<Shared>, path: PathBuf) {
                 // serving state as stale until a reload lands.
                 shared.set_health(crate::HealthState::Stale);
                 rd_obs::metrics::counter_add("http.reload_failed", 1);
-                eprintln!("rd-serve: reload failed: {e}");
+                // Ignored on error: a closed stderr must not stop reloads.
+                let _ = writeln!(std::io::stderr(), "rd-serve: reload failed: {e}");
                 // The history entry records what is *still serving*.
                 shared.record_failure(&e.to_string());
             }

@@ -59,7 +59,7 @@ fn debug_endpoints_and_corrupt_reload_observability() {
     let dir = std::env::temp_dir().join(format!("rd-serve-debug-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("corpus.rdsnap");
-    corpus_of(&["net1", "net2"]).write_file(&path).unwrap();
+    rd_snap::write_atomic(&path, &corpus_of(&["net1", "net2"]).to_bytes()).unwrap();
 
     let server =
         Server::start_file(&path, "127.0.0.1:0", ServeOptions::default()).expect("starts");

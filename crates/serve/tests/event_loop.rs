@@ -463,7 +463,7 @@ fn hot_reload_swaps_snapshot_mid_burst() {
     let dir = std::env::temp_dir().join(format!("rd-serve-reload-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("corpus.rdsnap");
-    corpus_of(&["net1", "net2"]).write_file(&path).unwrap();
+    rd_snap::write_atomic(&path, &corpus_of(&["net1", "net2"]).to_bytes()).unwrap();
 
     let server =
         Server::start_file(&path, "127.0.0.1:0", ServeOptions::default()).expect("starts");
@@ -519,7 +519,7 @@ fn hot_reload_swaps_snapshot_mid_burst() {
 
     // Second reload: a different corpus, triggered over HTTP. The etag
     // and the rendered bodies must move to the new snapshot.
-    corpus_of(&["net1", "net2", "net3"]).write_file(&path).unwrap();
+    rd_snap::write_atomic(&path, &corpus_of(&["net1", "net2", "net3"]).to_bytes()).unwrap();
     let mut stream = connect(&server);
     stream
         .write_all(b"POST /admin/reload HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n")

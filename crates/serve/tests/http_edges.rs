@@ -247,7 +247,7 @@ fn every_route_class_answers_with_pinned_bytes() {
     let dir = std::env::temp_dir().join(format!("rd-serve-bytes-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("corpus.rdsnap");
-    corpus_of(&["net1"]).write_file(&path).unwrap();
+    rd_snap::write_atomic(&path, &corpus_of(&["net1"]).to_bytes()).unwrap();
     let server = Server::start_file(&path, "127.0.0.1:0", ServeOptions::default()).unwrap();
     let send = |request: &str| raw_request(&server, request.as_bytes());
     let get = |target: &str| send(&format!("GET {target} HTTP/1.1\r\nhost: t\r\n\r\n"));

@@ -168,7 +168,8 @@ pub const MAX_SECTIONS: usize = 65_536;
 /// Hard cap on a single section's declared payload length (1 GiB). The
 /// byte-level `Reader::len` already bounds every length prefix by the
 /// bytes actually present; this coarser cap additionally bounds what a
-/// `write_file`/`read_file` round trip will ever produce per network.
+/// [`write_atomic`]/[`Corpus::read_file`] round trip will ever produce per
+/// network.
 pub const MAX_SECTION_BYTES: usize = 1 << 30;
 
 /// The complete analysis of one network, as stored in a snapshot.
@@ -315,13 +316,6 @@ impl Corpus {
             networks.push(std::sync::Arc::new(result?));
         }
         Ok(Corpus { networks })
-    }
-
-    /// Writes the snapshot to a file via [`write_atomic`]: a crash at any
-    /// point leaves either the previous file or the new one, never a torn
-    /// mix.
-    pub fn write_file(&self, path: &std::path::Path) -> std::io::Result<()> {
-        write_atomic(path, &self.to_bytes())
     }
 
     /// Reads a snapshot from a file.

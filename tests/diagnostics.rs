@@ -43,7 +43,7 @@ fn malformed_corpus_surfaces_exact_tuples() {
             ("config-b", 0, Severity::Error, "undefined-unnumbered-target"),
         ],
     );
-    assert!(a.diagnostics.has_errors());
+    assert!(a.diagnostics.count(Severity::Error) > 0);
     assert_eq!(a.diagnostics.counts(), (2, 1, 0));
     assert_eq!(a.diagnostics.summary(), "2 errors, 1 warning, 0 info");
 

@@ -2,9 +2,10 @@
 //! snapshot persistence (a torn staging file at *every* truncation
 //! boundary must be quarantined on recovery while the last-good file
 //! keeps reading), failure isolation (an analysis panic must leave the
-//! co-hosted server answering byte-identically from last-good), and the
+//! co-hosted server answering byte-identically from last-good), the
 //! watcher as the daemon's only publisher (a reload request cannot clear
-//! a failing daemon's health).
+//! a failing daemon's health), and the daemon outliving a closed stdout
+//! or stderr and a last-good file that does not load.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -269,23 +270,17 @@ fn reload_cannot_clear_a_degraded_watch_daemon() {
     let dir = base.join("configs");
     write_config_dir(&dir);
     let snapshot_path = base.join("last-good.rdsnap");
-    let child = Command::new(env!("CARGO_BIN_EXE_rdx"))
-        .arg("watch")
-        .arg(&dir)
-        .arg("--snapshot")
-        .arg(&snapshot_path)
-        .args(["--addr", "127.0.0.1:0", "--poll-ms", "10", "--debounce-ms", "10"])
-        .args(["--backoff-ms", "10", "--backoff-max-ms", "20", "--degraded-after", "1"])
-        // Any unparseable config is fatal for its network.
-        .env("RD_ERROR_BUDGET", "0")
+    let any_port = "127.0.0.1:0".parse().expect("address");
+    let child = watch_command(&dir, &snapshot_path, any_port)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn rdx watch");
     let mut daemon = Daemon(child);
     let mut line = String::new();
-    let stdout = daemon.0.stdout.take().expect("piped stdout");
-    BufReader::new(stdout).read_line(&mut line).expect("listening line");
+    // Read for as long as the daemon runs: it prints a second line.
+    let mut stdout = BufReader::new(daemon.0.stdout.take().expect("piped stdout"));
+    stdout.read_line(&mut line).expect("listening line");
     let addr: SocketAddr = line
         .strip_prefix("listening on http://")
         .and_then(|rest| rest.split_whitespace().next())
@@ -318,5 +313,124 @@ fn reload_cannot_clear_a_degraded_watch_daemon() {
     assert!(body.contains("\"health\": \"degraded\""), "{body}");
 
     drop(daemon);
+    drop(stdout);
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A loopback address with a port no listener holds right now.
+fn free_addr() -> SocketAddr {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    listener.local_addr().expect("local addr")
+}
+
+/// `rdx watch` over `dir` on `addr`, failing fast and turning degraded
+/// on the first failed attempt; any unparseable config is fatal for its
+/// network.
+fn watch_command(dir: &Path, snapshot_path: &Path, addr: SocketAddr) -> Command {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_rdx"));
+    command
+        .arg("watch")
+        .arg(dir)
+        .arg("--snapshot")
+        .arg(snapshot_path)
+        .args(["--addr", &addr.to_string(), "--poll-ms", "10", "--debounce-ms", "10"])
+        .args(["--backoff-ms", "10", "--backoff-max-ms", "20", "--degraded-after", "1"])
+        .env("RD_ERROR_BUDGET", "0");
+    command
+}
+
+/// Waits until `addr` answers `/healthz?live=1` with 200.
+fn wait_live(addr: SocketAddr) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        if TcpStream::connect(addr).is_ok() {
+            let (head, _) = request(addr, "GET", "/healthz?live=1");
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            return;
+        }
+        assert!(Instant::now() < deadline, "the daemon never answered on {addr}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Waits until `/healthz` reports `health`.
+fn wait_health(addr: SocketAddr, health: &str) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let wanted = format!("\"health\": \"{health}\"");
+    loop {
+        let (head, body) = request(addr, "GET", "/healthz");
+        if String::from_utf8_lossy(&body).contains(&wanted) {
+            return;
+        }
+        assert!(Instant::now() < deadline, "never {health}: {head}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn a_closed_stdout_or_stderr_never_stops_the_watch_daemon() {
+    for closed in ["stdout", "stderr"] {
+        let base = scratch_dir(&format!("closed-{closed}"));
+        let dir = base.join("configs");
+        write_config_dir(&dir);
+        let addr = free_addr();
+        let mut command = watch_command(&dir, &base.join("last-good.rdsnap"), addr);
+        // The pipe's read end is gone before the daemon starts: every
+        // write to it fails with EPIPE.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        if closed == "stdout" {
+            command.stdout(writer).stderr(Stdio::null());
+        } else {
+            command.stdout(Stdio::null()).stderr(writer);
+        }
+        let daemon = Daemon(command.spawn().expect("spawn rdx watch"));
+
+        wait_live(addr);
+        wait_health(addr, "fresh");
+        // A parse-fatal push makes the watcher write its failure line,
+        // then the restore must bring it back to fresh.
+        let ra = dir.join("netA").join("ra.cfg");
+        std::fs::write(&ra, b"\xff\xfe not a router config\n").expect("push invalid config");
+        wait_health(addr, "degraded");
+        std::fs::write(&ra, RA).expect("restore config");
+        wait_health(addr, "fresh");
+        wait_live(addr);
+
+        drop(daemon);
+        let _ = std::fs::remove_dir_all(&base);
+    }
+}
+
+#[test]
+fn a_last_good_file_that_does_not_load_is_named_on_stderr() {
+    let base = scratch_dir("garbage");
+    let dir = base.join("configs");
+    write_config_dir(&dir);
+    let snapshot_path = base.join("last-good.rdsnap");
+    std::fs::write(&snapshot_path, b"not a snapshot").expect("garbage snapshot");
+    let addr = free_addr();
+    let mut command = watch_command(&dir, &snapshot_path, addr);
+    let child = command.stdout(Stdio::null()).stderr(Stdio::piped()).spawn().expect("spawn");
+    let mut daemon = Daemon(child);
+
+    wait_live(addr);
+    wait_health(addr, "fresh");
+    let (head, _) = request(addr, "GET", "/networks/netA");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    // The fresh analysis replaced the garbage.
+    assert!(rd_snap::Corpus::read_file(&snapshot_path).is_ok());
+
+    let mut stderr = daemon.0.stderr.take().expect("piped stderr");
+    drop(daemon);
+    let mut text = String::new();
+    stderr.read_to_string(&mut text).expect("stderr");
+    let first = text.lines().next().unwrap_or_default();
+    assert!(
+        first.starts_with("rdx watch: last-good snapshot does not load (")
+            && first.contains(&snapshot_path.display().to_string())
+            && first.ends_with("); analyzing afresh"),
+        "{text}"
+    );
     let _ = std::fs::remove_dir_all(&base);
 }
