@@ -1165,13 +1165,13 @@ fn diff(old: &NetworkAnalysis, dir: &str, other: &str, networks: bool) -> Result
 }
 
 /// `rdx <dir> diff <other> --networks`: instead of the router-level diff,
-/// print which networks the change invalidates, judged from the routers
-/// it touches (the incremental engine answers the same question from
-/// per-file hashes instead). Both sides are read
-/// as `rdx snap` reads them (a study directory, each subdirectory a
-/// network, or a single network); same-named networks are diffed pairwise
-/// and routed through the router → owning-network invalidation map;
-/// networks present on only one side are touched by definition.
+/// print which networks the change touches (the incremental engine
+/// answers the same question from per-file hashes instead). Both sides
+/// are read as `rdx snap` reads them (a study directory, each
+/// subdirectory a network, or a single network). A network is touched
+/// when it exists on one side only or when its own pairwise
+/// [`DesignDiff`](routing_design::DesignDiff) is non-empty; routers are
+/// compared within a network only, since hostnames repeat across them.
 fn diff_networks(dir: &str, other: &str) -> Result<(), Error> {
     let load = |d: &str| -> Result<BTreeMap<String, NetworkAnalysis>, Error> {
         let networks = read_corpus(d).map_err(|e| Error::Usage(format!("diff: {e}")))?;
@@ -1181,28 +1181,18 @@ fn diff_networks(dir: &str, other: &str) -> Result<(), Error> {
             .collect())
     };
     let (old_nets, new_nets) = (load(dir)?, load(other)?);
-    let map = routing_design::diff::invalidation_map(
-        old_nets.iter().map(|(name, a)| (name.as_str(), a)),
-    );
     let names: BTreeSet<&String> = old_nets.keys().chain(new_nets.keys()).collect();
-    let mut touched: BTreeSet<String> = BTreeSet::new();
-    for name in names {
-        // A network on one side only is touched by definition.
-        let (Some(old_analysis), Some(new_analysis)) = (old_nets.get(name), new_nets.get(name))
-        else {
-            touched.insert(name.clone());
-            continue;
-        };
-        let diff = routing_design::DesignDiff::between(old_analysis, new_analysis);
-        if !diff.is_empty() {
-            touched.insert(name.clone());
-            touched.extend(routing_design::diff::networks_touched(&map, &diff));
-        }
-    }
+    let touched: Vec<&String> = names
+        .into_iter()
+        .filter(|name| match (old_nets.get(*name), new_nets.get(*name)) {
+            (Some(old), Some(new)) => !routing_design::DesignDiff::between(old, new).is_empty(),
+            _ => true,
+        })
+        .collect();
     if touched.is_empty() {
         println!("no networks touched");
     } else {
-        for name in &touched {
+        for name in touched {
             println!("{name}");
         }
     }

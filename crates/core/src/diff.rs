@@ -184,23 +184,6 @@ impl DesignDiff {
         }
     }
 
-    /// Hostnames of every router this diff touches — added, removed,
-    /// modified, or either side of a rename — sorted and deduplicated.
-    /// This is the key set `rdx diff --networks` feeds through
-    /// [`invalidation_map`] to decide which networks a change
-    /// invalidates.
-    pub fn touched_routers(&self) -> Vec<String> {
-        let mut touched: BTreeSet<String> = BTreeSet::new();
-        touched.extend(self.routers_added.iter().cloned());
-        touched.extend(self.routers_removed.iter().cloned());
-        touched.extend(self.routers_modified.iter().cloned());
-        for (old_name, new_name) in &self.routers_renamed {
-            touched.insert(old_name.clone());
-            touched.insert(new_name.clone());
-        }
-        touched.into_iter().collect()
-    }
-
     /// True if the snapshots describe the same design.
     pub fn is_empty(&self) -> bool {
         self.routers_added.is_empty()
@@ -253,50 +236,6 @@ impl fmt::Display for DesignDiff {
         }
         Ok(())
     }
-}
-
-/// Builds the `router hostname → owning network(s)` map over a set of
-/// named analyses (e.g. a study corpus). A hostname that appears in more
-/// than one network — shared lab fixtures, cloned templates — maps to
-/// every owner, in name order. This is the lookup `rdx diff --networks`
-/// uses to translate a router-level diff into the set of per-network
-/// analyses it invalidates. (The delta engine does not use it: it
-/// decides staleness from per-file hashes, see
-/// [`crate::incremental`].)
-pub fn invalidation_map<'a>(
-    networks: impl IntoIterator<Item = (&'a str, &'a NetworkAnalysis)>,
-) -> BTreeMap<String, Vec<String>> {
-    let mut map: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for (net_name, analysis) in networks {
-        for (_, router) in analysis.network.iter() {
-            let owners = map.entry(router.name().to_string()).or_default();
-            if !owners.iter().any(|o| o == net_name) {
-                owners.push(net_name.to_string());
-            }
-        }
-    }
-    for owners in map.values_mut() {
-        owners.sort();
-    }
-    map
-}
-
-/// The networks a diff touches: every owner (per [`invalidation_map`])
-/// of every router in [`DesignDiff::touched_routers`], sorted and
-/// deduplicated. Routers absent from the map (e.g. a hostname that only
-/// exists in an un-analyzed target) are skipped — they invalidate
-/// nothing that exists yet.
-pub fn networks_touched(
-    map: &BTreeMap<String, Vec<String>>,
-    diff: &DesignDiff,
-) -> Vec<String> {
-    let mut nets: BTreeSet<String> = BTreeSet::new();
-    for router in diff.touched_routers() {
-        if let Some(owners) = map.get(&router) {
-            nets.extend(owners.iter().cloned());
-        }
-    }
-    nets.into_iter().collect()
 }
 
 fn label(sig: &InstanceSignature) -> String {
@@ -421,71 +360,6 @@ mod tests {
         let diff = DesignDiff::between(&a, &b);
         assert!(diff.routers_modified.is_empty(), "{:?}", diff.routers_modified);
         assert!(diff.is_empty(), "{diff}");
-    }
-
-    #[test]
-    fn touched_routers_cover_every_change_kind() {
-        let diff = DesignDiff {
-            routers_added: vec!["delta".to_string()],
-            routers_removed: vec!["omega".to_string()],
-            routers_modified: vec!["alpha".to_string()],
-            routers_renamed: vec![("beta".to_string(), "betamax".to_string())],
-            ..Default::default()
-        };
-        assert_eq!(
-            diff.touched_routers(),
-            vec!["alpha", "beta", "betamax", "delta", "omega"]
-        );
-        assert!(DesignDiff::default().touched_routers().is_empty());
-    }
-
-    #[test]
-    fn invalidation_map_routes_a_diff_to_its_networks() {
-        let net1 = NetworkAnalysis::from_texts(base_texts()).unwrap();
-        let net2 = NetworkAnalysis::from_texts(vec![(
-            "config1".to_string(),
-            "hostname gamma\n\
-             interface Serial0\n ip address 10.1.0.1 255.255.255.252\n\
-             router ospf 1\n network 10.1.0.0 0.0.255.255 area 0\n"
-                .to_string(),
-        )])
-        .unwrap();
-        let map = invalidation_map([("net1", &net1), ("net2", &net2)]);
-        assert_eq!(map.get("alpha"), Some(&vec!["net1".to_string()]));
-        assert_eq!(map.get("gamma"), Some(&vec!["net2".to_string()]));
-
-        // alpha grows a loopback: the diff touches net1 and only net1.
-        let mut texts = base_texts();
-        texts[0]
-            .1
-            .push_str("interface Loopback0\n ip address 10.9.0.1 255.255.255.255\n");
-        let changed = NetworkAnalysis::from_texts(texts).unwrap();
-        let diff = DesignDiff::between(&net1, &changed);
-        assert_eq!(networks_touched(&map, &diff), vec!["net1".to_string()]);
-        // An empty diff invalidates nothing.
-        let noop = DesignDiff::between(&net1, &net1);
-        assert!(networks_touched(&map, &noop).is_empty());
-    }
-
-    #[test]
-    fn shared_hostname_invalidates_every_owner() {
-        let a = NetworkAnalysis::from_texts(base_texts()).unwrap();
-        let b = NetworkAnalysis::from_texts(base_texts()).unwrap();
-        let map = invalidation_map([("net1", &a), ("net2", &b)]);
-        assert_eq!(
-            map.get("alpha"),
-            Some(&vec!["net1".to_string(), "net2".to_string()])
-        );
-        let mut texts = base_texts();
-        texts[0]
-            .1
-            .push_str("interface Loopback0\n ip address 10.9.0.1 255.255.255.255\n");
-        let changed = NetworkAnalysis::from_texts(texts).unwrap();
-        let diff = DesignDiff::between(&a, &changed);
-        assert_eq!(
-            networks_touched(&map, &diff),
-            vec!["net1".to_string(), "net2".to_string()]
-        );
     }
 
     #[test]

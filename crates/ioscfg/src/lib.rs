@@ -5,8 +5,11 @@
 //! configuration state of each router" — IOS `show running-config` text.
 //! This crate turns that text into a typed [`RouterConfig`] model and back:
 //!
-//! - [`raw`]: a lossless, indentation-structured stanza tree ([`RawConfig`]),
-//!   the direct analogue of what the paper's scripts walk over.
+//! - [`raw`]: the lexer. [`RawConfig`] is one flat table of a file's
+//!   command lines, borrowed from its text, each with its line number, its
+//!   words (split once) and the extent of its indented subtree; a
+//!   [`Stanza`] views one line and walks its children — the
+//!   indentation-structured tree the paper's scripts walk over.
 //! - [`model`]: the typed router model — [`Interface`]s, routing processes
 //!   ([`OspfProcess`], [`EigrpProcess`], [`RipProcess`], [`BgpProcess`]),
 //!   [`StaticRoute`]s, [`AccessList`]s and [`RouteMap`]s. The three IGP

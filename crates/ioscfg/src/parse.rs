@@ -23,12 +23,11 @@ pub fn parse_config(text: &str) -> Result<RouterConfig, ParseError> {
     parse_raw(&lex_config(text))
 }
 
-/// Parses an already-lexed stanza tree.
-pub fn parse_raw(raw: &RawConfig) -> Result<RouterConfig, ParseError> {
+/// Parses an already-lexed configuration.
+pub fn parse_raw(raw: &RawConfig<'_>) -> Result<RouterConfig, ParseError> {
     let mut cfg = RouterConfig::default();
-    for stanza in &raw.stanzas {
-        let words = stanza.words();
-        match words.as_slice() {
+    for stanza in raw.stanzas() {
+        match stanza.words() {
             ["hostname", name, ..] => cfg.hostname = Some(name.to_string()),
             ["interface", ..] => parse_interface(stanza, &mut cfg)?,
             ["router", "ospf", ..] => parse_ospf(stanza, &mut cfg)?,
@@ -48,49 +47,54 @@ pub fn parse_raw(raw: &RawConfig) -> Result<RouterConfig, ParseError> {
             _ => record_unparsed(stanza, &mut cfg),
         }
     }
+    // Clauses run in sequence-number order; a stable sort keeps clauses
+    // with equal numbers in file order.
+    for map in cfg.route_maps.values_mut() {
+        map.clauses.sort_by_key(|c| c.seq);
+    }
     Ok(cfg)
 }
 
-fn record_unparsed(stanza: &Stanza, cfg: &mut RouterConfig) {
-    cfg.unparsed.push((stanza.line, stanza.text.clone()));
-    for child in &stanza.children {
+fn record_unparsed(stanza: Stanza<'_>, cfg: &mut RouterConfig) {
+    cfg.unparsed.push((stanza.line(), stanza.text().to_string()));
+    for child in stanza.children() {
         record_unparsed(child, cfg);
     }
 }
 
 // ---------- shared field parsers ----------
 
-fn err(stanza: &Stanza, kind: ParseErrorKind) -> ParseError {
-    ParseError { line: stanza.line, command: stanza.text.clone(), kind }
+fn err(stanza: Stanza<'_>, kind: ParseErrorKind) -> ParseError {
+    ParseError { line: stanza.line(), command: stanza.text().to_string(), kind }
 }
 
-fn parse_addr(stanza: &Stanza, text: &str) -> Result<Addr, ParseError> {
+fn parse_addr(stanza: Stanza<'_>, text: &str) -> Result<Addr, ParseError> {
     text.parse()
         .map_err(|_| err(stanza, ParseErrorKind::BadAddress(text.to_string())))
 }
 
-fn parse_mask(stanza: &Stanza, text: &str) -> Result<Netmask, ParseError> {
+fn parse_mask(stanza: Stanza<'_>, text: &str) -> Result<Netmask, ParseError> {
     text.parse()
         .map_err(|_| err(stanza, ParseErrorKind::BadMask(text.to_string())))
 }
 
-fn parse_wildcard(stanza: &Stanza, text: &str) -> Result<Wildcard, ParseError> {
+fn parse_wildcard(stanza: Stanza<'_>, text: &str) -> Result<Wildcard, ParseError> {
     text.parse()
         .map_err(|_| err(stanza, ParseErrorKind::BadMask(text.to_string())))
 }
 
-fn parse_num<T: std::str::FromStr>(stanza: &Stanza, text: &str) -> Result<T, ParseError> {
+fn parse_num<T: std::str::FromStr>(stanza: Stanza<'_>, text: &str) -> Result<T, ParseError> {
     text.parse()
         .map_err(|_| err(stanza, ParseErrorKind::BadNumber(text.to_string())))
 }
 
-fn parse_ifname(stanza: &Stanza, text: &str) -> Result<InterfaceName, ParseError> {
+fn parse_ifname(stanza: Stanza<'_>, text: &str) -> Result<InterfaceName, ParseError> {
     text.parse()
         .map_err(|_| err(stanza, ParseErrorKind::BadInterfaceName(text.to_string())))
 }
 
 fn need<'a>(
-    stanza: &Stanza,
+    stanza: Stanza<'_>,
     words: &[&'a str],
     idx: usize,
     what: &'static str,
@@ -103,16 +107,15 @@ fn need<'a>(
 
 // ---------- interface ----------
 
-fn parse_interface(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseError> {
+fn parse_interface(stanza: Stanza<'_>, cfg: &mut RouterConfig) -> Result<(), ParseError> {
     let words = stanza.words();
-    let name_text = need(stanza, &words, 1, "interface name")?;
+    let name_text = need(stanza, words, 1, "interface name")?;
     let name = parse_ifname(stanza, name_text)?;
     let mut iface = Interface::new(name);
     iface.point_to_point = words.iter().any(|w| w.eq_ignore_ascii_case("point-to-point"));
 
-    for child in &stanza.children {
-        let cw = child.words();
-        match cw.as_slice() {
+    for child in stanza.children() {
+        match child.words() {
             ["ip", "address", addr, mask, rest @ ..] => {
                 let ifaddr = IfAddr {
                     addr: parse_addr(child, addr)?,
@@ -142,7 +145,7 @@ fn parse_interface(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseE
             }
             ["description", ..] => {
                 iface.description =
-                    Some(child.text.trim_start_matches("description").trim().to_string());
+                    Some(child.text().trim_start_matches("description").trim().to_string());
             }
             ["encapsulation", kind, ..] => iface.encapsulation = Some(kind.to_string()),
             ["frame-relay", "interface-dlci", dlci, ..] => {
@@ -161,75 +164,77 @@ fn parse_interface(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseE
 
 // ---------- redistribution (shared by all process types) ----------
 
-fn parse_redistribute(stanza: &Stanza, words: &[&str]) -> Result<Redistribution, ParseError> {
+fn parse_redistribute(stanza: Stanza<'_>, words: &[&str]) -> Result<Redistribution, ParseError> {
     debug_assert!(words[0].eq_ignore_ascii_case("redistribute"));
     let source_word = need(stanza, words, 1, "redistribution source")?;
     let mut idx = 2;
-    let source = match source_word.to_ascii_lowercase().as_str() {
-        "connected" => RedistSource::Connected,
-        "static" => RedistSource::Static,
-        "rip" => RedistSource::Rip,
-        "ospf" => {
+    let source = match source_word {
+        w if w.eq_ignore_ascii_case("connected") => RedistSource::Connected,
+        w if w.eq_ignore_ascii_case("static") => RedistSource::Static,
+        w if w.eq_ignore_ascii_case("rip") => RedistSource::Rip,
+        w if w.eq_ignore_ascii_case("ospf") => {
             let id = parse_num(stanza, need(stanza, words, idx, "ospf pid")?)?;
             idx += 1;
             RedistSource::Ospf(id)
         }
-        "eigrp" => {
+        w if w.eq_ignore_ascii_case("eigrp") => {
             let asn = parse_num(stanza, need(stanza, words, idx, "eigrp asn")?)?;
             idx += 1;
             RedistSource::Eigrp(asn)
         }
-        "igrp" => {
+        w if w.eq_ignore_ascii_case("igrp") => {
             let asn = parse_num(stanza, need(stanza, words, idx, "igrp asn")?)?;
             idx += 1;
             RedistSource::Igrp(asn)
         }
-        "bgp" => {
+        w if w.eq_ignore_ascii_case("bgp") => {
             let asn = parse_num(stanza, need(stanza, words, idx, "bgp asn")?)?;
             idx += 1;
             RedistSource::Bgp(asn)
         }
-        other => {
-            return Err(err(stanza, ParseErrorKind::UnexpectedArgument(other.to_string())))
-        }
+        other => return Err(unexpected_lowercase(stanza, other)),
     };
 
     let mut redist = Redistribution::plain(source);
     while idx < words.len() {
-        match words[idx].to_ascii_lowercase().as_str() {
-            "metric" => {
+        match words[idx] {
+            w if w.eq_ignore_ascii_case("metric") => {
                 idx += 1;
                 redist.metric = Some(parse_num(stanza, need(stanza, words, idx, "metric")?)?);
             }
-            "metric-type" => {
+            w if w.eq_ignore_ascii_case("metric-type") => {
                 idx += 1;
                 redist.metric_type =
                     Some(parse_num(stanza, need(stanza, words, idx, "metric-type")?)?);
             }
-            "subnets" => redist.subnets = true,
-            "route-map" => {
+            w if w.eq_ignore_ascii_case("subnets") => redist.subnets = true,
+            w if w.eq_ignore_ascii_case("route-map") => {
                 idx += 1;
                 redist.route_map =
                     Some(need(stanza, words, idx, "route-map name")?.to_string());
             }
-            "tag" => {
+            w if w.eq_ignore_ascii_case("tag") => {
                 idx += 1;
                 redist.tag = Some(parse_num(stanza, need(stanza, words, idx, "tag")?)?);
             }
             // `match route-map X` appears in some BGP redistribute forms
             // (Fig. 2 line 25: "redistribute ospf 64 match route-map ...").
-            "match" => {}
-            other => {
-                return Err(err(stanza, ParseErrorKind::UnexpectedArgument(other.to_string())))
-            }
+            w if w.eq_ignore_ascii_case("match") => {}
+            other => return Err(unexpected_lowercase(stanza, other)),
         }
         idx += 1;
     }
     Ok(redist)
 }
 
+/// The error for a word `redistribute` does not take, naming the word in
+/// lower case.
+fn unexpected_lowercase(stanza: Stanza<'_>, word: &str) -> ParseError {
+    err(stanza, ParseErrorKind::UnexpectedArgument(word.to_ascii_lowercase()))
+}
+
 fn parse_distribute_list(
-    stanza: &Stanza,
+    stanza: Stanza<'_>,
     words: &[&str],
     policy: &mut IgpPolicy,
 ) -> Result<(), ParseError> {
@@ -252,7 +257,7 @@ fn parse_distribute_list(
 /// Parses one of the policy statements every IGP stanza shares into
 /// `policy`; false when `words` is some other statement.
 fn parse_policy(
-    stanza: &Stanza,
+    stanza: Stanza<'_>,
     words: &[&str],
     policy: &mut IgpPolicy,
 ) -> Result<bool, ParseError> {
@@ -267,17 +272,17 @@ fn parse_policy(
 
 // ---------- OSPF ----------
 
-fn parse_ospf(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseError> {
+fn parse_ospf(stanza: Stanza<'_>, cfg: &mut RouterConfig) -> Result<(), ParseError> {
     let words = stanza.words();
-    let id: u32 = parse_num(stanza, need(stanza, &words, 2, "ospf pid")?)?;
+    let id: u32 = parse_num(stanza, need(stanza, words, 2, "ospf pid")?)?;
     let mut proc = OspfProcess::new(id);
 
-    for child in &stanza.children {
+    for child in stanza.children() {
         let cw = child.words();
-        if parse_policy(child, &cw, &mut proc.policy)? {
+        if parse_policy(child, cw, &mut proc.policy)? {
             continue;
         }
-        match cw.as_slice() {
+        match cw {
             ["network", addr, wildcard, "area", area] => {
                 proc.networks.push(OspfNetwork {
                     addr: parse_addr(child, addr)?,
@@ -298,7 +303,7 @@ fn parse_ospf(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseError>
     Ok(())
 }
 
-fn parse_area(stanza: &Stanza, text: &str) -> Result<OspfArea, ParseError> {
+fn parse_area(stanza: Stanza<'_>, text: &str) -> Result<OspfArea, ParseError> {
     if let Ok(n) = text.parse::<u32>() {
         return Ok(OspfArea(n));
     }
@@ -311,18 +316,18 @@ fn parse_area(stanza: &Stanza, text: &str) -> Result<OspfArea, ParseError> {
 
 // ---------- EIGRP / IGRP ----------
 
-fn parse_eigrp(stanza: &Stanza, cfg: &mut RouterConfig, is_igrp: bool) -> Result<(), ParseError> {
+fn parse_eigrp(stanza: Stanza<'_>, cfg: &mut RouterConfig, is_igrp: bool) -> Result<(), ParseError> {
     let words = stanza.words();
-    let asn: u32 = parse_num(stanza, need(stanza, &words, 2, "asn")?)?;
+    let asn: u32 = parse_num(stanza, need(stanza, words, 2, "asn")?)?;
     let mut proc = EigrpProcess::new(asn);
     proc.is_igrp = is_igrp;
 
-    for child in &stanza.children {
+    for child in stanza.children() {
         let cw = child.words();
-        if parse_policy(child, &cw, &mut proc.policy)? {
+        if parse_policy(child, cw, &mut proc.policy)? {
             continue;
         }
-        match cw.as_slice() {
+        match cw {
             ["network", addr] => {
                 proc.networks
                     .push(EigrpNetwork { addr: parse_addr(child, addr)?, wildcard: None });
@@ -351,14 +356,14 @@ fn parse_eigrp(stanza: &Stanza, cfg: &mut RouterConfig, is_igrp: bool) -> Result
 
 // ---------- RIP ----------
 
-fn parse_rip(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseError> {
+fn parse_rip(stanza: Stanza<'_>, cfg: &mut RouterConfig) -> Result<(), ParseError> {
     let mut proc = cfg.rip.take().unwrap_or_default();
-    for child in &stanza.children {
+    for child in stanza.children() {
         let cw = child.words();
-        if parse_policy(child, &cw, &mut proc.policy)? {
+        if parse_policy(child, cw, &mut proc.policy)? {
             continue;
         }
-        match cw.as_slice() {
+        match cw {
             ["version", v] => proc.version = Some(parse_num(child, v)?),
             ["network", addr] => proc.networks.push(parse_addr(child, addr)?),
             ["no", ..] | ["default-metric", ..] | ["timers", ..] => {}
@@ -371,9 +376,9 @@ fn parse_rip(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseError> 
 
 // ---------- BGP ----------
 
-fn parse_bgp(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseError> {
+fn parse_bgp(stanza: Stanza<'_>, cfg: &mut RouterConfig) -> Result<(), ParseError> {
     let words = stanza.words();
-    let asn: u32 = parse_num(stanza, need(stanza, &words, 2, "asn")?)?;
+    let asn: u32 = parse_num(stanza, need(stanza, words, 2, "asn")?)?;
     if let Some(existing) = &cfg.bgp {
         if existing.asn != asn {
             return Err(err(
@@ -387,15 +392,15 @@ fn parse_bgp(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseError> 
     }
     let mut proc = cfg.bgp.take().unwrap_or_else(|| BgpProcess::new(asn));
 
-    for child in &stanza.children {
+    for child in stanza.children() {
         let cw = child.words();
-        match cw.as_slice() {
+        match cw {
             ["bgp", "router-id", addr] => proc.router_id = Some(parse_addr(child, addr)?),
             ["network", addr] => proc.networks.push((parse_addr(child, addr)?, None)),
             ["network", addr, "mask", mask] => proc
                 .networks
                 .push((parse_addr(child, addr)?, Some(parse_mask(child, mask)?))),
-            ["redistribute", ..] => proc.redistribute.push(parse_redistribute(child, &cw)?),
+            ["redistribute", ..] => proc.redistribute.push(parse_redistribute(child, cw)?),
             ["no", "synchronization"] => proc.no_synchronization = true,
             ["neighbor", addr, rest @ ..] => {
                 let peer = parse_addr(child, addr)?;
@@ -433,11 +438,11 @@ fn parse_bgp(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseError> 
 
 // ---------- static routes ----------
 
-fn parse_static_route(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseError> {
+fn parse_static_route(stanza: Stanza<'_>, cfg: &mut RouterConfig) -> Result<(), ParseError> {
     let words = stanza.words();
-    let dest = parse_addr(stanza, need(stanza, &words, 2, "destination")?)?;
-    let mask = parse_mask(stanza, need(stanza, &words, 3, "mask")?)?;
-    let target_text = need(stanza, &words, 4, "next hop")?;
+    let dest = parse_addr(stanza, need(stanza, words, 2, "destination")?)?;
+    let mask = parse_mask(stanza, need(stanza, words, 3, "mask")?)?;
+    let target_text = need(stanza, words, 4, "next hop")?;
     let target = match target_text.parse::<Addr>() {
         Ok(a) => StaticTarget::NextHop(a),
         Err(_) => StaticTarget::Interface(parse_ifname(stanza, target_text)?),
@@ -448,7 +453,7 @@ fn parse_static_route(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), Par
         match words[idx] {
             "tag" => {
                 idx += 1;
-                route.tag = Some(parse_num(stanza, need(stanza, &words, idx, "tag")?)?);
+                route.tag = Some(parse_num(stanza, need(stanza, words, idx, "tag")?)?);
             }
             other => {
                 if let Ok(d) = other.parse::<u8>() {
@@ -469,7 +474,7 @@ fn parse_static_route(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), Par
 
 // ---------- access lists ----------
 
-fn parse_acl_action(stanza: &Stanza, text: &str) -> Result<AclAction, ParseError> {
+fn parse_acl_action(stanza: Stanza<'_>, text: &str) -> Result<AclAction, ParseError> {
     match text {
         "permit" => Ok(AclAction::Permit),
         "deny" => Ok(AclAction::Deny),
@@ -479,7 +484,7 @@ fn parse_acl_action(stanza: &Stanza, text: &str) -> Result<AclAction, ParseError
 
 /// Parses an address matcher, consuming 1 (`any`), 2 (`host A`), or 2
 /// (`A W`) words; returns the matcher and words consumed.
-fn parse_acl_addr(stanza: &Stanza, words: &[&str]) -> Result<(AclAddr, usize), ParseError> {
+fn parse_acl_addr(stanza: Stanza<'_>, words: &[&str]) -> Result<(AclAddr, usize), ParseError> {
     match words {
         ["any", ..] => Ok((AclAddr::Any, 1)),
         ["host", addr, ..] => Ok((AclAddr::Host(parse_addr(stanza, addr)?), 2)),
@@ -494,7 +499,7 @@ fn parse_acl_addr(stanza: &Stanza, words: &[&str]) -> Result<(AclAddr, usize), P
 
 /// Parses an optional port matcher; returns (match, words consumed).
 fn parse_port_match(
-    stanza: &Stanza,
+    stanza: Stanza<'_>,
     words: &[&str],
 ) -> Result<(Option<PortMatch>, usize), ParseError> {
     match words {
@@ -509,10 +514,10 @@ fn parse_port_match(
     }
 }
 
-fn parse_access_list(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseError> {
+fn parse_access_list(stanza: Stanza<'_>, cfg: &mut RouterConfig) -> Result<(), ParseError> {
     let words = stanza.words();
-    let id: u32 = parse_num(stanza, need(stanza, &words, 1, "acl number")?)?;
-    let action = parse_acl_action(stanza, need(stanza, &words, 2, "permit/deny")?)?;
+    let id: u32 = parse_num(stanza, need(stanza, words, 1, "acl number")?)?;
+    let action = parse_acl_action(stanza, need(stanza, words, 2, "permit/deny")?)?;
     let rest = &words[3..];
 
     // Numbers 1-99 are standard lists; 100-199 are extended. The paper's
@@ -524,7 +529,7 @@ fn parse_access_list(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), Pars
     let extended = id >= 100
         && rest
             .first()
-            .is_some_and(|w| PROTOCOLS.contains(&w.to_ascii_lowercase().as_str()));
+            .is_some_and(|w| PROTOCOLS.iter().any(|p| w.eq_ignore_ascii_case(p)));
     let entry = if !extended {
         let (addr, _) = parse_acl_addr(stanza, rest)?;
         AclEntry::Standard { action, addr }
@@ -542,7 +547,7 @@ fn parse_access_list(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), Pars
         pos += used;
         let (dst_port, used) = parse_port_match(stanza, &rest[pos..])?;
         pos += used;
-        let established = rest[pos..].iter().any(|w| *w == "established");
+        let established = rest[pos..].contains(&"established");
         AclEntry::Extended { action, protocol, src, src_port, dst, dst_port, established }
     };
 
@@ -552,9 +557,9 @@ fn parse_access_list(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), Pars
 
 // ---------- route maps ----------
 
-fn parse_route_map(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseError> {
+fn parse_route_map(stanza: Stanza<'_>, cfg: &mut RouterConfig) -> Result<(), ParseError> {
     let words = stanza.words();
-    let name = need(stanza, &words, 1, "route-map name")?.to_string();
+    let name = need(stanza, words, 1, "route-map name")?.to_string();
     let action = match words.get(2) {
         Some(text) => parse_acl_action(stanza, text)?,
         None => AclAction::Permit,
@@ -565,9 +570,8 @@ fn parse_route_map(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseE
     };
 
     let mut clause = RouteMapClause { seq, action, matches: Vec::new(), sets: Vec::new() };
-    for child in &stanza.children {
-        let cw = child.words();
-        match cw.as_slice() {
+    for child in stanza.children() {
+        match child.words() {
             ["match", "ip", "address", acls @ ..] => {
                 let ids = acls
                     .iter()
@@ -614,7 +618,6 @@ fn parse_route_map(stanza: &Stanza, cfg: &mut RouterConfig) -> Result<(), ParseE
         .entry(name.clone())
         .or_insert_with(|| RouteMap::new(name));
     map.clauses.push(clause);
-    map.clauses.sort_by_key(|c| c.seq);
     Ok(())
 }
 

@@ -355,8 +355,109 @@ fn lexer_never_panics_and_counts_command_lines() {
                 expected += 1;
             }
         }
-        assert_eq!(raw.command_lines, expected, "text:\n{text}");
+        assert_eq!(raw.command_lines(), expected, "text:\n{text}");
     }
+}
+
+/// One stanza as a nested tree: the shape the lexer's line table stands
+/// for.
+#[derive(Debug, PartialEq)]
+struct Node {
+    line: usize,
+    text: String,
+    words: Vec<String>,
+    children: Vec<Node>,
+}
+
+fn node(line: usize, text: &str) -> Node {
+    let words = text.split_whitespace().map(str::to_string).collect();
+    Node { line, text: text.to_string(), words, children: Vec::new() }
+}
+
+/// The nested-tree lexer the line table replaced (a stack of open
+/// indentation levels, each line pushed under its parent), kept as the
+/// reference; words come from `str::split_whitespace`.
+fn reference_tree(text: &str) -> Vec<Node> {
+    let mut root: Vec<Node> = Vec::new();
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for (idx, raw_line) in text.lines().enumerate() {
+        let trimmed_end = raw_line.trim_end();
+        let content = trimmed_end.trim_start();
+        if content.is_empty() || content.starts_with('!') {
+            continue;
+        }
+        if content.eq_ignore_ascii_case("end") {
+            break;
+        }
+        let indent = trimmed_end.len() - content.len();
+        while stack.last().is_some_and(|(i, _)| *i >= indent) {
+            stack.pop();
+        }
+        let mut slot = &mut root;
+        for &(_, child) in &stack {
+            slot = &mut slot[child].children;
+        }
+        slot.push(node(idx + 1, content));
+        stack.push((indent, slot.len() - 1));
+    }
+    root
+}
+
+fn tree_of(stanza: ioscfg::Stanza<'_>) -> Node {
+    Node {
+        line: stanza.line(),
+        text: stanza.text().to_string(),
+        words: stanza.words().iter().map(|w| w.to_string()).collect(),
+        children: stanza.children().map(tree_of).collect(),
+    }
+}
+
+/// Config-ish text whose whitespace, indentation included, mixes the
+/// ASCII separators (0x0B among them) with Unicode ones, around ASCII
+/// and non-ASCII words (and chars that look like separators but are
+/// not: U+200B and 0x1F).
+fn whitespace_configish(rng: &mut StdRng) -> String {
+    const SPACE: &[&str] = &[
+        " ", "\t", "\u{b}", "\u{c}", "\r", "\u{85}", "\u{a0}", "\u{2028}", "\u{3000}",
+    ];
+    const WORDS: &[&str] = &[
+        "interface", "router", "ospf", "ip", "address", "10.0.0.1", "über", "ключ", "日本",
+        "é", "a\u{200b}b", "x\u{1f}y", "!", "ÿ", "end", "End",
+    ];
+    fn pick(rng: &mut StdRng, set: &[&'static str]) -> &'static str {
+        set[rng.gen_range(0..set.len())]
+    }
+    let mut text = String::new();
+    for _ in 0..rng.gen_range(0..30usize) {
+        for _ in 0..rng.gen_range(0..4usize) {
+            text.push_str(pick(rng, SPACE));
+        }
+        for w in 0..rng.gen_range(0..6usize) {
+            for _ in 0..usize::from(w > 0) + rng.gen_range(0..2usize) {
+                text.push_str(pick(rng, SPACE));
+            }
+            text.push_str(pick(rng, WORDS));
+        }
+        if rng.gen_bool(0.3) {
+            text.push_str(pick(rng, SPACE));
+        }
+        text.push_str(if rng.gen_bool(0.2) { "\r\n" } else { "\n" });
+    }
+    text
+}
+
+#[test]
+fn line_table_matches_the_nested_reference_lexer() {
+    let mut rng = StdRng::seed_from_u64(0xC7);
+    let mut stanzas = 0;
+    for _ in 0..2_000 {
+        let text = whitespace_configish(&mut rng);
+        let raw = ioscfg::lex_config(&text);
+        let got: Vec<Node> = raw.stanzas().map(tree_of).collect();
+        assert_eq!(got, reference_tree(&text), "text: {text:?}");
+        stanzas += got.len();
+    }
+    assert!(stanzas > 4_000, "only {stanzas} top-level stanzas generated");
 }
 
 #[test]

@@ -104,20 +104,28 @@ impl std::error::Error for ParseAddrError {}
 impl FromStr for Addr {
     type Err = ParseAddrError;
 
+    /// Accepts exactly four dot-separated parts of one to three ASCII
+    /// digits (leading zeros allowed), each at most 255, in one pass over
+    /// the bytes.
     fn from_str(s: &str) -> Result<Addr, ParseAddrError> {
-        let mut octets = [0u8; 4];
-        let mut parts = s.split('.');
-        for slot in &mut octets {
-            let part = parts.next().ok_or_else(|| ParseAddrError::new(s))?;
-            if part.is_empty() || part.len() > 3 || !part.bytes().all(|b| b.is_ascii_digit()) {
-                return Err(ParseAddrError::new(s));
+        let (mut bits, mut dots, mut value, mut digits) = (0u32, 0, 0u32, 0);
+        for &b in s.as_bytes() {
+            match b {
+                b'0'..=b'9' if digits < 3 => {
+                    value = value * 10 + u32::from(b - b'0');
+                    digits += 1;
+                }
+                b'.' if digits > 0 && value <= 255 && dots < 3 => {
+                    bits = (bits << 8) | value;
+                    (dots, value, digits) = (dots + 1, 0, 0);
+                }
+                _ => return Err(ParseAddrError::new(s)),
             }
-            *slot = part.parse().map_err(|_| ParseAddrError::new(s))?;
         }
-        if parts.next().is_some() {
+        if dots < 3 || digits == 0 || value > 255 {
             return Err(ParseAddrError::new(s));
         }
-        Ok(Addr::new(octets[0], octets[1], octets[2], octets[3]))
+        Ok(Addr((bits << 8) | value))
     }
 }
 

@@ -69,6 +69,68 @@ fn random_nested_prefixes(rng: &mut StdRng) -> Vec<Prefix> {
     out
 }
 
+/// `Addr::from_str` as it was before it became one byte pass (split on
+/// `.`, check each part, parse it as a `u8`), kept as the reference;
+/// `Err` is the error's text.
+fn split_reference_addr(s: &str) -> Result<Addr, String> {
+    let err = || format!("invalid IPv4 address: {s:?}");
+    let mut octets = [0u8; 4];
+    let mut parts = s.split('.');
+    for slot in &mut octets {
+        let part = parts.next().ok_or_else(err)?;
+        if part.is_empty() || part.len() > 3 || !part.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(err());
+        }
+        *slot = part.parse().map_err(|_| err())?;
+    }
+    if parts.next().is_some() {
+        return Err(err());
+    }
+    Ok(Addr::new(octets[0], octets[1], octets[2], octets[3]))
+}
+
+/// A random dotted string: mostly four parts, sometimes three, five or
+/// any count up to seven; parts are octets, zero-padded numbers up to
+/// 999, or one of the malformed shapes.
+fn random_dotted(rng: &mut StdRng) -> String {
+    const ODD: &[&str] =
+        &["", "256", "+1", "-1", "0x1", "1e2", " 1", "1 ", "\u{661}", "\u{ff11}", "\u{b2}", "a"];
+    let parts = match rng.gen_range(0..10u32) {
+        0 => 3,
+        1 => 5,
+        2 => rng.gen_range(0..=7usize),
+        _ => 4,
+    };
+    let part = |rng: &mut StdRng| match rng.gen_range(0..8u32) {
+        0 => ODD[rng.gen_range(0..ODD.len())].to_string(),
+        1 => format!("{:01$}", rng.gen_range(0..=999u32), rng.gen_range(1..=4usize)),
+        _ => rng.gen_range(0..=255u32).to_string(),
+    };
+    (0..parts).map(|_| part(rng)).collect::<Vec<_>>().join(".")
+}
+
+#[test]
+fn addr_parse_matches_the_split_reference() {
+    let fixed = [
+        "0.0.0.0", "255.255.255.255", "010.001.000.7", "0001.2.3.4", "256.0.0.1", "1.2.3",
+        "1.2.3.4.5", "1..2.3", ".1.2.3", "1.2.3.4.", "+1.2.3.4", "1.2.3.\u{661}", "",
+    ];
+    for text in fixed {
+        let got = text.parse::<Addr>().map_err(|e| e.to_string());
+        assert_eq!(got, split_reference_addr(text), "{text:?}");
+    }
+    let mut rng = StdRng::seed_from_u64(0xB0);
+    let mut accepted = 0;
+    for _ in 0..20_000 {
+        let text = random_dotted(&mut rng);
+        let got = text.parse::<Addr>().map_err(|e| e.to_string());
+        assert_eq!(got, split_reference_addr(&text), "{text:?}");
+        accepted += usize::from(got.is_ok());
+    }
+    // Both outcomes are exercised.
+    assert!((2_000..18_000).contains(&accepted), "{accepted} of 20000 accepted");
+}
+
 #[test]
 fn prefix_parse_display_roundtrip() {
     let mut rng = StdRng::seed_from_u64(0xB1);

@@ -253,14 +253,14 @@ impl Network {
                         "parse.file",
                         &[
                             ("file", file_name.as_str().into()),
-                            ("lines", raw.command_lines.into()),
+                            ("lines", raw.command_lines().into()),
                             ("unrecognized", config.unparsed.len().into()),
                             ("diagnostics", diags.len().into()),
                         ],
                     );
                     FileOutcome::Parsed {
                         config: Box::new(config),
-                        command_lines: raw.command_lines,
+                        command_lines: raw.command_lines(),
                         diags,
                     }
                 }

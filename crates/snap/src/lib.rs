@@ -9,8 +9,8 @@
 //! address blocks, Table 1, the design summary and all diagnostics — and
 //! the loader restores the whole corpus without ever touching the IOS
 //! parser. `repro --bench` records the two in `BENCH_repro.json`'s `snap`
-//! section: at full scale the committed run loads in 99.5 ms against
-//! 789.8 ms of summed analysis stages, 7.9× faster.
+//! section: at full scale the committed run loads in 79.1 ms against
+//! 385.2 ms of summed analysis stages, 4.9× faster.
 //!
 //! # Container format
 //!

@@ -381,15 +381,18 @@ grep -q "(manifest)" /tmp/rd_verify_incr_info.txt \
 # One-router change: the delta refresh must reuse the other 30 networks,
 # and its output must be byte-identical to a cold re-run. The stanza goes
 # before the config's `end` line, where the parser still reads, and the
-# edit must change the analysis of net15.
+# edit must change the analysis of net15 and of no other network (other
+# networks' routers carry the same hostnames).
 rm -rf /tmp/rd_verify_incr_pre
 cp -R /tmp/rd_verify_incr /tmp/rd_verify_incr_pre
 sed -i 's/^end$/interface Loopback99\n ip address 10.99.0.1 255.255.255.255\nend/' \
     /tmp/rd_verify_incr/net15/config1
 ./target/release/rdx /tmp/rd_verify_incr_pre diff /tmp/rd_verify_incr --networks \
     > /tmp/rd_verify_incr_diff.txt
-grep -qx net15 /tmp/rd_verify_incr_diff.txt \
-    || { echo "the incremental edit did not change net15's analysis" >&2; exit 1; }
+[ "$(cat /tmp/rd_verify_incr_diff.txt)" = net15 ] || {
+    echo "diff --networks after the net15 edit printed: $(cat /tmp/rd_verify_incr_diff.txt)" >&2
+    exit 1
+}
 T0=$(date +%s%N)
 ./target/release/rdx snap /tmp/rd_verify_incr -o /tmp/rd_verify_incr_delta.rdsnap \
     --from /tmp/rd_verify_incr_cold.rdsnap > /dev/null 2> /tmp/rd_verify_incr_out.txt
@@ -422,10 +425,10 @@ if [ "${1:-}" = "--bench" ]; then
     # Stage-regression guards: remember the committed run's worst figure
     # for each guarded stage before repro --bench overwrites the file.
     # A budget is 3x that figure — generous enough for machine noise,
-    # tight enough to catch a quadratic stage coming back: the external
-    # classifier, the instance-graph classify pass, the serve cache
-    # build's /pathways render (its worst figure is the full-scale one),
-    # and the snapshot load. The load is guarded by its own time, not by
+    # tight enough to catch a quadratic stage coming back: the config
+    # lexer and parser, the external classifier, the instance-graph
+    # classify pass, the serve cache build's /pathways render (its worst
+    # figure is the full-scale one), and the snapshot load. The load is guarded by its own time, not by
     # its speedup over re-analysis, which falls whenever analysis gets
     # faster. A guard whose field the committed file lacks is skipped.
     # (The "bench_external" section deliberately doesn't match "external".)
@@ -437,7 +440,7 @@ if [ "${1:-}" = "--bench" ]; then
     BUDGETS=""
     SERVE_FLOOR=""
     if [ -f BENCH_repro.json ]; then
-        for STAGE in external classify render:/pathways load_ms; do
+        for STAGE in parse external classify render:/pathways load_ms; do
             BUDGET=$(worst "$STAGE" 3)
             [ -z "$BUDGET" ] || BUDGETS="$BUDGETS $STAGE=$BUDGET"
         done

@@ -24,6 +24,14 @@ const SPOKE: &str = "hostname c0-spoke{n}\n\
                      interface Ethernet0\n ip address 10.0.0.{n} 255.255.255.0\n\
                      router ospf 1\n network 10.0.0.0 0.0.0.255 area 0\n";
 
+/// The hub with one loopback added: a change to its analysis.
+fn edited_hub() -> String {
+    HUB.replace(
+        "router ospf",
+        "interface Loopback9\n ip address 10.9.0.1 255.255.255.255\nrouter ospf",
+    )
+}
+
 /// `<root>/mix`: `config1` at the top level and two more configs one
 /// directory down, in `sub/`.
 fn mixed_tree(root: &Path, hub: &str) -> PathBuf {
@@ -41,11 +49,7 @@ fn mixed_tree(root: &Path, hub: &str) -> PathBuf {
 fn diff_networks_reads_a_mixed_tree_as_snap_does() {
     let root = scratch("mixed");
     let old = mixed_tree(&root.join("a"), HUB);
-    let edited = HUB.replace(
-        "router ospf",
-        "interface Loopback9\n ip address 10.9.0.1 255.255.255.255\nrouter ospf",
-    );
-    let new = mixed_tree(&root.join("b"), &edited);
+    let new = mixed_tree(&root.join("b"), &edited_hub());
 
     // snap sees one network: the top-level config directory itself.
     let snap_path = root.join("mix.rdsnap");
@@ -66,6 +70,36 @@ fn diff_networks_reads_a_mixed_tree_as_snap_does() {
     let out = rdx(&[&old, Path::new("diff"), &new, Path::new("--networks")]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     assert_eq!(String::from_utf8_lossy(&out.stdout), "mix\n");
+
+    fs::remove_dir_all(&root).ok();
+}
+
+/// Two networks built from the same hostnames (as `emit_study` builds
+/// them): editing the hub of one touches that network alone.
+#[test]
+fn diff_networks_names_only_the_edited_network_when_hostnames_repeat() {
+    let root = scratch("shared");
+    // `<root>/<side>/{net1,net2}`, the hub of network `edited` edited.
+    let study = |side: &str, edited: &str| {
+        let tree = root.join(side);
+        for net in ["net1", "net2"] {
+            let dir = tree.join(net);
+            fs::create_dir_all(&dir).expect("create network");
+            let hub = if net == edited { edited_hub() } else { HUB.to_string() };
+            fs::write(dir.join("config1"), hub).expect("write hub");
+            for n in [2, 3] {
+                let text = SPOKE.replace("{n}", &n.to_string());
+                fs::write(dir.join(format!("config{n}")), text).expect("write spoke");
+            }
+        }
+        tree
+    };
+    let old = study("a", "");
+    let new = study("b", "net2");
+
+    let out = rdx(&[&old, Path::new("diff"), &new, Path::new("--networks")]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "net2\n");
 
     fs::remove_dir_all(&root).ok();
 }
